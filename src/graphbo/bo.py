@@ -1,8 +1,8 @@
 """The graph Bayesian-optimization loop and its random-sampling baseline.
 
-Each iteration fits the GP, materializes the acquisition problem, seeds the
-solver with warm-start candidates, solves for the exact LCB minimizer,
-queries the objective, and appends the observation. Deterministic synthetic
+Each iteration fits the GP, checks that the model and domain form a valid
+acquisition problem, seeds the solver with warm-start candidates, solves for
+the exact LCB minimizer, queries the objective, and appends the observation. Deterministic synthetic
 objectives stand in for expensive property predictors.
 """
 
@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encode import encode_acquisition
+from .encode import check_acquisition_inputs
+from .encode import encode_acquisition  # noqa: F401  re-exported from graphbo.bo
 from .errors import GraphBoError, UnknownOracleError
 from .gp import GpModel, fit, lcb as gp_lcb, posterior
 from .graphs import AttributedGraph, DomainSpec, sample_feasible, write_graphs
@@ -253,7 +254,7 @@ def run(oracle: ObjectiveOracle, domain: DomainSpec, config: BoConfig) -> BoHist
             warm_seed = int(master.integers(2 ** 31))
             model = fit(points, targets, config.variant, seed=fit_seed,
                         restarts=config.fit_restarts)
-            encode_acquisition(model, domain, config.beta_sqrt)
+            check_acquisition_inputs(model, domain, config.beta_sqrt)
             warm = warm_start(model, domain, config.warm_start_count, warm_seed,
                               prior_points=points, beta_sqrt=config.beta_sqrt)
             result = solve(model, domain, config.beta_sqrt,

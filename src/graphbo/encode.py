@@ -565,9 +565,11 @@ def _feature_coefficients(block: ConstraintBlock, hyper: KernelHyperparams,
     return coeffs
 
 
-def encode_acquisition(model: GpModel, domain: DomainSpec,
-                       beta_sqrt: float) -> MipModel:
-    """Assemble the full acquisition problem for a fitted GP over a domain."""
+def check_acquisition_inputs(model: GpModel, domain: DomainSpec,
+                             beta_sqrt: float) -> None:
+    """Raise unless the model and domain form a valid acquisition problem:
+    a fitted model, the training set's label/feature scheme and
+    directedness, and a nonnegative ``beta_sqrt``."""
     if model.size == 0 or model.chol is None:
         raise UnfittedModelError("acquisition encoding needs a fitted model")
     ref = model.points[0]
@@ -579,6 +581,11 @@ def encode_acquisition(model: GpModel, domain: DomainSpec,
     if beta_sqrt < 0:
         raise ValueError("beta_sqrt must be nonnegative")
 
+
+def encode_acquisition(model: GpModel, domain: DomainSpec,
+                       beta_sqrt: float) -> MipModel:
+    """Assemble the full acquisition problem for a fitted GP over a domain."""
+    check_acquisition_inputs(model, domain, beta_sqrt)
     variant, hyper = model.variant, model.hyper
     n = domain.n
     fixed = domain.fixed_size

@@ -99,9 +99,10 @@ def _lml_from_factor(chol: np.ndarray, y: np.ndarray) -> float:
 
 
 def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
-                            variant: KernelVariant, hyper: KernelHyperparams,
+                            variant: KernelVariant | str, hyper: KernelHyperparams,
                             noise_var: float = NOISE_VAR) -> float:
     """Gaussian log evidence of y under the combined kernel."""
+    variant = KernelVariant(variant)
     y = np.asarray(y, dtype=float)
     if len(points) != len(y) or len(y) < 1:
         raise ValueError("need one target per point and at least one point")
@@ -243,7 +244,7 @@ def _numeric_gradient(fun, theta: np.ndarray, lo: float, hi: float,
     return grad
 
 
-def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant,
+def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
         seed: int = 0, restarts: int = FIT_RESTARTS,
         noise_var: float = NOISE_VAR) -> GpModel:
     """Fit hyperparameters by maximizing the log marginal likelihood.
@@ -251,7 +252,9 @@ def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant,
     Multi-start bounded search: the first start is the all-ones point, the
     rest are log-uniform in the [0.01, 100] box. Deterministic for a given
     seed; ties between restarts resolve to the lowest restart index.
+    ``variant`` may be a KernelVariant or its string value.
     """
+    variant = KernelVariant(variant)
     y = np.asarray(y, dtype=float)
     points = tuple(points)
     if len(points) < 2:

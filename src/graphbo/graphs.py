@@ -1,8 +1,15 @@
-"""Attributed-graph data model, shortest paths, enumeration, and sampling.
+"""Attributed-graph data model, shortest paths, enumeration, profile tables,
+and sampling.
 
 Graphs are connected simple graphs (strongly connected when directed) with a
 binary node-feature matrix whose first ``num_labels`` columns one-hot encode a
 node label. All objects are immutable after construction.
+
+``profile_table`` reduces a domain to one row per distinct feasible kernel
+profile; the ``enumerate`` solve strategy scores those rows (its
+``nodes_explored`` counts them) instead of every graph. Each row keeps the
+first graph in ``enumerate_domain`` order with its profile, so ties still
+break toward the lexicographically smallest graph.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .errors import (
     SamplingExhaustedError,
     SelfLoopError,
 )
+from .kernels import StackedSummaries
 
 ENUMERATION_BIT_CAP = 24
 SAMPLING_ATTEMPTS = 1000
@@ -188,12 +196,13 @@ def build_graph(adjacency, features, directed: bool = False,
 
 
 def _all_pairs_distances(adjacency: np.ndarray) -> np.ndarray:
-    """Floyd-Warshall distances; unreachable pairs are +inf."""
-    n = adjacency.shape[0]
+    """Floyd-Warshall distances; unreachable pairs are +inf. Leading axes of
+    ``adjacency`` index independent graphs of the same size."""
+    n = adjacency.shape[-1]
     dist = np.where(adjacency > 0, 1.0, np.inf)
-    np.fill_diagonal(dist, 0.0)
+    dist[..., np.arange(n), np.arange(n)] = 0.0
     for w in range(n):
-        np.minimum(dist, dist[:, w : w + 1] + dist[w : w + 1, :], out=dist)
+        np.minimum(dist, dist[..., :, w : w + 1] + dist[..., w : w + 1, :], out=dist)
     return dist
 
 
@@ -404,16 +413,20 @@ class DomainSpec:
         )
 
 
-def row_value(row: LinearRow, adjacency: np.ndarray, features: np.ndarray) -> float:
-    """Evaluate a user row on (possibly smaller-than-grid) realized matrices."""
-    n, m = features.shape
+def row_value(row: LinearRow, adjacency: np.ndarray, features: np.ndarray):
+    """Evaluate a user row on (possibly smaller-than-grid) realized matrices.
+
+    ``features`` may carry leading batch axes (one feature matrix per
+    labeling of the same structure); the value then has those axes too.
+    """
+    n, m = features.shape[-2:]
     total = 0.0
     for u, v, c in row.adjacency:
         if u < n and v < n:
             total += c * float(adjacency[u, v])
     for v, f, c in row.features:
         if v < n and f < m:
-            total += c * float(features[v, f])
+            total = total + c * features[..., v, f].astype(float)
     return total
 
 
@@ -471,6 +484,13 @@ def _feature_rows(domain: DomainSpec) -> list[tuple[int, ...]]:
     return sorted(rows)
 
 
+def _check_bit_cap(domain: DomainSpec, bit_cap: int) -> None:
+    bits = domain_bit_count(domain)
+    if bits > bit_cap:
+        raise DomainTooLargeError(
+            f"domain needs {bits} structural bits, cap is {bit_cap}")
+
+
 def enumerate_domain(domain: DomainSpec,
                      bit_cap: int = ENUMERATION_BIT_CAP) -> Iterator[AttributedGraph]:
     """Yield every connected graph in the domain exactly once.
@@ -478,10 +498,7 @@ def enumerate_domain(domain: DomainSpec,
     Sizes ascend; within a size the order is lexicographic over the flattened
     adjacency bits and then the flattened feature bits.
     """
-    bits = domain_bit_count(domain)
-    if bits > bit_cap:
-        raise DomainTooLargeError(
-            f"domain needs {bits} structural bits, cap is {bit_cap}")
+    _check_bit_cap(domain, bit_cap)
     feature_rows = _feature_rows(domain)
     for n in domain.sizes:
         pairs = _free_adjacency_pairs(n, domain.directed)
@@ -499,6 +516,171 @@ def enumerate_domain(domain: DomainSpec,
                                     domain.num_labels)
                 if domain_feasible(domain, graph):
                     yield graph
+
+
+# ---------------------------------------------------------------------------
+# profile tables: the domain reduced to its distinct kernel profiles
+
+BLOCK = 4096  # rows per vectorized block, which bounds the build's memory
+
+
+@dataclass(frozen=True)
+class ProfileTable:
+    """One row per distinct feasible kernel profile of a domain.
+
+    A graph's kernel profile is its size, its labeled shortest-path counts
+    (which determine its length counts) and its feature sums. Every kernel
+    reads a graph only through this profile, so graphs that share it share
+    their GP posterior. Row i of ``profiles`` belongs to ``graph(i)``, the
+    first graph in ``enumerate_domain`` order with that profile, and the rows
+    ascend in that order. ``adjacency`` (rows, n, n) and ``features``
+    (rows, n, M) hold those graphs, zero-padded beyond each row's size.
+    ``complete`` is False when the build stopped early; the rows are then
+    those of the structures built so far.
+    """
+
+    domain: DomainSpec
+    profiles: StackedSummaries
+    adjacency: np.ndarray
+    features: np.ndarray
+    complete: bool
+
+    def __len__(self) -> int:
+        return len(self.profiles.sizes)
+
+    def graph(self, row: int) -> AttributedGraph:
+        size = int(self.profiles.sizes[row])
+        return build_graph(self.adjacency[row, :size, :size],
+                           self.features[row, :size], self.domain.directed,
+                           self.domain.num_labels)
+
+
+def _code_blocks(total: int) -> Iterator[np.ndarray]:
+    """0, 1, ..., total - 1 in blocks of at most BLOCK."""
+    for lo in range(0, total, BLOCK):
+        yield np.arange(lo, min(lo + BLOCK, total))
+
+
+def _connected_structures(n: int, directed: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(adjacency, distances) of every connected n-node structure, in
+    ``enumerate_domain`` order. Floyd-Warshall runs on blocks of adjacency
+    patterns at once; a pattern is connected iff all its distances are finite.
+    """
+    pairs = _free_adjacency_pairs(n, directed)
+    us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    # itertools.product order: the first pair is the most significant bit
+    shifts = np.arange(len(pairs) - 1, -1, -1)
+    for codes in _code_blocks(1 << len(pairs)):
+        bits = ((codes[:, None] >> shifts) & 1).astype(np.int8)
+        adjacency = np.zeros((len(codes), n, n), dtype=np.int8)
+        adjacency[:, us, vs] = bits
+        if not directed:
+            adjacency[:, vs, us] = bits
+        dist = _all_pairs_distances(adjacency)
+        for i in np.flatnonzero(np.isfinite(dist).all(axis=(1, 2))):
+            yield adjacency[i], dist[i].astype(np.int64)
+
+
+def _labelings(num_rows: int, n: int) -> Iterator[np.ndarray]:
+    """Per-node feature-row indices (b, n) of every labeling, in blocks and
+    in ``enumerate_domain`` order (node 0 most significant)."""
+    places = num_rows ** np.arange(n - 1, -1, -1)
+    for codes in _code_blocks(num_rows ** n):
+        yield codes[:, None] // places % num_rows
+
+
+def _feasible_labelings(domain: DomainSpec, adjacency: np.ndarray,
+                        labels: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Mask over a block of labelings of one structure: degree caps,
+    label-count bounds and user rows, as ``domain_feasible`` checks them."""
+    ok = np.ones(len(labels), dtype=bool)
+    if domain.degree_caps is not None:
+        caps = np.asarray(domain.degree_caps)[labels]
+        ok &= (adjacency.sum(axis=0) <= caps).all(axis=1)
+    if domain.label_count_bounds is not None:
+        lo, hi = np.asarray(domain.label_count_bounds).T
+        counts = features[:, :, : domain.num_labels].sum(axis=1)
+        ok &= ((lo <= counts) & (counts <= hi)).all(axis=1)
+    for row in domain.extra_rows:
+        ok &= row.holds(row_value(row, adjacency, features))
+    return ok
+
+
+def _labeled_counts(dist: np.ndarray, labels: np.ndarray, num_labels: int) -> np.ndarray:
+    """Flattened ``labeled_counts`` (b, n * L * L) of one structure under each
+    of b labelings (b, n): one bincount over (labeling, distance, label pair)."""
+    b, n = labels.shape
+    cells = n * num_labels * num_labels
+    codes = ((dist * num_labels * num_labels)[None]
+             + labels[:, :, None] * num_labels + labels[:, None, :]
+             + np.arange(b)[:, None, None] * cells)
+    return np.bincount(codes.ravel(), minlength=b * cells).reshape(b, cells)
+
+
+def profile_table(domain: DomainSpec, bit_cap: int = ENUMERATION_BIT_CAP,
+                  out_of_time: Callable[[], bool] | None = None) -> ProfileTable:
+    """The domain's distinct feasible kernel profiles, each with the first
+    graph in ``enumerate_domain`` order that realizes it.
+
+    Works per connected structure: one Floyd-Warshall, then the labeled
+    counts and feature sums of all its labelings at once. Each labeled graph
+    passes every domain constraint before profiles are deduplicated, first
+    within the structure and then across the domain, keyed by (size,
+    counts, sums). ``out_of_time`` is polled before each structure; once it
+    returns True the build stops and the table is marked incomplete. Raises
+    DomainTooLargeError above the same bit cap as ``enumerate_domain``.
+    """
+    _check_bit_cap(domain, bit_cap)
+    n, L, M = domain.n, domain.num_labels, domain.num_features
+    feature_rows = np.array(_feature_rows(domain), dtype=np.int64)
+    row_labels = feature_rows[:, :L].argmax(axis=1)
+    seen: set[bytes] = set()
+    keys: list[np.ndarray] = []  # [size, labeled counts..., feature sums...]
+    adjacency: list[np.ndarray] = []
+    features: list[np.ndarray] = []
+    complete = True
+    for size in domain.sizes:
+        for adj, dist in _connected_structures(size, domain.directed):
+            if out_of_time is not None and out_of_time():
+                complete = False
+                break
+            for choice in _labelings(len(feature_rows), size):
+                labels, feats = row_labels[choice], feature_rows[choice]
+                ok = _feasible_labelings(domain, adj, labels, feats)
+                if not ok.any():
+                    continue
+                labels, feats = labels[ok], feats[ok]
+                block = np.concatenate([
+                    np.full((len(labels), 1), size),
+                    _labeled_counts(dist, labels, L),
+                    feats.sum(axis=1)], axis=1)
+                raw = block.view(np.dtype((np.void, block.itemsize * block.shape[1])))
+                first: dict[bytes, int] = {}
+                for i, key in enumerate(raw.ravel().tolist()):
+                    first.setdefault(key, i)
+                for key, i in first.items():
+                    if key not in seen:
+                        seen.add(key)
+                        keys.append(block[i])
+                        adjacency.append(adj)
+                        features.append(feats[i])
+        if not complete:
+            break
+
+    rows = len(keys)
+    sizes = np.array([int(key[0]) for key in keys], dtype=np.int64)
+    labeled_pad = np.zeros((rows, n, L, L))
+    sums = np.zeros((rows, M))
+    adjacency_pad = np.zeros((rows, n, n), dtype=np.int8)
+    features_pad = np.zeros((rows, n, M), dtype=np.int8)
+    for i, (key, size) in enumerate(zip(keys, sizes)):
+        labeled_pad[i, :size] = key[1:-M].reshape(size, L, L)
+        sums[i] = key[-M:]
+        adjacency_pad[i, :size, :size] = adjacency[i]
+        features_pad[i, :size] = features[i]
+    profiles = StackedSummaries(sizes, labeled_pad.sum(axis=(2, 3)),
+                                labeled_pad.reshape(rows, n * L * L), sums)
+    return ProfileTable(domain, profiles, adjacency_pad, features_pad, complete)
 
 
 # ---------------------------------------------------------------------------

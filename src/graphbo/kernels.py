@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, MissingVarianceError
-from .graphs import AttributedGraph, ShortestPathSummary
+
+if TYPE_CHECKING:  # graphs builds StackedSummaries, so it imports this module
+    from .graphs import AttributedGraph, ShortestPathSummary
 
 HYPER_BOX = (0.01, 100.0)
 

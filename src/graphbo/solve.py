@@ -1,7 +1,9 @@
 """Exact minimization of the acquisition problem.
 
 Two strategies: exhaustive enumeration of the (guarded) domain, and
-branch-and-propagate over structural bits only. Distance/on-path variables
+branch-and-propagate over structural bits only. Enumeration scores one row
+per distinct feasible kernel profile (``graphs.profile_table``), since the
+LCB reads a graph only through its profile. Distance/on-path variables
 are never branched: once the structural bits are fixed they are uniquely
 determined, so leaves are evaluated exactly through the graph machinery.
 Partial assignments are pruned with interval-arithmetic lower bounds on the
@@ -32,13 +34,15 @@ from .errors import (
     UnfittedModelError,
 )
 from .gp import GpModel, lcb as gp_lcb
-from .graphs import (
+from .graphs import (  # noqa: F401  enumerate_domain is re-exported
     ENUMERATION_BIT_CAP,
     AttributedGraph,
     DomainSpec,
+    ProfileTable,
     build_graph,
     domain_feasible,
     enumerate_domain,
+    profile_table,
 )
 from .errors import GraphBoError
 from .kernels import StackedSummaries, cross_gram, self_kernel_parts
@@ -653,77 +657,44 @@ def propagate_leaf(adjacency_bits: np.ndarray, feature_bits: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# enumeration strategy with a per-domain candidate cache
+# enumeration strategy over a per-domain profile table
 
 
-@dataclass
-class _CandidateSet:
-    graphs: list[AttributedGraph]
-    stacked: StackedSummaries
-
-
-_candidate_cache: dict[tuple, _CandidateSet] = {}
-
-
-def _candidates(domain: DomainSpec, bit_cap: int) -> _CandidateSet:
-    key = (domain, bit_cap)
-    cached = _candidate_cache.get(key)
-    if cached is not None:
-        return cached
-    graphs = list(enumerate_domain(domain, bit_cap))
-    if graphs:
-        stacked = StackedSummaries.build(graphs, labeled=True)
-    else:
-        stacked = None
-    entry = _CandidateSet(graphs, stacked)
-    if len(_candidate_cache) >= 8:
-        _candidate_cache.pop(next(iter(_candidate_cache)))
-    _candidate_cache[key] = entry
-    return entry
+_profile_tables: dict[tuple[DomainSpec, int], ProfileTable] = {}
 
 
 def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
                      budget: float, bit_cap: int) -> SolveResult:
     start = time.monotonic()
-    cands = _candidates(domain, bit_cap)
-    if not cands.graphs:
-        return SolveResult(None, None, math.inf, "Infeasible", 0,
-                           time.monotonic() - start)
+    key = (domain, bit_cap)
+    table = _profile_tables.get(key)
+    if table is None:
+        table = profile_table(
+            domain, bit_cap,
+            out_of_time=lambda: time.monotonic() - start >= budget)
+        if table.complete:
+            _profile_tables[key] = table
+    if not len(table):
+        status, bound = (("Infeasible", math.inf) if table.complete
+                         else ("BudgetExhausted", -math.inf))
+        return SolveResult(None, None, bound, status, 0, time.monotonic() - start)
     train = StackedSummaries.build(list(model.points), labeled=True)
-    total = len(cands.graphs)
-    chunk = 8192
-    best_idx = -1
-    best_val = math.inf
-    evaluated = 0
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        piece = StackedSummaries(
-            cands.stacked.sizes[lo:hi],
-            cands.stacked.length_counts[lo:hi],
-            None if cands.stacked.labeled_counts is None
-            else cands.stacked.labeled_counts[lo:hi],
-            cands.stacked.feature_sums[lo:hi])
-        kmat = cross_gram(piece, train, model.variant, model.hyper)
-        mu = kmat @ model.weights
-        v = sla.solve_triangular(model.chol, kmat.T, lower=True)
-        kself = self_kernel_parts(piece, model.variant, model.hyper)
-        var = np.clip(kself - np.sum(v * v, axis=0), 0.0, None)
-        values = mu - beta_sqrt * np.sqrt(var)
-        local = int(np.argmin(values))
-        if values[local] < best_val:
-            best_val = float(values[local])
-            best_idx = lo + local
-        evaluated = hi
-        if evaluated < total and (time.monotonic() - start) > budget:
-            objective = gp_lcb(model, cands.graphs[best_idx], beta_sqrt)
-            return SolveResult(cands.graphs[best_idx], objective, -math.inf,
-                               "FeasibleTimeLimit", evaluated,
-                               time.monotonic() - start)
+    kmat = cross_gram(table.profiles, train, model.variant, model.hyper)
+    mu = kmat @ model.weights
+    v = sla.solve_triangular(model.chol, kmat.T, lower=True)
+    kself = self_kernel_parts(table.profiles, model.variant, model.hyper)
+    var = np.clip(kself - np.sum(v * v, axis=0), 0.0, None)
+    values = mu - beta_sqrt * np.sqrt(var)
+    # rows ascend in enumeration order, so argmin keeps the tie-break toward
+    # the lexicographically smallest graph
+    incumbent = table.graph(int(np.argmin(values)))
     # report the incumbent's value through the per-graph reference path so
     # both strategies quote identical numbers for identical graphs
-    objective = gp_lcb(model, cands.graphs[best_idx], beta_sqrt)
-    return SolveResult(cands.graphs[best_idx], objective, objective, "Optimal",
-                       total, time.monotonic() - start)
+    objective = gp_lcb(model, incumbent, beta_sqrt)
+    status, bound = (("Optimal", objective) if table.complete
+                     else ("FeasibleTimeLimit", -math.inf))
+    return SolveResult(incumbent, objective, bound, status, len(table),
+                       time.monotonic() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +796,14 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
           workers: int = 1,
           enumeration_bit_cap: int = ENUMERATION_BIT_CAP) -> SolveResult:
     """Minimize the LCB over the domain.
+
+    ``enumerate`` scores one row per distinct feasible kernel profile of the
+    domain; the table is built once per domain and cached only when
+    complete. Objective ties still break toward the lexicographically
+    smallest graph, and ``nodes_explored`` counts the profile rows scored.
+    The budget is checked per structure while the table is built: a build
+    cut short scores the rows found so far (FeasibleTimeLimit, bound -inf)
+    or, with none, ends BudgetExhausted.
 
     ``workers`` is accepted for interface stability; the search itself runs
     single-threaded, which keeps results bit-for-bit reproducible.

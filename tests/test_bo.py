@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import graphbo
+import graphbo.bo as bo_module
 from graphbo import BoConfig, DomainSpec, KernelVariant
 from graphbo.bo import (
     BoRunAborted,
@@ -15,7 +16,7 @@ from graphbo.bo import (
     synthetic_oracle,
     warm_start,
 )
-from graphbo.errors import UnknownOracleError
+from graphbo.errors import IncompatibleDomainError, UnknownOracleError
 from graphbo.gp import fit, lcb
 from graphbo.graphs import domain_feasible, sample_feasible
 
@@ -148,6 +149,19 @@ class TestRun:
             run(oracle, dom, config)
         assert len(info.value.history.records) == 1
         assert info.value.history.records[0].solver_status == "init"
+
+    def test_incompatible_label_scheme_aborts_at_first_iteration(self, monkeypatch):
+        dom = DomainSpec(n=3, num_labels=2)
+        one_label = DomainSpec(n=3, num_labels=1)
+        # training points from another label scheme than the search domain
+        monkeypatch.setattr(bo_module, "sample_feasible",
+                            lambda domain, seed: sample_feasible(one_label, seed))
+        oracle = synthetic_oracle("path_profile", {"target": path_profile_target(3)})
+        config = quick_config(iterations=2)
+        with pytest.raises(BoRunAborted, match="iteration 1 failed") as info:
+            run(oracle, dom, config)
+        assert isinstance(info.value.__cause__, IncompatibleDomainError)
+        assert len(info.value.history.records) == config.initial_samples
 
     def test_branch_strategy_run(self):
         dom = DomainSpec(n=3, num_labels=1)

@@ -187,6 +187,17 @@ class TestFit:
         reference = log_marginal_likelihood(points, y, KernelVariant.SSP, generating)
         assert fitted >= reference - 1e-6
 
+    def test_variant_string_matches_enum(self, rng):
+        points = distinct_profile_graphs(rng, 5)
+        y = rng.normal(size=5)
+        for variant in KernelVariant:
+            by_name = fit(points, y, variant.value, seed=3, restarts=2)
+            by_enum = fit(points, y, variant, seed=3, restarts=2)
+            assert by_name.variant is variant
+            assert by_name.hyper == by_enum.hyper
+            assert log_marginal_likelihood(points, y, variant.value, by_enum.hyper) == \
+                log_marginal_likelihood(points, y, variant, by_enum.hyper)
+
     def test_exponential_variant_gets_variance(self, rng):
         points = distinct_profile_graphs(rng, 4)
         model = fit(points, rng.normal(size=4), KernelVariant.ESP, seed=0)

@@ -1,0 +1,151 @@
+"""Per-domain kernel-profile tables against oracles that share no code with
+the table builder: brute-force enumeration with per-graph summaries, and
+networkx's graph atlas."""
+
+import importlib
+
+import numpy as np
+import pytest
+
+from graphbo import DomainSpec, KernelVariant, LinearRow
+from graphbo.gp import fit, lcb
+from graphbo.graphs import enumerate_domain, profile_table, sample_feasible
+from graphbo.solve import solve
+
+solve_module = importlib.import_module("graphbo.solve")
+
+TWO_LABELS = DomainSpec(n=4, num_labels=2)
+
+# name -> (domain, unconstrained domain, independent feasibility predicate)
+CASES = {
+    "undirected_n4": (TWO_LABELS, TWO_LABELS, lambda g: True),
+    "directed_n3": (DomainSpec(n=3, num_labels=2, directed=True),
+                    DomainSpec(n=3, num_labels=2, directed=True), lambda g: True),
+    "bounded_size": (DomainSpec(n=4, n_min=2, num_labels=2),
+                     DomainSpec(n=4, n_min=2, num_labels=2), lambda g: True),
+    "extra_features": (DomainSpec(n=3, num_labels=2, num_features=4),
+                       DomainSpec(n=3, num_labels=2, num_features=4), lambda g: True),
+    # directed, so that in-degree and out-degree differ
+    "degree_caps": (
+        DomainSpec(n=3, num_labels=2, directed=True, degree_caps=(1, 2)),
+        DomainSpec(n=3, num_labels=2, directed=True),
+        lambda g: all(g.adjacency[:, v].sum() <= (1, 2)[int(g.features[v, 1])]
+                      for v in range(g.n))),
+    "label_count_bounds": (
+        DomainSpec(n=4, num_labels=2, label_count_bounds=((1, 2), (0, 4))),
+        TWO_LABELS, lambda g: 1 <= g.features[:, 0].sum() <= 2),
+    "extra_row": (
+        DomainSpec(n=4, num_labels=2, extra_rows=(LinearRow(
+            adjacency=((0, 1, 1.0), (2, 3, 1.0)), features=((0, 1, 1.0),),
+            sense="<=", rhs=1.0),)),
+        TWO_LABELS,
+        lambda g: g.adjacency[0, 1] + g.adjacency[2, 3] + g.features[0, 1] <= 1),
+}
+
+
+def brute_force(case):
+    """All feasible graphs in enumeration order, and the first graph per
+    (size, labeled counts, feature sums) profile."""
+    domain, unconstrained, feasible = CASES[case]
+    graphs = [g for g in enumerate_domain(unconstrained) if feasible(g)]
+    first = {}
+    for g in graphs:
+        s = g.summary
+        key = (g.n, s.labeled_counts.tobytes(), s.feature_sums.tobytes())
+        first.setdefault(key, g)
+    return domain, graphs, list(first.values())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_table_matches_brute_force(case):
+    domain, graphs, representatives = brute_force(case)
+    assert graphs == list(enumerate_domain(domain))
+    table = profile_table(domain)
+    assert table.complete
+    assert [table.graph(i) for i in range(len(table))] == representatives
+    for i, g in enumerate(representatives):
+        s = g.summary
+        n = g.n
+        assert table.profiles.sizes[i] == n
+        assert np.array_equal(table.profiles.length_counts[i, :n], s.length_counts)
+        assert not table.profiles.length_counts[i, n:].any()
+        assert np.array_equal(table.profiles.feature_sums[i], s.feature_sums)
+        labeled = table.profiles.labeled_counts[i].reshape(domain.n, domain.num_labels,
+                                                           domain.num_labels)
+        assert np.array_equal(labeled[:n], s.labeled_counts)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("variant", list(KernelVariant))
+def test_enumerate_solve_matches_brute_force(case, variant):
+    domain, graphs, representatives = brute_force(case)
+    rng = np.random.default_rng(sorted(CASES).index(case))
+    points = [sample_feasible(domain, rng) for _ in range(5)]
+    model = fit(points, rng.normal(size=5), variant, seed=0, restarts=2)
+    values = [lcb(model, g, 1.0) for g in graphs]
+    best = min(values)
+    result = solve(model, domain, 1.0, strategy="enumerate")
+    assert result.status == "Optimal"
+    assert abs(result.objective - best) <= 1e-9
+    assert result.incumbent == graphs[values.index(best)]
+    assert result.nodes_explored == len(representatives)
+
+
+def test_partial_build_is_a_prefix_of_the_full_table():
+    full = profile_table(TWO_LABELS)
+    polls = 0
+
+    def stop_after_three():
+        nonlocal polls
+        polls += 1
+        return polls > 3
+
+    partial = profile_table(TWO_LABELS, out_of_time=stop_after_three)
+    assert not partial.complete
+    assert 0 < len(partial) < len(full)
+    assert [partial.graph(i) for i in range(len(partial))] == \
+        [full.graph(i) for i in range(len(partial))]
+
+
+def test_interrupted_build_reports_time_limit_and_is_not_cached(monkeypatch):
+    rng = np.random.default_rng(7)
+    points = [sample_feasible(TWO_LABELS, rng) for _ in range(5)]
+    model = fit(points, rng.normal(size=5), KernelVariant.SP, seed=0, restarts=2)
+    exact = solve(model, TWO_LABELS, 1.0, strategy="enumerate")
+    solve_module._profile_tables.clear()
+    build = solve_module.profile_table
+    polls = 0
+
+    def stop_after_two():
+        nonlocal polls
+        polls += 1
+        return polls > 2
+
+    monkeypatch.setattr(solve_module, "profile_table",
+                        lambda domain, bit_cap, out_of_time: build(
+                            domain, bit_cap, out_of_time=stop_after_two))
+    cut = solve(model, TWO_LABELS, 1.0, strategy="enumerate")
+    assert cut.status == "FeasibleTimeLimit"
+    assert cut.bound == -np.inf
+    assert cut.objective >= exact.objective - 1e-12
+    assert cut.objective == lcb(model, cut.incumbent, 1.0)
+    assert not solve_module._profile_tables
+
+
+def test_length_profiles_match_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    sizes = range(1, 7)
+    expected = {n: set() for n in sizes}
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        if n in expected and nx.is_connected(g):
+            counts = [0] * n
+            for _, lengths in nx.all_pairs_shortest_path_length(g):
+                for d in lengths.values():
+                    counts[d] += 1
+            expected[n].add(tuple(counts))
+    for n in sizes:
+        table = profile_table(DomainSpec(n=n, num_labels=1))
+        got = [tuple(int(c) for c in row) for row in table.profiles.length_counts]
+        assert len(got) == len(set(got))
+        assert set(got) == expected[n]

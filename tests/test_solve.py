@@ -1,6 +1,7 @@
 """Exact solver: feasibility checking, bijection counting, bounds, and the
 agreement of both strategies."""
 
+import importlib
 import logging
 import math
 
@@ -314,6 +315,19 @@ class TestSolve:
         assert result.bound <= exact.objective + 1e-9
         if result.objective is not None:
             assert result.objective >= exact.objective - 1e-9
+
+    def test_enumerate_budget_covers_cold_build(self, rng):
+        solve_module = importlib.import_module("graphbo.solve")
+        dom = DomainSpec(n=4, num_labels=2)
+        model = fitted_model(rng, dom)
+        solve_module._profile_tables.clear()
+        cut = solve(model, dom, 1.0, strategy="enumerate", budget=0.0)
+        assert cut.status in ("FeasibleTimeLimit", "BudgetExhausted")
+        assert cut.bound == -math.inf
+        assert not solve_module._profile_tables
+        full = solve(model, dom, 1.0, strategy="enumerate")
+        assert full.status == "Optimal"
+        assert full.bound == full.objective
 
     def test_requires_fitted_model(self):
         empty = GpModel.build([], [], KernelVariant.SSP, KernelHyperparams())
