@@ -20,7 +20,7 @@ from .encode import encode_acquisition  # noqa: F401  re-exported from graphbo.b
 from .errors import GraphBoError, UnknownOracleError
 from .gp import GpModel, fit, lcb as gp_lcb, posterior
 from .graphs import AttributedGraph, DomainSpec, sample_feasible, write_graphs
-from .kernels import KernelVariant
+from .kernels import KernelHyperparams, KernelVariant, k_graph
 from .solve import SolveStrategy, solve
 
 HISTORY_COLUMNS = ["iter", "proposal_id", "y", "best_y", "mu", "sigma",
@@ -41,7 +41,6 @@ class BoConfig:
     seed: int = 0
     strategy: SolveStrategy = SolveStrategy.BRANCH_AND_PROPAGATE
     fit_restarts: int = 8
-    workers: int = 1
     log_interval: int = 0
 
     def __post_init__(self):
@@ -186,14 +185,10 @@ def synthetic_oracle(name: str, params: dict | None = None) -> ObjectiveOracle:
         anchor = params["target_graph"]
         if isinstance(anchor, dict):
             anchor = AttributedGraph.from_dict(anchor)
-        anchor_summary = anchor.summary
 
         def kernel_distance(graph: AttributedGraph) -> float:
-            s = graph.summary
-            m = min(s.n, anchor_summary.n)
-            dot = float(np.dot(s.length_counts[:m],
-                               anchor_summary.length_counts[:m]))
-            return -dot / (s.n ** 2 * anchor_summary.n ** 2)
+            return -k_graph(graph.summary, anchor.summary, KernelVariant.SSP,
+                            KernelHyperparams())
 
         return ObjectiveOracle(name, {"target_graph": anchor.to_dict()},
                                kernel_distance)
@@ -261,8 +256,7 @@ def run(oracle: ObjectiveOracle, domain: DomainSpec, config: BoConfig) -> BoHist
                            budget=config.solver_budget,
                            strategy=config.strategy,
                            warm_start=[g for g, _ in warm],
-                           log_interval=config.log_interval,
-                           workers=config.workers)
+                           log_interval=config.log_interval)
             if result.incumbent is None:
                 raise GraphBoError(f"solver returned no incumbent ({result.status})")
         except (GraphBoError, ValueError) as exc:

@@ -36,7 +36,7 @@ from .solve import SolveStrategy, count_feasible, solve
 CONFIG_KEYS = {
     "seed", "domain", "variant", "alpha", "beta", "sigma_k_sq", "beta_sqrt",
     "initial_samples", "iterations", "solver_budget", "warm_start_count",
-    "strategy", "workers", "log_interval", "oracle", "restarts",
+    "strategy", "log_interval", "oracle", "restarts",
     "breakpoints", "format", "count",
 }
 
@@ -110,7 +110,6 @@ def _bo_config(args, config: dict, seed: int) -> bo_mod.BoConfig:
         seed=seed,
         strategy=SolveStrategy(_pick(args.strategy, config, "strategy",
                                      "branch_and_propagate")),
-        workers=int(_pick(args.workers, config, "workers", 1)),
         log_interval=int(_pick(None, config, "log_interval", 0)),
     )
 
@@ -188,7 +187,6 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy")
     p.add_argument("--budget", type=float)
     p.add_argument("--warm", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--log-interval", dest="log_interval", type=int)
     p.add_argument("--out", help="write the proposed graph here")
 
@@ -211,7 +209,6 @@ def build_parser() -> _Parser:
         p.add_argument("--budget", type=float)
         p.add_argument("--warm", type=int)
         p.add_argument("--strategy")
-        p.add_argument("--workers", type=int)
         p.add_argument("--history", help="write the run history CSV here")
         p.add_argument("--proposals", help="write proposed graphs here")
     return parser
@@ -311,8 +308,7 @@ def _run_command(args, config: dict, seed: int) -> int:
         result = solve(model, domain, beta_sqrt, budget=budget, strategy=strategy,
                        warm_start=warm,
                        log_interval=int(_pick(args.log_interval, config,
-                                              "log_interval", 0)),
-                       workers=int(_pick(args.workers, config, "workers", 1)))
+                                              "log_interval", 0)))
         print(f"status={result.status} objective="
               f"{'' if result.objective is None else repr(result.objective)}"
               f" bound={result.bound!r} nodes={result.nodes_explored}")

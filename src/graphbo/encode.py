@@ -24,8 +24,15 @@ from .errors import (
     UnfittedModelError,
 )
 from .gp import GpModel
-from .graphs import AttributedGraph, DomainSpec
-from .kernels import KernelHyperparams, KernelVariant
+from .graphs import AttributedGraph, DomainSpec, on_path_indicators
+from .kernels import (
+    KernelHyperparams,
+    KernelVariant,
+    StackedSummaries,
+    _count_products,
+    cross_gram,
+    self_kernel_parts,
+)
 
 SizeSpec = int | tuple[int, int]
 
@@ -424,7 +431,8 @@ class MipModel:
     exp links for exponential variants) and the model can be exported. In
     bounded-size mode the kernel normalizations depend on the realized size,
     so the kernel/mu defining rows are withheld and evaluation goes through
-    the exact internal path only.
+    the exact internal path only. ``profile`` is the GP's stacked training
+    profile; the kernel rows and the exact evaluation both read it.
     """
 
     variant: KernelVariant
@@ -438,10 +446,7 @@ class MipModel:
     exp_links: list[ExpLink]
     weights: np.ndarray
     q_matrix: np.ndarray
-    train_length_counts: np.ndarray
-    train_labeled_counts: np.ndarray | None
-    train_feature_sums: np.ndarray
-    train_sizes: np.ndarray
+    profile: StackedSummaries
     kernel_rows_linear: bool
     q_factor: np.ndarray | None = None  # F with F'F = Q, shared with bounds
 
@@ -455,49 +460,18 @@ class MipModel:
 
     @property
     def num_train(self) -> int:
-        return len(self.train_sizes)
+        return len(self.profile.sizes)
 
     # -- exact evaluation -------------------------------------------------
 
     def kernel_vector_for(self, graph: AttributedGraph) -> np.ndarray:
         """Exact combined-kernel values against the training set."""
-        s = graph.summary
-        n = graph.n
-        t = self.num_train
-        out = np.empty(t)
-        for i in range(t):
-            ni = int(self.train_sizes[i])
-            m = min(n, ni)
-            if self.variant.labeled:
-                base = float(np.sum(s.labeled_counts[:m]
-                                    * self.train_labeled_counts[i, :m]))
-            else:
-                base = float(np.dot(s.length_counts[:m],
-                                    self.train_length_counts[i, :m]))
-            base /= (n * n * ni * ni)
-            if self.variant.exponential:
-                graph_part = math.exp(base) / self.hyper.require_variance(self.variant)
-            else:
-                graph_part = base
-            feat = float(np.dot(s.feature_sums, self.train_feature_sums[i]))
-            feat /= (n * ni * s.feature_sums.shape[0])
-            out[i] = self.hyper.alpha * graph_part + self.hyper.beta * feat
-        return out
+        return cross_gram(StackedSummaries.build([graph]), self.profile,
+                          self.variant, self.hyper)[0]
 
     def self_kernel_for(self, graph: AttributedGraph) -> float:
-        s = graph.summary
-        n = graph.n
-        if self.variant.labeled:
-            base = float(np.sum(s.labeled_counts.astype(float) ** 2)) / n ** 4
-        else:
-            base = float(np.dot(s.length_counts, s.length_counts)) / n ** 4
-        if self.variant.exponential:
-            graph_part = math.exp(base) / self.hyper.require_variance(self.variant)
-        else:
-            graph_part = base
-        feat = float(np.dot(s.feature_sums, s.feature_sums))
-        feat /= (n * n * s.feature_sums.shape[0])
-        return self.hyper.alpha * graph_part + self.hyper.beta * feat
+        return float(self_kernel_parts(StackedSummaries.build([graph]),
+                                       self.variant, self.hyper)[0])
 
     def _quadratic_form(self, k: np.ndarray) -> float:
         # k' Q k as a cancellation-free sum of squares via the stored factor
@@ -516,53 +490,61 @@ class MipModel:
         return mu - self.beta_sqrt * sigma
 
 
-def _kernel_coefficient_rows(block: ConstraintBlock, variant: KernelVariant,
-                             n: int, train_length_counts, train_labeled_counts,
-                             train_sizes, i: int,
-                             graph_scale: float) -> dict[int, float]:
-    """Linear coefficients of the i-th graph-kernel entry over indicators.
+def _count_coefficients(train: StackedSummaries, n: int, labeled: bool,
+                        graph_scale: float, feature_scale: float):
+    """Coefficients of a size-n graph's count cells and feature sums in its
+    kernel entries against every training point.
 
-    ``graph_scale`` multiplies the graph part (alpha for linear variants, 1
-    for the argument of an exp link)."""
-    ni = int(train_sizes[i])
+    Both kernel parts are linear in a graph's counts, so the coefficient of
+    one cell is the kernel part between a size-n profile holding just that
+    cell, at the given scale, and the training point. Returns graph
+    (n, L, L, t) and feature (M, t) arrays.
+    """
+    L, M = train.num_labels, train.num_features
+    cells = n * L * L
+    eye = np.eye(cells + M)
+    probe = StackedSummaries(np.full(cells + M, n),
+                             graph_scale * eye[:, :cells].reshape(-1, n, L, L),
+                             feature_scale * eye[:, cells:])
+    graph, feature = _count_products(probe, train, labeled)
+    return graph[:cells].reshape(n, L, L, -1), feature[cells:]
+
+
+def _kernel_coefficient_rows(block: ConstraintBlock, labeled: bool,
+                             coef: np.ndarray) -> dict[int, float]:
+    """Linear coefficients of one graph-kernel entry over the path-count
+    indicators: every node pair's indicator of a cell (s, l1, l2), or of a
+    length s when unlabeled, carries that cell's coefficient."""
+    n, L = coef.shape[0], coef.shape[1]
+    pairs = [(l1, l2) for l1 in range(L) for l2 in range(L)] if labeled else [(0, 0)]
     coeffs: dict[int, float] = {}
-    if variant.labeled:
-        L = train_labeled_counts.shape[2]
-        for s in range(min(n, ni)):
-            for l1 in range(L):
-                for l2 in range(L):
-                    c = float(train_labeled_counts[i, s, l1, l2])
-                    if c == 0.0:
-                        continue
-                    value = graph_scale * c / (n * n * ni * ni)
-                    for u in range(n):
-                        for v in range(n):
-                            vid = block.var_id(f"p_{u}_{v}_{s}_{l1}_{l2}")
-                            coeffs[vid] = coeffs.get(vid, 0.0) + value
-    else:
-        for s in range(min(n, ni)):
-            c = float(train_length_counts[i, s])
-            if c == 0.0:
+    for s in range(n):
+        for l1, l2 in pairs:
+            value = float(coef[s, l1, l2])
+            if value == 0.0:
                 continue
-            value = graph_scale * c / (n * n * ni * ni)
             for u in range(n):
                 for v in range(n):
-                    vid = block.var_id(f"ds_{u}_{v}_{s}")
-                    coeffs[vid] = coeffs.get(vid, 0.0) + value
+                    name = f"p_{u}_{v}_{s}_{l1}_{l2}" if labeled else f"ds_{u}_{v}_{s}"
+                    coeffs[block.var_id(name)] = value
     return coeffs
 
 
-def _feature_coefficients(block: ConstraintBlock, hyper: KernelHyperparams,
-                          n: int, ni: int, feature_sums_i,
-                          num_features: int) -> dict[int, float]:
-    coeffs: dict[int, float] = {}
-    for m in range(num_features):
-        c = float(feature_sums_i[m])
-        if c == 0.0:
-            continue
-        vid = block.var_id(f"N_{m}")
-        coeffs[vid] = coeffs.get(vid, 0.0) + hyper.beta * c / (n * ni * num_features)
-    return coeffs
+def _feature_coefficients(block: ConstraintBlock, coef: np.ndarray) -> dict[int, float]:
+    return {block.var_id(f"N_{m}"): float(value)
+            for m, value in enumerate(coef) if value != 0.0}
+
+
+def _self_values(n: int, L: int, M: int, labeled: bool):
+    """Linear graph and feature self-kernel values of a size-n profile whose
+    only nonzero count, in one cell, is c = 0, ..., n^2."""
+    c = np.arange(n * n + 1, dtype=float)
+    counts = np.zeros((len(c), n, L, L))
+    counts[:, 0, 0, 0] = c
+    sums = np.zeros((len(c), M))
+    sums[:, 0] = c
+    return _count_products(StackedSummaries(np.full(len(c), n), counts, sums),
+                           None, labeled)
 
 
 def check_acquisition_inputs(model: GpModel, domain: DomainSpec,
@@ -592,21 +574,6 @@ def encode_acquisition(model: GpModel, domain: DomainSpec,
     block = structural_system(domain, include_labels=variant.labeled)
 
     t = model.size
-    train_sizes = np.array([g.n for g in model.points], dtype=np.int64)
-    train_length_counts = np.zeros((t, n), dtype=np.int64)
-    for i, g in enumerate(model.points):
-        counts = g.summary.length_counts[:n]
-        train_length_counts[i, : len(counts)] = counts
-    train_labeled_counts = None
-    if variant.labeled:
-        L = domain.num_labels
-        train_labeled_counts = np.zeros((t, n, L, L), dtype=np.int64)
-        for i, g in enumerate(model.points):
-            counts = g.summary.labeled_counts[:n]
-            train_labeled_counts[i, : counts.shape[0]] = counts
-    train_feature_sums = np.array([g.summary.feature_sums for g in model.points],
-                                  dtype=np.int64)
-
     q_factor = model.inverse_factor()
     q_matrix = (q_factor.T @ q_factor + (q_factor.T @ q_factor).T) / 2.0
     weights = model.weights.copy()
@@ -628,68 +595,52 @@ def encode_acquisition(model: GpModel, domain: DomainSpec,
 
     exp_links: list[ExpLink] = []
     if fixed:
-        num_features = domain.num_features
+        L, M = domain.num_labels, domain.num_features
+        graph_scale = 1.0 if variant.exponential else hyper.alpha
+        graph_coef, feature_coef = _count_coefficients(
+            model.profile, n, variant.labeled, graph_scale, hyper.beta)
         if variant.exponential:
             g_ids = [block.add_var(f"g_{i}", "continuous", 0.0, 1.0, "g", (i,))
                      for i in range(t)]
             e_ids = [block.add_var(f"e_{i}", "continuous", 1.0, math.e, "eexp", (i,))
                      for i in range(t)]
-            for i in range(t):
-                coeffs = _kernel_coefficient_rows(
-                    block, variant, n, train_length_counts,
-                    train_labeled_counts, train_sizes, i, graph_scale=1.0)
-                coeffs[g_ids[i]] = coeffs.get(g_ids[i], 0.0) - 1.0
+        for i in range(t):
+            coeffs = _kernel_coefficient_rows(block, variant.labeled, graph_coef[..., i])
+            krow = _feature_coefficients(block, feature_coef[:, i])
+            if variant.exponential:
+                coeffs[g_ids[i]] = -1.0
                 block.add_con(f"g_def_{i}", coeffs, "==", 0.0)
                 exp_links.append(ExpLink(f"exp_{i}", e_ids[i], g_ids[i]))
-                krow = _feature_coefficients(block, hyper, n, int(train_sizes[i]),
-                                             train_feature_sums[i], num_features)
-                krow[e_ids[i]] = krow.get(e_ids[i], 0.0) + hyper.alpha / sigma_scale
-                krow[k_ids[i]] = krow.get(k_ids[i], 0.0) - 1.0
-                block.add_con(f"k_def_{i}", krow, "==", 0.0)
-        else:
-            for i in range(t):
-                coeffs = _kernel_coefficient_rows(
-                    block, variant, n, train_length_counts,
-                    train_labeled_counts, train_sizes, i, graph_scale=hyper.alpha)
-                for vid, val in _feature_coefficients(
-                        block, hyper, n, int(train_sizes[i]),
-                        train_feature_sums[i], num_features).items():
-                    coeffs[vid] = coeffs.get(vid, 0.0) + val
-                coeffs[k_ids[i]] = coeffs.get(k_ids[i], 0.0) - 1.0
-                block.add_con(f"k_def_{i}", coeffs, "==", 0.0)
+                krow[e_ids[i]] = hyper.alpha / sigma_scale
+            else:
+                krow.update(coeffs)
+            krow[k_ids[i]] = -1.0
+            block.add_con(f"k_def_{i}", krow, "==", 0.0)
 
-        # self-kernel row: kxx = alpha * (graph self) + beta * (feature self)
-        self_row: dict[int, float] = {}
+        # self-kernel row: kxx = alpha * (graph self) + beta * (feature self),
+        # each a sum over one-hot count indicators
+        graph_self, feature_self = _self_values(n, L, M, variant.labeled)
         if variant.labeled:
-            L = domain.num_labels
-            squares = [
-                (f"Pc_{s}_{l1}_{l2}_{c}", c)
-                for s in range(n) for l1 in range(L) for l2 in range(L)
-                for c in range(n * n + 1)
-            ]
+            squares = [(f"Pc_{s}_{l1}_{l2}_{c}", c)
+                       for s in range(n) for l1 in range(L) for l2 in range(L)
+                       for c in range(1, n * n + 1)]
         else:
-            squares = [(f"Dc_{s}_{c}", c) for s in range(n)
-                       for c in range(n * n + 1)]
+            squares = [(f"Dc_{s}_{c}", c) for s in range(n) for c in range(1, n * n + 1)]
+        graph_row = {block.var_id(name): float(graph_self[c]) for name, c in squares}
+        self_row: dict[int, float] = {}
         if variant.exponential:
             gs_id = block.add_var("g_self", "continuous", 0.0, 1.0, "g", (-1,))
             es_id = block.add_var("e_self", "continuous", 1.0, math.e, "eexp", (-1,))
-            row = {block.var_id(name): (c * c) / float(n ** 4)
-                   for name, c in squares if c}
-            row[gs_id] = -1.0
-            block.add_con("g_self_def", row, "==", 0.0)
+            graph_row[gs_id] = -1.0
+            block.add_con("g_self_def", graph_row, "==", 0.0)
             exp_links.append(ExpLink("exp_self", es_id, gs_id))
             self_row[es_id] = hyper.alpha / sigma_scale
         else:
-            for name, c in squares:
-                if c:
-                    vid = block.var_id(name)
-                    self_row[vid] = self_row.get(vid, 0.0) + hyper.alpha * (c * c) / float(n ** 4)
-        for m in range(domain.num_features):
+            self_row = {vid: hyper.alpha * value for vid, value in graph_row.items()}
+        for m in range(M):
             for c in range(1, n + 1):
-                vid = block.var_id(f"Nc_{m}_{c}")
-                self_row[vid] = self_row.get(vid, 0.0) + hyper.beta * (c * c) / float(
-                    n * n * domain.num_features)
-        self_row[kxx_id] = self_row.get(kxx_id, 0.0) - 1.0
+                self_row[block.var_id(f"Nc_{m}_{c}")] = hyper.beta * float(feature_self[c])
+        self_row[kxx_id] = -1.0
         block.add_con("kxx_def", self_row, "==", 0.0)
 
     mu_row = {k_ids[i]: float(weights[i]) for i in range(t)}
@@ -713,10 +664,7 @@ def encode_acquisition(model: GpModel, domain: DomainSpec,
         exp_links=exp_links,
         weights=weights,
         q_matrix=q_matrix,
-        train_length_counts=train_length_counts,
-        train_labeled_counts=train_labeled_counts,
-        train_feature_sums=train_feature_sums,
-        train_sizes=train_sizes,
+        profile=model.profile,
         kernel_rows_linear=fixed,
         q_factor=q_factor,
     )
@@ -736,7 +684,8 @@ def canonical_structural_assignment(graph: AttributedGraph, n: int) -> dict[str,
     np_ = graph.n
     if np_ > n:
         raise ValueError("graph larger than the grid")
-    s = graph.summary
+    dist = graph.summary.dist
+    on_path = on_path_indicators(dist)
     out: dict[str, int] = {}
     for u in range(n):
         for v in range(n):
@@ -746,12 +695,12 @@ def canonical_structural_assignment(graph: AttributedGraph, n: int) -> dict[str,
                 out[f"d_{u}_{v}"] = 0
             else:
                 out[f"A_{u}_{v}"] = int(graph.adjacency[u, v]) if exists else 0
-                out[f"d_{u}_{v}"] = int(s.dist[u, v]) if exists else n
+                out[f"d_{u}_{v}"] = int(dist[u, v]) if exists else n
             for w in range(n):
                 if u == v:
                     val = 1 if w == u else 0
                 elif exists and w < np_:
-                    val = int(s.on_path[u, v, w])
+                    val = int(on_path[u, v, w])
                 else:
                     val = 1 if w in (u, v) else 0
                 out[f"delta_{u}_{v}_{w}"] = val
@@ -819,11 +768,13 @@ def canonical_assignment(model_or_block, graph: AttributedGraph,
     if model is not None:
         k = model.kernel_vector_for(graph)
         if model.variant.exponential:
-            base = _linear_base_values(model, graph)
+            point = StackedSummaries.build([graph])
+            labeled = model.variant.labeled
+            base = _count_products(point, model.profile, labeled)[0][0]
             for i in range(model.num_train):
-                out[f"g_{i}"] = base[i]
+                out[f"g_{i}"] = float(base[i])
                 out[f"e_{i}"] = math.exp(base[i])
-            self_base = _linear_self_value(model, graph)
+            self_base = float(_count_products(point, None, labeled)[0][0])
             out["g_self"] = self_base
             out["e_self"] = math.exp(self_base)
         for i in range(model.num_train):
@@ -833,28 +784,3 @@ def canonical_assignment(model_or_block, graph: AttributedGraph,
         out["mu"] = mu
         out["sigma"] = sigma
     return out
-
-
-def _linear_base_values(model: MipModel, graph: AttributedGraph) -> np.ndarray:
-    s = graph.summary
-    n = graph.n
-    out = np.empty(model.num_train)
-    for i in range(model.num_train):
-        ni = int(model.train_sizes[i])
-        m = min(n, ni)
-        if model.variant.labeled:
-            base = float(np.sum(s.labeled_counts[:m]
-                                * model.train_labeled_counts[i, :m]))
-        else:
-            base = float(np.dot(s.length_counts[:m],
-                                model.train_length_counts[i, :m]))
-        out[i] = base / (n * n * ni * ni)
-    return out
-
-
-def _linear_self_value(model: MipModel, graph: AttributedGraph) -> float:
-    s = graph.summary
-    n = graph.n
-    if model.variant.labeled:
-        return float(np.sum(s.labeled_counts.astype(float) ** 2)) / n ** 4
-    return float(np.dot(s.length_counts, s.length_counts)) / n ** 4

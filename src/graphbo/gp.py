@@ -24,9 +24,11 @@ from .kernels import (
     KernelHyperparams,
     KernelVariant,
     StackedSummaries,
+    _combine,
+    _count_products,
     cross_gram,
     gram,
-    k_combined,
+    self_kernel_parts,
 )
 
 NOISE_VAR = 1e-6
@@ -51,41 +53,20 @@ def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramBuilder:
-    """Hyperparameter-independent Gram components of a training set.
-
-    The combined Gram is alpha * graph part + beta * feature part, where the
-    graph part is either the linear base matrix or its elementwise exponential
-    over the variance. Precomputing the parts makes likelihood evaluations
-    cheap during fitting.
-    """
+    """Hyperparameter-independent Gram components of a training set: the
+    linear graph kernel and the feature kernel, computed once so that
+    likelihood evaluations during fitting only recombine them."""
 
     variant: KernelVariant
     base: np.ndarray
-    base_exp: np.ndarray | None
     feature: np.ndarray
 
     @staticmethod
-    def build(points: Sequence[AttributedGraph], variant: KernelVariant) -> "GramBuilder":
-        stacked = StackedSummaries.build(points, labeled=variant.labeled)
-        unit = KernelHyperparams(alpha=1.0, beta=0.0, sigma_k_sq=1.0)
-        if variant.exponential:
-            linear = KernelVariant.SP if variant.labeled else KernelVariant.SSP
-            base = cross_gram(stacked, stacked, linear, unit)
-            base_exp = np.exp(base)
-        else:
-            base = cross_gram(stacked, stacked, variant, unit)
-            base_exp = None
-        feat_only = KernelHyperparams(alpha=0.0, beta=1.0, sigma_k_sq=1.0)
-        linear_any = KernelVariant.SP if variant.labeled else KernelVariant.SSP
-        feature = cross_gram(stacked, stacked, linear_any, feat_only)
-        return GramBuilder(variant, base, base_exp, feature)
+    def build(profile: StackedSummaries, variant: KernelVariant) -> "GramBuilder":
+        return GramBuilder(variant, *_count_products(profile, profile, variant.labeled))
 
     def gram(self, hyper: KernelHyperparams) -> np.ndarray:
-        if self.variant.exponential:
-            graph_part = self.base_exp / hyper.require_variance(self.variant)
-        else:
-            graph_part = self.base
-        return hyper.alpha * graph_part + hyper.beta * self.feature
+        return _combine(self.base, self.feature, self.variant, hyper)
 
 
 def _lml_from_factor(chol: np.ndarray, y: np.ndarray) -> float:
@@ -112,7 +93,12 @@ def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted GP: training set, kernel configuration, and factored covariance."""
+    """Fitted GP: training set, kernel configuration, and factored covariance.
+
+    ``profile`` stacks the training set's count-space profiles once (None
+    for an empty model); every kernel value against the training set reads
+    it.
+    """
 
     points: tuple[AttributedGraph, ...]
     y: np.ndarray
@@ -121,6 +107,7 @@ class GpModel:
     noise_var: float
     chol: np.ndarray | None
     weights: np.ndarray
+    profile: StackedSummaries | None
 
     @property
     def size(self) -> int:
@@ -135,14 +122,15 @@ class GpModel:
         if len(points) != len(y):
             raise ValueError("need one target per point")
         if len(points) == 0:
-            return GpModel(points, y, variant, hyper, noise_var, None, np.zeros(0))
-        chol = factorize(gram(points, variant, hyper), noise_var)
+            return GpModel(points, y, variant, hyper, noise_var, None, np.zeros(0), None)
+        profile = StackedSummaries.build(points)
+        chol = factorize(cross_gram(profile, profile, variant, hyper), noise_var)
         weights = sla.cho_solve((chol, True), y)
-        return GpModel(points, y, variant, hyper, noise_var, chol, weights)
+        return GpModel(points, y, variant, hyper, noise_var, chol, weights, profile)
 
     def kernel_vector(self, x: AttributedGraph) -> np.ndarray:
-        return np.array([k_combined(x, p, self.variant, self.hyper)
-                         for p in self.points])
+        return cross_gram(StackedSummaries.build([x]), self.profile,
+                          self.variant, self.hyper)[0]
 
     def inverse_factor(self) -> np.ndarray:
         """L^-1 for the lower Cholesky factor of (K + noise I)."""
@@ -201,10 +189,11 @@ def load_model(path) -> GpModel:
 def posterior(model: GpModel, x: AttributedGraph) -> tuple[float, float]:
     """Posterior mean and variance at x; variance is clipped to
     [0, prior variance]."""
-    kxx = k_combined(x, x, model.variant, model.hyper)
+    point = StackedSummaries.build([x])
+    kxx = float(self_kernel_parts(point, model.variant, model.hyper)[0])
     if model.size == 0:
         return 0.0, kxx
-    kx = model.kernel_vector(x)
+    kx = cross_gram(point, model.profile, model.variant, model.hyper)[0]
     mu = float(np.dot(kx, model.weights))
     v = sla.solve_triangular(model.chol, kx, lower=True)
     var = kxx - float(np.dot(v, v))
@@ -262,7 +251,7 @@ def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
     if len(points) != len(y):
         raise ValueError("need one target per point")
 
-    builder = GramBuilder.build(points, variant)
+    builder = GramBuilder.build(StackedSummaries.build(points), variant)
     dim = 3 if variant.exponential else 2
     lo, hi = math.log(HYPER_BOX[0]), math.log(HYPER_BOX[1])
 

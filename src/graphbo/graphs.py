@@ -137,14 +137,12 @@ class AttributedGraph:
 class ShortestPathSummary:
     """Shortest-path statistics of a connected graph.
 
-    ``dist[u, v]`` is the shortest distance, ``on_path[u, v, w]`` flags
-    whether w lies on some shortest u-v path, ``length_counts[s]`` counts
+    ``dist[u, v]`` is the shortest distance, ``length_counts[s]`` counts
     ordered pairs at distance s, ``labeled_counts[s, l1, l2]`` splits them by
     endpoint labels, and ``feature_sums[m]`` is the m-th feature column sum.
     """
 
     dist: np.ndarray
-    on_path: np.ndarray
     length_counts: np.ndarray
     labeled_counts: np.ndarray
     feature_sums: np.ndarray
@@ -240,24 +238,28 @@ def _reachable_from(adjacency: np.ndarray, source: int) -> np.ndarray:
     return seen
 
 
-def floyd_warshall(graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs shortest distances and the on-path indicator tensor.
-
-    ``on_path[u, v, w] = 1`` iff d(u, w) + d(w, v) = d(u, v); on the diagonal
-    this leaves exactly ``on_path[v, v, v] = 1``.
-    """
+def _distances(graph: AttributedGraph) -> np.ndarray:
     dist = _all_pairs_distances(graph.adjacency)
     if not np.isfinite(dist).all():
         raise DisconnectedError("graph must be connected")
-    dist = dist.astype(np.int64)
-    # on_path[u, v, w] <- dist[u, w] + dist[w, v] == dist[u, v]
-    on_path = (dist[:, None, :] + dist.T[None, :, :] == dist[:, :, None])
-    return dist, on_path.astype(np.int8)
+    return dist.astype(np.int64)
+
+
+def on_path_indicators(dist: np.ndarray) -> np.ndarray:
+    """``on_path[u, v, w] = 1`` iff d(u, w) + d(w, v) = d(u, v); on the
+    diagonal this leaves exactly ``on_path[v, v, v] = 1``."""
+    return (dist[:, None, :] + dist.T[None, :, :] == dist[:, :, None]).astype(np.int8)
+
+
+def floyd_warshall(graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs shortest distances and the on-path indicator tensor."""
+    dist = _distances(graph)
+    return dist, on_path_indicators(dist)
 
 
 def summarize(graph: AttributedGraph) -> ShortestPathSummary:
     """Shortest-path statistics used by every kernel."""
-    dist, on_path = floyd_warshall(graph)
+    dist = _distances(graph)
     n = graph.n
     length_counts = np.bincount(dist.ravel(), minlength=n)[:n]
     labels = graph.labels
@@ -267,7 +269,7 @@ def summarize(graph: AttributedGraph) -> ShortestPathSummary:
     lab_v = np.tile(labels, n)
     np.add.at(labeled_counts, (dist.ravel(), lab_u, lab_v), 1)
     feature_sums = graph.features.sum(axis=0).astype(np.int64)
-    return ShortestPathSummary(dist, on_path, length_counts.astype(np.int64),
+    return ShortestPathSummary(dist, length_counts.astype(np.int64),
                                labeled_counts, feature_sums)
 
 
@@ -678,8 +680,7 @@ def profile_table(domain: DomainSpec, bit_cap: int = ENUMERATION_BIT_CAP,
         sums[i] = key[-M:]
         adjacency_pad[i, :size, :size] = adjacency[i]
         features_pad[i, :size] = features[i]
-    profiles = StackedSummaries(sizes, labeled_pad.sum(axis=(2, 3)),
-                                labeled_pad.reshape(rows, n * L * L), sums)
+    profiles = StackedSummaries(sizes, labeled_pad, sums)
     return ProfileTable(domain, profiles, adjacency_pad, features_pad, complete)
 
 

@@ -1,16 +1,26 @@
 """Shortest-path graph kernels, the binary-feature kernel, and Gram matrices.
 
-Four graph-kernel variants are supported: two linear ones built from
-shortest-path statistics (with and without endpoint-label matching) and their
-exponential counterparts scaled by a variance parameter. The combined kernel
-is a weighted sum of the graph kernel and a permutation-invariant feature
-kernel.
+Every kernel value reads a graph only through its count-space profile: its
+size n, its labeled shortest-path counts P[s, l1, l2] (ordered node pairs at
+distance s with endpoint labels l1, l2; summed over the label pair they give
+the length counts D[s]) and its feature column sums N[m]. The linear graph
+kernel is the inner product of two graphs' counts over n1^2 n2^2 (labeled
+counts for ``sp``/``esp``, length counts for ``ssp``/``essp``); the feature
+kernel is N . N' over n1 n2 M. The exponential variants replace the graph
+kernel g by exp(g) / sigma_k_sq, and the combined kernel is
+alpha * graph + beta * feature.
+
+``StackedSummaries`` holds the profiles of a point set. ``cross_gram`` and
+``self_kernel_parts`` are the only kernel code: pairwise values, Gram
+matrices, the GP, the MIP coefficient rows and the enumerate solve all go
+through them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -67,175 +77,156 @@ class KernelHyperparams:
         return self.sigma_k_sq
 
 
-def linear_graph_kernel(s1: ShortestPathSummary, s2: ShortestPathSummary,
-                        labeled: bool) -> float:
-    """The linear (pre-exponential) graph-kernel value.
-
-    Sums products of per-length path counts (split by endpoint labels when
-    ``labeled``) over lengths below min(n1, n2), normalized by n1^2 n2^2.
-    """
-    n1, n2 = s1.n, s2.n
-    m = min(n1, n2)
-    if labeled:
-        if s1.num_labels != s2.num_labels:
-            raise DimensionMismatchError(
-                f"label schemes differ: {s1.num_labels} != {s2.num_labels}")
-        total = float(np.sum(s1.labeled_counts[:m] * s2.labeled_counts[:m]))
-    else:
-        total = float(np.dot(s1.length_counts[:m], s2.length_counts[:m]))
-    return total / (n1 * n1 * n2 * n2)
-
-
-def k_graph(s1: ShortestPathSummary, s2: ShortestPathSummary,
-            variant: KernelVariant, hyper: KernelHyperparams) -> float:
-    """Graph-kernel value between two shortest-path summaries."""
-    base = linear_graph_kernel(s1, s2, variant.labeled)
-    if variant.exponential:
-        return float(np.exp(base)) / hyper.require_variance(variant)
-    return base
-
-
-def k_feature(f1: np.ndarray, f2: np.ndarray) -> float:
-    """Permutation-invariant feature kernel: inner product of the feature
-    column sums, normalized by n1 n2 M."""
-    f1 = np.asarray(f1)
-    f2 = np.asarray(f2)
-    if f1.shape[1] != f2.shape[1]:
-        raise DimensionMismatchError(
-            f"feature widths differ: {f1.shape[1]} != {f2.shape[1]}")
-    n1, n2 = f1.shape[0], f2.shape[0]
-    m = f1.shape[1]
-    return float(np.dot(f1.sum(axis=0), f2.sum(axis=0))) / (n1 * n2 * m)
-
-
-def k_feature_sums(sums1: np.ndarray, n1: int, sums2: np.ndarray, n2: int) -> float:
-    """Feature kernel from precomputed column sums."""
-    if sums1.shape != sums2.shape:
-        raise DimensionMismatchError(
-            f"feature widths differ: {sums1.shape} != {sums2.shape}")
-    m = sums1.shape[0]
-    return float(np.dot(sums1, sums2)) / (n1 * n2 * m)
-
-
-def k_combined(x1: AttributedGraph, x2: AttributedGraph,
-               variant: KernelVariant, hyper: KernelHyperparams) -> float:
-    """alpha * graph kernel + beta * feature kernel."""
-    if x1.num_features != x2.num_features or x1.num_labels != x2.num_labels:
-        raise DimensionMismatchError("graphs use different feature schemes")
-    graph_part = k_graph(x1.summary, x2.summary, variant, hyper)
-    feature_part = k_feature_sums(x1.summary.feature_sums, x1.n,
-                                  x2.summary.feature_sums, x2.n)
-    return hyper.alpha * graph_part + hyper.beta * feature_part
-
-
-def gram(points: Sequence[AttributedGraph], variant: KernelVariant,
-         hyper: KernelHyperparams) -> np.ndarray:
-    """Symmetric matrix of pairwise combined-kernel values."""
-    if len(points) == 0:
-        raise ValueError("gram needs at least one point")
-    t = len(points)
-    out = np.empty((t, t))
-    for i in range(t):
-        for j in range(i, t):
-            value = k_combined(points[i], points[j], variant, hyper)
-            out[i, j] = value
-            out[j, i] = value
-    return out
-
-
 # ---------------------------------------------------------------------------
-# stacked summaries: vectorized kernels against a fixed point set
+# count-space profiles
 
 
 @dataclass(frozen=True)
 class StackedSummaries:
-    """Padded per-point arrays for batch kernel evaluation.
+    """Count-space profiles of a point set, the only input of every kernel.
 
-    ``length_counts`` is (t, pad) with rows zero-padded beyond each graph's
-    size, which reproduces the min(n1, n2) truncation exactly because counts
-    vanish at lengths the graph cannot realize. ``labeled_counts`` is
-    (t, pad * L * L) and ``feature_sums`` (t, M).
+    ``sizes`` is (t,), ``labeled_counts`` (t, pad, L, L) and ``feature_sums``
+    (t, M). Counts are zero-padded beyond each graph's size, which
+    reproduces the min(n1, n2) truncation of the kernel exactly because
+    counts vanish at lengths a graph cannot realize.
     """
 
     sizes: np.ndarray
-    length_counts: np.ndarray
-    labeled_counts: np.ndarray | None
+    labeled_counts: np.ndarray
     feature_sums: np.ndarray
 
     @staticmethod
-    def build(points: Sequence[AttributedGraph], pad: int | None = None,
-              labeled: bool = True) -> "StackedSummaries":
-        sizes = np.array([g.n for g in points], dtype=np.int64)
-        pad = int(sizes.max()) if pad is None else pad
-        t = len(points)
-        dc = np.zeros((t, pad))
-        for i, g in enumerate(points):
-            counts = g.summary.length_counts
-            dc[i, : len(counts)] = counts
-        pc = None
-        if labeled:
-            L = points[0].num_labels
-            pc = np.zeros((t, pad, L, L))
-            for i, g in enumerate(points):
-                counts = g.summary.labeled_counts
-                pc[i, : counts.shape[0]] = counts
-            pc = pc.reshape(t, pad * L * L)
-        fs = np.array([g.summary.feature_sums for g in points], dtype=float)
-        return StackedSummaries(sizes, dc, pc, fs)
+    def build(points: Sequence[AttributedGraph]) -> "StackedSummaries":
+        return _stack([g.summary for g in points])
+
+    @cached_property
+    def length_counts(self) -> np.ndarray:
+        """(t, pad) pair counts per length: the labeled counts summed over
+        label pairs."""
+        return self.labeled_counts.sum(axis=(2, 3))
+
+    @property
+    def num_labels(self) -> int:
+        return self.labeled_counts.shape[2]
+
+    @property
+    def num_features(self) -> int:
+        return self.feature_sums.shape[1]
+
+    def resized(self, width: int) -> "StackedSummaries":
+        """The same profiles with counts zero-padded or cut to ``width`` path
+        lengths; cutting drops only lengths no graph of size <= width has."""
+        pad = self.labeled_counts.shape[1]
+        if width == pad:
+            return self
+        counts = np.zeros((len(self.sizes), width) + self.labeled_counts.shape[2:])
+        counts[:, : min(width, pad)] = self.labeled_counts[:, :width]
+        return StackedSummaries(self.sizes, counts, self.feature_sums)
+
+
+def _stack(summaries: Sequence[ShortestPathSummary]) -> StackedSummaries:
+    if not summaries:
+        raise ValueError("kernels need at least one point")
+    schemes = {(s.num_labels, len(s.feature_sums)) for s in summaries}
+    if len(schemes) > 1:
+        raise DimensionMismatchError(f"points use different feature schemes: {schemes}")
+    sizes = np.array([s.n for s in summaries], dtype=np.int64)
+    L = summaries[0].num_labels
+    counts = np.zeros((len(summaries), int(sizes.max()), L, L))
+    for i, s in enumerate(summaries):
+        counts[i, : s.n] = s.labeled_counts
+    sums = np.array([s.feature_sums for s in summaries], dtype=float)
+    return StackedSummaries(sizes, counts, sums)
+
+
+def _count_products(rows: StackedSummaries, cols: StackedSummaries | None,
+                    labeled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The linear graph kernel and the feature kernel between profiles.
+
+    Returns (graph, feature) matrices of shape (rows, cols); with ``cols``
+    None, vectors of each row against itself. Every product of counts is an
+    exact integer dot product. Raises DimensionMismatchError when the label
+    schemes or the feature widths differ.
+    """
+    diagonal = cols is None
+    cols = rows if diagonal else cols
+    if rows.num_labels != cols.num_labels:
+        raise DimensionMismatchError(
+            f"label schemes differ: {rows.num_labels} != {cols.num_labels}")
+    if rows.num_features != cols.num_features:
+        raise DimensionMismatchError(
+            f"feature widths differ: {rows.num_features} != {cols.num_features}")
+    width = max(rows.labeled_counts.shape[1], cols.labeled_counts.shape[1])
+    rows, cols = rows.resized(width), cols.resized(width)
+    if labeled:
+        a = rows.labeled_counts.reshape(len(rows.sizes), -1)
+        b = cols.labeled_counts.reshape(len(cols.sizes), -1)
+    else:
+        a, b = rows.length_counts, cols.length_counts
+    if diagonal:
+        def inner(x, y):
+            return np.einsum("ij,ij->i", x, y)
+        pair = np.multiply
+    else:
+        def inner(x, y):
+            return x @ y.T
+        pair = np.outer
+    n1, n2 = rows.sizes.astype(float), cols.sizes.astype(float)
+    graph = inner(a, b) / pair(n1 ** 2, n2 ** 2)
+    feature = inner(rows.feature_sums, cols.feature_sums) / (
+        pair(n1, n2) * rows.num_features)
+    return graph, feature
+
+
+def _combine(graph, feature, variant: KernelVariant, hyper: KernelHyperparams):
+    """alpha * graph part + beta * feature, where the graph part of an
+    exponential variant is exp(graph) / sigma_k_sq."""
+    if variant.exponential:
+        graph = np.exp(graph) / hyper.require_variance(variant)
+    return hyper.alpha * graph + hyper.beta * feature
 
 
 def cross_gram(rows: StackedSummaries, cols: StackedSummaries,
                variant: KernelVariant, hyper: KernelHyperparams) -> np.ndarray:
     """Combined-kernel matrix between two stacked point sets."""
-    pad = max(rows.length_counts.shape[1], cols.length_counts.shape[1])
-
-    def padded(a: np.ndarray) -> np.ndarray:
-        if a.shape[1] == pad:
-            return a
-        out = np.zeros((a.shape[0], pad))
-        out[:, : a.shape[1]] = a
-        return out
-
-    if variant.labeled:
-        if rows.labeled_counts is None or cols.labeled_counts is None:
-            raise DimensionMismatchError("labeled variant needs labeled counts")
-        lr, lc = rows.labeled_counts, cols.labeled_counts
-        width = max(lr.shape[1], lc.shape[1])
-
-        def padded_l(a: np.ndarray) -> np.ndarray:
-            if a.shape[1] == width:
-                return a
-            out = np.zeros((a.shape[0], width))
-            out[:, : a.shape[1]] = a
-            return out
-
-        base = padded_l(lr) @ padded_l(lc).T
-    else:
-        base = padded(rows.length_counts) @ padded(cols.length_counts).T
-    norm = np.outer(rows.sizes.astype(float) ** 2, cols.sizes.astype(float) ** 2)
-    base = base / norm
-    if variant.exponential:
-        graph_part = np.exp(base) / hyper.require_variance(variant)
-    else:
-        graph_part = base
-    m = rows.feature_sums.shape[1]
-    feat = (rows.feature_sums @ cols.feature_sums.T) / (
-        np.outer(rows.sizes, cols.sizes) * m)
-    return hyper.alpha * graph_part + hyper.beta * feat
+    return _combine(*_count_products(rows, cols, variant.labeled), variant, hyper)
 
 
 def self_kernel_parts(stacked: StackedSummaries, variant: KernelVariant,
                       hyper: KernelHyperparams) -> np.ndarray:
     """k(x, x) for every stacked point."""
-    sizes = stacked.sizes.astype(float)
-    if variant.labeled:
-        base = np.sum(stacked.labeled_counts ** 2, axis=1) / sizes ** 4
-    else:
-        base = np.sum(stacked.length_counts ** 2, axis=1) / sizes ** 4
-    if variant.exponential:
-        graph_part = np.exp(base) / hyper.require_variance(variant)
-    else:
-        graph_part = base
-    m = stacked.feature_sums.shape[1]
-    feat = np.sum(stacked.feature_sums ** 2, axis=1) / (sizes ** 2 * m)
-    return hyper.alpha * graph_part + hyper.beta * feat
+    return _combine(*_count_products(stacked, None, variant.labeled), variant, hyper)
+
+
+# ---------------------------------------------------------------------------
+# per-pair wrappers
+
+
+def k_graph(s1: ShortestPathSummary, s2: ShortestPathSummary,
+            variant: KernelVariant, hyper: KernelHyperparams) -> float:
+    """Graph-kernel value between two shortest-path summaries (unweighted)."""
+    return float(cross_gram(_stack([s1]), _stack([s2]), variant,
+                            replace(hyper, alpha=1.0, beta=0.0))[0, 0])
+
+
+def k_feature(f1: np.ndarray, f2: np.ndarray) -> float:
+    """Permutation-invariant feature kernel: inner product of the feature
+    column sums, normalized by n1 n2 M."""
+    def stack(f):
+        return StackedSummaries(np.array([len(f)]), np.zeros((1, 0, 1, 1)),
+                                np.asarray(f, dtype=float).sum(axis=0, keepdims=True))
+    return float(_count_products(stack(f1), stack(f2), False)[1][0, 0])
+
+
+def k_combined(x1: AttributedGraph, x2: AttributedGraph,
+               variant: KernelVariant, hyper: KernelHyperparams) -> float:
+    """alpha * graph kernel + beta * feature kernel."""
+    return float(cross_gram(StackedSummaries.build([x1]), StackedSummaries.build([x2]),
+                            variant, hyper)[0, 0])
+
+
+def gram(points: Sequence[AttributedGraph], variant: KernelVariant,
+         hyper: KernelHyperparams) -> np.ndarray:
+    """Symmetric matrix of pairwise combined-kernel values."""
+    stacked = StackedSummaries.build(points)
+    return cross_gram(stacked, stacked, variant, hyper)

@@ -29,6 +29,7 @@ from scipy import linalg as sla
 
 from .encode import ConstraintBlock, SizeSpec, _size_bounds
 from .errors import (
+    DimensionMismatchError,
     MissingVariableError,
     SpaceTooLargeError,
     UnfittedModelError,
@@ -45,11 +46,10 @@ from .graphs import (  # noqa: F401  enumerate_domain is re-exported
     profile_table,
 )
 from .errors import GraphBoError
-from .kernels import StackedSummaries, cross_gram, self_kernel_parts
+from .kernels import cross_gram, self_kernel_parts
 
 logger = logging.getLogger("graphbo.solve")
 
-GAP_TOL = 1e-6
 DEFAULT_BUDGET = 600.0
 COUNT_CAP = 1 << 24
 
@@ -419,21 +419,17 @@ class _BoundContext:
         factor = model.inverse_factor()
         self.ct_pos = np.clip(factor, 0.0, None)
         self.ct_neg = np.clip(factor, None, 0.0)
-        self.train_sizes = np.array([g.n for g in model.points], dtype=np.int64)
-        n = domain.n
-        self.length_tab = np.zeros((self.t, n))
-        for i, g in enumerate(model.points):
-            counts = g.summary.length_counts[:n]
-            self.length_tab[i, : len(counts)] = counts
-        self.labeled_tab = None
-        if self.variant.labeled:
-            L = domain.num_labels
-            self.labeled_tab = np.zeros((self.t, n, L, L))
-            for i, g in enumerate(model.points):
-                counts = g.summary.labeled_counts[:n]
-                self.labeled_tab[i, : counts.shape[0]] = counts
-        self.feature_tab = np.array([g.summary.feature_sums for g in model.points],
-                                    dtype=float)
+        # the training profile with counts cut or padded to the domain's
+        # path lengths; the bounds index it by the domain's labels and features
+        profile = model.profile.resized(domain.n)
+        if (profile.num_labels, profile.num_features) != (domain.num_labels,
+                                                          domain.num_features):
+            raise DimensionMismatchError(
+                "domain label/feature scheme differs from the training set")
+        self.train_sizes = profile.sizes
+        self.length_tab = profile.length_counts
+        self.labeled_tab = profile.labeled_counts
+        self.feature_tab = profile.feature_sums
         var = self.hyper.require_variance(self.variant)
         if self.variant.exponential:
             self.k_box_crude = (self.hyper.alpha / var,
@@ -678,8 +674,7 @@ def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         status, bound = (("Infeasible", math.inf) if table.complete
                          else ("BudgetExhausted", -math.inf))
         return SolveResult(None, None, bound, status, 0, time.monotonic() - start)
-    train = StackedSummaries.build(list(model.points), labeled=True)
-    kmat = cross_gram(table.profiles, train, model.variant, model.hyper)
+    kmat = cross_gram(table.profiles, model.profile, model.variant, model.hyper)
     mu = kmat @ model.weights
     v = sla.solve_triangular(model.chol, kmat.T, lower=True)
     kself = self_kernel_parts(table.profiles, model.variant, model.hyper)
@@ -703,7 +698,7 @@ def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
 
 def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
                   budget: float, warm: Sequence[AttributedGraph],
-                  gap_tol: float, log_interval: int) -> SolveResult:
+                  log_interval: int) -> SolveResult:
     start = time.monotonic()
     ctx = _BoundContext(model, beta_sqrt, domain)
     bits = branch_bits(domain)
@@ -780,7 +775,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         status = "FeasibleTimeLimit"
     else:
         # the search prunes at bound >= incumbent, so completion certifies
-        # a zero gap (well within gap_tol)
+        # a zero gap
         bound = incumbent_obj
         status = "Optimal"
     logger.info("status=%s gap=%g time=%.3fs nodes=%d", status,
@@ -792,8 +787,7 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
           budget: float = DEFAULT_BUDGET,
           strategy: SolveStrategy | str = SolveStrategy.BRANCH_AND_PROPAGATE,
           warm_start: Iterable[AttributedGraph] = (),
-          gap_tol: float = GAP_TOL, log_interval: int = 0,
-          workers: int = 1,
+          log_interval: int = 0,
           enumeration_bit_cap: int = ENUMERATION_BIT_CAP) -> SolveResult:
     """Minimize the LCB over the domain.
 
@@ -803,10 +797,8 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     smallest graph, and ``nodes_explored`` counts the profile rows scored.
     The budget is checked per structure while the table is built: a build
     cut short scores the rows found so far (FeasibleTimeLimit, bound -inf)
-    or, with none, ends BudgetExhausted.
-
-    ``workers`` is accepted for interface stability; the search itself runs
-    single-threaded, which keeps results bit-for-bit reproducible.
+    or, with none, ends BudgetExhausted. The search runs single-threaded,
+    which keeps results bit-for-bit reproducible.
     """
     if gp_model.size == 0:
         raise UnfittedModelError("solver needs a fitted model")
@@ -815,5 +807,4 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     if strategy is SolveStrategy.ENUMERATE:
         return _solve_enumerate(gp_model, domain, beta_sqrt, budget,
                                 enumeration_bit_cap)
-    return _solve_branch(gp_model, domain, beta_sqrt, budget, warm, gap_tol,
-                         log_interval)
+    return _solve_branch(gp_model, domain, beta_sqrt, budget, warm, log_interval)

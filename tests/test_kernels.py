@@ -19,6 +19,7 @@ from graphbo import (
 )
 from graphbo import is_connected
 from graphbo.errors import DimensionMismatchError, MissingVarianceError
+from graphbo.gp import GpModel, posterior
 from graphbo.kernels import StackedSummaries, cross_gram, self_kernel_parts
 
 from conftest import complete_graph, path_graph, random_graph
@@ -51,6 +52,13 @@ def brute_force_feature_kernel(g1, g2):
         for v2 in range(g2.n):
             total += int(np.dot(g1.features[v1], g2.features[v2]))
     return total / (g1.n * g2.n * g1.num_features)
+
+
+def brute_force_combined_kernel(g1, g2, variant, hyper):
+    graph = brute_force_pair_kernel(g1, g2, variant.labeled)
+    if variant.exponential:
+        graph = math.exp(graph) / hyper.sigma_k_sq
+    return hyper.alpha * graph + hyper.beta * brute_force_feature_kernel(g1, g2)
 
 
 class TestFrozenValues:
@@ -149,6 +157,23 @@ class TestErrors:
         g2 = complete_graph(2, num_labels=1)
         with pytest.raises(DimensionMismatchError):
             k_graph(g1.summary, g2.summary, KernelVariant.SP, UNIT)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_cross_gram_rejects_mismatched_stacks(self, variant):
+        path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        # equal feature width, different label schemes: P3 with 1 and 2 labels
+        one_label = build_graph(path, [[1, 0], [1, 1], [1, 0]], False, 1)
+        two_labels = build_graph(path, [[1, 0], [0, 1], [1, 0]], False, 2)
+        narrow = build_graph(path, [[1], [1], [1]], False, 1)
+        for a, b in ((one_label, two_labels), (one_label, narrow)):
+            with pytest.raises(DimensionMismatchError):
+                cross_gram(StackedSummaries.build([a]), StackedSummaries.build([b]),
+                           variant, UNIT)
+            with pytest.raises(DimensionMismatchError):
+                StackedSummaries.build([a, b])
+        model = GpModel.build([one_label], [0.5], variant, UNIT)
+        with pytest.raises(DimensionMismatchError):
+            posterior(model, two_labels)
 
 
 class TestProperties:
@@ -260,17 +285,21 @@ class TestGram:
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_cross_gram_matches_pairwise(self, rng, variant):
+        # against the pair-enumeration oracle, which shares no code with the
+        # count-space kernel; rows hold every size 1..6, the columns only
+        # sizes up to 3, so their counts are padded to the rows' width
         hyper = KernelHyperparams(alpha=0.8, beta=1.2, sigma_k_sq=0.5)
-        rows = [random_graph(rng, int(rng.integers(1, 6)), num_labels=2)
-                for _ in range(4)]
-        cols = [random_graph(rng, int(rng.integers(1, 6)), num_labels=2)
-                for _ in range(3)]
+        rows = [random_graph(rng, n, num_labels=2, num_features=3)
+                for n in rng.permutation(np.arange(1, 7))]
+        cols = [random_graph(rng, n, num_labels=2, num_features=3)
+                for n in (1, 2, 3, 3, 2)]
         mat = cross_gram(StackedSummaries.build(rows), StackedSummaries.build(cols),
                          variant, hyper)
+        assert mat.shape == (len(rows), len(cols))
         for i, g1 in enumerate(rows):
             for j, g2 in enumerate(cols):
-                assert mat[i, j] == pytest.approx(
-                    k_combined(g1, g2, variant, hyper), abs=1e-14)
+                assert abs(mat[i, j]
+                           - brute_force_combined_kernel(g1, g2, variant, hyper)) <= 1e-12
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_self_parts_match(self, rng, variant):

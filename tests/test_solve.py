@@ -11,7 +11,12 @@ import pytest
 import graphbo
 from graphbo import DomainSpec, KernelHyperparams, KernelVariant, LinearRow
 from graphbo.encode import canonical_structural_assignment, encode_shortest_paths
-from graphbo.errors import MissingVariableError, SpaceTooLargeError, UnfittedModelError
+from graphbo.errors import (
+    DimensionMismatchError,
+    MissingVariableError,
+    SpaceTooLargeError,
+    UnfittedModelError,
+)
 from graphbo.gp import GpModel, fit, lcb
 from graphbo.graphs import enumerate_domain, sample_feasible
 from graphbo.solve import (
@@ -328,6 +333,16 @@ class TestSolve:
         full = solve(model, dom, 1.0, strategy="enumerate")
         assert full.status == "Optimal"
         assert full.bound == full.objective
+
+    @pytest.mark.parametrize("strategy", list(SolveStrategy))
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    def test_label_scheme_mismatch_raises(self, rng, strategy, variant):
+        # an L=1 model on an L=2 domain of the same feature width
+        model = fitted_model(rng, DomainSpec(n=3, num_labels=1, num_features=2),
+                             variant=variant)
+        with pytest.raises(DimensionMismatchError):
+            solve(model, DomainSpec(n=3, num_labels=2, num_features=2), 1.0,
+                  strategy=strategy)
 
     def test_requires_fitted_model(self):
         empty = GpModel.build([], [], KernelVariant.SSP, KernelHyperparams())
