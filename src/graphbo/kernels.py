@@ -171,11 +171,20 @@ def _count_products(rows: StackedSummaries, cols: StackedSummaries | None,
         def inner(x, y):
             return x @ y.T
         pair = np.outer
-    n1, n2 = rows.sizes.astype(float), cols.sizes.astype(float)
-    graph = inner(a, b) / pair(n1 ** 2, n2 ** 2)
-    feature = inner(rows.feature_sums, cols.feature_sums) / (
-        pair(n1, n2) * rows.num_features)
-    return graph, feature
+    return _normalize(inner(a, b), inner(rows.feature_sums, cols.feature_sums),
+                      rows.sizes.astype(float), cols.sizes.astype(float),
+                      rows.num_features, pair)
+
+
+def _normalize(graph, feature, n1, n2, num_features: int, pair=np.multiply):
+    """Count inner products to kernel values: the linear graph kernel is
+    ``graph / (n1^2 n2^2)`` and the feature kernel ``feature / (n1 n2 M)``.
+
+    ``pair`` combines the row and column sizes: ``np.outer`` for matrices,
+    ``np.multiply`` for matched or broadcast vectors. Sizes are floats
+    holding integers, so every normalizer is exact.
+    """
+    return graph / pair(n1 ** 2, n2 ** 2), feature / (pair(n1, n2) * num_features)
 
 
 def _combine(graph, feature, variant: KernelVariant, hyper: KernelHyperparams):

@@ -7,7 +7,10 @@ LCB reads a graph only through its profile. Distance/on-path variables
 are never branched: once the structural bits are fixed they are uniquely
 determined, so leaves are evaluated exactly through the graph machinery.
 Partial assignments are pruned with interval-arithmetic lower bounds on the
-acquisition value.
+acquisition value, read from per-training-point range-min/max tables of the
+count profile. Label bits that one-hot labels force are set by propagation,
+not branched, and distances are recomputed only when an adjacency bit
+changes.
 
 Also hosts the exact feasibility checker and the exhaustive feasible-point
 counter used to verify that the structural constraint system is in bijection
@@ -40,13 +43,16 @@ from .graphs import (  # noqa: F401  enumerate_domain is re-exported
     AttributedGraph,
     DomainSpec,
     ProfileTable,
+    _all_pairs_distances,
+    _check_bit_cap,
+    _reachable_from,
     build_graph,
     domain_feasible,
     enumerate_domain,
     profile_table,
 )
 from .errors import GraphBoError
-from .kernels import cross_gram, self_kernel_parts
+from .kernels import _normalize, cross_gram, self_kernel_parts
 
 logger = logging.getLogger("graphbo.solve")
 
@@ -275,9 +281,6 @@ class PartialAssignment:
         feat = np.full((n, m), -1, dtype=np.int8)
         return PartialAssignment(domain, adj, feat)
 
-    def copy(self) -> "PartialAssignment":
-        return PartialAssignment(self.domain, self.adj.copy(), self.feat.copy())
-
     def set_adj(self, u: int, v: int, value: int) -> None:
         self.adj[u, v] = value
         if not self.domain.directed and u != v:
@@ -292,9 +295,6 @@ class PartialAssignment:
 
     def diag_fixed(self) -> bool:
         return not (np.diag(self.adj) == -1).any()
-
-    def existing_nodes(self) -> list[int]:
-        return [v for v in range(self.domain.n) if self.adj[v, v] == 1]
 
 
 def branch_bits(domain: DomainSpec) -> list[tuple[str, int, int]]:
@@ -315,104 +315,151 @@ def branch_bits(domain: DomainSpec) -> list[tuple[str, int, int]]:
     return bits
 
 
-def _quick_infeasible(pa: PartialAssignment) -> bool:
-    """Cheap conservative pruning checks; never cuts a feasible completion."""
+def _propagate_labels(pa: PartialAssignment) -> np.ndarray:
+    """Set the feature bits that one-hot labels force, in place, and return
+    the mask of bits set.
+
+    Forced are every feature bit of a surely absent node (0), the open label
+    bits of a block that already holds a 1 (0), and the last open label of a
+    surely present node whose other label bits are 0 (1). The other value of
+    each has no feasible completion. One pass reaches the fixpoint: a bit set
+    to 1 leaves its block no open label, and bits set to 0 sit in blocks that
+    hold a 1 or belong to absent nodes.
+    """
+    feat = pa.feat
+    labels = feat[:, : pa.domain.num_labels]
+    diag = np.diag(pa.adj)
+    has_one = (labels == 1).any(axis=1)
+    forced = np.full(feat.shape, -1, dtype=np.int8)
+    forced[diag == 0] = 0
+    forced[has_one, : labels.shape[1]] = 0
+    last = (diag == 1) & ~has_one & ((labels == -1).sum(axis=1) == 1)
+    forced[last, : labels.shape[1]] = 1
+    mask = (feat == -1) & (forced >= 0)
+    feat[mask] = forced[mask]
+    return mask
+
+
+def _quick_infeasible(pa: PartialAssignment, intervals=None) -> bool:
+    """Cheap conservative pruning checks; never cuts a feasible completion.
+
+    ``intervals`` are the node's distance intervals (``_distance_intervals``)
+    once its diagonal is fixed; their optimistic distances then decide
+    connectivity.
+    """
     domain = pa.domain
     n, L = domain.n, domain.num_labels
-    diag = np.diag(pa.adj)
+    adj, feat = pa.adj, pa.feat
+    diag = np.diag(adj)
+    absent = diag == 0
     if not domain.fixed_size:
         # monotone existence and the minimum node count
-        for v in range(n - 1):
-            if diag[v] == 0 and diag[v + 1] == 1:
-                return True
-        if int(np.sum(diag == 0)) > n - domain.n_min:
+        if np.any(absent[:-1] & (diag[1:] == 1)):
+            return True
+        if int(absent.sum()) > n - domain.n_min:
             return True
         # edges and features of surely-absent nodes must stay off
-        for v in range(n):
-            if diag[v] == 0:
-                if (pa.adj[v, :] == 1).sum() or (pa.adj[:, v] == 1).sum():
-                    return True
-                if (pa.feat[v, :] == 1).any():
-                    return True
+        if ((adj[absent] == 1).any() or (adj[:, absent] == 1).any()
+                or (feat[absent] == 1).any()):
+            return True
     # one-hot labels of surely-present nodes
-    for v in range(n):
-        if diag[v] != 1:
-            continue
-        block = pa.feat[v, :L]
-        if (block == 1).sum() > 1:
-            return True
-        if (block == 0).all():
-            return True
+    labels = feat[:, :L]
+    ones = (labels == 1).sum(axis=1)
+    if np.any((diag == 1) & ((ones > 1) | (labels == 0).all(axis=1))):
+        return True
     # optimistic connectivity: treat unknowns as present
-    maybe = [v for v in range(n) if diag[v] != 0]
-    if maybe:
-        sub = pa.adj[np.ix_(maybe, maybe)] != 0
-        np.fill_diagonal(sub, False)
-        present = {i for i, v in enumerate(maybe) if diag[v] == 1}
-        if present:
+    if intervals is not None:
+        if not np.isfinite(intervals[0]).all():
+            return True
+    else:
+        maybe = np.flatnonzero(diag != 0)
+        present = np.flatnonzero(diag[maybe] == 1)
+        if len(present):
+            sub = adj[np.ix_(maybe, maybe)] != 0
             if not _covers(sub, present, domain.directed):
                 return True
     # label-count interval check
     if domain.label_count_bounds is not None:
-        for l, (lo, hi) in enumerate(domain.label_count_bounds):
-            col = pa.feat[:, l]
-            sure = int((col == 1).sum())
-            possible = sure + sum(
-                1 for v in range(n)
-                if col[v] == -1 and diag[v] != 0 and not (pa.feat[v, :L] == 1).any())
-            if sure > hi or possible < lo:
-                return True
+        lo, hi = np.array(domain.label_count_bounds).T
+        sure = (labels == 1).sum(axis=0)
+        open_ = (labels == -1) & ((diag != 0) & (ones == 0))[:, None]
+        if np.any(sure > hi) or np.any(sure + open_.sum(axis=0) < lo):
+            return True
     # degree caps: committed in-edges vs the best possible cap
     if domain.degree_caps is not None:
-        max_cap = max(domain.degree_caps)
-        for v in range(n):
-            committed = int((pa.adj[:, v] == 1).sum()) - int(pa.adj[v, v] == 1)
-            fixed_label = [l for l in range(L) if pa.feat[v, l] == 1]
-            cap = domain.degree_caps[fixed_label[0]] if fixed_label else max_cap
-            if committed > cap:
-                return True
+        caps = np.array(domain.degree_caps)
+        committed = (adj == 1).sum(axis=0) - (diag == 1)
+        cap = np.where(ones > 0, caps[(labels == 1).argmax(axis=1)], caps.max())
+        if np.any(committed > cap):
+            return True
     return False
 
 
-def _covers(sub: np.ndarray, present: set[int], directed: bool) -> bool:
+def _covers(sub: np.ndarray, present: np.ndarray, directed: bool) -> bool:
     """All ``present`` indices mutually reachable inside ``sub``."""
-    start = next(iter(present))
-    fwd = _reach(sub, start)
-    if not all(fwd[i] for i in present):
+    start = int(present[0])
+    if not _reachable_from(sub, start)[present].all():
         return False
-    if not directed:
-        return True
-    bwd = _reach(sub.T, start)
-    return all(bwd[i] for i in present)
+    return not directed or _reachable_from(sub.T, start)[present].all()
 
 
-def _reach(adj: np.ndarray, start: int) -> np.ndarray:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
-    return seen
+def _distance_intervals(pa: PartialAssignment):
+    """Per ordered pair of existing nodes of ``pa``, whose diagonal is
+    fixed: the distance [lo, hi] over all completions.
+
+    ``lo`` counts unknown edges as present and is +inf where no completion
+    joins the pair; ``hi`` counts only fixed edges and caps pairs no fixed
+    path joins at (number of nodes - 1). Both come from one batched
+    distance pass.
+    """
+    nodes = np.flatnonzero(np.diag(pa.adj) == 1)
+    sub = pa.adj[np.ix_(nodes, nodes)]
+    lo, hi = _all_pairs_distances(np.stack([sub != 0, sub == 1]))
+    return lo, np.where(np.isfinite(hi), hi, len(nodes) - 1.0)
+
+
+def _range_tables(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max of ``counts[:, s]`` over every length range lo <= s <= hi.
+
+    ``counts`` is (t, n, ...); both tables are (n, n, t, ...), indexed
+    [lo, hi]. Entries with hi < lo are never read.
+    """
+    by_length = np.moveaxis(counts, 1, 0)
+    n = len(by_length)
+    low = np.zeros((n,) + by_length.shape)
+    high = np.zeros_like(low)
+    for lo in range(n):
+        low[lo, lo:] = np.minimum.accumulate(by_length[lo:], axis=0)
+        high[lo, lo:] = np.maximum.accumulate(by_length[lo:], axis=0)
+    return low, high
+
+
+def _check_scheme(model: GpModel, domain: DomainSpec) -> None:
+    profile = model.profile
+    if (profile.num_labels, profile.num_features) != (domain.num_labels,
+                                                      domain.num_features):
+        raise DimensionMismatchError(
+            "domain label/feature scheme differs from the training set")
 
 
 class _BoundContext:
-    """Precomputed tables for interval bounds on the acquisition value."""
+    """Precomputed tables for interval bounds on the acquisition value.
+
+    Every kernel entry k_i gets an interval from the node's distance
+    intervals: the count of each node pair lies between the min and the max
+    of training point i's counts over that pair's length range (and over the
+    label pairs its endpoints still allow, for sp/esp). The range tables
+    hold those min/max values for every range, so a node reads them with one
+    index over its pairs. Counts are integers, so the sums are exact.
+    """
 
     def __init__(self, model: GpModel, beta_sqrt: float, domain: DomainSpec):
-        self.model = model
+        _check_scheme(model, domain)
         self.beta_sqrt = float(beta_sqrt)
         self.domain = domain
         self.variant = model.variant
         self.hyper = model.hyper
         self.t = model.size
-        self.weights = model.weights
         self.w_pos = np.clip(model.weights, 0.0, None)
         self.w_neg = np.clip(model.weights, None, 0.0)
         # factor F of the precision (F'F = Q): z = F k gives k'Qk = |z|^2
@@ -420,16 +467,14 @@ class _BoundContext:
         self.ct_pos = np.clip(factor, 0.0, None)
         self.ct_neg = np.clip(factor, None, 0.0)
         # the training profile with counts cut or padded to the domain's
-        # path lengths; the bounds index it by the domain's labels and features
+        # path lengths; length counts carry unit label axes, so both kinds
+        # of variant read (t, n, labels, labels) counts
         profile = model.profile.resized(domain.n)
-        if (profile.num_labels, profile.num_features) != (domain.num_labels,
-                                                          domain.num_features):
-            raise DimensionMismatchError(
-                "domain label/feature scheme differs from the training set")
-        self.train_sizes = profile.sizes
-        self.length_tab = profile.length_counts
-        self.labeled_tab = profile.labeled_counts
+        self.train_sizes = profile.sizes.astype(float)
         self.feature_tab = profile.feature_sums
+        counts = (profile.labeled_counts if self.variant.labeled
+                  else profile.length_counts[:, :, None, None])
+        self.range_min, self.range_max = _range_tables(counts)
         var = self.hyper.require_variance(self.variant)
         if self.variant.exponential:
             self.k_box_crude = (self.hyper.alpha / var,
@@ -439,99 +484,56 @@ class _BoundContext:
             self.k_box_crude = (0.0, self.hyper.alpha + self.hyper.beta)
             self.kxx_crude = self.hyper.alpha + self.hyper.beta
 
-    # -- interval helpers --------------------------------------------------
+    def bound(self, pa: PartialAssignment, intervals=None) -> float:
+        """A lower bound on the LCB over every feasible completion.
 
-    def _label_sets(self, pa: PartialAssignment, nodes: list[int]) -> list[list[int]] | None:
-        L = self.domain.num_labels
-        sets = []
-        for v in nodes:
-            block = pa.feat[v, :L]
-            fixed = [l for l in range(L) if block[l] == 1]
-            if len(fixed) > 1:
-                return None
-            if fixed:
-                sets.append(fixed)
-            else:
-                options = [l for l in range(L) if block[l] != 0]
-                if not options:
-                    return None
-                sets.append(options)
-        return sets
-
-    def _distance_intervals(self, pa: PartialAssignment, nodes: list[int]):
-        """Per ordered pair: [lo, hi] over all connected completions."""
-        npx = len(nodes)
-        sure = np.zeros((npx, npx), dtype=bool)
-        opt = np.zeros((npx, npx), dtype=bool)
-        for a, u in enumerate(nodes):
-            for b, v in enumerate(nodes):
-                if u == v:
-                    continue
-                state = pa.adj[u, v]
-                if state == 1:
-                    sure[a, b] = True
-                if state != 0:
-                    opt[a, b] = True
-        lo = _bfs_all(opt)
-        if not np.isfinite(lo).all():
-            return None
-        hi = _bfs_all(sure)
-        hi = np.where(np.isfinite(hi), hi, npx - 1.0)
-        return lo.astype(np.int64), hi.astype(np.int64)
-
-    def bound(self, pa: PartialAssignment) -> float:
-        """A lower bound on the LCB over every feasible completion."""
+        ``intervals`` may pass the distance intervals already computed for
+        ``pa``'s adjacency state.
+        """
         if not pa.diag_fixed():
             k_lo = np.full(self.t, self.k_box_crude[0])
             k_hi = np.full(self.t, self.k_box_crude[1])
             kxx_hi = self.kxx_crude
         else:
-            nodes = pa.existing_nodes()
-            if not nodes:
-                return math.inf
+            nodes = np.flatnonzero(np.diag(pa.adj) == 1)
             npx = len(nodes)
-            intervals = self._distance_intervals(pa, nodes)
-            if intervals is None:
+            if not npx:
                 return math.inf
-            lo, hi = intervals
-            label_sets = self._label_sets(pa, nodes) if self.variant.labeled else None
-            if self.variant.labeled and label_sets is None:
+            lo, hi = _distance_intervals(pa) if intervals is None else intervals
+            if not np.isfinite(lo).all():
                 return math.inf
-
-            norm = (npx * npx) * (self.train_sizes.astype(float) ** 2)
-            g_lo = np.zeros(self.t)
-            g_hi = np.zeros(self.t)
-            hi_counts_lin = np.zeros(self.domain.n)
-            hi_counts_lab = None
+            L, M = self.domain.num_labels, self.domain.num_features
+            feat = pa.feat[nodes]
+            labels = feat[:, :L]
+            ones = labels == 1
+            n_ones = ones.sum(axis=1)
+            # labels each node may still take: its fixed one, else its open
+            # ones; a node with none or with two fixed (which the search
+            # never reaches) leaves no label column possible
+            allowed = np.where((n_ones == 1)[:, None], ones, labels != 0)
+            labels_valid = bool((n_ones <= 1).all() and allowed.any(axis=1).all())
             if self.variant.labeled:
-                L = self.domain.num_labels
-                hi_counts_lab = np.zeros((self.domain.n, L, L))
-            for a in range(npx):
-                for b in range(npx):
-                    s_lo = 0 if a == b else int(lo[a, b])
-                    s_hi = 0 if a == b else int(hi[a, b])
-                    s_hi = min(s_hi, self.domain.n - 1)
-                    s_lo = min(s_lo, s_hi)
-                    if self.variant.labeled:
-                        lu, lv = label_sets[a], label_sets[b]
-                        sub = self.labeled_tab[:, s_lo : s_hi + 1][:, :, lu][:, :, :, lv]
-                        g_lo += sub.min(axis=(1, 2, 3))
-                        g_hi += sub.max(axis=(1, 2, 3))
-                        for l1 in lu:
-                            for l2 in lv:
-                                hi_counts_lab[s_lo : s_hi + 1, l1, l2] += 1
-                    else:
-                        sub = self.length_tab[:, s_lo : s_hi + 1]
-                        g_lo += sub.min(axis=1)
-                        g_hi += sub.max(axis=1)
-                        hi_counts_lin[s_lo : s_hi + 1] += 1
-            g_lo = g_lo / norm
-            g_hi = g_hi / norm
+                if not labels_valid:
+                    return math.inf
+                pair_labels = (allowed[:, None, :, None]
+                               & allowed[None, :, None, :]).reshape(npx * npx, L, L)
+            else:
+                pair_labels = np.ones((npx * npx, 1, 1), dtype=bool)
 
-            n_lo, n_hi = self._feature_sum_intervals(pa, nodes)
-            m = self.domain.num_features
-            f_lo = (self.feature_tab @ n_lo) / (npx * self.train_sizes * m)
-            f_hi = (self.feature_tab @ n_hi) / (npx * self.train_sizes * m)
+            s_hi = np.minimum(hi.ravel(), self.domain.n - 1).astype(np.intp)
+            s_lo = np.minimum(lo.ravel(), s_hi).astype(np.intp)
+            mask = pair_labels[:, None]
+            sums = np.stack([
+                np.where(mask, self.range_min[s_lo, s_hi], np.inf).min(axis=(2, 3)),
+                np.where(mask, self.range_max[s_lo, s_hi], -np.inf).max(axis=(2, 3)),
+            ]).sum(axis=1)
+            n_lo = ones.sum(axis=0).astype(float)
+            n_hi = allowed.sum(axis=0).astype(float) if labels_valid else np.zeros(L)
+            n_lo = np.concatenate([n_lo, (feat[:, L:] == 1).sum(axis=0)])
+            n_hi = np.concatenate([n_hi, (feat[:, L:] != 0).sum(axis=0)])
+            (g_lo, g_hi), (f_lo, f_hi) = _normalize(
+                sums, np.stack([n_lo, n_hi]) @ self.feature_tab.T, float(npx),
+                self.train_sizes, M)
 
             var = self.hyper.require_variance(self.variant)
             if self.variant.exponential:
@@ -541,16 +543,20 @@ class _BoundContext:
                 k_lo = self.hyper.alpha * g_lo + self.hyper.beta * f_lo
                 k_hi = self.hyper.alpha * g_hi + self.hyper.beta * f_hi
 
-            if self.variant.labeled:
-                self_lin_hi = min(1.0, float(np.sum(hi_counts_lab ** 2)) / npx ** 4)
-            else:
-                self_lin_hi = min(1.0, float(np.sum(hi_counts_lin ** 2)) / npx ** 4)
+            # the self kernel is largest when every pair may sit at every
+            # length and label pair its intervals allow
+            lengths = np.arange(self.domain.n)
+            covers = (s_lo[:, None] <= lengths) & (lengths <= s_hi[:, None])
+            self_counts = covers.T.astype(float) @ pair_labels.reshape(npx * npx, -1)
+            self_lin, self_feat = _normalize(float(np.sum(self_counts ** 2)),
+                                             float(np.dot(n_hi, n_hi)),
+                                             float(npx), float(npx), M)
+            self_lin_hi = min(1.0, self_lin)
             if self.variant.exponential:
                 self_graph_hi = math.exp(self_lin_hi) / var
             else:
                 self_graph_hi = self_lin_hi
-            self_feat_hi = min(1.0, float(np.dot(n_hi, n_hi)) / (npx * npx * m))
-            kxx_hi = self.hyper.alpha * self_graph_hi + self.hyper.beta * self_feat_hi
+            kxx_hi = self.hyper.alpha * self_graph_hi + self.hyper.beta * min(1.0, self_feat)
 
         mu_lo = float(self.w_pos @ k_lo + self.w_neg @ k_hi)
         z_lo = self.ct_pos @ k_lo + self.ct_neg @ k_hi
@@ -561,54 +567,12 @@ class _BoundContext:
         sigma_hi = math.sqrt(max(kxx_hi - q_lo, 0.0))
         return mu_lo - self.beta_sqrt * sigma_hi
 
-    def _feature_sum_intervals(self, pa: PartialAssignment, nodes: list[int]):
-        L, M = self.domain.num_labels, self.domain.num_features
-        n_lo = np.zeros(M)
-        n_hi = np.zeros(M)
-        label_sets = self._label_sets(pa, nodes)
-        for idx, v in enumerate(nodes):
-            for m in range(M):
-                state = pa.feat[v, m]
-                if m < L:
-                    possible = label_sets is not None and m in label_sets[idx]
-                    if state == 1:
-                        n_lo[m] += 1
-                    if possible:
-                        n_hi[m] += 1
-                else:
-                    if state == 1:
-                        n_lo[m] += 1
-                        n_hi[m] += 1
-                    elif state == -1:
-                        n_hi[m] += 1
-        return n_lo, n_hi
-
-
-def _bfs_all(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
-    dist = np.full((n, n), np.inf)
-    for s in range(n):
-        dist[s, s] = 0.0
-        frontier = [s]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for v in np.nonzero(adj[u])[0]:
-                    if not np.isfinite(dist[s, v]):
-                        dist[s, v] = depth
-                        nxt.append(int(v))
-            frontier = nxt
-    return dist
-
 
 def dual_bound(partial: PartialAssignment, gp_model: GpModel,
                beta_sqrt: float) -> float:
     """Valid lower bound on the LCB over all completions of ``partial``."""
     ctx = _BoundContext(gp_model, beta_sqrt, partial.domain)
     return ctx.bound(partial)
-
 
 def _leaf_graph(adjacency_bits: np.ndarray, feature_bits: np.ndarray,
                 domain: DomainSpec) -> AttributedGraph | _PrunedType:
@@ -653,6 +617,32 @@ def propagate_leaf(adjacency_bits: np.ndarray, feature_bits: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# incumbents
+
+
+def _improves(value: float, key: tuple, best_value: float,
+              best_key: tuple | None) -> bool:
+    """Lower LCB wins; ties break toward the smaller ``graph_sort_key``."""
+    return value < best_value or (value == best_value
+                                  and (best_key is None or key < best_key))
+
+
+def _best_warm_start(model: GpModel, domain: DomainSpec, beta_sqrt: float,
+                     warm: Sequence[AttributedGraph]):
+    """(graph, LCB, sort key) of the best domain-feasible warm start, or
+    (None, inf, None) without one."""
+    best: tuple = (None, math.inf, None)
+    for graph in warm:
+        if not domain_feasible(domain, graph):
+            continue
+        value = gp_lcb(model, graph, beta_sqrt)
+        key = graph_sort_key(graph)
+        if _improves(value, key, best[1], best[2]):
+            best = (graph, value, key)
+    return best
+
+
+# ---------------------------------------------------------------------------
 # enumeration strategy over a per-domain profile table
 
 
@@ -660,8 +650,12 @@ _profile_tables: dict[tuple[DomainSpec, int], ProfileTable] = {}
 
 
 def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
-                     budget: float, bit_cap: int) -> SolveResult:
+                     budget: float, bit_cap: int,
+                     warm: Sequence[AttributedGraph]) -> SolveResult:
     start = time.monotonic()
+    # both checks come before the table build, the bit cap first
+    _check_bit_cap(domain, bit_cap)
+    _check_scheme(model, domain)
     key = (domain, bit_cap)
     table = _profile_tables.get(key)
     if table is None:
@@ -670,25 +664,35 @@ def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             out_of_time=lambda: time.monotonic() - start >= budget)
         if table.complete:
             _profile_tables[key] = table
-    if not len(table):
-        status, bound = (("Infeasible", math.inf) if table.complete
-                         else ("BudgetExhausted", -math.inf))
-        return SolveResult(None, None, bound, status, 0, time.monotonic() - start)
-    kmat = cross_gram(table.profiles, model.profile, model.variant, model.hyper)
-    mu = kmat @ model.weights
-    v = sla.solve_triangular(model.chol, kmat.T, lower=True)
-    kself = self_kernel_parts(table.profiles, model.variant, model.hyper)
-    var = np.clip(kself - np.sum(v * v, axis=0), 0.0, None)
-    values = mu - beta_sqrt * np.sqrt(var)
-    # rows ascend in enumeration order, so argmin keeps the tie-break toward
-    # the lexicographically smallest graph
-    incumbent = table.graph(int(np.argmin(values)))
-    # report the incumbent's value through the per-graph reference path so
-    # both strategies quote identical numbers for identical graphs
-    objective = gp_lcb(model, incumbent, beta_sqrt)
-    status, bound = (("Optimal", objective) if table.complete
-                     else ("FeasibleTimeLimit", -math.inf))
-    return SolveResult(incumbent, objective, bound, status, len(table),
+    if table.complete and not len(table):
+        return SolveResult(None, None, math.inf, "Infeasible", 0,
+                           time.monotonic() - start)
+    best: tuple = (None, math.inf, None)
+    if len(table):
+        kmat = cross_gram(table.profiles, model.profile, model.variant, model.hyper)
+        mu = kmat @ model.weights
+        v = sla.solve_triangular(model.chol, kmat.T, lower=True)
+        kself = self_kernel_parts(table.profiles, model.variant, model.hyper)
+        var = np.clip(kself - np.sum(v * v, axis=0), 0.0, None)
+        values = mu - beta_sqrt * np.sqrt(var)
+        # rows ascend in enumeration order, so argmin keeps the tie-break toward
+        # the lexicographically smallest graph
+        graph = table.graph(int(np.argmin(values)))
+        # report the incumbent's value through the per-graph reference path so
+        # both strategies quote identical numbers for identical graphs
+        best = (graph, gp_lcb(model, graph, beta_sqrt), graph_sort_key(graph))
+    if table.complete:
+        return SolveResult(best[0], best[1], best[1], "Optimal", len(table),
+                           time.monotonic() - start)
+    # a build cut short proves nothing, but a warm start may beat its rows
+    warm_best = _best_warm_start(model, domain, beta_sqrt, warm)
+    if _improves(warm_best[1], warm_best[2], best[1], best[2]):
+        best = warm_best
+    graph, value, _ = best
+    if graph is None:
+        return SolveResult(None, None, -math.inf, "BudgetExhausted", len(table),
+                           time.monotonic() - start)
+    return SolveResult(graph, value, -math.inf, "FeasibleTimeLimit", len(table),
                        time.monotonic() - start)
 
 
@@ -702,48 +706,47 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
     start = time.monotonic()
     ctx = _BoundContext(model, beta_sqrt, domain)
     bits = branch_bits(domain)
-
-    incumbent: AttributedGraph | None = None
-    incumbent_obj = math.inf
-    incumbent_key: tuple | None = None
-    for graph in warm:
-        if not domain_feasible(domain, graph):
-            continue
-        value = gp_lcb(model, graph, beta_sqrt)
-        key = graph_sort_key(graph)
-        if value < incumbent_obj or (value == incumbent_obj
-                                     and (incumbent_key is None or key < incumbent_key)):
-            incumbent, incumbent_obj, incumbent_key = graph, value, key
+    incumbent, incumbent_obj, incumbent_key = _best_warm_start(
+        model, domain, beta_sqrt, warm)
 
     nodes = 0
     open_bounds: list[float] = []
     timed_out = False
+    # one partial assignment, set and restored in place along the search
+    pa = PartialAssignment.empty(domain)
 
     def out_of_time() -> bool:
         return (time.monotonic() - start) > budget
 
-    def search(pa: PartialAssignment, depth: int) -> None:
+    def search(depth: int, intervals) -> None:
+        """Bound the node at ``pa`` and branch on its next open bit.
+
+        ``intervals`` are the distance intervals of the node's adjacency
+        state once its diagonal is fixed; feature branches reuse them.
+        """
         nonlocal nodes, incumbent, incumbent_obj, incumbent_key, timed_out
-        nodes += 1
-        if _quick_infeasible(pa):
+        if _quick_infeasible(pa, intervals):
             return
-        node_bound = ctx.bound(pa)
+        nodes += 1
+        node_bound = ctx.bound(pa, intervals)
         if log_interval and nodes % log_interval == 0:
             logger.info("node=%d depth=%d bound=%g incumbent=%s", nodes, depth,
                         node_bound,
                         "none" if incumbent is None else f"{incumbent_obj:g}")
-        if node_bound == math.inf:
+        # with no incumbent incumbent_obj is inf, which prunes only inf bounds
+        if node_bound >= incumbent_obj:
             return
-        if incumbent is not None and node_bound >= incumbent_obj:
-            return
+        # feature bits set by propagation are not branched
+        while (depth < len(bits) and bits[depth][0] == "feat"
+               and pa.feat[bits[depth][1], bits[depth][2]] != -1):
+            depth += 1
         if depth == len(bits):
-            graph = _leaf_graph(np.maximum(pa.adj, 0), np.maximum(pa.feat, 0), domain)
+            graph = _leaf_graph(pa.adj, pa.feat, domain)
             if graph is PRUNED:
                 return
             value = gp_lcb(model, graph, beta_sqrt)
             key = graph_sort_key(graph)
-            if value < incumbent_obj or (value == incumbent_obj
-                                         and (incumbent_key is None or key < incumbent_key)):
+            if _improves(value, key, incumbent_obj, incumbent_key):
                 incumbent, incumbent_obj, incumbent_key = graph, value, key
             return
         if timed_out or out_of_time():
@@ -752,17 +755,29 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             return
         kind, a, b = bits[depth]
         for value in (1, 0):
-            child = pa.copy()
+            forced = None
             if kind == "adj":
-                child.set_adj(a, b, value)
+                pa.set_adj(a, b, value)
+                if a == b:
+                    forced = _propagate_labels(pa)
+                child = _distance_intervals(pa) if pa.diag_fixed() else None
             else:
-                child.set_feat(a, b, value)
-            search(child, depth + 1)
+                pa.set_feat(a, b, value)
+                forced = _propagate_labels(pa)
+                child = intervals
+            search(depth + 1, child)
+            if kind == "adj":
+                pa.set_adj(a, b, -1)
+            else:
+                pa.set_feat(a, b, -1)
+            if forced is not None:
+                pa.feat[forced] = -1
             if timed_out:
                 open_bounds.append(node_bound)
                 return
 
-    search(PartialAssignment.empty(domain), 0)
+    _propagate_labels(pa)
+    search(0, _distance_intervals(pa) if pa.diag_fixed() else None)
     elapsed = time.monotonic() - start
 
     if incumbent is None:
@@ -796,9 +811,15 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     complete. Objective ties still break toward the lexicographically
     smallest graph, and ``nodes_explored`` counts the profile rows scored.
     The budget is checked per structure while the table is built: a build
-    cut short scores the rows found so far (FeasibleTimeLimit, bound -inf)
-    or, with none, ends BudgetExhausted. The search runs single-threaded,
-    which keeps results bit-for-bit reproducible.
+    cut short scores the rows found so far and the domain-feasible warm
+    starts, and keeps the better (FeasibleTimeLimit, bound -inf) or, with
+    neither, ends BudgetExhausted. A complete table ignores warm starts.
+
+    ``branch_and_propagate`` branches on adjacency bits, then feature bits,
+    starting from the best domain-feasible warm start. Label bits that
+    one-hot labels force are set by propagation, not branched, and
+    ``nodes_explored`` counts the nodes whose bound was computed. The search
+    runs single-threaded, which keeps results bit-for-bit reproducible.
     """
     if gp_model.size == 0:
         raise UnfittedModelError("solver needs a fitted model")
@@ -806,5 +827,5 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     warm = list(warm_start)
     if strategy is SolveStrategy.ENUMERATE:
         return _solve_enumerate(gp_model, domain, beta_sqrt, budget,
-                                enumeration_bit_cap)
+                                enumeration_bit_cap, warm)
     return _solve_branch(gp_model, domain, beta_sqrt, budget, warm, log_interval)

@@ -7,8 +7,8 @@ import importlib
 import numpy as np
 import pytest
 
-from graphbo import DomainSpec, KernelVariant, LinearRow
-from graphbo.gp import fit, lcb
+from graphbo import DomainSpec, KernelHyperparams, KernelVariant, LinearRow
+from graphbo.gp import GpModel, fit, lcb
 from graphbo.graphs import enumerate_domain, profile_table, sample_feasible
 from graphbo.solve import solve
 
@@ -91,6 +91,40 @@ def test_enumerate_solve_matches_brute_force(case, variant):
     assert result.nodes_explored == len(representatives)
 
 
+@pytest.mark.parametrize("case", sorted(set(CASES) - {"undirected_n4"}))
+@pytest.mark.parametrize("variant", list(KernelVariant))
+def test_branch_and_propagate_matches_enumerate(case, variant):
+    # absent nodes (bounded sizes) and non-label feature columns meet label
+    # propagation here; the constraints meet the pruning checks
+    domain = CASES[case][0]
+    rng = np.random.default_rng(100 + sorted(CASES).index(case))
+    points = [sample_feasible(domain, rng) for _ in range(5)]
+    model = fit(points, rng.normal(size=5), variant, seed=0, restarts=2)
+    exact = solve(model, domain, 1.0, strategy="enumerate")
+    branch = solve(model, domain, 1.0, strategy="branch_and_propagate")
+    assert exact.status == branch.status == "Optimal"
+    assert abs(branch.objective - exact.objective) <= 1e-6
+
+
+def _cut_after(polls_allowed):
+    """An ``out_of_time`` that reports the budget spent after a number of
+    polls, so a table build stops part way."""
+    polls = 0
+
+    def out_of_time():
+        nonlocal polls
+        polls += 1
+        return polls > polls_allowed
+
+    return out_of_time
+
+
+def _interrupt_builds(monkeypatch, polls_allowed):
+    monkeypatch.setattr(solve_module, "profile_table",
+                        lambda domain, bit_cap, out_of_time: profile_table(
+                            domain, bit_cap, out_of_time=_cut_after(polls_allowed)))
+
+
 def test_partial_build_is_a_prefix_of_the_full_table():
     full = profile_table(TWO_LABELS)
     polls = 0
@@ -130,6 +164,68 @@ def test_interrupted_build_reports_time_limit_and_is_not_cached(monkeypatch):
     assert cut.objective >= exact.objective - 1e-12
     assert cut.objective == lcb(model, cut.incumbent, 1.0)
     assert not solve_module._profile_tables
+
+
+def test_interrupted_build_takes_a_better_warm_start(monkeypatch):
+    rng = np.random.default_rng(8)
+    points = [sample_feasible(TWO_LABELS, rng) for _ in range(5)]
+    model = fit(points, rng.normal(size=5), KernelVariant.SSP, seed=0, restarts=2)
+    exact = solve(model, TWO_LABELS, 1.0, strategy="enumerate")
+    solve_module._profile_tables.clear()
+    _interrupt_builds(monkeypatch, 1)
+    cut = solve(model, TWO_LABELS, 1.0, strategy="enumerate")
+    assert cut.status == "FeasibleTimeLimit"
+    assert cut.objective > exact.objective  # the optimum lies past the cut
+    # an infeasible warm start is skipped, the optimum is taken
+    wrong_size = sample_feasible(DomainSpec(n=3, num_labels=2), 0)
+    warm = solve(model, TWO_LABELS, 1.0, strategy="enumerate",
+                 warm_start=[wrong_size, exact.incumbent])
+    assert (warm.status, warm.bound) == ("FeasibleTimeLimit", -np.inf)
+    assert warm.incumbent == exact.incumbent
+    assert warm.objective == exact.objective
+    # a worse warm start leaves the best row in place
+    worse = solve(model, TWO_LABELS, 1.0, strategy="enumerate",
+                  warm_start=[g for g in points if lcb(model, g, 1.0) > cut.objective])
+    assert worse.incumbent == cut.incumbent
+    # nothing built yet: the warm start alone is the incumbent
+    _interrupt_builds(monkeypatch, 0)
+    none_built = solve(model, TWO_LABELS, 1.0, strategy="enumerate")
+    assert none_built.status == "BudgetExhausted" and none_built.incumbent is None
+    only_warm = solve(model, TWO_LABELS, 1.0, strategy="enumerate",
+                      warm_start=[exact.incumbent])
+    assert only_warm.status == "FeasibleTimeLimit"
+    assert only_warm.incumbent == exact.incumbent
+    assert not solve_module._profile_tables
+
+
+def test_interrupted_build_breaks_warm_start_ties_by_sort_key(monkeypatch):
+    # beta 0 and zero targets: every graph scores 0, so the smaller sort key
+    # wins; the table's first row is the smallest graph of the domain
+    points = [sample_feasible(TWO_LABELS, s) for s in range(3)]
+    model = GpModel.build(points, np.zeros(3), KernelVariant.SSP,
+                          KernelHyperparams(alpha=1.0, beta=1.0))
+    first = next(enumerate_domain(TWO_LABELS))
+    solve_module._profile_tables.clear()
+    _interrupt_builds(monkeypatch, 1)
+    later = [g for g in points if g != first]
+    cut = solve(model, TWO_LABELS, 0.0, strategy="enumerate", warm_start=later)
+    assert cut.incumbent == first
+    _interrupt_builds(monkeypatch, 0)
+    warm_only = solve(model, TWO_LABELS, 0.0, strategy="enumerate",
+                      warm_start=later + [first])
+    assert warm_only.incumbent == first
+
+
+def test_complete_table_ignores_warm_starts(monkeypatch):
+    rng = np.random.default_rng(9)
+    points = [sample_feasible(TWO_LABELS, rng) for _ in range(5)]
+    model = fit(points, rng.normal(size=5), KernelVariant.SP, seed=0, restarts=2)
+    solve(model, TWO_LABELS, 1.0, strategy="enumerate")  # cache the table
+    scored = []
+    monkeypatch.setattr(solve_module, "gp_lcb", lambda m, g, b: scored.append(g) or lcb(m, g, b))
+    result = solve(model, TWO_LABELS, 1.0, strategy="enumerate", warm_start=points)
+    assert result.status == "Optimal"
+    assert scored == [result.incumbent]
 
 
 def test_length_profiles_match_graph_atlas():

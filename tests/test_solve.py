@@ -32,12 +32,129 @@ from graphbo.solve import (
     solve,
 )
 
-from conftest import complete_graph
+from conftest import bfs_distances, complete_graph
+
+solve_module = importlib.import_module("graphbo.solve")
 
 
 def fitted_model(rng, dom, t=5, variant=KernelVariant.SSP):
     points = [sample_feasible(dom, rng) for _ in range(t)]
     return fit(points, rng.normal(size=t), variant, seed=int(rng.integers(1000)))
+
+
+def reference_bound(pa, model, beta_sqrt):
+    """The per-pair interval bound written out loop by loop: each node pair
+    takes the min/max of every training point's counts over its distance
+    range and allowed label pairs, with per-source BFS distances."""
+    dom = pa.domain
+    n, L, M = dom.n, dom.num_labels, dom.num_features
+    hyper, variant = model.hyper, model.variant
+    var = hyper.require_variance(variant)
+    t = model.size
+    profile = model.profile.resized(n)
+    sizes = profile.sizes
+    w_pos = np.clip(model.weights, 0.0, None)
+    w_neg = np.clip(model.weights, None, 0.0)
+    factor = model.inverse_factor()
+    ct_pos, ct_neg = np.clip(factor, 0.0, None), np.clip(factor, None, 0.0)
+    diag = np.diag(pa.adj)
+    if (diag == -1).any():
+        if variant.exponential:
+            k_lo = np.full(t, hyper.alpha / var)
+            k_hi = np.full(t, hyper.alpha * math.e / var + hyper.beta)
+            kxx_hi = hyper.alpha * math.e / var + hyper.beta
+        else:
+            k_lo = np.full(t, 0.0)
+            k_hi = np.full(t, hyper.alpha + hyper.beta)
+            kxx_hi = hyper.alpha + hyper.beta
+    else:
+        nodes = [v for v in range(n) if diag[v] == 1]
+        if not nodes:
+            return math.inf
+        npx = len(nodes)
+        sub = pa.adj[np.ix_(nodes, nodes)]
+        lo = bfs_distances(sub != 0, dom.directed)
+        if (lo < 0).any():
+            return math.inf
+        hi = bfs_distances(sub == 1, dom.directed)
+        hi = np.where(hi < 0, npx - 1, hi)
+        label_sets = []
+        for v in nodes:
+            block = pa.feat[v, :L]
+            fixed = [l for l in range(L) if block[l] == 1]
+            options = fixed if fixed else [l for l in range(L) if block[l] != 0]
+            if len(fixed) > 1 or not options:
+                label_sets = None
+                break
+            label_sets.append(options)
+        if variant.labeled and label_sets is None:
+            return math.inf
+        g_lo, g_hi = np.zeros(t), np.zeros(t)
+        hi_counts = np.zeros((n, L, L)) if variant.labeled else np.zeros(n)
+        for a in range(npx):
+            for b in range(npx):
+                s_lo = 0 if a == b else int(lo[a, b])
+                s_hi = min(0 if a == b else int(hi[a, b]), n - 1)
+                s_lo = min(s_lo, s_hi)
+                if variant.labeled:
+                    lu, lv = label_sets[a], label_sets[b]
+                    block = profile.labeled_counts[:, s_lo:s_hi + 1][:, :, lu][:, :, :, lv]
+                    g_lo += block.min(axis=(1, 2, 3))
+                    g_hi += block.max(axis=(1, 2, 3))
+                    for l1 in lu:
+                        for l2 in lv:
+                            hi_counts[s_lo:s_hi + 1, l1, l2] += 1
+                else:
+                    block = profile.length_counts[:, s_lo:s_hi + 1]
+                    g_lo += block.min(axis=1)
+                    g_hi += block.max(axis=1)
+                    hi_counts[s_lo:s_hi + 1] += 1
+        norm = (npx * npx) * (sizes.astype(float) ** 2)
+        g_lo, g_hi = g_lo / norm, g_hi / norm
+        n_lo, n_hi = np.zeros(M), np.zeros(M)
+        for idx, v in enumerate(nodes):
+            for m in range(M):
+                state = pa.feat[v, m]
+                if state == 1:
+                    n_lo[m] += 1
+                if m < L:
+                    if label_sets is not None and m in label_sets[idx]:
+                        n_hi[m] += 1
+                elif state != 0:
+                    n_hi[m] += 1
+        f_lo = (profile.feature_sums @ n_lo) / (npx * sizes * M)
+        f_hi = (profile.feature_sums @ n_hi) / (npx * sizes * M)
+        if variant.exponential:
+            k_lo = hyper.alpha * np.exp(g_lo) / var + hyper.beta * f_lo
+            k_hi = hyper.alpha * np.exp(g_hi) / var + hyper.beta * f_hi
+        else:
+            k_lo = hyper.alpha * g_lo + hyper.beta * f_lo
+            k_hi = hyper.alpha * g_hi + hyper.beta * f_hi
+        self_lin_hi = min(1.0, float(np.sum(hi_counts ** 2)) / npx ** 4)
+        self_graph_hi = math.exp(self_lin_hi) / var if variant.exponential else self_lin_hi
+        self_feat_hi = min(1.0, float(np.dot(n_hi, n_hi)) / (npx * npx * M))
+        kxx_hi = hyper.alpha * self_graph_hi + hyper.beta * self_feat_hi
+    mu_lo = float(w_pos @ k_lo + w_neg @ k_hi)
+    z_lo = ct_pos @ k_lo + ct_neg @ k_hi
+    z_hi = ct_pos @ k_hi + ct_neg @ k_lo
+    inner = np.where((z_lo <= 0.0) & (z_hi >= 0.0), 0.0,
+                     np.minimum(np.abs(z_lo), np.abs(z_hi)))
+    sigma_hi = math.sqrt(max(kxx_hi - float(np.dot(inner, inner)), 0.0))
+    return mu_lo - beta_sqrt * sigma_hi
+
+
+def random_partial(rng, dom, fixed_share):
+    """Each structural bit (and, in bounded mode, each existence bit) fixed
+    to a random value with probability ``fixed_share``."""
+    pa = PartialAssignment.empty(dom)
+    for kind, a, b in branch_bits(dom):
+        if rng.random() < fixed_share:
+            value = int(rng.integers(0, 2))
+            if kind == "adj":
+                pa.set_adj(a, b, value)
+            else:
+                pa.set_feat(a, b, value)
+    return pa
 
 
 class TestCheckFeasible:
@@ -226,6 +343,30 @@ class TestDualBound:
             best = min(lcb(model, g, 1.0) for g in completions)
             assert bound <= best + 1e-9
 
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    @pytest.mark.parametrize("dom", [
+        DomainSpec(n=4, num_labels=2),
+        DomainSpec(n=5, num_labels=1),
+        DomainSpec(n=4, num_labels=2, num_features=3),
+        DomainSpec(n=4, n_min=2, num_labels=2),
+        DomainSpec(n=3, num_labels=2, directed=True),
+    ], ids=["n4_2labels", "n5_1label", "n4_extra_feature", "bounded_2_4",
+            "directed_n3"])
+    def test_matches_reference_bound(self, rng, dom, variant):
+        model = fitted_model(rng, dom, t=6, variant=variant)
+        finite = 0
+        for trial in range(120):
+            pa = random_partial(rng, dom, fixed_share=(trial % 6 + 1) / 6)
+            if not dom.fixed_size and trial % 2:
+                # settle existence so the count-space bound is exercised
+                size = int(rng.integers(dom.n_min, dom.n + 1))
+                for v in range(dom.n):
+                    pa.set_adj(v, v, int(v < size))
+            bound = dual_bound(pa, model, 1.0)
+            assert bound == reference_bound(pa, model, 1.0)
+            finite += math.isfinite(bound)
+        assert finite >= 20
+
     def test_monotone_along_random_paths(self, rng):
         dom = DomainSpec(n=4, num_labels=2)
         model = fitted_model(rng, dom)
@@ -322,7 +463,6 @@ class TestSolve:
             assert result.objective >= exact.objective - 1e-9
 
     def test_enumerate_budget_covers_cold_build(self, rng):
-        solve_module = importlib.import_module("graphbo.solve")
         dom = DomainSpec(n=4, num_labels=2)
         model = fitted_model(rng, dom)
         solve_module._profile_tables.clear()
@@ -343,6 +483,49 @@ class TestSolve:
         with pytest.raises(DimensionMismatchError):
             solve(model, DomainSpec(n=3, num_labels=2, num_features=2), 1.0,
                   strategy=strategy)
+
+    def test_enumerate_scheme_mismatch_fails_before_table_build(self, rng):
+        model = fitted_model(rng, DomainSpec(n=4, num_labels=1, num_features=2))
+        solve_module._profile_tables.clear()
+        with pytest.raises(DimensionMismatchError):
+            solve(model, DomainSpec(n=4, num_labels=2), 1.0, strategy="enumerate")
+        assert not solve_module._profile_tables
+
+    def test_propagation_sets_forced_label_bits(self):
+        dom = DomainSpec(n=5, n_min=2, num_labels=2, num_features=3)
+        pa = PartialAssignment.empty(dom)
+        for v, exists in enumerate((1, 1, 1, 0)):  # node 4's existence open
+            pa.set_adj(v, v, exists)
+        pa.set_feat(0, 0, 1)  # the block holds a 1
+        pa.set_feat(1, 0, 0)  # one open label left on a present node
+        pa.set_feat(4, 0, 0)  # one open label left on a node that may be absent
+        forced = solve_module._propagate_labels(pa)
+        assert pa.feat.tolist() == [[1, 0, -1], [0, 1, -1], [-1, -1, -1],
+                                    [0, 0, 0], [0, -1, -1]]
+        assert forced.sum() == 5
+        assert not solve_module._propagate_labels(pa).any()
+
+    def test_nodes_bound_with_fresh_intervals(self, rng, monkeypatch):
+        # the distance intervals handed down the search are those of each
+        # node's own adjacency state, so every node bound equals a fresh one
+        context = solve_module._BoundContext
+        bound = context.bound
+        checked = 0
+        model = None
+
+        def fresh_bound(self, pa, intervals=None):
+            nonlocal checked
+            value = bound(self, pa, intervals)
+            if intervals is not None:
+                assert value == dual_bound(pa, model, 1.0)
+                checked += 1
+            return value
+
+        monkeypatch.setattr(context, "bound", fresh_bound)
+        for dom in (DomainSpec(n=4, num_labels=2), DomainSpec(n=4, n_min=2, num_labels=2)):
+            model = fitted_model(rng, dom)
+            solve(model, dom, 1.0, strategy="branch_and_propagate")
+        assert checked > 500
 
     def test_requires_fitted_model(self):
         empty = GpModel.build([], [], KernelVariant.SSP, KernelHyperparams())
