@@ -298,16 +298,17 @@ class PartialAssignment:
 
 
 def branch_bits(domain: DomainSpec) -> list[tuple[str, int, int]]:
-    """Branching order: adjacency bits in lexicographic (row-major) order,
-    then feature bits."""
+    """Branching order: in bounded-size mode the existence (diagonal) bits
+    first, then edge bits in lexicographic (row-major) order, then feature
+    bits. Fixing the size first lets every edge-phase node use the
+    count-space bound instead of the crude box bound."""
     n = domain.n
     bits: list[tuple[str, int, int]] = []
+    if not domain.fixed_size:
+        bits += [("adj", v, v) for v in range(n)]
     for u in range(n):
         for v in range(n):
-            if u == v:
-                if not domain.fixed_size:
-                    bits.append(("adj", u, v))
-            elif domain.directed or u < v:
+            if u != v and (domain.directed or u < v):
                 bits.append(("adj", u, v))
     for v in range(n):
         for m in range(domain.num_features):
@@ -815,11 +816,12 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     starts, and keeps the better (FeasibleTimeLimit, bound -inf) or, with
     neither, ends BudgetExhausted. A complete table ignores warm starts.
 
-    ``branch_and_propagate`` branches on adjacency bits, then feature bits,
-    starting from the best domain-feasible warm start. Label bits that
-    one-hot labels force are set by propagation, not branched, and
-    ``nodes_explored`` counts the nodes whose bound was computed. The search
-    runs single-threaded, which keeps results bit-for-bit reproducible.
+    ``branch_and_propagate`` branches on the existence bits (bounded sizes
+    only), then edge bits, then feature bits, starting from the best
+    domain-feasible warm start. Label bits that one-hot labels force are set
+    by propagation, not branched, and ``nodes_explored`` counts the nodes
+    whose bound was computed. The search runs single-threaded, which keeps
+    results bit-for-bit reproducible.
     """
     if gp_model.size == 0:
         raise UnfittedModelError("solver needs a fitted model")

@@ -86,6 +86,26 @@ def test_encode_refuses_bounded_sizes(tmp_path, capsys):
     assert "fix the size" in capsys.readouterr().err
 
 
+def test_encode_lp_reads_back(tmp_path, capsys):
+    dom = graphbo.DomainSpec(n=3, num_labels=2)
+    graphs = [graphbo.sample_feasible(dom, s) for s in range(5)]
+    dataset = tmp_path / "data.json"
+    graphbo.write_dataset(dataset, [(g, float(i % 2)) for i, g in enumerate(graphs)])
+    model_path = tmp_path / "model.json"
+    assert dispatch(["--seed", "0", "fit", "--data", str(dataset), "--variant", "esp",
+                     "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    lp_path = tmp_path / "model.lp"
+    assert dispatch(["encode", "--model", str(model_path), "--n", "3", "--labels", "2",
+                     "--format", "lp", "--breakpoints", "8", "--out", str(lp_path)]) == 0
+    printed = capsys.readouterr().out.split()
+    parsed = graphbo.read_lp(lp_path)
+    assert printed == [f"variables={parsed.num_variables}",
+                       f"rows={parsed.num_constraints}"]
+    assert parsed.objective == {"mu": 1.0, "sigma": -1.0}
+    assert any(name.startswith("z_exp_") for name in parsed.variables)
+
+
 def test_config_unknown_keys_rejected(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 1, "mystery": True}))

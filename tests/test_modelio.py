@@ -1,34 +1,196 @@
 """File export round-trips and the piecewise-linear exponential expansion."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from graphbo import DomainSpec, KernelVariant
-from graphbo.encode import encode_acquisition
+from graphbo.encode import ConstraintBlock, encode_acquisition
 from graphbo.errors import UnsupportedBoundedSizeExportError
 from graphbo.gp import fit
 from graphbo.graphs import sample_feasible
 from graphbo.modelio import (
+    OBJ_NAME,
+    PWL_BIG_M,
+    ParsedModel,
+    QuadEntry,
     expand_model,
     export_model,
     piecewise_exp_error,
     piecewise_exp_table,
     read_lp,
     read_mps,
+    render_lp,
+    render_mps,
 )
+from graphbo.solve import solve
 
 
-@pytest.fixture
-def fitted(rng):
+@pytest.fixture(scope="module")
+def fitted():
+    # the same draws as the function-scoped ``rng`` fixture, fitted once
+    rng = np.random.default_rng(20240817)
     dom = DomainSpec(n=3, num_labels=2)
     points = [sample_feasible(dom, rng) for _ in range(4)]
     y = rng.normal(size=4)
-    return dom, {
-        variant: fit(points, y, variant, seed=0)
-        for variant in (KernelVariant.SSP, KernelVariant.ESP)
-    }
+    return dom, {variant: fit(points, y, variant, seed=0) for variant in KernelVariant}
+
+
+# ---------------------------------------------------------------------------
+# the object-per-row export, written out loop by loop as the reference
+
+
+def reference_expand(model, breakpoints):
+    """Every row re-added through ``ConstraintBlock``, one big-M block per
+    link and segment, and the q entries by a double loop."""
+    block = ConstraintBlock()
+    for v in model.variables:
+        block.add_var(v.name, v.kind, v.lb, v.ub, v.tag, v.index)
+    for con in model.constraints:
+        block.add_con(con.name, dict(con.coeffs), con.sense, con.rhs)
+    xs, ys = piecewise_exp_table(breakpoints)
+    m = PWL_BIG_M
+    for li, link in enumerate(model.exp_links):
+        seg_ids = [block.add_var(f"z_{link.name}_{j}", "binary", 0, 1, "pwl", (li, j))
+                   for j in range(len(xs) - 1)]
+        block.add_con(f"EXP_{li}_sum", {z: 1.0 for z in seg_ids}, "==", 1.0)
+        for j, z in enumerate(seg_ids):
+            x0, x1 = float(xs[j]), float(xs[j + 1])
+            slope = (float(ys[j + 1]) - float(ys[j])) / (x1 - x0)
+            intercept = float(ys[j]) - slope * x0
+            block.add_con(f"EXP_{li}_{j}_arglo", {link.arg: 1.0, z: -m}, ">=", x0 - m)
+            block.add_con(f"EXP_{li}_{j}_arghi", {link.arg: 1.0, z: m}, "<=", x1 + m)
+            block.add_con(f"EXP_{li}_{j}_ub", {link.out: 1.0, link.arg: -slope, z: m},
+                          "<=", intercept + m)
+            block.add_con(f"EXP_{li}_{j}_lb", {link.out: 1.0, link.arg: -slope, z: -m},
+                          ">=", intercept - m)
+    names = [model.variables[i].name for i in model.quad.kernel_vars]
+    sigma = model.variables[model.quad.sigma].name
+    entries = [(sigma, sigma, 1.0)]
+    q = model.quad.q
+    for i in range(len(names)):
+        for j in range(len(names)):
+            if q[i, j] != 0.0:
+                entries.append((names[i], names[j], float(q[i, j])))
+    block.add_con(model.quad.name, {model.quad.kxx: -1.0}, "<=", 0.0)
+    return SimpleNamespace(variables=block.variables, constraints=block.constraints,
+                           objective=dict(model.objective),
+                           quad=QuadEntry(model.quad.name, entries),
+                           names=[v.name for v in block.variables])
+
+
+def _num(x):
+    return repr(float(x))
+
+
+def reference_render_mps(flat):
+    sense_code = {"<=": "L", ">=": "G", "==": "E"}
+    lines = ["NAME graphbo_acquisition", "OBJSENSE", "    MIN", "ROWS", f" N  {OBJ_NAME}"]
+    for con in flat.constraints:
+        lines.append(f" {sense_code[con.sense]}  {con.name}")
+    by_var = {i: [] for i in range(len(flat.variables))}
+    for con in flat.constraints:
+        for vid, coef in con.coeffs:
+            by_var[vid].append((con.name, coef))
+    for vid, coef in flat.objective.items():
+        by_var[vid].append((OBJ_NAME, coef))
+    lines.append("COLUMNS")
+    in_int = False
+    marker = 0
+    for vid, var in enumerate(flat.variables):
+        want_int = var.kind in ("binary", "integer")
+        if want_int != in_int:
+            flag = "'INTORG'" if want_int else "'INTEND'"
+            lines.append(f"    MARKER{marker}    'MARKER'    {flag}")
+            marker += 1
+            in_int = want_int
+        for row, coef in by_var[vid]:
+            lines.append(f"    {var.name}  {row}  {_num(coef)}")
+        if not by_var[vid]:
+            lines.append(f"    {var.name}  {OBJ_NAME}  0.0")
+    if in_int:
+        lines.append(f"    MARKER{marker}    'MARKER'    'INTEND'")
+    lines.append("RHS")
+    for con in flat.constraints:
+        if con.rhs != 0.0:
+            lines.append(f"    RHS  {con.name}  {_num(con.rhs)}")
+    lines.append("BOUNDS")
+    for var in flat.variables:
+        if var.kind == "binary":
+            lines.append(f" BV BND  {var.name}")
+        elif var.kind == "integer":
+            lines.append(f" LI BND  {var.name}  {int(var.lb)}")
+            lines.append(f" UI BND  {var.name}  {int(var.ub)}")
+        elif math.isinf(var.lb) and math.isinf(var.ub):
+            lines.append(f" FR BND  {var.name}")
+        else:
+            if not math.isinf(var.lb):
+                lines.append(f" LO BND  {var.name}  {_num(var.lb)}")
+            else:
+                lines.append(f" MI BND  {var.name}")
+            if not math.isinf(var.ub):
+                lines.append(f" UP BND  {var.name}  {_num(var.ub)}")
+    lines.append(f"QCMATRIX   {flat.quad.row}")
+    for a, b, coef in flat.quad.entries:
+        lines.append(f"    {a}  {b}  {_num(coef)}")
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_lp_terms(coeffs):
+    parts = []
+    for name, coef in coeffs:
+        sign = "-" if coef < 0 else "+"
+        parts.append(f"{sign} {_num(abs(coef))} {name}")
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else text
+
+
+def reference_render_lp(flat):
+    names = flat.names
+    lines = ["\\ graphbo acquisition model", "Minimize"]
+    obj = [(names[vid], coef) for vid, coef in flat.objective.items()]
+    lines.append(" obj: " + (_reference_lp_terms(obj) if obj else "0"))
+    lines.append("Subject To")
+    sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
+    for con in flat.constraints:
+        terms = _reference_lp_terms([(names[vid], coef) for vid, coef in con.coeffs])
+        if con.name == flat.quad.row:
+            q_parts = []
+            for a, b, coef in flat.quad.entries:
+                sign = "-" if coef < 0 else "+"
+                if a == b:
+                    q_parts.append(f"{sign} {_num(abs(coef))} {a} ^ 2")
+                else:
+                    q_parts.append(f"{sign} {_num(abs(coef))} {a} * {b}")
+            q_text = " ".join(q_parts)
+            if q_text.startswith("+ "):
+                q_text = q_text[2:]
+            terms = f"[ {q_text} ] " + ("+ " if not terms.startswith("-") else "") + terms
+        lines.append(f" {con.name}: {terms} {sense_txt[con.sense]} {_num(con.rhs)}")
+    lines.append("Bounds")
+    for var in flat.variables:
+        if var.kind == "binary":
+            continue
+        if math.isinf(var.lb) and math.isinf(var.ub):
+            lines.append(f" {var.name} free")
+        else:
+            lo = "-inf" if math.isinf(var.lb) else _num(var.lb)
+            hi = "+inf" if math.isinf(var.ub) else _num(var.ub)
+            lines.append(f" {lo} <= {var.name} <= {hi}")
+    generals = [v.name for v in flat.variables if v.kind == "integer"]
+    if generals:
+        lines.append("Generals")
+        lines.extend(f" {name}" for name in generals)
+    binaries = [v.name for v in flat.variables if v.kind == "binary"]
+    if binaries:
+        lines.append("Binaries")
+        lines.extend(f" {name}" for name in binaries)
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 class TestExpansion:
@@ -61,6 +223,35 @@ class TestExpansion:
         with pytest.raises(UnsupportedBoundedSizeExportError):
             expand_model(mip)
 
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    def test_views_match_the_reference_expansion(self, fitted, variant):
+        dom, models = fitted
+        mip = encode_acquisition(models[variant], dom, 1.0)
+        flat = expand_model(mip, breakpoints=8)
+        ref = reference_expand(mip, 8)
+        assert list(flat.constraints) == ref.constraints
+        assert [tuple(v) for v in flat.variables] == [
+            (v.name, v.kind, float(v.lb), float(v.ub)) for v in ref.variables]
+        assert flat.objective == ref.objective
+        assert flat.quad == ref.quad
+        assert flat.names == ref.names
+        assert flat.integrality.tolist() == [v.kind != "continuous" for v in ref.variables]
+
+
+@pytest.mark.parametrize("breakpoints", [8, 64])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("variant", list(KernelVariant))
+def test_writers_match_the_reference_byte_for_byte(variant, n, breakpoints):
+    rng = np.random.default_rng(10 * n + breakpoints)
+    dom = DomainSpec(n=n, num_labels=2)
+    points = [sample_feasible(dom, rng) for _ in range(5)]
+    model = fit(points, rng.normal(size=5), variant, seed=0, restarts=2)
+    mip = encode_acquisition(model, dom, 1.0)
+    flat = expand_model(mip, breakpoints)
+    ref = reference_expand(mip, breakpoints)
+    assert render_mps(flat) == reference_render_mps(ref)
+    assert render_lp(flat) == reference_render_lp(ref)
+
 
 class TestPiecewiseExp:
     def test_table_endpoints(self):
@@ -80,7 +271,7 @@ class TestPiecewiseExp:
         assert np.all(np.interp(grid, xs, ys) >= np.exp(grid) - 1e-12)
 
 
-@pytest.mark.parametrize("variant", [KernelVariant.SSP, KernelVariant.ESP])
+@pytest.mark.parametrize("variant", list(KernelVariant))
 @pytest.mark.parametrize("fmt", ["mps", "lp"])
 class TestRoundTrip:
     def test_counts_and_objective(self, tmp_path, fitted, variant, fmt):
@@ -119,3 +310,153 @@ class TestRoundTrip:
         flat = export_model(mip, path, fmt=fmt, breakpoints=8)
         parsed = read_mps(path) if fmt == "mps" else read_lp(path)
         assert sorted(parsed.quad_entries) == sorted(flat.quad.entries)
+
+
+# ---------------------------------------------------------------------------
+# hand-written files: what the readers accept beyond the writers' own output
+
+HAND_MPS = """\
+* a hand-written model
+NAME tiny
+
+ROWS
+ N  OBJ
+ L  c1
+ G  c2
+ E  empty
+ L  q
+COLUMNS
+    MARKER0    'MARKER'    'INTORG'
+    x  c1  1.0
+    x  OBJ  2.0
+    b  c2  1.0
+    MARKER1    'MARKER'    'INTEND'
+* a comment inside a section
+    y  c1  1.5
+
+    y  c2  -1.0
+    y  OBJ  -0.5
+    z  c2  3.0
+    w  q  -1.0
+    v  OBJ  0.0
+RHS
+    RHS  c1  4.0
+    RHS  c2  -2.5
+BOUNDS
+ UI BND  x  3
+ BV BND  b
+ FR BND  y
+ MI BND  z
+ UP BND  z  5.0
+ LO BND  w  -1.0
+QCMATRIX   q
+    y  y  1.0
+    y  z  2.0
+ENDATA
+"""
+
+HAND_LP = """\
+\\ a hand-written model
+Minimize
+ obj: 2.0 x - 0.5 y
+
+Subject To
+\\ a comment inside a section
+ c1: 1.0 x + 1.5 y <= 4.0
+ c2: 1.0 b - 1.0 y + 3.0 z >= -2.5
+
+ empty:  = 0.0
+ q: [ 1.0 y ^ 2 + 2.0 y * z ] - 1.0 w <= 0.0
+Bounds
+ 0.0 <= x <= 3.0
+ y free
+ -inf <= z <= 5.0
+ -1.0 <= w <= +inf
+ 0.0 <= v <= +inf
+Generals
+ x
+Binaries
+ b
+End
+"""
+
+HAND_PARSED = ParsedModel(
+    variables={
+        "x": {"kind": "integer", "lb": 0.0, "ub": 3.0},
+        "b": {"kind": "binary", "lb": 0.0, "ub": 1.0},
+        "y": {"kind": "continuous", "lb": -math.inf, "ub": math.inf},
+        "z": {"kind": "continuous", "lb": -math.inf, "ub": 5.0},
+        "w": {"kind": "continuous", "lb": -1.0, "ub": math.inf},
+        "v": {"kind": "continuous", "lb": 0.0, "ub": math.inf},
+    },
+    constraints=[
+        {"name": "c1", "sense": "<=", "rhs": 4.0, "coeffs": {"x": 1.0, "y": 1.5}},
+        {"name": "c2", "sense": ">=", "rhs": -2.5,
+         "coeffs": {"b": 1.0, "y": -1.0, "z": 3.0}},
+        {"name": "empty", "sense": "==", "rhs": 0.0, "coeffs": {}},
+        {"name": "q", "sense": "<=", "rhs": 0.0, "coeffs": {"w": -1.0}},
+    ],
+    objective={"x": 2.0, "y": -0.5},
+    quad_entries=[("y", "y", 1.0), ("y", "z", 2.0)],
+)
+
+
+@pytest.mark.parametrize("fmt, text", [("mps", HAND_MPS), ("lp", HAND_LP)],
+                         ids=["mps", "lp"])
+def test_hand_written_file(tmp_path, fmt, text):
+    path = tmp_path / f"tiny.{fmt}"
+    path.write_text(text)
+    parsed = read_mps(path) if fmt == "mps" else read_lp(path)
+    assert parsed == HAND_PARSED
+
+
+def test_repeated_entries_are_summed(tmp_path):
+    path = tmp_path / "twice.lp"
+    path.write_text("Minimize\n obj: 1.0 x + 2.0 x\nSubject To\n"
+                    " c: 1.0 x - 0.5 y + 0.25 x <= 1.0\nEnd\n")
+    parsed = read_lp(path)
+    assert parsed.objective == {"x": 3.0}
+    assert parsed.constraints[0]["coeffs"] == {"x": 1.25, "y": -0.5}
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("mps", "ROWS\n N  OBJ\n L  c\nCOLUMNS\n    x  c  1.0  OBJ\nENDATA\n"),
+    ("mps", "ROWS\n N  OBJ\nCOLUMNS\n    x  OBJ  1.0\nBOUNDS\n FX BND  x  1.0\nENDATA\n"),
+    ("lp", "Minimize\n obj: 1.0 x\nSubject To\n c: 1.0 x\nEnd\n"),
+    ("lp", "Minimize\n obj: 1.0 x\nSubject To\n c: 1.0 x 2.0 y <= 1.0\nEnd\n"),
+], ids=["mps_columns_fields", "mps_bound_type", "lp_no_sense", "lp_no_sign"])
+def test_malformed_input_raises(tmp_path, fmt, text):
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_mps(path) if fmt == "mps" else read_lp(path)
+
+
+# ---------------------------------------------------------------------------
+# HiGHS on the exported arrays, an oracle that shares no code with the solver
+
+
+@pytest.mark.parametrize("n, labels, variant", [
+    (4, 2, KernelVariant.SSP),
+    (4, 2, KernelVariant.SP),
+    (5, 1, KernelVariant.SSP),
+])
+def test_milp_on_the_flat_arrays_matches_enumeration(n, labels, variant):
+    # at beta_sqrt = 0 sigma has no weight, so the variance row can go and
+    # the model is a pure MILP
+    dom = DomainSpec(n=n, num_labels=labels)
+    rng = np.random.default_rng(50 + n)
+    points = [sample_feasible(dom, rng) for _ in range(6)]
+    model = fit(points, rng.normal(size=6), variant, seed=0, restarts=2)
+    flat = expand_model(encode_acquisition(model, dom, 0.0))
+    keep = np.array([name != flat.quad.row for name in flat.row_names])
+    senses = np.array(flat.senses)[keep]
+    rhs = flat.rhs[keep]
+    lo = np.where(senses == "<=", -np.inf, rhs)
+    hi = np.where(senses == ">=", np.inf, rhs)
+    result = milp(flat.c, constraints=LinearConstraint(flat.A[keep], lo, hi),
+                  bounds=Bounds(flat.lb, flat.ub), integrality=flat.integrality)
+    assert result.status == 0
+    exact = solve(model, dom, 0.0, strategy="enumerate")
+    assert exact.status == "Optimal"
+    assert abs(result.fun - exact.objective) <= 1e-6
