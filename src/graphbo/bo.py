@@ -1,9 +1,10 @@
 """The graph Bayesian-optimization loop and its random-sampling baseline.
 
 Each iteration fits the GP, checks that the model and domain form a valid
-acquisition problem, seeds the solver with warm-start candidates, solves for
-the exact LCB minimizer, queries the objective, and appends the observation. Deterministic synthetic
-objectives stand in for expensive property predictors.
+acquisition problem, seeds the solver with unscored warm-start candidates,
+solves for the exact LCB minimizer, queries the objective, and appends the
+observation. Deterministic synthetic objectives stand in for expensive
+property predictors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from .encode import check_acquisition_inputs
 from .encode import encode_acquisition  # noqa: F401  re-exported from graphbo.bo
 from .errors import GraphBoError, UnknownOracleError
-from .gp import GpModel, fit, lcb as gp_lcb, posterior
+from .gp import fit, posterior
+from .gp import lcb as gp_lcb  # noqa: F401  re-exported from graphbo.bo
 from .graphs import AttributedGraph, DomainSpec, sample_feasible, write_graphs
 from .kernels import KernelHyperparams, KernelVariant, k_graph
 from .solve import SolveStrategy, solve
@@ -206,17 +208,17 @@ def path_profile_target(n: int) -> list[int]:
 # warm start
 
 
-def warm_start(gp_model: GpModel, domain: DomainSpec, k: int, seed,
-               prior_points: Sequence[AttributedGraph] = (),
-               beta_sqrt: float = 1.0) -> list[tuple[AttributedGraph, float]]:
-    """k fresh feasible samples plus the prior points, scored by the LCB.
+def warm_start(domain: DomainSpec, k: int, seed,
+               prior_points: Sequence[AttributedGraph] = ()) -> list[AttributedGraph]:
+    """k fresh feasible samples followed by the prior points, unscored.
 
-    Candidates seed the solver's incumbent; they are never oracle-evaluated.
+    Candidates seed the solver's incumbent, and the solver scores them
+    itself when it reads them; they are never oracle-evaluated.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     candidates = [sample_feasible(domain, rng) for _ in range(k)]
     candidates.extend(prior_points)
-    return [(g, gp_lcb(gp_model, g, beta_sqrt)) for g in candidates]
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +252,12 @@ def run(oracle: ObjectiveOracle, domain: DomainSpec, config: BoConfig) -> BoHist
             model = fit(points, targets, config.variant, seed=fit_seed,
                         restarts=config.fit_restarts)
             check_acquisition_inputs(model, domain, config.beta_sqrt)
-            warm = warm_start(model, domain, config.warm_start_count, warm_seed,
-                              prior_points=points, beta_sqrt=config.beta_sqrt)
+            warm = warm_start(domain, config.warm_start_count, warm_seed,
+                              prior_points=points)
             result = solve(model, domain, config.beta_sqrt,
                            budget=config.solver_budget,
                            strategy=config.strategy,
-                           warm_start=[g for g, _ in warm],
+                           warm_start=warm,
                            log_interval=config.log_interval)
             if result.incumbent is None:
                 raise GraphBoError(f"solver returned no incumbent ({result.status})")

@@ -303,8 +303,7 @@ def _run_command(args, config: dict, seed: int) -> int:
                                        "branch_and_propagate"))
         budget = float(_pick(args.budget, config, "solver_budget", 600.0))
         warm_count = int(_pick(args.warm, config, "warm_start_count", 0))
-        warm = [g for g, _ in bo_mod.warm_start(model, domain, warm_count, seed,
-                                                beta_sqrt=beta_sqrt)]
+        warm = bo_mod.warm_start(domain, warm_count, seed)
         result = solve(model, domain, beta_sqrt, budget=budget, strategy=strategy,
                        warm_start=warm,
                        log_interval=int(_pick(args.log_interval, config,

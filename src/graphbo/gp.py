@@ -2,8 +2,11 @@
 
 Hyperparameters (graph weight, feature weight, and the exponential-variant
 variance) are fitted by maximizing the log marginal likelihood with a
-multi-start bounded quasi-Newton search over log-parameters. Predictions go
-through a Cholesky factorization of the noisy Gram matrix.
+multi-start bounded quasi-Newton search over log-parameters. Each step of
+the search factorizes the noisy Gram matrix once and takes both the
+likelihood and its closed-form gradient (Rasmussen & Williams 2006, eq. 5.9)
+from that factor. Predictions go through a Cholesky factorization of the
+noisy Gram matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .kernels import (
     KernelHyperparams,
     KernelVariant,
     StackedSummaries,
-    _combine,
     _count_products,
     cross_gram,
     gram,
@@ -34,7 +36,6 @@ from .kernels import (
 NOISE_VAR = 1e-6
 JITTER = 1e-8
 FIT_RESTARTS = 8
-GRAD_STEP = 1e-4
 
 
 def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
@@ -54,29 +55,62 @@ def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
 @dataclass(frozen=True)
 class GramBuilder:
     """Hyperparameter-independent Gram components of a training set: the
-    linear graph kernel and the feature kernel, computed once so that
-    likelihood evaluations during fitting only recombine them."""
+    graph part G (the linear graph kernel, or its exponential for
+    ``essp``/``esp``) and the feature kernel F, computed once so that
+    likelihood evaluations during fitting only recombine them as
+    K = alpha * G + beta * F, with G divided by sigma_k_sq for the
+    exponential variants."""
 
     variant: KernelVariant
-    base: np.ndarray
+    graph: np.ndarray
     feature: np.ndarray
 
     @staticmethod
     def build(profile: StackedSummaries, variant: KernelVariant) -> "GramBuilder":
-        return GramBuilder(variant, *_count_products(profile, profile, variant.labeled))
+        base, feature = _count_products(profile, profile, variant.labeled)
+        return GramBuilder(variant, np.exp(base) if variant.exponential else base,
+                           feature)
 
-    def gram(self, hyper: KernelHyperparams) -> np.ndarray:
-        return _combine(self.base, self.feature, self.variant, hyper)
+    def neg_lml(self, theta: np.ndarray, y: np.ndarray,
+                noise_var: float = NOISE_VAR) -> tuple[float, np.ndarray]:
+        """Negative log marginal likelihood at log-hyperparameters theta
+        (log alpha, log beta[, log sigma_k_sq]) and its gradient in theta,
+        both from one factorization.
+
+        With W = a a^T - K^-1 and a = K^-1 y, d(-LML)/d theta_j is
+        -1/2 sum(W * dK/d theta_j); dK/d log alpha is the weighted graph
+        part, dK/d log beta the weighted feature part, and dK/d log sigma_k_sq
+        minus the weighted graph part. A failed factorization scores 1e25
+        with a zero gradient.
+        """
+        values = np.exp(theta)
+        graph = self.graph / values[2] if self.variant.exponential else self.graph
+        graph = values[0] * graph
+        feature = values[1] * self.feature
+        try:
+            chol = factorize(graph + feature, noise_var)
+        except FactorizationError:
+            return 1e25, np.zeros(len(theta))
+        value, a = _lml_terms(chol, y)
+        w = np.outer(a, a) - sla.cho_solve((chol, True), np.eye(len(y)))
+        grad_graph = -0.5 * np.vdot(w, graph)
+        grad = [grad_graph, -0.5 * np.vdot(w, feature)]
+        if self.variant.exponential:
+            grad.append(-grad_graph)
+        return -value, np.array(grad)
 
 
-def _lml_from_factor(chol: np.ndarray, y: np.ndarray) -> float:
-    alpha = sla.cho_solve((chol, True), y)
+def _lml_terms(chol: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log marginal likelihood from the Cholesky factor of K + noise I, and
+    the weights a = (K + noise I)^-1 y it solves for."""
+    a = sla.cho_solve((chol, True), y)
     t = len(y)
-    return float(
-        -0.5 * np.dot(y, alpha)
+    value = float(
+        -0.5 * np.dot(y, a)
         - np.sum(np.log(np.diag(chol)))
         - 0.5 * t * math.log(2.0 * math.pi)
     )
+    return value, a
 
 
 def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
@@ -88,7 +122,7 @@ def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
     if len(points) != len(y) or len(y) < 1:
         raise ValueError("need one target per point and at least one point")
     chol = factorize(gram(points, variant, hyper), noise_var)
-    return _lml_from_factor(chol, y)
+    return _lml_terms(chol, y)[0]
 
 
 @dataclass(frozen=True)
@@ -219,20 +253,6 @@ def _hyper_from_theta(theta: np.ndarray, exponential: bool) -> KernelHyperparams
                              sigma_k_sq=sigma)
 
 
-def _numeric_gradient(fun, theta: np.ndarray, lo: float, hi: float,
-                      step: float = GRAD_STEP) -> np.ndarray:
-    """Central differences with evaluation points projected into the box."""
-    grad = np.zeros_like(theta)
-    for j in range(len(theta)):
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] = min(theta[j] + step, hi)
-        dn[j] = max(theta[j] - step, lo)
-        denom = up[j] - dn[j]
-        grad[j] = (fun(up) - fun(dn)) / denom if denom > 0 else 0.0
-    return grad
-
-
 def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
         seed: int = 0, restarts: int = FIT_RESTARTS,
         noise_var: float = NOISE_VAR) -> GpModel:
@@ -255,14 +275,6 @@ def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
     dim = 3 if variant.exponential else 2
     lo, hi = math.log(HYPER_BOX[0]), math.log(HYPER_BOX[1])
 
-    def neg_lml(theta: np.ndarray) -> float:
-        hyper = _hyper_from_theta(np.clip(theta, lo, hi), variant.exponential)
-        try:
-            chol = factorize(builder.gram(hyper), noise_var)
-        except FactorizationError:
-            return 1e25
-        return -_lml_from_factor(chol, y)
-
     rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)]
     for _ in range(max(restarts - 1, 0)):
@@ -272,9 +284,9 @@ def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
     best_theta = starts[0]
     for theta0 in starts:
         result = sopt.minimize(
-            neg_lml,
+            lambda theta: builder.neg_lml(np.clip(theta, lo, hi), y, noise_var),
             theta0,
-            jac=lambda t: _numeric_gradient(neg_lml, t, lo, hi),
+            jac=True,
             method="L-BFGS-B",
             bounds=[(lo, hi)] * dim,
         )

@@ -17,7 +17,7 @@ from graphbo.bo import (
     warm_start,
 )
 from graphbo.errors import IncompatibleDomainError, UnknownOracleError
-from graphbo.gp import fit, lcb
+from graphbo.gp import fit
 from graphbo.graphs import domain_feasible, sample_feasible
 
 from conftest import complete_graph, path_graph
@@ -66,22 +66,32 @@ class TestOracles:
 
 
 class TestWarmStart:
-    def test_empty(self, rng):
+    def test_empty(self):
         dom = DomainSpec(n=3, num_labels=1)
-        points = [sample_feasible(dom, rng) for _ in range(3)]
-        model = fit(points, rng.normal(size=3), KernelVariant.SSP, seed=0)
-        assert warm_start(model, dom, 0, seed=0) == []
+        assert warm_start(dom, 0, seed=0) == []
 
-    def test_candidates_feasible_and_scored(self, rng):
+    def test_candidates_feasible_and_prior_points_last(self, rng):
         dom = DomainSpec(n=4, num_labels=2, degree_caps=(2, 3))
         points = [sample_feasible(dom, rng) for _ in range(3)]
-        model = fit(points, rng.normal(size=3), KernelVariant.SSP, seed=0)
-        out = warm_start(model, dom, 5, seed=1, prior_points=points,
-                         beta_sqrt=1.0)
+        out = warm_start(dom, 5, seed=1, prior_points=points)
         assert len(out) == 5 + 3
-        for graph, score in out:
+        assert out[5:] == points
+        for graph in out:
             assert domain_feasible(dom, graph)
-            assert score == lcb(model, graph, 1.0)
+
+    def test_same_seed_same_graphs(self):
+        dom = DomainSpec(n=4, num_labels=2)
+        assert warm_start(dom, 6, seed=7) == warm_start(dom, 6, seed=7)
+
+    def test_run_never_scores_warm_starts_in_the_loop(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the loop scored a warm start")
+
+        monkeypatch.setattr(bo_module, "gp_lcb", refuse)
+        dom = DomainSpec(n=4, num_labels=1)
+        oracle = synthetic_oracle("path_profile", {"target": path_profile_target(4)})
+        hist = run(oracle, dom, quick_config(iterations=2))
+        assert len(hist.records) == 4 + 2
 
 
 class TestRun:

@@ -147,6 +147,11 @@ def test_fit_predict_encode_solve_pipeline(tmp_path, capsys, rng):
     assert "status=Optimal" in out
     assert len(graphbo.read_graphs(proposal_path)) == 1
 
+    # unscored warm starts seed the branch-and-propagate incumbent
+    assert dispatch(["solve", "--model", str(model_path), *dom_args,
+                     "--strategy", "branch_and_propagate", "--warm", "3"]) == 0
+    assert "status=Optimal" in capsys.readouterr().out
+
 
 def test_bo_and_baseline_write_parseable_history(tmp_path, capsys):
     config = tmp_path / "config.json"

@@ -1,12 +1,16 @@
 """Structural constraint families, indicator layers, and the assembled
 acquisition model."""
 
+import types
+
 import numpy as np
 import pytest
 
 import graphbo
 from graphbo import DomainSpec, KernelHyperparams, KernelVariant, LinearRow
 from graphbo.encode import (
+    ConstraintBlock,
+    LinearConstraint,
     apply_domain_constraints,
     canonical_assignment,
     canonical_structural_assignment,
@@ -37,6 +41,20 @@ def family_counts(block):
             family = family.rsplit("_", 1)[0]
         counts[family] = counts.get(family, 0) + 1
     return counts
+
+
+class TestConstraintBlock:
+    def test_add_con_accepts_mappings_and_pairs_alike(self):
+        coeffs = {3: 1.5, 0: -2.0, 7: 0.25}
+        forms = [coeffs, types.MappingProxyType(coeffs),
+                 [(7, 0.25), (0, -1.0), (3, 1.5), (0, -1.0)]]
+        rows = []
+        for form in forms:
+            block = ConstraintBlock()
+            block.add_con("r", form, "<=", 4)
+            rows.append(block.constraints[0])
+        expected = LinearConstraint("r", ((0, -2.0), (3, 1.5), (7, 0.25)), "<=", 4.0)
+        assert rows == [expected] * 3
 
 
 class TestShortestPathBlock:

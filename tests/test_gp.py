@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 import graphbo
+import graphbo.gp as gp_module
 from graphbo import GpModel, KernelHyperparams, KernelVariant, gram
-from graphbo.gp import factorize, fit, lcb, log_marginal_likelihood, posterior
-from graphbo.kernels import k_combined
+from graphbo.errors import FactorizationError
+from graphbo.gp import (
+    GramBuilder,
+    factorize,
+    fit,
+    lcb,
+    log_marginal_likelihood,
+    posterior,
+)
+from graphbo.kernels import HYPER_BOX, StackedSummaries, k_combined
 
 from conftest import random_graph
 
@@ -203,6 +212,67 @@ class TestFit:
         model = fit(points, rng.normal(size=4), KernelVariant.ESP, seed=0)
         assert model.hyper.sigma_k_sq is not None
         assert 0.01 <= model.hyper.sigma_k_sq <= 100
+
+
+LOG_LO, LOG_HI = math.log(HYPER_BOX[0]), math.log(HYPER_BOX[1])
+
+
+def hyper_at(theta):
+    values = np.exp(theta)
+    return KernelHyperparams(alpha=values[0], beta=values[1],
+                             sigma_k_sq=values[2] if len(theta) == 3 else None)
+
+
+class TestFitObjective:
+    """The fit objective: -LML and its closed-form gradient in log-space."""
+
+    @pytest.fixture(params=list(KernelVariant), ids=lambda v: v.value)
+    def problem(self, request, rng):
+        variant = request.param
+        points = distinct_profile_graphs(rng, 5, n_range=(3, 7))
+        y = prior_draw(rng, points, variant,
+                       KernelHyperparams(alpha=1.3, beta=0.7, sigma_k_sq=1.5))
+        builder = GramBuilder.build(StackedSummaries.build(points), variant)
+        return variant, points, y, builder
+
+    @pytest.mark.parametrize("where", ["interior", "box_edge"])
+    def test_gradient_matches_central_differences(self, problem, where):
+        variant, points, y, builder = problem
+        dim = 3 if variant.exponential else 2
+        theta = (np.array([0.3, -0.4, 0.2]) if where == "interior"
+                 else np.array([LOG_HI, LOG_LO, LOG_HI]))[:dim]
+        k = gram(points, variant, hyper_at(theta)) + NOISE * np.eye(len(points))
+        assert np.linalg.cond(k) < 1e5  # central differences are trustworthy here
+        value, grad = builder.neg_lml(theta, y)
+        assert value == pytest.approx(
+            -log_marginal_likelihood(points, y, variant, hyper_at(theta)), abs=1e-12)
+        step = 1e-5
+        numeric = np.array([
+            (builder.neg_lml(theta + step * e, y)[0]
+             - builder.neg_lml(theta - step * e, y)[0]) / (2 * step)
+            for e in np.eye(dim)])
+        assert grad.shape == (dim,)
+        assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+
+    def test_failed_factorization_scores_high_with_zero_gradient(self, problem,
+                                                                 monkeypatch):
+        variant, _, y, builder = problem
+
+        def refuse(matrix, noise_var):
+            raise FactorizationError("refused")
+
+        monkeypatch.setattr(gp_module, "factorize", refuse)
+        value, grad = builder.neg_lml(np.zeros(3 if variant.exponential else 2), y)
+        assert value == 1e25
+        assert not grad.any()
+
+    def test_fit_improves_on_the_all_ones_start(self, problem):
+        variant, points, y, _ = problem
+        model = fit(points, y, variant, seed=0, restarts=3)
+        start = KernelHyperparams(alpha=1.0, beta=1.0,
+                                  sigma_k_sq=1.0 if variant.exponential else None)
+        assert log_marginal_likelihood(points, y, variant, model.hyper) >= \
+            log_marginal_likelihood(points, y, variant, start)
 
 
 class TestFactorization:
