@@ -1,10 +1,10 @@
 """The graph Bayesian-optimization loop and its random-sampling baseline.
 
-Each iteration fits the GP, checks that the model and domain form a valid
-acquisition problem, seeds the solver with unscored warm-start candidates,
-solves for the exact LCB minimizer, queries the objective, and appends the
-observation. Deterministic synthetic objectives stand in for expensive
-property predictors.
+Each iteration fits the GP, seeds the solver with unscored warm-start
+candidates, solves for the exact LCB minimizer (the solver checks that the
+model and domain form a valid acquisition problem), queries the objective,
+and appends the observation. Deterministic synthetic objectives stand in
+for expensive property predictors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encode import check_acquisition_inputs
 from .encode import encode_acquisition  # noqa: F401  re-exported from graphbo.bo
 from .errors import GraphBoError, UnknownOracleError
 from .gp import fit, posterior
@@ -251,7 +250,6 @@ def run(oracle: ObjectiveOracle, domain: DomainSpec, config: BoConfig) -> BoHist
             warm_seed = int(master.integers(2 ** 31))
             model = fit(points, targets, config.variant, seed=fit_seed,
                         restarts=config.fit_restarts)
-            check_acquisition_inputs(model, domain, config.beta_sqrt)
             warm = warm_start(domain, config.warm_start_count, warm_seed,
                               prior_points=points)
             result = solve(model, domain, config.beta_sqrt,

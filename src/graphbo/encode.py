@@ -23,14 +23,13 @@ from .errors import (
     InvalidSizeBoundsError,
     UnfittedModelError,
 )
-from .gp import GpModel
+from .gp import GpModel, posterior
 from .graphs import AttributedGraph, DomainSpec, on_path_indicators
 from .kernels import (
-    KernelHyperparams,
-    KernelVariant,
     StackedSummaries,
     _count_products,
     cross_gram,
+    kernel_range,
     self_kernel_parts,
 )
 
@@ -425,30 +424,22 @@ def structural_system(domain: DomainSpec, include_labels: bool = True,
 
 @dataclass
 class MipModel:
-    """The materialized acquisition problem.
+    """The materialized acquisition problem for the GP ``gp``.
 
     In fixed-size mode every kernel quantity has a linear defining row (plus
     exp links for exponential variants) and the model can be exported. In
     bounded-size mode the kernel normalizations depend on the realized size,
     so the kernel/mu defining rows are withheld and evaluation goes through
-    the exact internal path only. ``profile`` is the GP's stacked training
-    profile; the kernel rows and the exact evaluation both read it.
+    the GP only.
     """
 
-    variant: KernelVariant
-    hyper: KernelHyperparams
+    gp: GpModel
     beta_sqrt: float
-    noise_var: float
     domain: DomainSpec
     block: ConstraintBlock
     objective: dict[int, float]
-    quad: QuadConstraint | None
+    quad: QuadConstraint
     exp_links: list[ExpLink]
-    weights: np.ndarray
-    q_matrix: np.ndarray
-    profile: StackedSummaries
-    kernel_rows_linear: bool
-    q_factor: np.ndarray | None = None  # F with F'F = Q, shared with bounds
 
     @property
     def variables(self) -> list[MipVariable]:
@@ -458,36 +449,10 @@ class MipModel:
     def constraints(self) -> list[LinearConstraint]:
         return self.block.constraints
 
-    @property
-    def num_train(self) -> int:
-        return len(self.profile.sizes)
-
-    # -- exact evaluation -------------------------------------------------
-
-    def kernel_vector_for(self, graph: AttributedGraph) -> np.ndarray:
-        """Exact combined-kernel values against the training set."""
-        return cross_gram(StackedSummaries.build([graph]), self.profile,
-                          self.variant, self.hyper)[0]
-
-    def self_kernel_for(self, graph: AttributedGraph) -> float:
-        return float(self_kernel_parts(StackedSummaries.build([graph]),
-                                       self.variant, self.hyper)[0])
-
-    def _quadratic_form(self, k: np.ndarray) -> float:
-        # k' Q k as a cancellation-free sum of squares via the stored factor
-        z = self.q_factor @ k
-        return float(np.dot(z, z))
-
     def mu_sigma_for(self, graph: AttributedGraph) -> tuple[float, float]:
         """Exact mean and predictive deviation at a realized graph."""
-        k = self.kernel_vector_for(graph)
-        mu = float(np.dot(self.weights, k))
-        var = self.self_kernel_for(graph) - self._quadratic_form(k)
-        return mu, math.sqrt(max(var, 0.0))
-
-    def objective_for(self, graph: AttributedGraph) -> float:
-        mu, sigma = self.mu_sigma_for(graph)
-        return mu - self.beta_sqrt * sigma
+        mu, var = posterior(self.gp, graph)
+        return mu, math.sqrt(var)
 
 
 def _count_coefficients(train: StackedSummaries, n: int, labeled: bool,
@@ -551,9 +516,10 @@ def check_acquisition_inputs(model: GpModel, domain: DomainSpec,
                              beta_sqrt: float) -> None:
     """Raise unless the model and domain form a valid acquisition problem:
     a fitted model, the training set's label/feature scheme and
-    directedness, and a nonnegative ``beta_sqrt``."""
+    directedness, and a nonnegative ``beta_sqrt``. The encoder, the solver
+    and ``solve.dual_bound`` all check their inputs here."""
     if model.size == 0 or model.chol is None:
-        raise UnfittedModelError("acquisition encoding needs a fitted model")
+        raise UnfittedModelError("the acquisition problem needs a fitted model")
     ref = model.points[0]
     if ref.num_labels != domain.num_labels or ref.num_features != domain.num_features:
         raise IncompatibleDomainError(
@@ -574,24 +540,14 @@ def encode_acquisition(model: GpModel, domain: DomainSpec,
     block = structural_system(domain, include_labels=variant.labeled)
 
     t = model.size
-    q_factor = model.inverse_factor()
-    q_matrix = (q_factor.T @ q_factor + (q_factor.T @ q_factor).T) / 2.0
-    weights = model.weights.copy()
-
     sigma_scale = hyper.require_variance(variant)
-    if variant.exponential:
-        k_lo = hyper.alpha / sigma_scale
-        k_hi = hyper.alpha * math.e / sigma_scale + hyper.beta
-        kxx_ub = hyper.alpha * math.e / sigma_scale + hyper.beta
-    else:
-        k_lo, k_hi = 0.0, hyper.alpha + hyper.beta
-        kxx_ub = hyper.alpha + hyper.beta
+    k_lo, k_hi = kernel_range(variant, hyper)
 
     k_ids = [block.add_var(f"k_{i}", "continuous", k_lo, k_hi, "k", (i,))
              for i in range(t)]
-    kxx_id = block.add_var("kxx", "continuous", 0.0, kxx_ub, "kxx")
+    kxx_id = block.add_var("kxx", "continuous", 0.0, k_hi, "kxx")
     mu_id = block.add_var("mu", "continuous", -math.inf, math.inf, "mu")
-    sigma_id = block.add_var("sigma", "continuous", 0.0, math.sqrt(kxx_ub), "sigma")
+    sigma_id = block.add_var("sigma", "continuous", 0.0, math.sqrt(k_hi), "sigma")
 
     exp_links: list[ExpLink] = []
     if fixed:
@@ -643,31 +599,17 @@ def encode_acquisition(model: GpModel, domain: DomainSpec,
         self_row[kxx_id] = -1.0
         block.add_con("kxx_def", self_row, "==", 0.0)
 
-    mu_row = {k_ids[i]: float(weights[i]) for i in range(t)}
+    mu_row = {k_ids[i]: float(model.weights[i]) for i in range(t)}
     mu_row[mu_id] = mu_row.get(mu_id, 0.0) - 1.0
     block.add_con("mu_def", mu_row, "==", 0.0)
 
-    quad = QuadConstraint("var_bound", sigma_id, tuple(k_ids), q_matrix, kxx_id)
+    quad = QuadConstraint("var_bound", sigma_id, tuple(k_ids), model.precision(), kxx_id)
     objective = {mu_id: 1.0}
     if beta_sqrt > 0:
         objective[sigma_id] = -float(beta_sqrt)
 
-    return MipModel(
-        variant=variant,
-        hyper=hyper,
-        beta_sqrt=float(beta_sqrt),
-        noise_var=model.noise_var,
-        domain=domain,
-        block=block,
-        objective=objective,
-        quad=quad,
-        exp_links=exp_links,
-        weights=weights,
-        q_matrix=q_matrix,
-        profile=model.profile,
-        kernel_rows_linear=fixed,
-        q_factor=q_factor,
-    )
+    return MipModel(gp=model, beta_sqrt=float(beta_sqrt), domain=domain, block=block,
+                    objective=objective, quad=quad, exp_links=exp_links)
 
 
 # ---------------------------------------------------------------------------
@@ -766,20 +708,21 @@ def canonical_assignment(model_or_block, graph: AttributedGraph,
                             out[f"Pc_{s}_{l1}_{l2}_{c}"] = 1 if c == total else 0
 
     if model is not None:
-        k = model.kernel_vector_for(graph)
-        if model.variant.exponential:
-            point = StackedSummaries.build([graph])
-            labeled = model.variant.labeled
-            base = _count_products(point, model.profile, labeled)[0][0]
-            for i in range(model.num_train):
+        gp = model.gp
+        point = StackedSummaries.build([graph])
+        k = cross_gram(point, gp.profile, gp.variant, gp.hyper)[0]
+        if gp.variant.exponential:
+            labeled = gp.variant.labeled
+            base = _count_products(point, gp.profile, labeled)[0][0]
+            for i in range(gp.size):
                 out[f"g_{i}"] = float(base[i])
                 out[f"e_{i}"] = math.exp(base[i])
             self_base = float(_count_products(point, None, labeled)[0][0])
             out["g_self"] = self_base
             out["e_self"] = math.exp(self_base)
-        for i in range(model.num_train):
+        for i in range(gp.size):
             out[f"k_{i}"] = float(k[i])
-        out["kxx"] = model.self_kernel_for(graph)
+        out["kxx"] = float(self_kernel_parts(point, gp.variant, gp.hyper)[0])
         mu, sigma = model.mu_sigma_for(graph)
         out["mu"] = mu
         out["sigma"] = sigma

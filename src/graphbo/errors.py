@@ -45,10 +45,6 @@ class InfeasibleDomainError(GraphBoError):
     """Domain constraints are trivially contradictory."""
 
 
-class IncompatibleDomainError(GraphBoError):
-    """Domain does not match the model's label/feature scheme."""
-
-
 # kernels / GP
 
 class MissingVarianceError(GraphBoError):
@@ -57,6 +53,11 @@ class MissingVarianceError(GraphBoError):
 
 class DimensionMismatchError(GraphBoError):
     """Feature matrices or label schemes are incompatible."""
+
+
+class IncompatibleDomainError(DimensionMismatchError):
+    """Domain does not match the model's label/feature scheme or
+    directedness."""
 
 
 class FactorizationError(GraphBoError):

@@ -5,8 +5,10 @@ variance) are fitted by maximizing the log marginal likelihood with a
 multi-start bounded quasi-Newton search over log-parameters. Each step of
 the search factorizes the noisy Gram matrix once and takes both the
 likelihood and its closed-form gradient (Rasmussen & Williams 2006, eq. 5.9)
-from that factor. Predictions go through a Cholesky factorization of the
-noisy Gram matrix.
+from that factor. Every prediction (``posterior``, ``lcb``, the enumerate
+solve, the MIP model's exact evaluation) goes through ``predict``: one
+batched triangular solve against the Cholesky factor of the noisy Gram
+matrix.
 """
 
 from __future__ import annotations
@@ -162,10 +164,6 @@ class GpModel:
         weights = sla.cho_solve((chol, True), y)
         return GpModel(points, y, variant, hyper, noise_var, chol, weights, profile)
 
-    def kernel_vector(self, x: AttributedGraph) -> np.ndarray:
-        return cross_gram(StackedSummaries.build([x]), self.profile,
-                          self.variant, self.hyper)[0]
-
     def inverse_factor(self) -> np.ndarray:
         """L^-1 for the lower Cholesky factor of (K + noise I)."""
         if self.chol is None:
@@ -220,18 +218,21 @@ def load_model(path) -> GpModel:
         return GpModel.from_dict(json.load(fh))
 
 
-def posterior(model: GpModel, x: AttributedGraph) -> tuple[float, float]:
-    """Posterior mean and variance at x; variance is clipped to
-    [0, prior variance]."""
-    point = StackedSummaries.build([x])
-    kxx = float(self_kernel_parts(point, model.variant, model.hyper)[0])
+def predict(model: GpModel, points: StackedSummaries) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances at every stacked point; variances are
+    clipped to [0, prior variance]."""
+    kxx = self_kernel_parts(points, model.variant, model.hyper)
     if model.size == 0:
-        return 0.0, kxx
-    kx = cross_gram(point, model.profile, model.variant, model.hyper)[0]
-    mu = float(np.dot(kx, model.weights))
-    v = sla.solve_triangular(model.chol, kx, lower=True)
-    var = kxx - float(np.dot(v, v))
-    return mu, float(min(max(var, 0.0), kxx))
+        return np.zeros(len(kxx)), kxx
+    kx = cross_gram(points, model.profile, model.variant, model.hyper)
+    v = sla.solve_triangular(model.chol, kx.T, lower=True)
+    return kx @ model.weights, np.clip(kxx - np.sum(v * v, axis=0), 0.0, kxx)
+
+
+def posterior(model: GpModel, x: AttributedGraph) -> tuple[float, float]:
+    """Posterior mean and variance at x (``predict`` at one point)."""
+    mu, var = predict(model, StackedSummaries.build([x]))
+    return float(mu[0]), float(var[0])
 
 
 def lcb(model: GpModel, x: AttributedGraph, beta_sqrt: float) -> float:

@@ -19,6 +19,7 @@ through them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -205,6 +206,15 @@ def self_kernel_parts(stacked: StackedSummaries, variant: KernelVariant,
                       hyper: KernelHyperparams) -> np.ndarray:
     """k(x, x) for every stacked point."""
     return _combine(*_count_products(stacked, None, variant.labeled), variant, hyper)
+
+
+def kernel_range(variant: KernelVariant, hyper: KernelHyperparams) -> tuple[float, float]:
+    """(lo, hi) bounds on every combined-kernel value, self values included:
+    the linear graph kernel and the feature kernel both lie in [0, 1]."""
+    if variant.exponential:
+        var = hyper.require_variance(variant)
+        return hyper.alpha / var, hyper.alpha * math.e / var + hyper.beta
+    return 0.0, hyper.alpha + hyper.beta
 
 
 # ---------------------------------------------------------------------------

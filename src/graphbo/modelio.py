@@ -182,7 +182,7 @@ def _piecewise_block(model: MipModel, breakpoints: int, first_var: int, first_ro
 def expand_model(model: MipModel, breakpoints: int = DEFAULT_BREAKPOINTS) -> ExportedModel:
     """The model as one flat array model, each exp link replaced by
     piecewise-linear rows and the variance row's linear part appended."""
-    if not model.kernel_rows_linear:
+    if not model.domain.fixed_size:
         raise UnsupportedBoundedSizeExportError(
             "bounded-size models cannot be exported; fix the size first")
     variables, constraints = model.variables, model.constraints
@@ -214,22 +214,20 @@ def expand_model(model: MipModel, breakpoints: int = DEFAULT_BREAKPOINTS) -> Exp
         for parts, part in zip((rows, cols, vals), coo):
             parts.append(part)
 
-    quad = None
-    if model.quad is not None:
-        q = model.quad.q
-        kernel = [names[i] for i in model.quad.kernel_vars]
-        sigma = names[model.quad.sigma]
-        qi, qj = np.nonzero(q)
-        quad = QuadEntry(model.quad.name, [(sigma, sigma, 1.0)] + [
-            (kernel[i], kernel[j], value)
-            for i, j, value in zip(qi.tolist(), qj.tolist(), q[qi, qj].tolist())])
-        # linear part of the variance row: -kxx <= 0
-        rows.append(np.array([len(row_names)]))
-        cols.append(np.array([model.quad.kxx]))
-        vals.append(np.array([-1.0]))
-        row_names.append(model.quad.name)
-        senses.append("<=")
-        rhs.append(0.0)
+    q = model.quad.q
+    kernel = [names[i] for i in model.quad.kernel_vars]
+    sigma = names[model.quad.sigma]
+    qi, qj = np.nonzero(q)
+    quad = QuadEntry(model.quad.name, [(sigma, sigma, 1.0)] + [
+        (kernel[i], kernel[j], value)
+        for i, j, value in zip(qi.tolist(), qj.tolist(), q[qi, qj].tolist())])
+    # linear part of the variance row: -kxx <= 0
+    rows.append(np.array([len(row_names)]))
+    cols.append(np.array([model.quad.kxx]))
+    vals.append(np.array([-1.0]))
+    row_names.append(model.quad.name)
+    senses.append("<=")
+    rhs.append(0.0)
 
     row, col, val = (np.concatenate(parts) for parts in (rows, cols, vals))
     order = np.lexsort((col, row))

@@ -28,31 +28,23 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
-from .encode import ConstraintBlock, SizeSpec, _size_bounds
-from .errors import (
-    DimensionMismatchError,
-    MissingVariableError,
-    SpaceTooLargeError,
-    UnfittedModelError,
-)
-from .gp import GpModel, lcb as gp_lcb
+from .encode import ConstraintBlock, SizeSpec, _size_bounds, check_acquisition_inputs
+from .errors import GraphBoError, MissingVariableError, SpaceTooLargeError
+from .gp import GpModel, lcb as gp_lcb, predict
 from .graphs import (  # noqa: F401  enumerate_domain is re-exported
-    ENUMERATION_BIT_CAP,
     AttributedGraph,
     DomainSpec,
     ProfileTable,
     _all_pairs_distances,
-    _check_bit_cap,
     _reachable_from,
     build_graph,
     domain_feasible,
     enumerate_domain,
     profile_table,
 )
-from .errors import GraphBoError
-from .kernels import _normalize, cross_gram, self_kernel_parts
+from .kernels import _normalize, kernel_range
+from .kernels import cross_gram  # noqa: F401  kept for perfbench's span hooks
 
 logger = logging.getLogger("graphbo.solve")
 
@@ -435,14 +427,6 @@ def _range_tables(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def _check_scheme(model: GpModel, domain: DomainSpec) -> None:
-    profile = model.profile
-    if (profile.num_labels, profile.num_features) != (domain.num_labels,
-                                                      domain.num_features):
-        raise DimensionMismatchError(
-            "domain label/feature scheme differs from the training set")
-
-
 class _BoundContext:
     """Precomputed tables for interval bounds on the acquisition value.
 
@@ -455,7 +439,6 @@ class _BoundContext:
     """
 
     def __init__(self, model: GpModel, beta_sqrt: float, domain: DomainSpec):
-        _check_scheme(model, domain)
         self.beta_sqrt = float(beta_sqrt)
         self.domain = domain
         self.variant = model.variant
@@ -476,14 +459,7 @@ class _BoundContext:
         counts = (profile.labeled_counts if self.variant.labeled
                   else profile.length_counts[:, :, None, None])
         self.range_min, self.range_max = _range_tables(counts)
-        var = self.hyper.require_variance(self.variant)
-        if self.variant.exponential:
-            self.k_box_crude = (self.hyper.alpha / var,
-                                self.hyper.alpha * math.e / var + self.hyper.beta)
-            self.kxx_crude = self.hyper.alpha * math.e / var + self.hyper.beta
-        else:
-            self.k_box_crude = (0.0, self.hyper.alpha + self.hyper.beta)
-            self.kxx_crude = self.hyper.alpha + self.hyper.beta
+        self.k_box_crude = kernel_range(self.variant, self.hyper)
 
     def bound(self, pa: PartialAssignment, intervals=None) -> float:
         """A lower bound on the LCB over every feasible completion.
@@ -494,7 +470,7 @@ class _BoundContext:
         if not pa.diag_fixed():
             k_lo = np.full(self.t, self.k_box_crude[0])
             k_hi = np.full(self.t, self.k_box_crude[1])
-            kxx_hi = self.kxx_crude
+            kxx_hi = self.k_box_crude[1]
         else:
             nodes = np.flatnonzero(np.diag(pa.adj) == 1)
             npx = len(nodes)
@@ -572,6 +548,7 @@ class _BoundContext:
 def dual_bound(partial: PartialAssignment, gp_model: GpModel,
                beta_sqrt: float) -> float:
     """Valid lower bound on the LCB over all completions of ``partial``."""
+    check_acquisition_inputs(gp_model, partial.domain, beta_sqrt)
     ctx = _BoundContext(gp_model, beta_sqrt, partial.domain)
     return ctx.bound(partial)
 
@@ -647,34 +624,24 @@ def _best_warm_start(model: GpModel, domain: DomainSpec, beta_sqrt: float,
 # enumeration strategy over a per-domain profile table
 
 
-_profile_tables: dict[tuple[DomainSpec, int], ProfileTable] = {}
+_profile_tables: dict[DomainSpec, ProfileTable] = {}
 
 
 def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
-                     budget: float, bit_cap: int,
-                     warm: Sequence[AttributedGraph]) -> SolveResult:
+                     budget: float, warm: Sequence[AttributedGraph]) -> SolveResult:
     start = time.monotonic()
-    # both checks come before the table build, the bit cap first
-    _check_bit_cap(domain, bit_cap)
-    _check_scheme(model, domain)
-    key = (domain, bit_cap)
-    table = _profile_tables.get(key)
+    table = _profile_tables.get(domain)
     if table is None:
         table = profile_table(
-            domain, bit_cap,
-            out_of_time=lambda: time.monotonic() - start >= budget)
+            domain, out_of_time=lambda: time.monotonic() - start >= budget)
         if table.complete:
-            _profile_tables[key] = table
+            _profile_tables[domain] = table
     if table.complete and not len(table):
         return SolveResult(None, None, math.inf, "Infeasible", 0,
                            time.monotonic() - start)
     best: tuple = (None, math.inf, None)
     if len(table):
-        kmat = cross_gram(table.profiles, model.profile, model.variant, model.hyper)
-        mu = kmat @ model.weights
-        v = sla.solve_triangular(model.chol, kmat.T, lower=True)
-        kself = self_kernel_parts(table.profiles, model.variant, model.hyper)
-        var = np.clip(kself - np.sum(v * v, axis=0), 0.0, None)
+        mu, var = predict(model, table.profiles)
         values = mu - beta_sqrt * np.sqrt(var)
         # rows ascend in enumeration order, so argmin keeps the tie-break toward
         # the lexicographically smallest graph
@@ -803,14 +770,15 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
           budget: float = DEFAULT_BUDGET,
           strategy: SolveStrategy | str = SolveStrategy.BRANCH_AND_PROPAGATE,
           warm_start: Iterable[AttributedGraph] = (),
-          log_interval: int = 0,
-          enumeration_bit_cap: int = ENUMERATION_BIT_CAP) -> SolveResult:
+          log_interval: int = 0) -> SolveResult:
     """Minimize the LCB over the domain.
 
     ``enumerate`` scores one row per distinct feasible kernel profile of the
-    domain; the table is built once per domain and cached only when
-    complete. Objective ties still break toward the lexicographically
-    smallest graph, and ``nodes_explored`` counts the profile rows scored.
+    domain through ``gp.predict``; the table is built once per domain and
+    cached only when complete, and a domain over the enumeration bit cap
+    raises DomainTooLargeError. Objective ties still break toward the
+    lexicographically smallest graph, and ``nodes_explored`` counts the
+    profile rows scored.
     The budget is checked per structure while the table is built: a build
     cut short scores the rows found so far and the domain-feasible warm
     starts, and keeps the better (FeasibleTimeLimit, bound -inf) or, with
@@ -822,12 +790,16 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     by propagation, not branched, and ``nodes_explored`` counts the nodes
     whose bound was computed. The search runs single-threaded, which keeps
     results bit-for-bit reproducible.
+
+    Both strategies first check their inputs with
+    ``encode.check_acquisition_inputs``, as the encoder does: an unfitted
+    model raises UnfittedModelError, a domain whose label/feature scheme or
+    directedness differs from the training set's IncompatibleDomainError,
+    and a negative ``beta_sqrt`` ValueError.
     """
-    if gp_model.size == 0:
-        raise UnfittedModelError("solver needs a fitted model")
+    check_acquisition_inputs(gp_model, domain, beta_sqrt)
     strategy = SolveStrategy(strategy)
     warm = list(warm_start)
     if strategy is SolveStrategy.ENUMERATE:
-        return _solve_enumerate(gp_model, domain, beta_sqrt, budget,
-                                enumeration_bit_cap, warm)
+        return _solve_enumerate(gp_model, domain, beta_sqrt, budget, warm)
     return _solve_branch(gp_model, domain, beta_sqrt, budget, warm, log_interval)

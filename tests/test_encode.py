@@ -277,8 +277,8 @@ class TestAcquisitionModel:
             asg = canonical_assignment(mip, g)
             assert check_feasible(mip.block, asg, tol=1e-9)
             # quadratic variance row within roundoff
-            k = np.array([asg[f"k_{i}"] for i in range(mip.num_train)])
-            quad = asg["sigma"] ** 2 + k @ mip.q_matrix @ k - asg["kxx"]
+            k = np.array([asg[f"k_{i}"] for i in range(mip.gp.size)])
+            quad = asg["sigma"] ** 2 + k @ mip.quad.q @ k - asg["kxx"]
             assert quad <= 1e-9
 
     @pytest.mark.parametrize("variant", list(KernelVariant))
@@ -308,7 +308,7 @@ class TestAcquisitionModel:
         points = [sample_feasible(dom, rng) for _ in range(4)]
         model = fit(points, rng.normal(size=4), KernelVariant.SSP, seed=0)
         mip = encode_acquisition(model, dom, 1.0)
-        assert not mip.kernel_rows_linear
+        assert not mip.domain.fixed_size
         assert not any(c.name.startswith("k_def") for c in mip.constraints)
         for _ in range(5):
             g = sample_feasible(dom, rng)
@@ -320,6 +320,6 @@ class TestAcquisitionModel:
     def test_q_matrix_psd_and_consistent(self, rng):
         model, dom = self._small_model(rng)
         mip = encode_acquisition(model, dom, 1.0)
-        eigs = np.linalg.eigvalsh(mip.q_matrix)
+        eigs = np.linalg.eigvalsh(mip.quad.q)
         assert eigs[0] >= -1e-10
-        assert np.allclose(mip.q_matrix, mip.q_matrix.T)
+        assert np.allclose(mip.quad.q, mip.quad.q.T)

@@ -1,9 +1,11 @@
 """GP regression against a dense explicit-inverse oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import graphbo
 import graphbo.gp as gp_module
@@ -16,8 +18,15 @@ from graphbo.gp import (
     lcb,
     log_marginal_likelihood,
     posterior,
+    predict,
 )
-from graphbo.kernels import HYPER_BOX, StackedSummaries, k_combined
+from graphbo.kernels import (
+    HYPER_BOX,
+    StackedSummaries,
+    cross_gram,
+    k_combined,
+    self_kernel_parts,
+)
 
 from conftest import random_graph
 
@@ -140,6 +149,49 @@ class TestPosterior:
             _, var_small = posterior(small, x)
             _, var_big = posterior(big, x)
             assert var_big <= var_small + 1e-8
+
+
+class TestPredict:
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    def test_matches_posterior_at_each_point(self, rng, variant):
+        points = distinct_profile_graphs(rng, 6)
+        hyper = KernelHyperparams(alpha=0.9, beta=1.4, sigma_k_sq=1.5)
+        y = prior_draw(rng, points, variant, hyper)
+        model = GpModel.build(points, y, variant, hyper)
+        probes = [random_graph(rng, int(rng.integers(2, 7)), num_labels=2)
+                  for _ in range(10)] + points[:2]
+        stacked = StackedSummaries.build(probes)
+        mu, var = predict(model, stacked)
+        assert mu.shape == var.shape == (len(probes),)
+        # one row and a batch may sum the same products in another order, so
+        # the tolerance scales with the sums of absolute terms
+        kx = cross_gram(stacked, model.profile, variant, hyper)
+        mu_scale = np.abs(kx) @ np.abs(model.weights)
+        v = linalg.solve_triangular(model.chol, kx.T, lower=True)
+        var_scale = self_kernel_parts(stacked, variant, hyper) + np.sum(v * v, axis=0)
+        for j, x in enumerate(probes):
+            mu_ref, var_ref = posterior(model, x)
+            assert abs(mu[j] - mu_ref) <= 1e-14 * mu_scale[j]
+            assert abs(var[j] - var_ref) <= 1e-14 * var_scale[j]
+
+    def test_variance_clipped_to_prior_range(self, rng):
+        points = distinct_profile_graphs(rng, 5)
+        hyper = KernelHyperparams()
+        model = GpModel.build(points, rng.normal(size=5), KernelVariant.SSP, hyper)
+        probes = StackedSummaries.build(
+            points + [random_graph(rng, int(rng.integers(2, 7)), num_labels=2)
+                      for _ in range(5)])
+        kxx = self_kernel_parts(probes, KernelVariant.SSP, hyper)
+        # a shrunken factor overstates k' K^-1 k, past the prior at the
+        # training points
+        shrunk = dataclasses.replace(model, chol=model.chol / 10.0)
+        _, var = predict(shrunk, probes)
+        assert np.all((0.0 <= var) & (var <= kxx))
+        assert np.all(var[:5] == 0.0)
+        empty = GpModel.build([], [], KernelVariant.SSP, hyper)
+        mu, var = predict(empty, probes)
+        assert np.all(mu == 0.0)
+        assert np.array_equal(var, kxx)
 
 
 class TestLcb:

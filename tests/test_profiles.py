@@ -149,8 +149,8 @@ def _cut_after(polls_allowed):
 
 def _interrupt_builds(monkeypatch, polls_allowed):
     monkeypatch.setattr(solve_module, "profile_table",
-                        lambda domain, bit_cap, out_of_time: profile_table(
-                            domain, bit_cap, out_of_time=_cut_after(polls_allowed)))
+                        lambda domain, out_of_time: profile_table(
+                            domain, out_of_time=_cut_after(polls_allowed)))
 
 
 def test_partial_build_is_a_prefix_of_the_full_table():
@@ -184,8 +184,8 @@ def test_interrupted_build_reports_time_limit_and_is_not_cached(monkeypatch):
         return polls > 2
 
     monkeypatch.setattr(solve_module, "profile_table",
-                        lambda domain, bit_cap, out_of_time: build(
-                            domain, bit_cap, out_of_time=stop_after_two))
+                        lambda domain, out_of_time: build(
+                            domain, out_of_time=stop_after_two))
     cut = solve(model, TWO_LABELS, 1.0, strategy="enumerate")
     assert cut.status == "FeasibleTimeLimit"
     assert cut.bound == -np.inf

@@ -13,6 +13,7 @@ from graphbo import DomainSpec, KernelHyperparams, KernelVariant, LinearRow
 from graphbo.encode import canonical_structural_assignment, encode_shortest_paths
 from graphbo.errors import (
     DimensionMismatchError,
+    IncompatibleDomainError,
     MissingVariableError,
     SpaceTooLargeError,
     UnfittedModelError,
@@ -491,6 +492,24 @@ class TestSolve:
             solve(model, DomainSpec(n=4, num_labels=2), 1.0, strategy="enumerate")
         assert not solve_module._profile_tables
 
+    @pytest.mark.parametrize("strategy", list(SolveStrategy))
+    def test_directedness_mismatch_raises(self, rng, strategy):
+        model = fitted_model(rng, DomainSpec(n=3, num_labels=1))
+        directed = DomainSpec(n=3, directed=True, num_labels=1)
+        with pytest.raises(IncompatibleDomainError):
+            solve(model, directed, 1.0, strategy=strategy)
+        with pytest.raises(IncompatibleDomainError):
+            dual_bound(PartialAssignment.empty(directed), model, 1.0)
+
+    @pytest.mark.parametrize("strategy", list(SolveStrategy))
+    def test_negative_beta_sqrt_raises_before_table_build(self, rng, strategy):
+        dom = DomainSpec(n=3, num_labels=2)
+        model = fitted_model(rng, dom)
+        solve_module._profile_tables.clear()
+        with pytest.raises(ValueError):
+            solve(model, dom, -1.0, strategy=strategy)
+        assert not solve_module._profile_tables
+
     def test_propagation_sets_forced_label_bits(self):
         dom = DomainSpec(n=5, n_min=2, num_labels=2, num_features=3)
         pa = PartialAssignment.empty(dom)
@@ -535,9 +554,8 @@ class TestSolve:
     def test_enumerate_guard(self, rng):
         from graphbo.errors import DomainTooLargeError
 
-        small = DomainSpec(n=3, num_labels=1)
-        model = fitted_model(rng, small)
         huge = DomainSpec(n=3, num_labels=1, num_features=30)
+        model = fitted_model(rng, huge)
         with pytest.raises(DomainTooLargeError):
             solve(model, huge, 1.0, strategy="enumerate")
 
