@@ -8,18 +8,23 @@ row. Exponential links are expanded into big-M piecewise-linear rows over
 the argument range [0, 1], built for every link and segment at once; the
 internal solver never uses the expansion. The same arrays feed the writers
 (COLUMNS from the CSC view, LP rows from CSR) and a MILP solver such as
-``scipy.optimize.milp``. The readers split each section once and parse its
-tokens in bulk. Export requires fixed-size models because bounded-size
-kernel normalizations are not linear.
+``scipy.optimize.milp``. The readers parse a file straight into the same
+arrays (``ParsedModel.flat``): each section is split once and its tokens
+are parsed in bulk, with no object per row or variable. Export requires
+fixed-size models because bounded-size kernel normalizations are not
+linear.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from collections.abc import Callable, Sequence
+from collections import defaultdict
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +85,13 @@ class _LazySequence(Sequence):
         if not 0 <= i < self._length:
             raise IndexError(i)
         return self._item(i)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
 
 
 @dataclass(eq=False)
@@ -397,17 +409,83 @@ def render_lp(flat: ExportedModel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# readers
+# readers: each file is parsed straight into the arrays of an ExportedModel
+
+
+_KINDS = ("continuous", "integer", "binary")  # the kind codes 0, 1, 2
+_INTEGER, _BINARY = 1, 2
+_LINE_VALUE = "value"  # a bound rule that takes the number on the line
+
+# MPS bound type -> the (kind, lb, ub) it sets; None leaves the field as it is
+_MPS_BOUNDS = {
+    "UP": (None, None, _LINE_VALUE),
+    "LO": (None, _LINE_VALUE, None),
+    "UI": (_INTEGER, None, _LINE_VALUE),
+    "LI": (_INTEGER, _LINE_VALUE, None),
+    "BV": (_BINARY, 0.0, 1.0),
+    "FR": (None, -math.inf, math.inf),
+    "MI": (None, -math.inf, None),
+}
+_MPS_BOUND_CODES = {btype: code for code, btype in enumerate(_MPS_BOUNDS)}
+_MPS_ROW_CODES = {"N": -1, "L": 0, "G": 1, "E": 2}
+_SENSES = ("<=", ">=", "==")  # by row code
+_MARKER = "'MARKER'"
+_LP_SENSES = {"<=": "<=", ">=": ">=", "=": "=="}
+# (tokens on the line, its second token, its fourth token or else its second)
+_LP_BOUND_SHAPES = {(2, "free", "free"), (5, "<=", "<=")}
+
+# A section header is alone on its line; NAME and QCMATRIX carry one name.
+# MPS headers start in the first column and data lines do not, so the
+# search looks at the first character of each line only.
+_MPS_HEADER = re.compile(
+    r"\n(?=[A-Z])(?:(?P<key>OBJSENSE|ROWS|COLUMNS|RHS|BOUNDS|ENDATA)"
+    r"|(?P<named>NAME|QCMATRIX)[ \t]+(?P<name>\S+))[ \t\r]*$",
+    re.M)
+_LP_HEADER = re.compile(
+    r"\n[ \t]*(?=[a-z])(?P<key>minimize|maximize|subject to|bounds|generals|binaries|end)"
+    r"[ \t\r]*$",
+    re.M | re.I)
+
+
+class _VariableView(Mapping):
+    """Read-only name -> {"kind", "lb", "ub"} view of a flat model's
+    variables; each entry is built on access."""
+
+    def __init__(self, flat: ExportedModel, index: dict[str, int]) -> None:
+        self._flat = flat
+        self._index = index
+
+    def __getitem__(self, name: str) -> dict:
+        j, flat = self._index[name], self._flat
+        return {"kind": flat.kinds[j], "lb": float(flat.lb[j]), "ub": float(flat.ub[j])}
+
+    def __iter__(self):
+        return iter(self._flat.names)
+
+    def __len__(self) -> int:
+        return len(self._flat.names)
 
 
 @dataclass
 class ParsedModel:
-    """What the bundled reader recovers from an exported file."""
+    """What the bundled readers recover from a model file.
 
-    variables: dict[str, dict]
-    constraints: list[dict]
+    ``flat`` is the file's model as the arrays of an ``ExportedModel``: its
+    variables are numbered in the order the reader first meets them,
+    section by section (an LP file's quadratic part after its linear rows),
+    and repeated entries of a row are summed. The other fields show
+    it by name: ``variables`` maps each name to ``{"kind", "lb", "ub"}`` and
+    ``constraints`` holds one ``{"name", "sense", "rhs", "coeffs"}`` dict
+    per row (``coeffs`` keyed by variable name); both are read-only views
+    whose entries are built on access. ``objective`` maps each variable
+    with a nonzero coefficient to it.
+    """
+
+    variables: Mapping[str, dict]
+    constraints: Sequence[dict]
     objective: dict[str, float]
     quad_entries: list[tuple[str, str, float]] = field(default_factory=list)
+    flat: ExportedModel | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_variables(self) -> int:
@@ -418,16 +496,53 @@ class ParsedModel:
         return len(self.constraints)
 
 
-# A section header is alone on its line; NAME and QCMATRIX carry one name.
-# The lookahead lets the search skip most data lines before the alternation.
-_MPS_HEADER = re.compile(
-    r"\n[ \t]*(?=[A-Z])"
-    r"(?:(OBJSENSE|ROWS|COLUMNS|RHS|BOUNDS|ENDATA)|(NAME|QCMATRIX)[ \t]+\S+)[ \t\r]*$",
-    re.M)
-_LP_HEADER = re.compile(
-    r"\n[ \t]*(?=[a-z])(minimize|maximize|subject to|bounds|generals|binaries|end)[ \t\r]*$",
-    re.M | re.I)
-_SIGNS = ("+", "-")
+def _parsed(flat: ExportedModel, index: dict[str, int]) -> ParsedModel:
+    names = flat.names
+
+    def row(i: int) -> dict:
+        con = flat._constraint(i)
+        return {"name": con.name, "sense": con.sense, "rhs": con.rhs,
+                "coeffs": {names[j]: coef for j, coef in con.coeffs}}
+
+    objective = {names[j]: float(flat.c[j]) for j in np.flatnonzero(flat.c).tolist()}
+    return ParsedModel(_VariableView(flat, index), _LazySequence(len(flat.row_names), row),
+                       objective, flat.quad.entries if flat.quad is not None else [], flat)
+
+
+class _Variables:
+    """The variables of a file being read, numbered in order of first
+    appearance. Each is continuous with bounds [0, inf) until lines of the
+    file set its kind or a bound; of several such lines the last wins."""
+
+    def __init__(self) -> None:
+        # an unseen name gets the next id as it is looked up
+        self.index: dict[str, int] = defaultdict(itertools.count().__next__)
+        self._updates: dict[str, list] = {"kind": [], "lb": [], "ub": []}
+
+    def ids(self, names: list[str]) -> np.ndarray:
+        """Ids of ``names``; unseen names are added in order."""
+        return np.fromiter(map(self.index.__getitem__, names), dtype=np.int64,
+                           count=len(names))
+
+    def set(self, field_name: str, ids: np.ndarray, values) -> None:
+        """``field_name[ids] = values``, applied in the order of the calls."""
+        self._updates[field_name].append(
+            (ids, np.broadcast_to(np.asarray(values, dtype=float), ids.shape)))
+
+    def arrays(self) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+        """Names, kinds, lb and ub of every variable."""
+        n = len(self.index)
+        out = {"kind": np.zeros(n, dtype=np.int8), "lb": np.zeros(n),
+               "ub": np.full(n, math.inf)}
+        for name, updates in self._updates.items():
+            if updates:
+                ids, values = (np.concatenate(parts) for parts in zip(*updates))
+                # the first of the reversed ids is the last of each
+                rev = ids[::-1]
+                _, last = np.unique(rev, return_index=True)
+                out[name][rev[last]] = values[::-1][last]
+        kinds = list(map(_KINDS.__getitem__, out["kind"].tolist()))
+        return list(self.index), kinds, out["lb"], out["ub"]
 
 
 def _read_text(path) -> str:
@@ -435,20 +550,29 @@ def _read_text(path) -> str:
         return fh.read()
 
 
-def _sections(text: str, header: re.Pattern, comment: str) -> dict[str, str]:
-    """Body of each section, keyed by the header's lowercased keyword;
-    repeated sections are joined and comment lines are dropped. Text before
-    the first header is ignored."""
+def _sections(text: str, header: re.Pattern, comment: str
+              ) -> tuple[dict[str, str], dict[str, str]]:
+    """Body of each section, keyed by the header's lowercased keyword, and
+    the name on each NAME/QCMATRIX header. Repeated sections are joined
+    (their header names must agree) and comment lines are dropped. Text
+    before the first header is ignored."""
     text = "\n" + text
     marks = list(header.finditer(text))
     bodies: dict[str, str] = {}
+    names: dict[str, str] = {}
     for mark, following in zip(marks, marks[1:] + [None]):
-        key = mark.group(mark.lastindex).lower()
+        groups = mark.groupdict()
+        key = (groups.get("key") or groups["named"]).lower()
+        name = groups.get("name")
+        if name is not None and names.setdefault(key, name) != name:
+            raise ValueError(f"{key.upper()}: one section per file, not "
+                             f"{names[key]!r} and {name!r}")
         end = following.start() if following is not None else len(text)
         bodies[key] = bodies.get(key, "") + text[mark.end():end]
     pattern = re.compile(rf"^[ \t]*{re.escape(comment)}.*$", re.M)
-    return {key: pattern.sub("", body) if comment in body else body
-            for key, body in bodies.items()}
+    bodies = {key: pattern.sub("", body) if comment in body else body
+              for key, body in bodies.items()}
+    return bodies, names
 
 
 def _fields(body: str, width: int, section: str) -> list[list[str]]:
@@ -459,239 +583,282 @@ def _fields(body: str, width: int, section: str) -> list[list[str]]:
     return [tokens[k::width] for k in range(width)]
 
 
-def _floats(tokens: list[str]) -> np.ndarray:
+def _lines(body: str, section: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The section's tokens, with the index of the first token of each
+    non-blank line and the line's token count.
+
+    Lines end at "\\n". The counts come from the section's bytes, so no
+    per-line object is built: space and the control characters separate
+    tokens, and a file whose tokens str.split() cuts elsewhere is refused.
+    """
+    tokens = body.split()
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    blank = raw <= ord(" ")
+    starts = np.flatnonzero(blank[:-1] > blank[1:]) + 1
+    if len(raw) and not blank[0]:
+        starts = np.concatenate(([0], starts))
+    if len(starts) != len(tokens):
+        raise ValueError(f"{section}: tokens must be separated by ASCII whitespace")
+    # tokens before each line end, then per line
+    count = np.diff(np.searchsorted(starts, np.flatnonzero(raw == ord("\n"))),
+                    prepend=0, append=len(tokens))
+    count = count[count > 0]
+    return tokens, np.cumsum(count) - count, count
+
+
+def _take(tokens: list[str], positions: np.ndarray) -> list[str]:
+    return list(map(tokens.__getitem__, positions.tolist()))
+
+
+def _line(tokens: list[str], start: np.ndarray, count: np.ndarray, bad: np.ndarray) -> str:
+    """The text of the first line flagged in ``bad``."""
+    i = int(np.argmax(bad))
+    return " ".join(tokens[start[i]:start[i] + count[i]])
+
+
+class _FloatTable(dict):
+    """float() of each token, parsed on its first lookup."""
+
+    def __missing__(self, token: str) -> float:
+        value = self[token] = float(token)
+        return value
+
+
+def _floats(tokens: list[str], section: str) -> np.ndarray:
     """float() of every token, parsed once per distinct token (see
     ``_per_value``)."""
-    parsed = {token: float(token) for token in dict.fromkeys(tokens)}
-    return np.fromiter(map(parsed.__getitem__, tokens), dtype=float, count=len(tokens))
+    try:
+        return np.fromiter(map(_FloatTable().__getitem__, tokens), dtype=float,
+                           count=len(tokens))
+    except ValueError as exc:
+        raise ValueError(f"{section}: {exc}") from None
 
 
-def _variable(variables: dict[str, dict], name: str) -> dict:
-    """The entry of ``name``, added as a continuous [0, inf) variable when
-    the file has not named it before."""
-    var = variables.get(name)
-    if var is None:
-        var = variables[name] = {"kind": "continuous", "lb": 0.0, "ub": math.inf}
-    return var
-
-
-def _ids(names: list[str], index: dict[str, int]) -> np.ndarray:
-    """Ids of ``names`` in ``index``; unseen names are added in order of
-    first appearance."""
-    for name in dict.fromkeys(names):
-        index.setdefault(name, len(index))
-    return np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
-
-
-def _coefficient_dicts(row_ids: np.ndarray, var_ids: np.ndarray, values: np.ndarray,
-                       var_names: list[str], num_rows: int) -> list[dict[str, float]]:
-    """One {variable name: coefficient} dict per row from parallel entry
-    arrays.
-
-    A variable repeated within a row gets the sum of its entries, added in
-    file order; keys keep the order of their first entry in the row.
-    """
-    width = max(len(var_names), 1)
-    unique, first, inverse = np.unique(row_ids * width + var_ids,
-                                       return_index=True, return_inverse=True)
-    sums = np.bincount(inverse, weights=values, minlength=len(unique))
-    rows = unique // width
-    order = np.lexsort((first, rows))
-    entries = zip(map(var_names.__getitem__, (unique % width)[order].tolist()),
-                  sums[order].tolist())
-    return [dict(islice(entries, count))
-            for count in np.bincount(rows, minlength=num_rows).tolist()]
+def _lookup(index: dict[str, int], names: list[str], section: str, what: str) -> np.ndarray:
+    """``index[name]`` of every name, which ``index`` must hold."""
+    try:
+        return np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
+    except KeyError as missing:
+        raise ValueError(f"{section}: {what} {missing.args[0]!r}") from None
 
 
 def read_mps(path) -> ParsedModel:
-    """Read an MPS file as written by ``render_mps``: fixed field counts per
-    line (two in ROWS, three in COLUMNS, RHS and QCMATRIX), ``*`` comment
-    lines and blank lines anywhere."""
-    sections = _sections(_read_text(path), _MPS_HEADER, "*")
-    kinds, names = _fields(sections.get("rows", ""), 2, "ROWS")
-    sense_map = {"L": "<=", "G": ">=", "E": "=="}
-    objective_row = next((name for kind, name in zip(kinds, names) if kind == "N"), None)
-    row_names = [name for kind, name in zip(kinds, names) if kind != "N"]
-    senses = [sense_map[kind] for kind in kinds if kind != "N"]
-    row_index = {name: i for i, name in enumerate(row_names)}
+    """Read an MPS file as written by ``render_mps``: section headers in the
+    first column, fixed field counts per line (two in ROWS, three in
+    COLUMNS, RHS and QCMATRIX, three or four in BOUNDS), ``*`` comment
+    lines and blank lines anywhere. The first N row is the objective;
+    further N rows are dropped."""
+    sections, header_names = _sections(_read_text(path), _MPS_HEADER, "*")
+    row_types, names = _fields(sections.pop("rows", ""), 2, "ROWS")
+    codes = _lookup(_MPS_ROW_CODES, row_types, "ROWS", "unknown row type")
+    is_row = (codes >= 0).tolist()
+    row_names = list(compress(names, is_row))
+    senses = list(map(_SENSES.__getitem__, codes[codes >= 0].tolist()))
     nrows = len(row_names)
+    row_index = dict(zip(row_names, range(nrows)))
 
-    # the objective is row nrows, marker lines are row -1
-    columns, rows, values = _fields(sections.get("columns", ""), 3, "COLUMNS")
+    # the objective is row nrows, marker lines are row -1, other N rows -2
     column_rows = dict(row_index)
-    column_rows["'MARKER'"] = -1
-    if objective_row is not None:
-        column_rows[objective_row] = nrows
-    row_ids = np.fromiter(map(column_rows.__getitem__, rows), dtype=np.int64,
-                          count=len(rows))
-    markers = np.flatnonzero(row_ids < 0).tolist()
-    # variables are numbered by first appearance; each takes the kind of the
-    # marker run it first appears in
-    index: dict[str, int] = {}
-    var_kinds: list[str] = []
-    var_ids = []
-    kind, start = "continuous", 0
-    for stop in markers + [len(columns)]:
-        seen = len(index)
-        var_ids.append(_ids(columns[start:stop], index))
-        var_kinds += [kind] * (len(index) - seen)
+    free_rows = [name for name, keep in zip(names, is_row) if not keep]
+    column_rows.update(dict.fromkeys(free_rows, -2))
+    if free_rows:
+        column_rows[free_rows[0]] = nrows
+    column_rows[_MARKER] = -1
+    columns, rows, values = _fields(sections.pop("columns", ""), 3, "COLUMNS")
+    row_ids = _lookup(column_rows, rows, "COLUMNS", "undeclared row")
+    # each variable takes the kind of the marker run it first appears in
+    variables = _Variables()
+    var_ids, start, integer = [], 0, False
+    for stop in np.flatnonzero(row_ids == -1).tolist() + [len(columns)]:
+        seen = len(variables.index)
+        var_ids.append(variables.ids(columns[start:stop]))
+        if integer:
+            variables.set("kind", np.arange(seen, len(variables.index)), _INTEGER)
         if stop < len(columns):
-            kind = "integer" if values[stop] == "'INTORG'" else "continuous"
+            integer = values[stop] == "'INTORG'"
         start = stop + 1
-    coefs = _floats(list(compress(values, (row_ids >= 0).tolist())))
-    row_ids = row_ids[row_ids >= 0]
     var_ids = np.concatenate(var_ids)
-    # drop the token lists before the dicts are built: every collector pass
-    # over the young generation would walk them again
+    coefs = _floats(list(compress(values, (row_ids != -1).tolist())), "COLUMNS")
+    row_ids = row_ids[row_ids != -1]
     del columns, rows, values
-    # zero objective entries only name columns that hold no other entry
-    keep = (row_ids < nrows) | (coefs != 0.0)
-    var_names = list(index)
-    coeffs = _coefficient_dicts(row_ids[keep], var_ids[keep], coefs[keep], var_names,
-                                nrows + 1)
-    objective = coeffs.pop()
-    variables = {name: {"kind": kind, "lb": 0.0, "ub": math.inf}
-                 for name, kind in zip(var_names, var_kinds)}
 
     rhs = np.zeros(nrows)
-    _, rhs_rows, rhs_values = _fields(sections.get("rhs", ""), 3, "RHS")
-    rhs[list(map(row_index.__getitem__, rhs_rows))] = _floats(rhs_values)
+    _, rhs_rows, rhs_values = _fields(sections.pop("rhs", ""), 3, "RHS")
+    rhs[_lookup(row_index, rhs_rows, "RHS", "not a constraint row")] = _floats(rhs_values, "RHS")
 
-    for line in sections.get("bounds", "").splitlines():
-        head = line.split()
-        if not head:
-            continue
-        btype, name = head[0], head[2]
-        var = _variable(variables, name)
-        if btype == "BV":
-            var.update(kind="binary", lb=0.0, ub=1.0)
-        elif btype == "UI":
-            var.update(kind="integer", ub=float(head[3]))
-        elif btype == "LI":
-            var.update(kind="integer", lb=float(head[3]))
-        elif btype == "UP":
-            var["ub"] = float(head[3])
-        elif btype == "LO":
-            var["lb"] = float(head[3])
-        elif btype == "FR":
-            var.update(lb=-math.inf, ub=math.inf)
-        elif btype == "MI":
-            var["lb"] = -math.inf
-        else:
-            raise ValueError(f"BOUNDS: unsupported bound type {btype!r}")
+    tokens, start, count = _lines(sections.pop("bounds", ""), "BOUNDS")
+    types = _lookup(_MPS_BOUND_CODES, _take(tokens, start), "BOUNDS", "unsupported bound type")
+    takes_value = np.array([_LINE_VALUE in rule for rule in _MPS_BOUNDS.values()])[types]
+    bad = (count < 3) | (count > 4) | (takes_value & (count < 4))
+    if bad.any():
+        raise ValueError("BOUNDS: not a 'type bound name [value]' line: "
+                         f"{_line(tokens, start, count, bad)!r}")
+    bound_ids = variables.ids(_take(tokens, start + 2))
+    line_values = np.full(len(start), math.nan)
+    line_values[count == 4] = _floats(_take(tokens, start[count == 4] + 3), "BOUNDS")
+    for k, fname in enumerate(("kind", "lb", "ub")):
+        sets = np.zeros(len(start), dtype=bool)
+        new = np.empty(len(start))
+        for code, rule in enumerate(_MPS_BOUNDS.values()):
+            if rule[k] is not None:
+                lines = types == code
+                sets |= lines
+                new[lines] = line_values[lines] if rule[k] == _LINE_VALUE else rule[k]
+        variables.set(fname, bound_ids[sets], new[sets])
 
-    first, second, quad_values = _fields(sections.get("qcmatrix", ""), 3, "QCMATRIX")
-    quad_entries = list(zip(first, second, map(float, quad_values)))
-    for name in first:
-        _variable(variables, name)
+    quad = None
+    if "qcmatrix" in sections:
+        first, second, quad_values = _fields(sections.pop("qcmatrix"), 3, "QCMATRIX")
+        variables.ids(list(chain.from_iterable(zip(first, second))))
+        quad = QuadEntry(header_names["qcmatrix"],
+                         list(zip(first, second, _floats(quad_values, "QCMATRIX").tolist())))
 
-    constraints = [{"name": name, "sense": sense, "rhs": value, "coeffs": row}
-                   for name, sense, value, row in zip(row_names, senses, rhs.tolist(),
-                                                      coeffs)]
-    return ParsedModel(variables, constraints, objective, quad_entries)
-
-
-def _push_terms(stream: list[str], tokens: list[str]) -> int:
-    """Append one expression's "sign coefficient name" terms to ``stream``
-    and return how many there are. A leading "+" may be left out, and "0"
-    is the empty expression; every token is separated by spaces, so
-    scientific notation like 1e-06 stays one token."""
-    if tokens == ["0"]:
-        return 0
-    if tokens and tokens[0] not in _SIGNS:
-        tokens.insert(0, "+")
-    if len(tokens) % 3:
-        raise ValueError(f"LP: not a sum of 'sign coefficient name' terms: "
-                         f"{' '.join(tokens)!r}")
-    stream += tokens
-    return len(tokens) // 3
+    var_names, kinds, lb, ub = variables.arrays()
+    objective = row_ids == nrows
+    entries = row_ids >= 0
+    entries[objective] = False
+    flat = ExportedModel(
+        var_names, kinds, lb, ub,
+        np.bincount(var_ids[objective], weights=coefs[objective], minlength=len(var_names)),
+        sparse.csr_array((coefs[entries], (row_ids[entries], var_ids[entries])),
+                         shape=(nrows, len(var_names))),
+        row_names, senses, rhs, quad)
+    return _parsed(flat, dict(variables.index))
 
 
-def _term_values(stream: list[str], index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Variable ids (numbered in ``index``) and signed coefficients of a
-    stream of "sign coefficient name" terms."""
-    signs = stream[0::3]
-    if not set(signs) <= set(_SIGNS):
-        raise ValueError("LP: a term has no sign")
-    values = _floats(stream[1::3])
-    values[np.fromiter(map("-".__eq__, signs), dtype=bool, count=len(signs))] *= -1.0
-    return _ids(stream[2::3], index), values
+_TERM_SIGNS = {"+": 1.0, "-": -1.0}
 
 
-def _lp_quad(text: str) -> list[tuple[str, str, float]]:
-    """Entries of a "[sign] coef a ^ 2" / "[sign] coef a * b" stream."""
+def _lp_terms(tokens: list[str], head: np.ndarray, length: np.ndarray,
+              variables: _Variables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expression index, variable id and signed coefficient of every term of
+    the expressions ``tokens[head[i] + 1:head[i] + 1 + length[i]]``.
+
+    A term is "sign coefficient name" and the leading "+" may be left out;
+    "0" alone is the empty expression. Every token is separated by spaces,
+    so scientific notation like 1e-06 stays one token. ``head[i]``, the
+    token before expression ``i``, stands in for a left-out sign, so the
+    terms are one stream of triples.
+    """
+    def refuse(bad: np.ndarray) -> None:
+        if bad.any():
+            raise ValueError("LP: not a sum of 'sign coefficient name' terms: "
+                             f"{_line(tokens, head + 1, length, bad)!r}")
+
+    zero = np.zeros(len(head), dtype=bool)
+    single = np.flatnonzero(length == 1)
+    zero[single] = np.fromiter(map("0".__eq__, _take(tokens, head[single] + 1)), dtype=bool,
+                               count=len(single))
+    refuse((length % 3 == 1) & ~zero)
+    bare = length % 3 == 2  # the leading "+" left out
+    count = np.where(zero, 0, (length + bare) // 3)
+    # the expression tokens, with the head of each bare expression
+    inside = np.cumsum(np.bincount(head + 1, minlength=len(tokens) + 1)
+                       - np.bincount(head + 1 + length, minlength=len(tokens) + 1))
+    keep = inside[:-1] > 0
+    keep[head[bare]] = True
+    keep[head[zero] + 1] = False
+    stream = list(compress(tokens, keep.tolist()))
+    expr = np.repeat(np.arange(len(head)), count)
+    sign = np.fromiter(map(_TERM_SIGNS.get, stream[0::3], repeat(0.0)), dtype=float,
+                       count=len(expr))
+    sign[(np.cumsum(count) - count)[bare & (count > 0)]] = 1.0
+    refuse(np.bincount(expr[sign == 0.0], minlength=len(head)) > 0)
+    values = _floats(stream[1::3], "LP") * sign
+    return expr, variables.ids(stream[2::3]), values
+
+
+def _lp_quad(text: str) -> tuple[list[str], list[str], np.ndarray]:
+    """First names, second names and coefficients of a "[sign] coef a ^ 2"
+    / "[sign] coef a * b" stream."""
     tokens = text.split()
-    if tokens and tokens[0] not in _SIGNS:
+    if tokens and tokens[0] not in _TERM_SIGNS:
         tokens.insert(0, "+")
     if len(tokens) % 5:
         raise ValueError("LP: malformed quadratic terms")
     signs, coefs, first, ops, second = (tokens[k::5] for k in range(5))
-    if not set(signs) <= set(_SIGNS) or not set(ops) <= {"^", "*"}:
+    if not set(signs) <= _TERM_SIGNS.keys() or not set(ops) <= {"^", "*"}:
         raise ValueError("LP: malformed quadratic terms")
-    return [(a, a if op == "^" else b, float(sign + coef))
-            for sign, coef, a, op, b in zip(signs, coefs, first, ops, second)]
+    square = np.fromiter(map("^".__eq__, ops), dtype=bool, count=len(ops))
+    second = np.where(square, np.array(first, dtype=object),
+                      np.array(second, dtype=object)).tolist()
+    sign = np.fromiter(map(_TERM_SIGNS.__getitem__, signs), dtype=float, count=len(signs))
+    return first, second, _floats(coefs, "LP") * sign
 
 
 def read_lp(path) -> ParsedModel:
     """Read an LP file as written by ``render_lp``: every token separated by
     spaces, one ``name: terms sense rhs`` line per constraint, a bracketed
-    quadratic part in the variance row, two-sided or ``free`` bounds, and
-    ``\\`` comment lines and blank lines anywhere."""
-    sections = _sections(_read_text(path), _LP_HEADER, "\\")
-    index: dict[str, int] = {}
+    quadratic part opening at most one row, two-sided or ``free`` bounds,
+    and ``\\`` comment lines and blank lines anywhere."""
+    sections, _ = _sections(_read_text(path), _LP_HEADER, "\\")
+    variables = _Variables()
 
-    text = sections.get("minimize", "")
-    stream: list[str] = []
-    _push_terms(stream, (text.split(":", 1)[1] if ":" in text else text).split())
-    obj_ids, obj_values = _term_values(stream, index)
+    tokens = sections.pop("minimize", "").split()
+    if not tokens or not tokens[0].endswith(":"):
+        tokens.insert(0, "obj:")  # a name for an unnamed objective
+    _, obj_ids, obj_values = _lp_terms(tokens, np.zeros(1, dtype=np.int64),
+                                       np.array([len(tokens) - 1]), variables)
 
-    body = sections.get("subject to", "")
-    quad_entries = [entry for text in re.findall(r"\[([^\]]*)\]", body)
-                    for entry in _lp_quad(text)]
-    # a "+" after the bracket joins it to the linear terms
-    body = re.sub(r"\[[^\]]*\][ \t]*\+?", " ", body)
-    sense_map = {"<=": "<=", ">=": ">=", "=": "=="}
-    row_names, senses, rhs, counts, stream = [], [], [], [], []
-    for line in body.splitlines():
-        name, colon, expr = line.partition(":")
-        tokens = expr.split()
-        if not colon and not name.strip():
-            continue
-        if not colon or len(tokens) < 2 or tokens[-2] not in sense_map:
-            raise ValueError(f"LP: not a 'name: terms sense rhs' line: {line.strip()!r}")
-        row_names.append(name.strip())
-        senses.append(sense_map[tokens[-2]])
-        rhs.append(float(tokens[-1]))
-        counts.append(_push_terms(stream, tokens[:-2]))
-    var_ids, values = _term_values(stream, index)
-    row_ids = np.repeat(np.arange(len(row_names)), counts)
-    del stream, body  # as in read_mps: no token lists while the dicts are built
-    _ids([name for entry in quad_entries for name in entry[:2]], index)
-    var_names = list(index)
-    objective = _coefficient_dicts(np.zeros_like(obj_ids), obj_ids, obj_values,
-                                   var_names, 1)[0]
-    coeffs = _coefficient_dicts(row_ids, var_ids, values, var_names, len(row_names))
+    body = sections.pop("subject to", "")
+    quad = None
+    brackets = list(re.finditer(r"\[([^\]]*)\]", body))
+    if len(brackets) > 1:
+        raise ValueError("LP: more than one row has a quadratic part")
+    if brackets:
+        mark = brackets[0]
+        head = body[body.rfind("\n", 0, mark.start()) + 1:mark.start()].split()
+        if len(head) != 1 or not head[0].endswith(":"):
+            raise ValueError("LP: a quadratic part must follow its row's name")
+        first, second, quad_values = _lp_quad(mark.group(1))
+        quad = QuadEntry(head[0][:-1], list(zip(first, second, quad_values.tolist())))
+        # a "+" after the bracket joins it to the linear terms
+        body = body[:mark.start()] + re.sub(r"^[ \t]*\+?", " ", body[mark.end():], count=1)
+    tokens, start, count = _lines(body, "LP")
+    del body
+    end = start + count
+    names = _take(tokens, start)
+    sense_tokens = _take(tokens, np.maximum(end - 2, start))
+    bad = ((count < 3)
+           | ~np.fromiter(map(str.endswith, names, repeat(":")), dtype=bool, count=len(names))
+           | ~np.fromiter(map(_LP_SENSES.__contains__, sense_tokens), dtype=bool,
+                          count=len(names)))
+    if bad.any():
+        raise ValueError("LP: not a 'name: terms sense rhs' line: "
+                         f"{_line(tokens, start, count, bad)!r}")
+    row_names = list(map(itemgetter(slice(None, -1)), names))
+    senses = list(map(_LP_SENSES.__getitem__, sense_tokens))
+    rhs = _floats(_take(tokens, end - 1), "LP")
+    row_ids, var_ids, values = _lp_terms(tokens, start, count - 3, variables)
+    del tokens, names, sense_tokens
+    if quad is not None:
+        variables.ids(list(chain.from_iterable(zip(first, second))))
 
-    variables = {name: {"kind": "continuous", "lb": 0.0, "ub": math.inf}
-                 for name in var_names}
-    for line in sections.get("bounds", "").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.endswith(" free"):
-            name = line[: -len(" free")].strip()
-            _variable(variables, name).update(lb=-math.inf, ub=math.inf)
-        else:
-            lo, rest = line.split("<=", 1)
-            name, hi = rest.split("<=", 1)
-            var = _variable(variables, name.strip())
-            var["lb"] = -math.inf if "inf" in lo else float(lo)
-            var["ub"] = math.inf if "inf" in hi else float(hi)
-    for name in sections.get("generals", "").split():
-        _variable(variables, name)["kind"] = "integer"
-    for name in sections.get("binaries", "").split():
-        _variable(variables, name).update(kind="binary", lb=0.0, ub=1.0)
+    tokens, start, count = _lines(sections.pop("bounds", ""), "LP")
+    two_sided = count == 5
+    after = start + np.minimum(1, count - 1)  # the second token, clipped to the line
+    shapes = zip(count.tolist(), _take(tokens, after),
+                 _take(tokens, np.where(two_sided, start + 3, after)))
+    bad = ~np.fromiter(map(_LP_BOUND_SHAPES.__contains__, shapes), dtype=bool, count=len(start))
+    if bad.any():
+        raise ValueError("LP: not a 'lo <= name <= hi' or 'name free' line: "
+                         f"{_line(tokens, start, count, bad)!r}")
+    bound_ids = variables.ids(_take(tokens, np.where(two_sided, start + 2, start)))
+    lo = np.full(len(start), -math.inf)
+    hi = np.full(len(start), math.inf)
+    lo[two_sided] = _floats(_take(tokens, start[two_sided]), "LP")
+    hi[two_sided] = _floats(_take(tokens, start[two_sided] + 4), "LP")
+    variables.set("lb", bound_ids, lo)
+    variables.set("ub", bound_ids, hi)
+    variables.set("kind", variables.ids(sections.pop("generals", "").split()), _INTEGER)
+    binary = variables.ids(sections.pop("binaries", "").split())
+    for fname, value in (("kind", _BINARY), ("lb", 0.0), ("ub", 1.0)):
+        variables.set(fname, binary, value)
 
-    constraints = [{"name": name, "sense": sense, "rhs": value, "coeffs": row}
-                   for name, sense, value, row in zip(row_names, senses, rhs, coeffs)]
-    return ParsedModel(variables, constraints, objective, quad_entries)
+    var_names, kinds, lb, ub = variables.arrays()
+    flat = ExportedModel(
+        var_names, kinds, lb, ub,
+        np.bincount(obj_ids, weights=obj_values, minlength=len(var_names)),
+        sparse.csr_array((values, (row_ids, var_ids)), shape=(len(row_names), len(var_names))),
+        row_names, senses, rhs, quad)
+    return _parsed(flat, dict(variables.index))

@@ -311,6 +311,29 @@ class TestRoundTrip:
         parsed = read_mps(path) if fmt == "mps" else read_lp(path)
         assert sorted(parsed.quad_entries) == sorted(flat.quad.entries)
 
+    def test_arrays_match_exactly(self, tmp_path, fitted, variant, fmt):
+        dom, models = fitted
+        mip = encode_acquisition(models[variant], dom, 1.0)
+        path = tmp_path / f"model.{fmt}"
+        flat = export_model(mip, path, fmt=fmt, breakpoints=8)
+        back = (read_mps(path) if fmt == "mps" else read_lp(path)).flat
+        # written column j is read-back column perm[j]
+        assert sorted(back.names) == sorted(flat.names)
+        position = {name: j for j, name in enumerate(back.names)}
+        perm = np.array([position[name] for name in flat.names])
+        assert (back.A[:, perm] - flat.A).nnz == 0
+        assert back.A.shape == flat.A.shape
+        assert np.array_equal(back.c[perm], flat.c)
+        assert np.array_equal(back.lb[perm], flat.lb)
+        assert np.array_equal(back.ub[perm], flat.ub)
+        assert [back.kinds[j] for j in perm] == flat.kinds
+        assert back.row_names == flat.row_names
+        assert back.senses == flat.senses
+        assert np.array_equal(back.rhs, flat.rhs)
+        assert back.quad == flat.quad
+        if fmt == "mps":
+            assert render_mps(back) == path.read_text()
+
 
 # ---------------------------------------------------------------------------
 # hand-written files: what the readers accept beyond the writers' own output
@@ -419,16 +442,72 @@ def test_repeated_entries_are_summed(tmp_path):
     assert parsed.constraints[0]["coeffs"] == {"x": 1.25, "y": -0.5}
 
 
+def test_unnamed_objective_and_bare_first_terms(tmp_path):
+    path = tmp_path / "bare.lp"
+    path.write_text("Minimize\n 2.0 x - 1.0 y\nSubject To\n c: 1.5 y + 1.0 x >= 1.0\n"
+                    " z: 0 = 0.0\nEnd\n")
+    parsed = read_lp(path)
+    assert parsed.objective == {"x": 2.0, "y": -1.0}
+    assert list(parsed.constraints) == [
+        {"name": "c", "sense": ">=", "rhs": 1.0, "coeffs": {"x": 1.0, "y": 1.5}},
+        {"name": "z", "sense": "==", "rhs": 0.0, "coeffs": {}}]
+    assert parsed.flat.names == ["x", "y"]
+
+
 @pytest.mark.parametrize("fmt, text", [
-    ("mps", "ROWS\n N  OBJ\n L  c\nCOLUMNS\n    x  c  1.0  OBJ\nENDATA\n"),
-    ("mps", "ROWS\n N  OBJ\nCOLUMNS\n    x  OBJ  1.0\nBOUNDS\n FX BND  x  1.0\nENDATA\n"),
-    ("lp", "Minimize\n obj: 1.0 x\nSubject To\n c: 1.0 x\nEnd\n"),
-    ("lp", "Minimize\n obj: 1.0 x\nSubject To\n c: 1.0 x 2.0 y <= 1.0\nEnd\n"),
-], ids=["mps_columns_fields", "mps_bound_type", "lp_no_sense", "lp_no_sign"])
-def test_malformed_input_raises(tmp_path, fmt, text):
-    path = tmp_path / f"bad.{fmt}"
+    ("mps", "ROWS\n N  OBJ\nCOLUMNS\n    x  OBJ  1.0\n    y  OBJ  1.0\nBOUNDS\n"
+            " UP BND  x  5.0\n FR BND  x\n LO BND  x  2.0\n BV BND  y\n UP BND  y  4.0\n"
+            "ENDATA\n"),
+    ("lp", "Minimize\n obj: 1.0 x + 1.0 y\nSubject To\nBounds\n 0.0 <= x <= 5.0\n x free\n"
+           " 2.0 <= x <= +inf\n 0.0 <= y <= 4.0\nBinaries\n y\nEnd\n"),
+], ids=["mps", "lp"])
+def test_last_bound_line_wins(tmp_path, fmt, text):
+    path = tmp_path / f"bounds.{fmt}"
     path.write_text(text)
-    with pytest.raises(ValueError):
+    parsed = read_mps(path) if fmt == "mps" else read_lp(path)
+    assert parsed.variables["x"] == {"kind": "continuous", "lb": 2.0, "ub": math.inf}
+    # LP Binaries come after Bounds whatever the file order
+    y_ub = 4.0 if fmt == "mps" else 1.0
+    assert parsed.variables["y"] == {"kind": "binary", "lb": 0.0, "ub": y_ub}
+
+
+def test_parsed_views_are_read_only(tmp_path):
+    path = tmp_path / "tiny.mps"
+    path.write_text(HAND_MPS)
+    parsed = read_mps(path)
+    assert parsed.variables["w"] == {"kind": "continuous", "lb": -1.0, "ub": math.inf}
+    assert "nope" not in parsed.variables
+    with pytest.raises(TypeError):
+        parsed.variables["w"] = {}
+    with pytest.raises(TypeError):
+        parsed.constraints[0] = {}
+    assert parsed.constraints[-1]["name"] == "q"
+
+
+@pytest.mark.parametrize("fmt, text, section", [
+    ("mps", "ROWS\n N  OBJ\n L  c\nCOLUMNS\n    x  c  1.0  OBJ\nENDATA\n", "COLUMNS"),
+    ("mps", "ROWS\n N  OBJ\nCOLUMNS\n    x  OBJ  1.0\nBOUNDS\n FX BND  x  1.0\nENDATA\n",
+     "BOUNDS"),
+    ("mps", "ROWS\n N  OBJ\nCOLUMNS\n    x  c  1.0\nENDATA\n", "COLUMNS"),
+    ("mps", "ROWS\n N  OBJ\n L  c\nCOLUMNS\n    x  c  1.0\nRHS\n    RHS  d  1.0\nENDATA\n",
+     "RHS"),
+    ("mps", "ROWS\n N  OBJ\n X  c\nCOLUMNS\n    x  OBJ  1.0\nENDATA\n", "ROWS"),
+    ("mps", "ROWS\n N  OBJ\nCOLUMNS\n    x  OBJ  1.0\nBOUNDS\n UP BND  x\nENDATA\n", "BOUNDS"),
+    ("mps", "ROWS\n N  OBJ\n L  q\n L  r\nCOLUMNS\n    x  q  1.0\nQCMATRIX   q\n"
+            "    x  x  1.0\nQCMATRIX   r\n    x  x  1.0\nENDATA\n", "QCMATRIX"),
+    ("lp", "Minimize\n obj: 1.0 x\nSubject To\n c: 1.0 x\nEnd\n", "LP"),
+    ("lp", "Minimize\n obj: 1.0 x\nSubject To\n c: 1.0 x 2.0 y <= 1.0\nEnd\n", "LP"),
+    ("lp", "Minimize\n obj: 1.0 x\nSubject To\n c: [ 1.0 x ^ 2 ] <= 1.0\n"
+           " d: [ 1.0 x ^ 2 ] <= 1.0\nEnd\n", "LP"),
+    ("lp", "Minimize\n obj: 1.0 x\nSubject To\n c: 1.0\u00a0x <= 1.0\nEnd\n", "LP"),
+    ("lp", "Minimize\n obj: 1.0 x\nSubject To\nBounds\n 0.0 <= x\nEnd\n", "LP"),
+], ids=["mps_columns_fields", "mps_bound_type", "mps_columns_row", "mps_rhs_row",
+        "mps_row_type", "mps_bound_fields", "mps_two_qcmatrix", "lp_no_sense", "lp_no_sign",
+        "lp_two_quadratic_rows", "lp_unicode_space", "lp_bound_shape"])
+def test_malformed_input_raises(tmp_path, fmt, text, section):
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{section}: "):
         read_mps(path) if fmt == "mps" else read_lp(path)
 
 
@@ -441,22 +520,38 @@ def test_malformed_input_raises(tmp_path, fmt, text):
     (4, 2, KernelVariant.SP),
     (5, 1, KernelVariant.SSP),
 ])
-def test_milp_on_the_flat_arrays_matches_enumeration(n, labels, variant):
-    # at beta_sqrt = 0 sigma has no weight, so the variance row can go and
-    # the model is a pure MILP
-    dom = DomainSpec(n=n, num_labels=labels)
-    rng = np.random.default_rng(50 + n)
-    points = [sample_feasible(dom, rng) for _ in range(6)]
-    model = fit(points, rng.normal(size=6), variant, seed=0, restarts=2)
-    flat = expand_model(encode_acquisition(model, dom, 0.0))
+def _milp_without_variance_row(flat):
     keep = np.array([name != flat.quad.row for name in flat.row_names])
     senses = np.array(flat.senses)[keep]
     rhs = flat.rhs[keep]
     lo = np.where(senses == "<=", -np.inf, rhs)
     hi = np.where(senses == ">=", np.inf, rhs)
-    result = milp(flat.c, constraints=LinearConstraint(flat.A[keep], lo, hi),
-                  bounds=Bounds(flat.lb, flat.ub), integrality=flat.integrality)
-    assert result.status == 0
+    return milp(flat.c, constraints=LinearConstraint(flat.A[keep], lo, hi),
+                bounds=Bounds(flat.lb, flat.ub), integrality=flat.integrality)
+
+
+@pytest.mark.parametrize("n, labels, variant", [
+    (4, 2, KernelVariant.SSP),
+    (4, 2, KernelVariant.SP),
+    (5, 1, KernelVariant.SSP),
+])
+def test_milp_on_the_flat_arrays_matches_enumeration(tmp_path, n, labels, variant):
+    # at beta_sqrt = 0 sigma has no weight, so the variance row can go and
+    # the model is a pure MILP; the arrays read back from both files must
+    # give the same optimum
+    dom = DomainSpec(n=n, num_labels=labels)
+    rng = np.random.default_rng(50 + n)
+    points = [sample_feasible(dom, rng) for _ in range(6)]
+    model = fit(points, rng.normal(size=6), variant, seed=0, restarts=2)
+    mip = encode_acquisition(model, dom, 0.0)
+    flats = {"written": expand_model(mip)}
+    for fmt, reader in (("mps", read_mps), ("lp", read_lp)):
+        path = tmp_path / f"model.{fmt}"
+        export_model(mip, path, fmt=fmt)
+        flats[fmt] = reader(path).flat
     exact = solve(model, dom, 0.0, strategy="enumerate")
     assert exact.status == "Optimal"
-    assert abs(result.fun - exact.objective) <= 1e-6
+    for source, flat in flats.items():
+        result = _milp_without_variance_row(flat)
+        assert result.status == 0, source
+        assert abs(result.fun - exact.objective) <= 1e-6, source
