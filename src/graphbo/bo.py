@@ -1,10 +1,10 @@
 """The graph Bayesian-optimization loop and its random-sampling baseline.
 
-Each iteration fits the GP, seeds the solver with unscored warm-start
-candidates, solves for the exact LCB minimizer (the solver checks that the
-model and domain form a valid acquisition problem), queries the objective,
-and appends the observation. Deterministic synthetic objectives stand in
-for expensive property predictors.
+Each iteration fits the GP, hands the solver warm-start candidates that are
+drawn only if the solver reads them, solves for the exact LCB minimizer (the
+solver checks that the model and domain form a valid acquisition problem),
+queries the objective, and appends the observation. Deterministic synthetic
+objectives stand in for expensive property predictors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -220,6 +220,13 @@ def warm_start(domain: DomainSpec, k: int, seed,
     return candidates
 
 
+def _drawn_on_read(domain: DomainSpec, k: int, seed: int,
+                   prior_points: Sequence[AttributedGraph]) -> Iterator[AttributedGraph]:
+    """``warm_start``'s candidates, sampled only once a solver iterates them:
+    ``enumerate`` with a complete profile table never does."""
+    yield from warm_start(domain, k, seed, prior_points)
+
+
 # ---------------------------------------------------------------------------
 # the loop
 
@@ -250,8 +257,8 @@ def run(oracle: ObjectiveOracle, domain: DomainSpec, config: BoConfig) -> BoHist
             warm_seed = int(master.integers(2 ** 31))
             model = fit(points, targets, config.variant, seed=fit_seed,
                         restarts=config.fit_restarts)
-            warm = warm_start(domain, config.warm_start_count, warm_seed,
-                              prior_points=points)
+            warm = _drawn_on_read(domain, config.warm_start_count, warm_seed,
+                                  tuple(points))
             result = solve(model, domain, config.beta_sqrt,
                            budget=config.solver_budget,
                            strategy=config.strategy,

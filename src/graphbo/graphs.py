@@ -9,11 +9,14 @@ node label. All objects are immutable after construction.
 profile; the ``enumerate`` solve strategy scores those rows (its
 ``nodes_explored`` counts them) instead of every graph. Each row keeps the
 first graph in ``enumerate_domain`` order with its profile, so ties still
-break toward the lexicographically smallest graph.
+break toward the lexicographically smallest graph. Both solve strategies
+read one structure's labelings through ``structure_profiles``: the table
+to deduplicate them, branch-and-propagate to score them.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -583,12 +586,63 @@ def _connected_structures(n: int, directed: bool) -> Iterator[tuple[np.ndarray, 
             yield adjacency[i], dist[i].astype(np.int64)
 
 
-def _labelings(num_rows: int, n: int) -> Iterator[np.ndarray]:
-    """Per-node feature-row indices (b, n) of every labeling, in blocks and
-    in ``enumerate_domain`` order (node 0 most significant)."""
-    places = num_rows ** np.arange(n - 1, -1, -1)
-    for codes in _code_blocks(num_rows ** n):
-        yield codes[:, None] // places % num_rows
+@functools.lru_cache(maxsize=None)
+def _labeling_digits(n: int, num_labels: int, num_features: int
+                     ) -> tuple[tuple[int, ...], np.ndarray]:
+    """The radices of the leading digits and every combination (inner, k)
+    of the trailing k digits, which fit in one block (see ``_labelings``)."""
+    radices = ([num_labels] + [2] * (num_features - num_labels)) * n
+    split, inner = len(radices), 1
+    while split and inner * radices[split - 1] <= BLOCK:
+        split -= 1
+        inner *= radices[split]
+    tail = radices[split:]
+    # the place value of each trailing digit: the product of the radices after it
+    places = np.cumprod([1] + tail[:0:-1])[::-1]
+    digits = np.arange(inner)[:, None] // places % np.array(tail, dtype=np.int64)
+    digits.setflags(write=False)
+    return tuple(radices[:split]), digits
+
+
+def _decode_labelings(n: int, num_labels: int, num_features: int,
+                      head: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and feature rows of the block of labelings whose leading
+    digits are ``head``, read-only so that a cached block stays intact."""
+    L, M = num_labels, num_features
+    tail = _labeling_digits(n, L, M)[1]
+    digits = np.concatenate(
+        [np.broadcast_to(np.array(head, dtype=np.int64), (len(tail), len(head))),
+         tail], axis=1).reshape(len(tail), n, M - L + 1)
+    labels = L - 1 - digits[:, :, 0]
+    features = np.concatenate([labels[:, :, None] == np.arange(L),
+                               digits[:, :, 1:]], axis=2).astype(np.int8)
+    labels.setflags(write=False)
+    features.setflags(write=False)
+    return labels, features
+
+
+_single_block = functools.lru_cache(maxsize=None)(_decode_labelings)
+
+
+def _labelings(n: int, num_labels: int, num_features: int
+               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Labels (b, n) and feature rows (b, n, M) of every labeling of n
+    nodes, in blocks of at most BLOCK and in ``enumerate_domain`` order.
+
+    A labeling is a string of digits, node 0 first: per node its label
+    counted down from L - 1 (read as bits, the one-hot block ascends that
+    way), then its extra feature bits. The trailing digits whose
+    combinations fit in one block vary within it; the leading ones are
+    counted out one block at a time, so no labeling is numbered by a single
+    integer, which would overflow on wide feature schemes. Only the block
+    of a scheme whose labelings fit in one block is kept across calls.
+    """
+    head_radices = _labeling_digits(n, num_labels, num_features)[0]
+    if not head_radices:
+        yield _single_block(n, num_labels, num_features, ())
+        return
+    for head in itertools.product(*map(range, head_radices)):
+        yield _decode_labelings(n, num_labels, num_features, head)
 
 
 def _feasible_labelings(domain: DomainSpec, adjacency: np.ndarray,
@@ -619,23 +673,42 @@ def _labeled_counts(dist: np.ndarray, labels: np.ndarray, num_labels: int) -> np
     return np.bincount(codes.ravel(), minlength=b * cells).reshape(b, cells)
 
 
+def structure_profiles(domain: DomainSpec, adjacency: np.ndarray, dist: np.ndarray
+                       ) -> Iterator[tuple[StackedSummaries, np.ndarray]]:
+    """Kernel profiles and feature rows (b, n, M) of the feasible labelings
+    of one connected structure, block by block in ``enumerate_domain`` order.
+
+    ``dist`` is the structure's distance matrix. Each labeling passes degree
+    caps, label-count bounds and user rows as ``domain_feasible`` checks
+    them; every block of labelings yields one pair, empty when none of its
+    labelings is feasible, so a caller can poll a budget between blocks.
+    The profiles carry integer counts.
+    """
+    size, L = len(adjacency), domain.num_labels
+    for labels, features in _labelings(size, L, domain.num_features):
+        ok = _feasible_labelings(domain, adjacency, labels, features)
+        if not ok.all():
+            labels, features = labels[ok], features[ok]
+        counts = _labeled_counts(dist, labels, L).reshape(len(labels), size, L, L)
+        yield (StackedSummaries(np.full(len(labels), size), counts,
+                                features.sum(axis=1)), features)
+
+
 def profile_table(domain: DomainSpec, bit_cap: int = ENUMERATION_BIT_CAP,
                   out_of_time: Callable[[], bool] | None = None) -> ProfileTable:
     """The domain's distinct feasible kernel profiles, each with the first
     graph in ``enumerate_domain`` order that realizes it.
 
-    Works per connected structure: one Floyd-Warshall, then the labeled
-    counts and feature sums of all its labelings at once. Each labeled graph
-    passes every domain constraint before profiles are deduplicated, first
-    within the structure and then across the domain, keyed by (size,
-    counts, sums). ``out_of_time`` is polled before each structure; once it
-    returns True the build stops and the table is marked incomplete. Raises
-    DomainTooLargeError above the same bit cap as ``enumerate_domain``.
+    Works per connected structure: one Floyd-Warshall, then the profiles of
+    its feasible labelings from ``structure_profiles``. Profiles are
+    deduplicated first within the structure and then across the domain,
+    keyed by (size, counts, sums). ``out_of_time`` is polled before each
+    structure; once it returns True the build stops and the table is marked
+    incomplete. Raises DomainTooLargeError above the same bit cap as
+    ``enumerate_domain``.
     """
     _check_bit_cap(domain, bit_cap)
     n, L, M = domain.n, domain.num_labels, domain.num_features
-    feature_rows = np.array(_feature_rows(domain), dtype=np.int64)
-    row_labels = feature_rows[:, :L].argmax(axis=1)
     seen: set[bytes] = set()
     keys: list[np.ndarray] = []  # [size, labeled counts..., feature sums...]
     adjacency: list[np.ndarray] = []
@@ -646,16 +719,13 @@ def profile_table(domain: DomainSpec, bit_cap: int = ENUMERATION_BIT_CAP,
             if out_of_time is not None and out_of_time():
                 complete = False
                 break
-            for choice in _labelings(len(feature_rows), size):
-                labels, feats = row_labels[choice], feature_rows[choice]
-                ok = _feasible_labelings(domain, adj, labels, feats)
-                if not ok.any():
+            for profiles, feats in structure_profiles(domain, adj, dist):
+                if not len(feats):
                     continue
-                labels, feats = labels[ok], feats[ok]
                 block = np.concatenate([
-                    np.full((len(labels), 1), size),
-                    _labeled_counts(dist, labels, L),
-                    feats.sum(axis=1)], axis=1)
+                    profiles.sizes[:, None],
+                    profiles.labeled_counts.reshape(len(feats), -1),
+                    profiles.feature_sums], axis=1)
                 raw = block.view(np.dtype((np.void, block.itemsize * block.shape[1])))
                 first: dict[bytes, int] = {}
                 for i, key in enumerate(raw.ravel().tolist()):

@@ -1,16 +1,20 @@
 """Exact minimization of the acquisition problem.
 
 Two strategies: exhaustive enumeration of the (guarded) domain, and
-branch-and-propagate over structural bits only. Enumeration scores one row
+branch-and-propagate over the adjacency bits. Enumeration scores one row
 per distinct feasible kernel profile (``graphs.profile_table``), since the
-LCB reads a graph only through its profile. Distance/on-path variables
-are never branched: once the structural bits are fixed they are uniquely
-determined, so leaves are evaluated exactly through the graph machinery.
+LCB reads a graph only through its profile. Branch-and-propagate branches
+on node existence and edges only; once a structure is fixed and its bound
+does not prune it, every feasible labeling of it is scored exactly, one
+``gp.predict`` call per block of labelings (``graphs.structure_profiles``,
+which the profile table also reads). Distance/on-path variables are never
+branched: once the structural bits are fixed they are uniquely determined.
 Partial assignments are pruned with interval-arithmetic lower bounds on the
 acquisition value, read from per-training-point range-min/max tables of the
 count profile. Label bits that one-hot labels force are set by propagation,
-not branched, and distances are recomputed only when an adjacency bit
-changes.
+which tightens the bound, and distances are recomputed only when an
+adjacency bit changes. Both strategies break objective ties toward the
+smallest ``graph_sort_key``.
 
 Also hosts the exact feasibility checker and the exhaustive feasible-point
 counter used to verify that the structural constraint system is in bijection
@@ -25,7 +29,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from .graphs import (  # noqa: F401  enumerate_domain is re-exported
     domain_feasible,
     enumerate_domain,
     profile_table,
+    structure_profiles,
 )
 from .kernels import _normalize, kernel_range
 from .kernels import cross_gram  # noqa: F401  kept for perfbench's span hooks
@@ -290,10 +295,12 @@ class PartialAssignment:
 
 
 def branch_bits(domain: DomainSpec) -> list[tuple[str, int, int]]:
-    """Branching order: in bounded-size mode the existence (diagonal) bits
-    first, then edge bits in lexicographic (row-major) order, then feature
-    bits. Fixing the size first lets every edge-phase node use the
-    count-space bound instead of the crude box bound."""
+    """Branching order, adjacency bits only: in bounded-size mode the
+    existence (diagonal) bits first, then edge bits in lexicographic
+    (row-major) order. Fixing the size first lets every edge-phase node use
+    the count-space bound instead of the crude box bound. Feature bits are
+    never branched: once a structure is fixed, all its labelings are scored
+    at once."""
     n = domain.n
     bits: list[tuple[str, int, int]] = []
     if not domain.fixed_size:
@@ -302,9 +309,6 @@ def branch_bits(domain: DomainSpec) -> list[tuple[str, int, int]]:
         for v in range(n):
             if u != v and (domain.directed or u < v):
                 bits.append(("adj", u, v))
-    for v in range(n):
-        for m in range(domain.num_features):
-            bits.append(("feat", v, m))
     return bits
 
 
@@ -606,7 +610,7 @@ def _improves(value: float, key: tuple, best_value: float,
 
 
 def _best_warm_start(model: GpModel, domain: DomainSpec, beta_sqrt: float,
-                     warm: Sequence[AttributedGraph]):
+                     warm: Iterable[AttributedGraph]):
     """(graph, LCB, sort key) of the best domain-feasible warm start, or
     (None, inf, None) without one."""
     best: tuple = (None, math.inf, None)
@@ -628,7 +632,7 @@ _profile_tables: dict[DomainSpec, ProfileTable] = {}
 
 
 def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
-                     budget: float, warm: Sequence[AttributedGraph]) -> SolveResult:
+                     budget: float, warm: Iterable[AttributedGraph]) -> SolveResult:
     start = time.monotonic()
     table = _profile_tables.get(domain)
     if table is None:
@@ -669,7 +673,7 @@ def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
 
 
 def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
-                  budget: float, warm: Sequence[AttributedGraph],
+                  budget: float, warm: Iterable[AttributedGraph],
                   log_interval: int) -> SolveResult:
     start = time.monotonic()
     ctx = _BoundContext(model, beta_sqrt, domain)
@@ -686,13 +690,49 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
     def out_of_time() -> bool:
         return (time.monotonic() - start) > budget
 
+    def score_structure(node_bound: float, dist: np.ndarray) -> None:
+        """Score every feasible labeling of the structure at ``pa``, one
+        ``predict`` call per block of labelings, and offer the first argmin
+        (the smallest sort key among them) to the incumbent."""
+        nonlocal incumbent, incumbent_obj, incumbent_key, timed_out
+        size = int(np.diag(pa.adj).sum())  # present nodes are a prefix
+        adjacency = pa.adj[:size, :size].copy()
+        np.fill_diagonal(adjacency, 0)
+        best_value, best_features = math.inf, None
+        for profiles, features in structure_profiles(domain, adjacency,
+                                                     dist.astype(np.int64)):
+            if out_of_time():
+                timed_out = True
+                open_bounds.append(node_bound)
+                break
+            if not len(features):
+                continue
+            mu, var = predict(model, profiles)
+            values = mu - beta_sqrt * np.sqrt(var)
+            i = int(np.argmin(values))
+            if values[i] < best_value:
+                best_value, best_features = values[i], features[i]
+        if best_features is None:
+            return
+        graph = build_graph(adjacency, best_features, domain.directed,
+                            domain.num_labels)
+        if not domain_feasible(domain, graph):
+            return
+        # the incumbent's value comes through the per-graph path, as in
+        # enumerate, so both strategies quote identical numbers
+        value = gp_lcb(model, graph, beta_sqrt)
+        key = graph_sort_key(graph)
+        if _improves(value, key, incumbent_obj, incumbent_key):
+            incumbent, incumbent_obj, incumbent_key = graph, value, key
+
     def search(depth: int, intervals) -> None:
-        """Bound the node at ``pa`` and branch on its next open bit.
+        """Bound the node at ``pa`` and branch on its next adjacency bit, or
+        score its structure once every adjacency bit is fixed.
 
         ``intervals`` are the distance intervals of the node's adjacency
-        state once its diagonal is fixed; feature branches reuse them.
+        state once its diagonal is fixed.
         """
-        nonlocal nodes, incumbent, incumbent_obj, incumbent_key, timed_out
+        nonlocal nodes, timed_out
         if _quick_infeasible(pa, intervals):
             return
         nodes += 1
@@ -701,43 +741,23 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             logger.info("node=%d depth=%d bound=%g incumbent=%s", nodes, depth,
                         node_bound,
                         "none" if incumbent is None else f"{incumbent_obj:g}")
-        # with no incumbent incumbent_obj is inf, which prunes only inf bounds
-        if node_bound >= incumbent_obj:
+        # a node whose bound equals the incumbent may still hold a tie with
+        # a smaller sort key; with no incumbent only inf bounds prune
+        if node_bound > incumbent_obj or node_bound == math.inf:
             return
-        # feature bits set by propagation are not branched
-        while (depth < len(bits) and bits[depth][0] == "feat"
-               and pa.feat[bits[depth][1], bits[depth][2]] != -1):
-            depth += 1
         if depth == len(bits):
-            graph = _leaf_graph(pa.adj, pa.feat, domain)
-            if graph is PRUNED:
-                return
-            value = gp_lcb(model, graph, beta_sqrt)
-            key = graph_sort_key(graph)
-            if _improves(value, key, incumbent_obj, incumbent_key):
-                incumbent, incumbent_obj, incumbent_key = graph, value, key
+            score_structure(node_bound, intervals[0])
             return
         if timed_out or out_of_time():
             timed_out = True
             open_bounds.append(node_bound)
             return
-        kind, a, b = bits[depth]
+        _, a, b = bits[depth]
         for value in (1, 0):
-            forced = None
-            if kind == "adj":
-                pa.set_adj(a, b, value)
-                if a == b:
-                    forced = _propagate_labels(pa)
-                child = _distance_intervals(pa) if pa.diag_fixed() else None
-            else:
-                pa.set_feat(a, b, value)
-                forced = _propagate_labels(pa)
-                child = intervals
-            search(depth + 1, child)
-            if kind == "adj":
-                pa.set_adj(a, b, -1)
-            else:
-                pa.set_feat(a, b, -1)
+            pa.set_adj(a, b, value)
+            forced = _propagate_labels(pa) if a == b else None
+            search(depth + 1, _distance_intervals(pa) if pa.diag_fixed() else None)
+            pa.set_adj(a, b, -1)
             if forced is not None:
                 pa.feat[forced] = -1
             if timed_out:
@@ -757,8 +777,8 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         bound = min([incumbent_obj] + open_bounds)
         status = "FeasibleTimeLimit"
     else:
-        # the search prunes at bound >= incumbent, so completion certifies
-        # a zero gap
+        # the search prunes only at bound > incumbent, so completion
+        # certifies a zero gap
         bound = incumbent_obj
         status = "Optimal"
     logger.info("status=%s gap=%g time=%.3fs nodes=%d", status,
@@ -785,11 +805,23 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     neither, ends BudgetExhausted. A complete table ignores warm starts.
 
     ``branch_and_propagate`` branches on the existence bits (bounded sizes
-    only), then edge bits, then feature bits, starting from the best
-    domain-feasible warm start. Label bits that one-hot labels force are set
-    by propagation, not branched, and ``nodes_explored`` counts the nodes
-    whose bound was computed. The search runs single-threaded, which keeps
-    results bit-for-bit reproducible.
+    only), then the edge bits, starting from the best domain-feasible warm
+    start. Feature bits are not branched: once every adjacency bit is fixed
+    and the node's bound does not prune it, the structure's feasible
+    labelings are scored by ``gp.predict``, one call per block of labelings,
+    and the first argmin is built and re-scored through ``gp.lcb``. Label
+    bits that one-hot labels force are set by propagation to tighten the
+    bound. ``nodes_explored`` counts the nodes whose bound was computed. A
+    node is pruned only when its bound exceeds the incumbent, so ties break
+    toward the smallest ``graph_sort_key`` as in ``enumerate``. The budget is
+    polled at every branching node and before each block of labelings; a
+    structure cut short keeps its best scored labeling and contributes its
+    bound to the reported bound. The search runs single-threaded, which
+    keeps results bit-for-bit reproducible.
+
+    ``warm_start`` may be any iterable, lazy ones included: it is read only
+    by the strategy that needs it, ``branch_and_propagate`` always and
+    ``enumerate`` only when its table build is cut short.
 
     Both strategies first check their inputs with
     ``encode.check_acquisition_inputs``, as the encoder does: an unfitted
@@ -799,7 +831,7 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     """
     check_acquisition_inputs(gp_model, domain, beta_sqrt)
     strategy = SolveStrategy(strategy)
-    warm = list(warm_start)
     if strategy is SolveStrategy.ENUMERATE:
-        return _solve_enumerate(gp_model, domain, beta_sqrt, budget, warm)
-    return _solve_branch(gp_model, domain, beta_sqrt, budget, warm, log_interval)
+        return _solve_enumerate(gp_model, domain, beta_sqrt, budget, warm_start)
+    return _solve_branch(gp_model, domain, beta_sqrt, budget, warm_start,
+                         log_interval)

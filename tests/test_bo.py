@@ -94,6 +94,26 @@ class TestWarmStart:
         assert len(hist.records) == 4 + 2
 
 
+    @pytest.mark.parametrize("strategy,draws", [("enumerate", 0),
+                                                 ("branch_and_propagate", 2)])
+    def test_run_draws_warm_starts_only_for_a_solver_that_reads_them(
+            self, monkeypatch, strategy, draws):
+        # a complete enumerate table never reads warm starts, so none are
+        # sampled; branch-and-propagate reads them every iteration
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return warm_start(*args, **kwargs)
+
+        monkeypatch.setattr(bo_module, "warm_start", counted)
+        dom = DomainSpec(n=4, num_labels=1)
+        oracle = synthetic_oracle("path_profile", {"target": path_profile_target(4)})
+        hist = run(oracle, dom, quick_config(iterations=2, strategy=strategy))
+        assert len(calls) == draws
+        assert len(hist.records) == 4 + 2
+
+
 class TestRun:
     def test_zero_iterations_keeps_initial_only(self):
         dom = DomainSpec(n=3, num_labels=1)

@@ -3,6 +3,7 @@ the table builder: brute-force enumeration with per-graph summaries, and
 networkx's graph atlas."""
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from graphbo.graphs import enumerate_domain, profile_table, sample_feasible
 from graphbo.solve import solve
 
 solve_module = importlib.import_module("graphbo.solve")
+graphs_module = importlib.import_module("graphbo.graphs")
 
 TWO_LABELS = DomainSpec(n=4, num_labels=2)
 
@@ -104,16 +106,48 @@ def test_branch_and_propagate_matches_enumerate(case, variant):
     branch = solve(model, domain, 1.0, strategy="branch_and_propagate")
     assert exact.status == branch.status == "Optimal"
     assert abs(branch.objective - exact.objective) <= 1e-6
+    assert branch.incumbent == exact.incumbent
+
+
+def _solve_both(domain, variant, points=10):
+    """Enumerate and B&P on ``points`` samples and targets from
+    ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    graphs = [sample_feasible(domain, rng) for _ in range(points)]
+    model = fit(graphs, rng.normal(size=points), variant, seed=0)
+    return (solve(model, domain, 1.0, strategy="enumerate"),
+            solve(model, domain, 1.0, strategy="branch_and_propagate"))
+
+
+def test_branch_and_propagate_breaks_ties_like_enumerate():
+    # two stars (centred on node 0 and on node 4) share the optimal profile;
+    # the search meets the larger sort key first, and a node whose bound
+    # equals it must still be searched for the smaller one
+    exact, branch = _solve_both(DomainSpec(n=5, n_min=2, num_labels=2),
+                                KernelVariant.ESP)
+    assert exact.status == branch.status == "Optimal"
+    assert branch.objective == exact.objective
+    assert branch.incumbent == exact.incumbent
+    assert branch.incumbent.edges() == [(0, 4), (1, 4), (2, 4), (3, 4)]
+
+
+def test_labeled_domain_branches_on_structure_only():
+    # n=5 with 2 labels: 728 connected structures with 32 labelings each;
+    # branching on feature bits bounded 46,734 nodes here
+    exact, branch = _solve_both(DomainSpec(n=5, num_labels=2), KernelVariant.SSP)
+    assert exact.status == branch.status == "Optimal"
+    assert branch.nodes_explored <= 2000
+    assert branch.objective == exact.objective
+    assert branch.incumbent == exact.incumbent
 
 
 def _row_major_bits(domain):
     """The earlier branch order: each existence (diagonal) bit row-major
     among the edge bits, so the size is fixed only at the last of them."""
     n = domain.n
-    bits = [("adj", u, v) for u in range(n) for v in range(n)
+    return [("adj", u, v) for u in range(n) for v in range(n)
             if (u == v and not domain.fixed_size)
             or (u != v and (domain.directed or u < v))]
-    return bits + [("feat", v, m) for v in range(n) for m in range(domain.num_features)]
 
 
 def test_existence_bits_first_bounds_fewer_nodes(monkeypatch):
@@ -132,6 +166,38 @@ def test_existence_bits_first_bounds_fewer_nodes(monkeypatch):
     assert abs(branch.objective - exact.objective) <= 1e-6
     assert branch.incumbent == row_major.incumbent
     assert branch.nodes_explored < row_major.nodes_explored
+
+
+@pytest.mark.parametrize("n,num_labels,num_features", [
+    (1, 1, 1), (4, 2, 2), (3, 2, 6), (4, 3, 5), (2, 1, 4)])
+def test_labelings_follow_the_feature_row_product(n, num_labels, num_features):
+    # the reference numbers every labeling through the sorted feature-row
+    # table; (3, 2, 6) spans 8 blocks and (4, 3, 5) splits its blocks inside
+    # a node's digits
+    domain = DomainSpec(n=n, num_labels=num_labels, num_features=num_features)
+    rows = graphs_module._feature_rows(domain)
+    expected = np.array(list(itertools.product(rows, repeat=n)), dtype=np.int8)
+    blocks = list(graphs_module._labelings(n, num_labels, num_features))
+    assert all(len(labels) <= graphs_module.BLOCK for labels, _ in blocks)
+    features = np.concatenate([f for _, f in blocks])
+    labels = np.concatenate([lab for lab, _ in blocks])
+    assert np.array_equal(features, expected)
+    assert np.array_equal(labels, expected[:, :, :num_labels].argmax(axis=2))
+
+
+def test_wide_labelings_come_block_by_block():
+    # 2**87 labelings: the first block is the start of the product order,
+    # drawn without numbering the labelings or listing the feature rows;
+    # in that order only the last 12 feature bits of node 2 vary within it
+    blocks = graphs_module._labelings(3, 1, 30)
+    labels, features = next(blocks)
+    assert features.shape == (graphs_module.BLOCK, 3, 30)
+    assert not labels.any()
+    first = np.zeros((graphs_module.BLOCK, 3, 30), dtype=np.int8)
+    first[:, :, 0] = 1
+    first[:, 2, -12:] = list(itertools.product((0, 1), repeat=12))
+    assert np.array_equal(features, first)
+    assert next(blocks)[1][0, 2, -13] == 1  # the next block carries one digit
 
 
 def _cut_after(polls_allowed):

@@ -4,6 +4,7 @@ agreement of both strategies."""
 import importlib
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -144,11 +145,18 @@ def reference_bound(pa, model, beta_sqrt):
     return mu_lo - beta_sqrt * sigma_hi
 
 
+def structural_bits(dom):
+    """The branched adjacency bits followed by every feature bit, which the
+    search no longer branches but partial assignments may still fix."""
+    return branch_bits(dom) + [("feat", v, m) for v in range(dom.n)
+                               for m in range(dom.num_features)]
+
+
 def random_partial(rng, dom, fixed_share):
     """Each structural bit (and, in bounded mode, each existence bit) fixed
     to a random value with probability ``fixed_share``."""
     pa = PartialAssignment.empty(dom)
-    for kind, a, b in branch_bits(dom):
+    for kind, a, b in structural_bits(dom):
         if rng.random() < fixed_share:
             value = int(rng.integers(0, 2))
             if kind == "adj":
@@ -320,7 +328,7 @@ class TestDualBound:
         dom = DomainSpec(n=4, num_labels=2)
         model = fitted_model(rng, dom)
         candidates = list(enumerate_domain(dom))
-        bits = branch_bits(dom)
+        bits = structural_bits(dom)
         for _ in range(15):
             pa = PartialAssignment.empty(dom)
             chosen = rng.permutation(len(bits))[: int(rng.integers(1, 8))]
@@ -371,7 +379,7 @@ class TestDualBound:
     def test_monotone_along_random_paths(self, rng):
         dom = DomainSpec(n=4, num_labels=2)
         model = fitted_model(rng, dom)
-        bits = branch_bits(dom)
+        bits = structural_bits(dom)
         for _ in range(10):
             pa = PartialAssignment.empty(dom)
             previous = dual_bound(pa, model, 1.0)
@@ -452,6 +460,21 @@ class TestSolve:
         first = next(g for g, v in zip(candidates, values) if v == best)
         assert result.incumbent == first
 
+    @pytest.mark.parametrize("dom", [DomainSpec(n=3, num_labels=1),
+                                     DomainSpec(n=4, n_min=2, num_labels=2)],
+                             ids=["n3", "bounded_2_4_labels"])
+    def test_branch_and_propagate_lexicographic_tie_break(self, dom):
+        # zero targets and beta 0: every graph and every node bound is
+        # exactly 0, so the first incumbent found (the complete graph) ties
+        # every node, and the smallest graph lies in a later structure and
+        # labeling
+        points = [sample_feasible(dom, s) for s in range(3)]
+        model = GpModel.build(points, np.zeros(3), KernelVariant.SSP,
+                              KernelHyperparams(alpha=1.0, beta=1.0))
+        result = solve(model, dom, 0.0, strategy="branch_and_propagate")
+        assert result.status == "Optimal"
+        assert result.incumbent == next(enumerate_domain(dom))
+
     def test_budget_exhaustion_reports_honest_status(self, rng):
         dom = DomainSpec(n=4, num_labels=2)
         model = fitted_model(rng, dom)
@@ -462,6 +485,21 @@ class TestSolve:
         assert result.bound <= exact.objective + 1e-9
         if result.objective is not None:
             assert result.objective >= exact.objective - 1e-9
+
+    def test_wide_feature_domain_honours_the_budget(self, rng):
+        # 2**87 labelings per structure: the search polls its budget between
+        # blocks of labelings instead of scoring them all
+        wide = DomainSpec(n=3, num_labels=1, num_features=30)
+        model = fitted_model(rng, wide)
+        start = time.monotonic()
+        result = solve(model, wide, 1.0, strategy="branch_and_propagate",
+                       budget=0.5)
+        assert time.monotonic() - start < 5.0
+        assert result.status in ("FeasibleTimeLimit", "BudgetExhausted")
+        assert result.bound <= (math.inf if result.objective is None
+                                else result.objective)
+        if result.incumbent is not None:
+            assert result.objective == lcb(model, result.incumbent, 1.0)
 
     def test_enumerate_budget_covers_cold_build(self, rng):
         dom = DomainSpec(n=4, num_labels=2)
@@ -541,7 +579,8 @@ class TestSolve:
             return value
 
         monkeypatch.setattr(context, "bound", fresh_bound)
-        for dom in (DomainSpec(n=4, num_labels=2), DomainSpec(n=4, n_min=2, num_labels=2)):
+        for dom in (DomainSpec(n=4, num_labels=2), DomainSpec(n=4, n_min=2, num_labels=2),
+                    DomainSpec(n=5, num_labels=1)):
             model = fitted_model(rng, dom)
             solve(model, dom, 1.0, strategy="branch_and_propagate")
         assert checked > 500
