@@ -40,14 +40,12 @@ from .encode import (
 )
 from .modelio import export_model, read_lp, read_mps
 from .solve import (
-    PRUNED,
     PartialAssignment,
     SolveResult,
     SolveStrategy,
     check_feasible,
     count_feasible,
     dual_bound,
-    propagate_leaf,
     solve,
 )
 from .bo import (

@@ -42,16 +42,31 @@ FIT_RESTARTS = 8
 
 def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
     """Lower Cholesky factor of (matrix + noise_var I), retrying once with
-    added jitter before giving up."""
+    added jitter before giving up.
+
+    Non-finite entries raise ValueError. This is the one finiteness check
+    on the factor: the solves against it skip scipy's own.
+    """
     k = matrix + noise_var * np.eye(matrix.shape[0])
+    if not np.isfinite(k).all():
+        raise ValueError("matrix to factorize must not contain infs or NaNs")
     try:
-        return sla.cholesky(k, lower=True)
+        return sla.cholesky(k, lower=True, check_finite=False)
     except sla.LinAlgError:
         pass
     try:
-        return sla.cholesky(k + JITTER * np.eye(matrix.shape[0]), lower=True)
+        return sla.cholesky(k + JITTER * np.eye(matrix.shape[0]), lower=True,
+                            check_finite=False)
     except sla.LinAlgError as exc:
         raise FactorizationError("Gram factorization failed with jitter") from exc
+
+
+def _targets(y) -> np.ndarray:
+    """Targets as floats; non-finite ones raise ValueError."""
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("targets must not contain infs or NaNs")
+    return y
 
 
 @dataclass(frozen=True)
@@ -94,7 +109,8 @@ class GramBuilder:
         except FactorizationError:
             return 1e25, np.zeros(len(theta))
         value, a = _lml_terms(chol, y)
-        w = np.outer(a, a) - sla.cho_solve((chol, True), np.eye(len(y)))
+        w = np.outer(a, a) - sla.cho_solve((chol, True), np.eye(len(y)),
+                                            check_finite=False)
         grad_graph = -0.5 * np.vdot(w, graph)
         grad = [grad_graph, -0.5 * np.vdot(w, feature)]
         if self.variant.exponential:
@@ -105,7 +121,7 @@ class GramBuilder:
 def _lml_terms(chol: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Log marginal likelihood from the Cholesky factor of K + noise I, and
     the weights a = (K + noise I)^-1 y it solves for."""
-    a = sla.cho_solve((chol, True), y)
+    a = sla.cho_solve((chol, True), y, check_finite=False)
     t = len(y)
     value = float(
         -0.5 * np.dot(y, a)
@@ -120,7 +136,7 @@ def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
                             noise_var: float = NOISE_VAR) -> float:
     """Gaussian log evidence of y under the combined kernel."""
     variant = KernelVariant(variant)
-    y = np.asarray(y, dtype=float)
+    y = _targets(y)
     if len(points) != len(y) or len(y) < 1:
         raise ValueError("need one target per point and at least one point")
     chol = factorize(gram(points, variant, hyper), noise_var)
@@ -153,7 +169,7 @@ class GpModel:
     def build(points: Sequence[AttributedGraph], y, variant: KernelVariant,
               hyper: KernelHyperparams, noise_var: float = NOISE_VAR) -> "GpModel":
         """Assemble a model at given hyperparameters (no fitting)."""
-        y = np.asarray(y, dtype=float)
+        y = _targets(y)
         points = tuple(points)
         if len(points) != len(y):
             raise ValueError("need one target per point")
@@ -161,14 +177,15 @@ class GpModel:
             return GpModel(points, y, variant, hyper, noise_var, None, np.zeros(0), None)
         profile = StackedSummaries.build(points)
         chol = factorize(cross_gram(profile, profile, variant, hyper), noise_var)
-        weights = sla.cho_solve((chol, True), y)
+        weights = sla.cho_solve((chol, True), y, check_finite=False)
         return GpModel(points, y, variant, hyper, noise_var, chol, weights, profile)
 
     def inverse_factor(self) -> np.ndarray:
         """L^-1 for the lower Cholesky factor of (K + noise I)."""
         if self.chol is None:
             raise UnfittedModelError("empty model has no covariance factor")
-        return sla.solve_triangular(self.chol, np.eye(self.size), lower=True)
+        return sla.solve_triangular(self.chol, np.eye(self.size), lower=True,
+                                    check_finite=False)
 
     def precision(self) -> np.ndarray:
         """(K + noise I)^-1 reconstructed from the Cholesky factor."""
@@ -225,7 +242,7 @@ def predict(model: GpModel, points: StackedSummaries) -> tuple[np.ndarray, np.nd
     if model.size == 0:
         return np.zeros(len(kxx)), kxx
     kx = cross_gram(points, model.profile, model.variant, model.hyper)
-    v = sla.solve_triangular(model.chol, kx.T, lower=True)
+    v = sla.solve_triangular(model.chol, kx.T, lower=True, check_finite=False)
     return kx @ model.weights, np.clip(kxx - np.sum(v * v, axis=0), 0.0, kxx)
 
 
@@ -265,7 +282,7 @@ def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
     ``variant`` may be a KernelVariant or its string value.
     """
     variant = KernelVariant(variant)
-    y = np.asarray(y, dtype=float)
+    y = _targets(y)
     points = tuple(points)
     if len(points) < 2:
         raise ValueError("fitting needs at least two points")

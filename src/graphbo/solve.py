@@ -12,9 +12,13 @@ branched: once the structural bits are fixed they are uniquely determined.
 Partial assignments are pruned with interval-arithmetic lower bounds on the
 acquisition value, read from per-training-point range-min/max tables of the
 count profile. Label bits that one-hot labels force are set by propagation,
-which tightens the bound, and distances are recomputed only when an
-adjacency bit changes. Both strategies break objective ties toward the
-smallest ``graph_sort_key``.
+which tightens the bound. Once the existence bits are fixed, the nodes
+below differ only in their edge bits, so a node whose whole subtree fits
+the ``graphs.BLOCK`` element budget computes the distance intervals, the
+edge-dependent quick checks and the kernel boxes of every node of that
+subtree in one batch; the walk over the batch visits, counts, prunes and
+polls the budget exactly as a node-by-node search would. Both strategies
+break objective ties toward the smallest ``graph_sort_key``.
 
 Also hosts the exact feasibility checker and the exhaustive feasible-point
 counter used to verify that the structural constraint system is in bijection
@@ -34,9 +38,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .encode import ConstraintBlock, SizeSpec, _size_bounds, check_acquisition_inputs
-from .errors import GraphBoError, MissingVariableError, SpaceTooLargeError
+from .errors import MissingVariableError, SpaceTooLargeError
 from .gp import GpModel, lcb as gp_lcb, predict
 from .graphs import (  # noqa: F401  enumerate_domain is re-exported
+    BLOCK,
     AttributedGraph,
     DomainSpec,
     ProfileTable,
@@ -60,16 +65,6 @@ COUNT_CAP = 1 << 24
 class SolveStrategy(str, enum.Enum):
     ENUMERATE = "enumerate"
     BRANCH_AND_PROPAGATE = "branch_and_propagate"
-
-
-class _PrunedType:
-    """Sentinel for leaves cut off by feasibility checks."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Pruned"
-
-
-PRUNED = _PrunedType()
 
 
 @dataclass(frozen=True)
@@ -286,10 +281,6 @@ class PartialAssignment:
     def set_feat(self, v: int, m: int, value: int) -> None:
         self.feat[v, m] = value
 
-    @property
-    def complete(self) -> bool:
-        return not (self.adj == -1).any() and not (self.feat == -1).any()
-
     def diag_fixed(self) -> bool:
         return not (np.diag(self.adj) == -1).any()
 
@@ -337,17 +328,16 @@ def _propagate_labels(pa: PartialAssignment) -> np.ndarray:
     return mask
 
 
-def _quick_infeasible(pa: PartialAssignment, intervals=None) -> bool:
-    """Cheap conservative pruning checks; never cuts a feasible completion.
-
-    ``intervals`` are the node's distance intervals (``_distance_intervals``)
-    once its diagonal is fixed; their optimistic distances then decide
-    connectivity.
-    """
+def _fixed_infeasible(pa: PartialAssignment) -> bool:
+    """The quick checks that read no edge bit: monotone existence, the
+    minimum node count, features of surely-absent nodes, one-hot labels of
+    surely-present nodes and the label-count interval. Edge bits are
+    branched after the existence bits and never change a feature bit, so
+    every node of an edge-phase subtree shares their outcome."""
     domain = pa.domain
     n, L = domain.n, domain.num_labels
-    adj, feat = pa.adj, pa.feat
-    diag = np.diag(adj)
+    feat = pa.feat
+    diag = np.diag(pa.adj)
     absent = diag == 0
     if not domain.fixed_size:
         # monotone existence and the minimum node count
@@ -355,26 +345,14 @@ def _quick_infeasible(pa: PartialAssignment, intervals=None) -> bool:
             return True
         if int(absent.sum()) > n - domain.n_min:
             return True
-        # edges and features of surely-absent nodes must stay off
-        if ((adj[absent] == 1).any() or (adj[:, absent] == 1).any()
-                or (feat[absent] == 1).any()):
+        # features of surely-absent nodes must stay off
+        if (feat[absent] == 1).any():
             return True
     # one-hot labels of surely-present nodes
     labels = feat[:, :L]
     ones = (labels == 1).sum(axis=1)
     if np.any((diag == 1) & ((ones > 1) | (labels == 0).all(axis=1))):
         return True
-    # optimistic connectivity: treat unknowns as present
-    if intervals is not None:
-        if not np.isfinite(intervals[0]).all():
-            return True
-    else:
-        maybe = np.flatnonzero(diag != 0)
-        present = np.flatnonzero(diag[maybe] == 1)
-        if len(present):
-            sub = adj[np.ix_(maybe, maybe)] != 0
-            if not _covers(sub, present, domain.directed):
-                return True
     # label-count interval check
     if domain.label_count_bounds is not None:
         lo, hi = np.array(domain.label_count_bounds).T
@@ -382,14 +360,44 @@ def _quick_infeasible(pa: PartialAssignment, intervals=None) -> bool:
         open_ = (labels == -1) & ((diag != 0) & (ones == 0))[:, None]
         if np.any(sure > hi) or np.any(sure + open_.sum(axis=0) < lo):
             return True
-    # degree caps: committed in-edges vs the best possible cap
-    if domain.degree_caps is not None:
-        caps = np.array(domain.degree_caps)
-        committed = (adj == 1).sum(axis=0) - (diag == 1)
-        cap = np.where(ones > 0, caps[(labels == 1).argmax(axis=1)], caps.max())
-        if np.any(committed > cap):
-            return True
     return False
+
+
+def _edges_infeasible(pa: PartialAssignment, states: np.ndarray) -> np.ndarray:
+    """The quick checks that read edge bits, for each adjacency state of the
+    stack ``states`` (which share ``pa``'s diagonal and feature bits): edges
+    of surely-absent nodes, and committed in-edges over the best possible
+    degree cap."""
+    domain = pa.domain
+    diag = np.diag(pa.adj)
+    bad = np.zeros(len(states), dtype=bool)
+    if not domain.fixed_size:
+        absent = diag == 0
+        bad |= ((states[:, absent] == 1).any(axis=(1, 2))
+                | (states[:, :, absent] == 1).any(axis=(1, 2)))
+    if domain.degree_caps is not None:
+        labels = pa.feat[:, : domain.num_labels]
+        ones = (labels == 1).sum(axis=1)
+        caps = np.array(domain.degree_caps)
+        committed = (states == 1).sum(axis=1) - (diag == 1)
+        cap = np.where(ones > 0, caps[(labels == 1).argmax(axis=1)], caps.max())
+        bad |= (committed > cap).any(axis=1)
+    return bad
+
+
+def _quick_infeasible(pa: PartialAssignment) -> bool:
+    """Cheap conservative pruning checks for a node whose existence bits are
+    still open; never cuts a feasible completion."""
+    if _fixed_infeasible(pa) or _edges_infeasible(pa, pa.adj[None])[0]:
+        return True
+    # optimistic connectivity: treat unknowns as present
+    diag = np.diag(pa.adj)
+    maybe = np.flatnonzero(diag != 0)
+    present = np.flatnonzero(diag[maybe] == 1)
+    if not len(present):
+        return False
+    sub = pa.adj[np.ix_(maybe, maybe)] != 0
+    return not _covers(sub, present, pa.domain.directed)
 
 
 def _covers(sub: np.ndarray, present: np.ndarray, directed: bool) -> bool:
@@ -400,19 +408,35 @@ def _covers(sub: np.ndarray, present: np.ndarray, directed: bool) -> bool:
     return not directed or _reachable_from(sub.T, start)[present].all()
 
 
-def _distance_intervals(pa: PartialAssignment):
-    """Per ordered pair of existing nodes of ``pa``, whose diagonal is
-    fixed: the distance [lo, hi] over all completions.
+def _distance_intervals(states: np.ndarray, nodes: np.ndarray):
+    """Per adjacency state of the stack ``states`` and per ordered pair of
+    ``nodes`` (its existing nodes): the distance [lo, hi] over all
+    completions, each (states, nodes, nodes).
 
     ``lo`` counts unknown edges as present and is +inf where no completion
     joins the pair; ``hi`` counts only fixed edges and caps pairs no fixed
     path joins at (number of nodes - 1). Both come from one batched
     distance pass.
     """
-    nodes = np.flatnonzero(np.diag(pa.adj) == 1)
-    sub = pa.adj[np.ix_(nodes, nodes)]
+    sub = states[:, nodes[:, None], nodes]
     lo, hi = _all_pairs_distances(np.stack([sub != 0, sub == 1]))
     return lo, np.where(np.isfinite(hi), hi, len(nodes) - 1.0)
+
+
+def _subtree_states(adj: np.ndarray, bits, directed: bool) -> np.ndarray:
+    """``adj`` and every adjacency state below it when ``bits`` are branched
+    in order, 1 before 0, stacked in the search's preorder."""
+    if not bits:
+        return adj[None].copy()
+    _, a, b = bits[0]
+    below = _subtree_states(adj, bits[1:], directed)
+    half = len(below)
+    states = np.concatenate([adj[None], below, below])
+    states[1 : 1 + half, a, b] = 1
+    states[1 + half :, a, b] = 0
+    if not directed:
+        states[1:, b, a] = states[1:, a, b]
+    return states
 
 
 def _range_tables(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,82 +487,97 @@ class _BoundContext:
         counts = (profile.labeled_counts if self.variant.labeled
                   else profile.length_counts[:, :, None, None])
         self.range_min, self.range_max = _range_tables(counts)
+        # range-table entries read per node pair and adjacency state
+        self.cells = int(np.prod(self.range_min.shape[2:]))
         self.k_box_crude = kernel_range(self.variant, self.hyper)
 
-    def bound(self, pa: PartialAssignment, intervals=None) -> float:
-        """A lower bound on the LCB over every feasible completion.
+    def boxes(self, pa: PartialAssignment, lo: np.ndarray, hi: np.ndarray):
+        """Kernel boxes of a stack of adjacency states that share ``pa``'s
+        present nodes and feature bits, from their distance intervals
+        ``lo``/``hi`` (``_distance_intervals``).
 
-        ``intervals`` may pass the distance intervals already computed for
-        ``pa``'s adjacency state.
+        Returns k_lo and k_hi, (states, t), the linear self-kernel count
+        term per state and the self feature term; or None when the feature
+        bits leave a present node no label, which bounds every state by inf.
+        Every step is an integer sum or elementwise, so each state's values
+        equal those of a stack of one.
         """
-        if not pa.diag_fixed():
-            k_lo = np.full(self.t, self.k_box_crude[0])
-            k_hi = np.full(self.t, self.k_box_crude[1])
-            kxx_hi = self.k_box_crude[1]
+        nodes = np.flatnonzero(np.diag(pa.adj) == 1)
+        npx = len(nodes)
+        L, M = self.domain.num_labels, self.domain.num_features
+        feat = pa.feat[nodes]
+        labels = feat[:, :L]
+        ones = labels == 1
+        n_ones = ones.sum(axis=1)
+        # labels each node may still take: its fixed one, else its open
+        # ones; a node with none or with two fixed (which the search never
+        # reaches) leaves no label column possible
+        allowed = np.where((n_ones == 1)[:, None], ones, labels != 0)
+        labels_valid = bool((n_ones <= 1).all() and allowed.any(axis=1).all())
+        if self.variant.labeled:
+            if not labels_valid:
+                return None
+            pair_labels = (allowed[:, None, :, None]
+                           & allowed[None, :, None, :]).reshape(npx * npx, L, L)
         else:
-            nodes = np.flatnonzero(np.diag(pa.adj) == 1)
-            npx = len(nodes)
-            if not npx:
-                return math.inf
-            lo, hi = _distance_intervals(pa) if intervals is None else intervals
-            if not np.isfinite(lo).all():
-                return math.inf
-            L, M = self.domain.num_labels, self.domain.num_features
-            feat = pa.feat[nodes]
-            labels = feat[:, :L]
-            ones = labels == 1
-            n_ones = ones.sum(axis=1)
-            # labels each node may still take: its fixed one, else its open
-            # ones; a node with none or with two fixed (which the search
-            # never reaches) leaves no label column possible
-            allowed = np.where((n_ones == 1)[:, None], ones, labels != 0)
-            labels_valid = bool((n_ones <= 1).all() and allowed.any(axis=1).all())
-            if self.variant.labeled:
-                if not labels_valid:
-                    return math.inf
-                pair_labels = (allowed[:, None, :, None]
-                               & allowed[None, :, None, :]).reshape(npx * npx, L, L)
-            else:
-                pair_labels = np.ones((npx * npx, 1, 1), dtype=bool)
+            pair_labels = np.ones((npx * npx, 1, 1), dtype=bool)
 
-            s_hi = np.minimum(hi.ravel(), self.domain.n - 1).astype(np.intp)
-            s_lo = np.minimum(lo.ravel(), s_hi).astype(np.intp)
-            mask = pair_labels[:, None]
-            sums = np.stack([
-                np.where(mask, self.range_min[s_lo, s_hi], np.inf).min(axis=(2, 3)),
-                np.where(mask, self.range_max[s_lo, s_hi], -np.inf).max(axis=(2, 3)),
-            ]).sum(axis=1)
-            n_lo = ones.sum(axis=0).astype(float)
-            n_hi = allowed.sum(axis=0).astype(float) if labels_valid else np.zeros(L)
-            n_lo = np.concatenate([n_lo, (feat[:, L:] == 1).sum(axis=0)])
-            n_hi = np.concatenate([n_hi, (feat[:, L:] != 0).sum(axis=0)])
-            (g_lo, g_hi), (f_lo, f_hi) = _normalize(
-                sums, np.stack([n_lo, n_hi]) @ self.feature_tab.T, float(npx),
-                self.train_sizes, M)
+        rows = len(lo)
+        s_hi = np.minimum(hi.reshape(rows, -1), self.domain.n - 1).astype(np.intp)
+        s_lo = np.minimum(lo.reshape(rows, -1), s_hi).astype(np.intp)
+        mask = pair_labels[:, None]
+        sums = np.stack([
+            np.where(mask, self.range_min[s_lo, s_hi], np.inf).min(axis=(-2, -1)),
+            np.where(mask, self.range_max[s_lo, s_hi], -np.inf).max(axis=(-2, -1)),
+        ]).sum(axis=2)
+        n_lo = ones.sum(axis=0).astype(float)
+        n_hi = allowed.sum(axis=0).astype(float) if labels_valid else np.zeros(L)
+        n_lo = np.concatenate([n_lo, (feat[:, L:] == 1).sum(axis=0)])
+        n_hi = np.concatenate([n_hi, (feat[:, L:] != 0).sum(axis=0)])
+        (g_lo, g_hi), (f_lo, f_hi) = _normalize(
+            sums, np.stack([n_lo, n_hi]) @ self.feature_tab.T, float(npx),
+            self.train_sizes, M)
 
-            var = self.hyper.require_variance(self.variant)
-            if self.variant.exponential:
-                k_lo = self.hyper.alpha * np.exp(g_lo) / var + self.hyper.beta * f_lo
-                k_hi = self.hyper.alpha * np.exp(g_hi) / var + self.hyper.beta * f_hi
-            else:
-                k_lo = self.hyper.alpha * g_lo + self.hyper.beta * f_lo
-                k_hi = self.hyper.alpha * g_hi + self.hyper.beta * f_hi
+        var = self.hyper.require_variance(self.variant)
+        if self.variant.exponential:
+            k_lo = self.hyper.alpha * np.exp(g_lo) / var + self.hyper.beta * f_lo
+            k_hi = self.hyper.alpha * np.exp(g_hi) / var + self.hyper.beta * f_hi
+        else:
+            k_lo = self.hyper.alpha * g_lo + self.hyper.beta * f_lo
+            k_hi = self.hyper.alpha * g_hi + self.hyper.beta * f_hi
 
-            # the self kernel is largest when every pair may sit at every
-            # length and label pair its intervals allow
-            lengths = np.arange(self.domain.n)
-            covers = (s_lo[:, None] <= lengths) & (lengths <= s_hi[:, None])
-            self_counts = covers.T.astype(float) @ pair_labels.reshape(npx * npx, -1)
-            self_lin, self_feat = _normalize(float(np.sum(self_counts ** 2)),
-                                             float(np.dot(n_hi, n_hi)),
-                                             float(npx), float(npx), M)
-            self_lin_hi = min(1.0, self_lin)
-            if self.variant.exponential:
-                self_graph_hi = math.exp(self_lin_hi) / var
-            else:
-                self_graph_hi = self_lin_hi
-            kxx_hi = self.hyper.alpha * self_graph_hi + self.hyper.beta * min(1.0, self_feat)
+        # the self kernel is largest when every pair may sit at every
+        # length and label pair its intervals allow
+        lengths = np.arange(self.domain.n)
+        covers = (s_lo[..., None] <= lengths) & (lengths <= s_hi[..., None])
+        self_counts = (np.swapaxes(covers, 1, 2).astype(float)
+                       @ pair_labels.reshape(npx * npx, -1))
+        self_lin, self_feat = _normalize(np.sum(self_counts ** 2, axis=(1, 2)),
+                                         float(np.dot(n_hi, n_hi)),
+                                         float(npx), float(npx), M)
+        return k_lo, k_hi, self_lin, self_feat
 
+    def row_bound(self, boxes, row: int) -> float:
+        """The bound of state ``row`` of a ``boxes`` stack.
+
+        The O(t^2) tail runs per state, in 1-D expressions: a batched matmul
+        or ``np.exp`` rounds it differently in the last ulp, which could
+        flip a tie.
+        """
+        if boxes is None:
+            return math.inf
+        k_lo, k_hi, self_lin, self_feat = boxes
+        hyper = self.hyper
+        self_lin_hi = min(1.0, self_lin[row])
+        if self.variant.exponential:
+            self_graph_hi = math.exp(self_lin_hi) / hyper.require_variance(self.variant)
+        else:
+            self_graph_hi = self_lin_hi
+        kxx_hi = hyper.alpha * self_graph_hi + hyper.beta * min(1.0, self_feat)
+        return self._tail(k_lo[row], k_hi[row], kxx_hi)
+
+    def _tail(self, k_lo: np.ndarray, k_hi: np.ndarray, kxx_hi: float) -> float:
+        """mu_lo - beta_sqrt * sigma_hi over the kernel box [k_lo, k_hi]."""
         mu_lo = float(self.w_pos @ k_lo + self.w_neg @ k_hi)
         z_lo = self.ct_pos @ k_lo + self.ct_neg @ k_hi
         z_hi = self.ct_pos @ k_hi + self.ct_neg @ k_lo
@@ -548,6 +587,21 @@ class _BoundContext:
         sigma_hi = math.sqrt(max(kxx_hi - q_lo, 0.0))
         return mu_lo - self.beta_sqrt * sigma_hi
 
+    def bound(self, pa: PartialAssignment) -> float:
+        """A lower bound on the LCB over every feasible completion: the
+        crude kernel box while the diagonal is open, else the batched bound
+        applied to a stack of one."""
+        if not pa.diag_fixed():
+            k_lo, k_hi = self.k_box_crude
+            return self._tail(np.full(self.t, k_lo), np.full(self.t, k_hi), k_hi)
+        nodes = np.flatnonzero(np.diag(pa.adj) == 1)
+        if not len(nodes):
+            return math.inf
+        lo, hi = _distance_intervals(pa.adj[None], nodes)
+        if not np.isfinite(lo).all():
+            return math.inf
+        return self.row_bound(self.boxes(pa, lo, hi), 0)
+
 
 def dual_bound(partial: PartialAssignment, gp_model: GpModel,
                beta_sqrt: float) -> float:
@@ -556,46 +610,42 @@ def dual_bound(partial: PartialAssignment, gp_model: GpModel,
     ctx = _BoundContext(gp_model, beta_sqrt, partial.domain)
     return ctx.bound(partial)
 
-def _leaf_graph(adjacency_bits: np.ndarray, feature_bits: np.ndarray,
-                domain: DomainSpec) -> AttributedGraph | _PrunedType:
-    adjacency = np.asarray(adjacency_bits, dtype=np.int8)
-    features = np.asarray(feature_bits, dtype=np.int8)
-    n = domain.n
-    diag = np.diag(adjacency)
-    size = int(diag.sum())
-    if size < domain.n_min:
-        return PRUNED
-    if any(diag[v] == 0 and diag[v + 1] == 1 for v in range(n - 1)):
-        return PRUNED
-    for v in range(n):
-        if diag[v] == 0:
-            if adjacency[v, :].sum() or adjacency[:, v].sum() or features[v, :].sum():
-                return PRUNED
-    live = slice(0, size)
-    sub_adj = adjacency[live, live].copy()
-    np.fill_diagonal(sub_adj, 0)
-    try:
-        graph = build_graph(sub_adj, features[live, :], domain.directed,
-                            domain.num_labels)
-    except GraphBoError:
-        return PRUNED
-    if not domain_feasible(domain, graph):
-        return PRUNED
-    return graph
 
+@dataclass(frozen=True)
+class _EdgeSubtree:
+    """An edge-phase node and the nodes below it, in the search's preorder,
+    with everything the search reads of them computed in one batch.
 
-def propagate_leaf(adjacency_bits: np.ndarray, feature_bits: np.ndarray,
-                   gp_model: GpModel, beta_sqrt: float, domain: DomainSpec):
-    """Exact LCB of a fully assigned structural point, or PRUNED.
-
-    ``adjacency_bits`` includes the diagonal existence bits in bounded-size
-    mode; the realized graph is the existing-node prefix. The value equals
-    the GP confidence bound at the realized graph exactly.
+    Row 0 is the node itself; a row at depth d < ``end`` has its 1-child at
+    row + 1 and its 0-child at row + 2**(end - d). Every row shares the
+    node's present nodes and feature bits; only edge bits differ.
     """
-    graph = _leaf_graph(adjacency_bits, feature_bits, domain)
-    if graph is PRUNED:
-        return PRUNED
-    return gp_lcb(gp_model, graph, beta_sqrt)
+
+    ctx: _BoundContext
+    end: int
+    infeasible: np.ndarray  # per row: connectivity and the other edge checks
+    dist: np.ndarray  # per row: lower distance intervals, exact at leaves
+    boxes: tuple | None  # ctx.boxes of the rows; None bounds every row by inf
+
+    def bound(self, row: int) -> float:
+        return self.ctx.row_bound(self.boxes, row)
+
+
+def _edge_subtree(ctx: _BoundContext, pa: PartialAssignment, depth: int,
+                  bits: list) -> _EdgeSubtree:
+    """The node at ``pa``, whose diagonal is fixed, batched with its whole
+    subtree when the subtree's rows x present-node pairs x range-table cells
+    fit the ``BLOCK`` element budget, else alone."""
+    nodes = np.flatnonzero(np.diag(pa.adj) == 1)
+    levels = len(bits) - depth
+    if (2 ** (levels + 1) - 1) * len(nodes) ** 2 * ctx.cells > BLOCK:
+        levels = 0
+    states = _subtree_states(pa.adj, bits[depth : depth + levels], pa.domain.directed)
+    lo, hi = _distance_intervals(states, nodes)
+    infeasible = ~np.isfinite(lo).all(axis=(1, 2)) | _edges_infeasible(pa, states)
+    # below an infeasible node the search reads no row
+    boxes = None if infeasible[0] else ctx.boxes(pa, lo, hi)
+    return _EdgeSubtree(ctx, depth + levels, infeasible, lo, boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -725,18 +775,27 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         if _improves(value, key, incumbent_obj, incumbent_key):
             incumbent, incumbent_obj, incumbent_key = graph, value, key
 
-    def search(depth: int, intervals) -> None:
+    def search(depth: int, subtree: _EdgeSubtree | None, row: int) -> None:
         """Bound the node at ``pa`` and branch on its next adjacency bit, or
         score its structure once every adjacency bit is fixed.
 
-        ``intervals`` are the distance intervals of the node's adjacency
-        state once its diagonal is fixed.
+        Once the node's diagonal is fixed it is row ``row`` of ``subtree``:
+        the batch of the nearest node on its path whose whole subtree fits
+        the ``BLOCK`` budget, or a stack of the node alone
+        (``_edge_subtree``).
         """
         nonlocal nodes, timed_out
-        if _quick_infeasible(pa, intervals):
+        if subtree is None and pa.diag_fixed():
+            if _fixed_infeasible(pa):
+                return
+            subtree, row = _edge_subtree(ctx, pa, depth, bits), 0
+        if subtree is None:
+            if _quick_infeasible(pa):
+                return
+        elif subtree.infeasible[row]:
             return
         nodes += 1
-        node_bound = ctx.bound(pa, intervals)
+        node_bound = ctx.bound(pa) if subtree is None else subtree.bound(row)
         if log_interval and nodes % log_interval == 0:
             logger.info("node=%d depth=%d bound=%g incumbent=%s", nodes, depth,
                         node_bound,
@@ -746,7 +805,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         if node_bound > incumbent_obj or node_bound == math.inf:
             return
         if depth == len(bits):
-            score_structure(node_bound, intervals[0])
+            score_structure(node_bound, subtree.dist[row])
             return
         if timed_out or out_of_time():
             timed_out = True
@@ -756,7 +815,11 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         for value in (1, 0):
             pa.set_adj(a, b, value)
             forced = _propagate_labels(pa) if a == b else None
-            search(depth + 1, _distance_intervals(pa) if pa.diag_fixed() else None)
+            if subtree is not None and depth < subtree.end:
+                search(depth + 1, subtree,
+                       row + 1 if value else row + 2 ** (subtree.end - depth))
+            else:
+                search(depth + 1, None, 0)
             pa.set_adj(a, b, -1)
             if forced is not None:
                 pa.feat[forced] = -1
@@ -765,7 +828,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
                 return
 
     _propagate_labels(pa)
-    search(0, _distance_intervals(pa) if pa.diag_fixed() else None)
+    search(0, None, 0)
     elapsed = time.monotonic() - start
 
     if incumbent is None:
@@ -811,7 +874,11 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     labelings are scored by ``gp.predict``, one call per block of labelings,
     and the first argmin is built and re-scored through ``gp.lcb``. Label
     bits that one-hot labels force are set by propagation to tighten the
-    bound. ``nodes_explored`` counts the nodes whose bound was computed. A
+    bound. Below the existence bits, each subtree that fits the
+    ``graphs.BLOCK`` element budget is bounded in one batch; the nodes
+    bounded, their values, the tie-breaks and the budget polls are those of
+    a node-by-node search. ``nodes_explored`` counts the nodes whose bound
+    was computed. A
     node is pruned only when its bound exceeds the incumbent, so ties break
     toward the smallest ``graph_sort_key`` as in ``enumerate``. The budget is
     polled at every branching node and before each block of labelings; a

@@ -344,6 +344,25 @@ class TestFactorization:
         assert np.allclose(k @ model.weights, y, atol=1e-8)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_raises(self, rng, bad):
+        # the factorization checks finiteness once; the solves against the
+        # factor skip scipy's checks, so targets are checked on entry
+        points = distinct_profile_graphs(rng, 3)
+        hyper = KernelHyperparams(alpha=1.0, beta=1.0)
+        k = gram(points, KernelVariant.SSP, hyper)
+        k[0, 1] = k[1, 0] = bad
+        with pytest.raises(ValueError):
+            factorize(k, NOISE)
+        y = [0.5, bad, -0.5]
+        with pytest.raises(ValueError):
+            GpModel.build(points, y, KernelVariant.SSP, hyper)
+        with pytest.raises(ValueError):
+            log_marginal_likelihood(points, y, KernelVariant.SSP, hyper)
+        with pytest.raises(ValueError):
+            fit(points, y, KernelVariant.SSP, seed=0, restarts=1)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path, rng):
         points = distinct_profile_graphs(rng, 4)

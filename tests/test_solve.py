@@ -14,15 +14,23 @@ from graphbo import DomainSpec, KernelHyperparams, KernelVariant, LinearRow
 from graphbo.encode import canonical_structural_assignment, encode_shortest_paths
 from graphbo.errors import (
     DimensionMismatchError,
+    DisconnectedError,
     IncompatibleDomainError,
     MissingVariableError,
     SpaceTooLargeError,
     UnfittedModelError,
 )
-from graphbo.gp import GpModel, fit, lcb
-from graphbo.graphs import enumerate_domain, sample_feasible
+from graphbo.gp import GpModel, fit, lcb, predict
+from graphbo.graphs import (
+    build_graph,
+    domain_feasible,
+    enumerate_domain,
+    is_connected,
+    sample_feasible,
+    structure_profiles,
+)
+from graphbo.kernels import k_combined
 from graphbo.solve import (
-    PRUNED,
     PartialAssignment,
     SolveStrategy,
     branch_bits,
@@ -30,7 +38,6 @@ from graphbo.solve import (
     count_feasible,
     dual_bound,
     graph_sort_key,
-    propagate_leaf,
     solve,
 )
 
@@ -145,6 +152,111 @@ def reference_bound(pa, model, beta_sqrt):
     return mu_lo - beta_sqrt * sigma_hi
 
 
+def reference_quick_infeasible(pa):
+    """The search's cheap pruning checks written out check by check."""
+    dom = pa.domain
+    n, L = dom.n, dom.num_labels
+    diag = [int(pa.adj[v, v]) for v in range(n)]
+    if not dom.fixed_size:
+        if any(diag[v] == 0 and diag[v + 1] == 1 for v in range(n - 1)):
+            return True
+        if diag.count(0) > n - dom.n_min:
+            return True
+        for v in range(n):
+            if diag[v] == 0 and (any(pa.adj[v, u] == 1 or pa.adj[u, v] == 1
+                                     for u in range(n))
+                                 or any(pa.feat[v] == 1)):
+                return True
+    ones = [sum(pa.feat[v, label] == 1 for label in range(L)) for v in range(n)]
+    for v in range(n):
+        if diag[v] == 1 and (ones[v] > 1 or all(pa.feat[v, :L] == 0)):
+            return True
+    # connectivity with every open node and edge present
+    maybe = [v for v in range(n) if diag[v] != 0]
+    present = [i for i, v in enumerate(maybe) if diag[v] == 1]
+    if present:
+        reach = bfs_distances(pa.adj[np.ix_(maybe, maybe)] != 0, dom.directed)
+        if any(reach[a, b] < 0 for a in present for b in present):
+            return True
+    if dom.label_count_bounds is not None:
+        for label, (lo, hi) in enumerate(dom.label_count_bounds):
+            sure = sum(pa.feat[v, label] == 1 for v in range(n))
+            open_ = sum(pa.feat[v, label] == -1 and diag[v] != 0 and ones[v] == 0
+                        for v in range(n))
+            if sure > hi or sure + open_ < lo:
+                return True
+    if dom.degree_caps is not None:
+        for v in range(n):
+            committed = sum(pa.adj[u, v] == 1 for u in range(n) if u != v)
+            labelled = [label for label in range(L) if pa.feat[v, label] == 1]
+            cap = dom.degree_caps[labelled[0]] if labelled else max(dom.degree_caps)
+            if committed > cap:
+                return True
+    return False
+
+
+def reference_search(model, dom, beta_sqrt):
+    """Branch-and-propagate written out node by node, without batching: the
+    quick checks, then a fresh ``dual_bound`` per node; each structure's
+    labelings are scored as the solver scores them. Returns the status,
+    nodes bounded, objective, bound and incumbent of a search that runs to
+    completion."""
+    bits = branch_bits(dom)
+    pa = PartialAssignment.empty(dom)
+    best = {"graph": None, "value": math.inf, "key": None}
+    nodes = 0
+
+    def score():
+        size = int(np.diag(pa.adj).sum())
+        adjacency = pa.adj[:size, :size].copy()
+        np.fill_diagonal(adjacency, 0)
+        dist = bfs_distances(adjacency, dom.directed).astype(np.int64)
+        best_value, best_features = math.inf, None
+        for profiles, features in structure_profiles(dom, adjacency, dist):
+            if not len(features):
+                continue
+            mu, var = predict(model, profiles)
+            values = mu - beta_sqrt * np.sqrt(var)
+            i = int(np.argmin(values))
+            if values[i] < best_value:
+                best_value, best_features = values[i], features[i]
+        if best_features is None:
+            return
+        graph = build_graph(adjacency, best_features, dom.directed, dom.num_labels)
+        if not domain_feasible(dom, graph):
+            return
+        value, key = lcb(model, graph, beta_sqrt), graph_sort_key(graph)
+        if value < best["value"] or (value == best["value"]
+                                     and (best["key"] is None or key < best["key"])):
+            best.update(graph=graph, value=value, key=key)
+
+    def visit(depth):
+        nonlocal nodes
+        if reference_quick_infeasible(pa):
+            return
+        nodes += 1
+        bound = dual_bound(pa, model, beta_sqrt)
+        if bound > best["value"] or bound == math.inf:
+            return
+        if depth == len(bits):
+            score()
+            return
+        _, a, b = bits[depth]
+        for value in (1, 0):
+            pa.set_adj(a, b, value)
+            forced = solve_module._propagate_labels(pa) if a == b else None
+            visit(depth + 1)
+            pa.set_adj(a, b, -1)
+            if forced is not None:
+                pa.feat[forced] = -1
+
+    solve_module._propagate_labels(pa)
+    visit(0)
+    if best["graph"] is None:
+        return "Infeasible", nodes, None, math.inf, None
+    return "Optimal", nodes, best["value"], best["value"], best["graph"]
+
+
 def structural_bits(dom):
     """The branched adjacency bits followed by every feature bit, which the
     search no longer branches but partial assignments may still fix."""
@@ -248,29 +360,46 @@ class TestCountFeasible:
 
 
 class TestPropagateLeaf:
+    """Structure leaves: the search quotes a leaf at ``gp.lcb``'s value and
+    never offers a graph that ``domain_feasible`` rejects."""
+
     def test_matches_gp_lcb(self, rng):
         dom = DomainSpec(n=3, num_labels=2)
         model = fitted_model(rng, dom)
-        g = sample_feasible(dom, 5)
-        value = propagate_leaf(g.adjacency + np.eye(3, dtype=int), g.features,
-                               model, 1.0, dom)
-        assert value == lcb(model, g, 1.0)
+        result = solve(model, dom, 1.0, strategy="branch_and_propagate")
+        assert result.objective == lcb(model, result.incumbent, 1.0)
 
     def test_single_training_point_example(self):
+        # one training point: mu = k y / (k + s2), var = k s2 / (k + s2)
         k2 = complete_graph(2)
-        model = GpModel.build([k2], [2.0], KernelVariant.SSP,
-                              KernelHyperparams(alpha=1.0, beta=0.0))
+        hyper = KernelHyperparams(alpha=1.0, beta=0.0)
+        model = GpModel.build([k2], [2.0], KernelVariant.SSP, hyper)
+        k = k_combined(k2, k2, KernelVariant.SSP, hyper)
+        s2 = model.noise_var
+        closed = 2.0 * k / (k + s2) - math.sqrt(k * s2 / (k + s2))
+        assert abs(lcb(model, k2, 1.0) - closed) < 1e-10
         dom = DomainSpec(n=2, num_labels=1)
-        value = propagate_leaf(np.array([[1, 1], [1, 1]]), k2.features, model,
-                               1.0, dom)
-        assert abs(value - lcb(model, k2, 1.0)) < 1e-10
+        result = solve(model, dom, 1.0, strategy="branch_and_propagate")
+        assert result.incumbent == k2
+        assert result.objective == lcb(model, k2, 1.0)
 
-    def test_disconnected_pruned(self, rng):
+    def test_disconnected_pruned(self, rng, monkeypatch):
+        # no disconnected structure reaches the labeling scorer
         dom = DomainSpec(n=3, num_labels=1)
         model = fitted_model(rng, dom)
-        adjacency = np.eye(3, dtype=int)
-        features = np.ones((3, 1), dtype=int)
-        assert propagate_leaf(adjacency, features, model, 1.0, dom) is PRUNED
+        scored = []
+
+        def recording(domain, adjacency, dist):
+            scored.append(adjacency.copy())
+            return structure_profiles(domain, adjacency, dist)
+
+        monkeypatch.setattr(solve_module, "structure_profiles", recording)
+        with pytest.raises(DisconnectedError):
+            build_graph(np.zeros((3, 3), dtype=int), np.ones((3, 1), dtype=int),
+                        False, 1)
+        solve(model, dom, 0.0, strategy="branch_and_propagate")
+        assert scored
+        assert all(is_connected(adjacency, False) for adjacency in scored)
 
     def test_user_row_violation_pruned(self, rng):
         base = DomainSpec(n=3, num_labels=1)
@@ -278,10 +407,11 @@ class TestPropagateLeaf:
         constrained = DomainSpec(n=3, num_labels=1,
                                  extra_rows=(LinearRow(adjacency=((0, 1, 1.0),),
                                                        sense="<=", rhs=0.0),))
-        g = complete_graph(3)
-        adjacency = g.adjacency + np.eye(3, dtype=int)
-        assert propagate_leaf(adjacency, g.features, model, 1.0,
-                              constrained) is PRUNED
+        assert domain_feasible(base, complete_graph(3))
+        assert not domain_feasible(constrained, complete_graph(3))
+        result = solve(model, constrained, 1.0, strategy="branch_and_propagate")
+        assert domain_feasible(constrained, result.incumbent)
+        assert result.incumbent.adjacency[0, 1] == 0
 
 
 class TestDualBound:
@@ -308,8 +438,7 @@ class TestDualBound:
                 continue  # sigma ~ 0 there; sqrt amplifies float noise
             pa = self._full_assignment(g, dom)
             bound = dual_bound(pa, model, 1.0)
-            leaf = propagate_leaf(g.adjacency + np.eye(3, dtype=int), g.features,
-                                  model, 1.0, dom)
+            leaf = lcb(model, g, 1.0)
             assert bound == pytest.approx(leaf, abs=1e-9)
             assert bound <= leaf + 1e-9
             checked += 1
@@ -548,6 +677,66 @@ class TestSolve:
             solve(model, dom, -1.0, strategy=strategy)
         assert not solve_module._profile_tables
 
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    @pytest.mark.parametrize("dom", [
+        DomainSpec(n=4, num_labels=2),
+        DomainSpec(n=5, num_labels=1),
+        DomainSpec(n=4, n_min=2, num_labels=2),
+        DomainSpec(n=3, num_labels=2, directed=True),
+        DomainSpec(n=4, num_labels=2, degree_caps=(1, 3)),
+        DomainSpec(n=4, num_labels=2, label_count_bounds=((1, 2), (0, 4))),
+        DomainSpec(n=4, num_labels=1,
+                   extra_rows=(LinearRow(adjacency=((0, 1, 1.0),), sense="<=",
+                                         rhs=0.0),)),
+        DomainSpec(n=3, n_min=1, num_labels=2),
+    ], ids=["n4_2labels", "n5_1label", "bounded_2_4", "directed_n3",
+            "degree_caps", "label_counts", "extra_row", "bounded_1_3"])
+    def test_batched_search_matches_reference_search(self, rng, dom, variant):
+        # bounded_1_3 reaches a fixed diagonal with no present node
+        model = fitted_model(rng, dom, t=6, variant=variant)
+        result = solve(model, dom, 1.0, strategy="branch_and_propagate")
+        status, nodes, objective, bound, incumbent = reference_search(model, dom, 1.0)
+        assert (result.status, result.nodes_explored) == (status, nodes)
+        assert repr(result.objective) == repr(objective)
+        assert repr(result.bound) == repr(bound)
+        assert result.incumbent == incumbent
+
+    def test_budget_expires_inside_a_batched_subtree(self, rng, monkeypatch):
+        dom = DomainSpec(n=5, num_labels=1)
+        model = fitted_model(rng, dom)
+        warm = [sample_feasible(dom, s) for s in range(3)]
+        exact = solve(model, dom, 1.0, strategy="enumerate")
+
+        class Clock:
+            now = 0.0
+
+            def monotonic(self):
+                return self.now
+
+        clock = Clock()
+        subtree = solve_module._EdgeSubtree
+        bound = subtree.bound
+        rows = []
+
+        def expiring_bound(self, row):
+            # the clock runs out at the third node of the first multi-row
+            # batch, a branching node whose budget poll must end the search
+            assert clock.now == 0.0, "a node was bounded after the budget ran out"
+            if len(self.infeasible) > 1:
+                rows.append(row)
+                if len(rows) == 3:
+                    clock.now = 1e9
+            return bound(self, row)
+
+        monkeypatch.setattr(solve_module, "time", clock)
+        monkeypatch.setattr(subtree, "bound", expiring_bound)
+        result = solve(model, dom, 1.0, budget=10.0, strategy="branch_and_propagate",
+                       warm_start=warm)
+        assert rows == [0, 1, 2]
+        assert result.status == "FeasibleTimeLimit"
+        assert result.bound <= result.objective
+        assert result.bound <= exact.objective
+
     def test_propagation_sets_forced_label_bits(self):
         dom = DomainSpec(n=5, n_min=2, num_labels=2, num_features=3)
         pa = PartialAssignment.empty(dom)
@@ -563,22 +752,30 @@ class TestSolve:
         assert not solve_module._propagate_labels(pa).any()
 
     def test_nodes_bound_with_fresh_intervals(self, rng, monkeypatch):
-        # the distance intervals handed down the search are those of each
-        # node's own adjacency state, so every node bound equals a fresh one
-        context = solve_module._BoundContext
-        bound = context.bound
+        # every edge-phase node is bounded from its row of a batched subtree;
+        # that row must be the node's own adjacency state, so every node
+        # bound equals a fresh one of the search's partial assignment
+        subtree = solve_module._EdgeSubtree
+        bound = subtree.bound
+        empty = PartialAssignment.empty
+        searched = []
         checked = 0
         model = None
 
-        def fresh_bound(self, pa, intervals=None):
+        def recorded_empty(domain):
+            pa = empty(domain)
+            searched.append(pa)
+            return pa
+
+        def fresh_bound(self, row):
             nonlocal checked
-            value = bound(self, pa, intervals)
-            if intervals is not None:
-                assert value == dual_bound(pa, model, 1.0)
-                checked += 1
+            value = bound(self, row)
+            assert value == dual_bound(searched[-1], model, 1.0)
+            checked += 1
             return value
 
-        monkeypatch.setattr(context, "bound", fresh_bound)
+        monkeypatch.setattr(PartialAssignment, "empty", staticmethod(recorded_empty))
+        monkeypatch.setattr(subtree, "bound", fresh_bound)
         for dom in (DomainSpec(n=4, num_labels=2), DomainSpec(n=4, n_min=2, num_labels=2),
                     DomainSpec(n=5, num_labels=1)):
             model = fitted_model(rng, dom)
