@@ -12,6 +12,9 @@ first graph in ``enumerate_domain`` order with its profile, so ties still
 break toward the lexicographically smallest graph. Both solve strategies
 read one structure's labelings through ``structure_profiles``: the table
 to deduplicate them, branch-and-propagate to score them.
+``smallest_relabeling`` renumbers graphs to their smallest
+``graph_sort_key``, which branch-and-propagate needs because it searches
+one numbering per isomorphism class.
 """
 
 from __future__ import annotations
@@ -816,6 +819,50 @@ def _sample_one(domain: DomainSpec, rng: np.random.Generator) -> AttributedGraph
     if M > L:
         features[:, L:] = rng.integers(0, 2, size=(n, M - L))
     return build_graph(adjacency, features, domain.directed, L)
+
+
+# ---------------------------------------------------------------------------
+# sort keys and relabeling
+
+
+def graph_sort_key(graph: AttributedGraph) -> tuple:
+    """Size-major, then flattened adjacency bits, then feature bits."""
+    return (graph.n, tuple(graph.adjacency.ravel().tolist()),
+            tuple(graph.features.ravel().tolist()))
+
+
+def _node_orders(n: int) -> Iterator[np.ndarray]:
+    """Every ordering of n nodes, in ``itertools.permutations`` order, as
+    (b, n) blocks of at most BLOCK rows; row p renumbers node p[i] as i."""
+    orders = itertools.permutations(range(n))
+    while block := list(itertools.islice(orders, BLOCK)):
+        yield np.array(block, dtype=np.intp)
+
+
+def smallest_relabeling(graphs: Iterable[AttributedGraph]) -> AttributedGraph:
+    """Of every renumbering of every graph in ``graphs`` (one directedness
+    and label scheme; features move with their nodes), the one with the
+    smallest ``graph_sort_key``.
+
+    The key is size-major, so only the smallest graphs are renumbered, each
+    through all n! orderings of its nodes. The orderings are made once per
+    call, one block at a time, which bounds the memory.
+    """
+    graphs = list(graphs)
+    n = min(g.n for g in graphs)
+    smallest = [g for g in graphs if g.n == n]
+    best_key, best = None, None
+    for orders in _node_orders(n):
+        for g in smallest:
+            adjacency = g.adjacency[orders[:, :, None], orders[:, None, :]]
+            features = g.features[orders]
+            keys = np.concatenate([adjacency.reshape(len(orders), -1),
+                                   features.reshape(len(orders), -1)], axis=1)
+            i = int(np.lexsort(keys.T[::-1])[0])
+            key = keys[i].tolist()
+            if best_key is None or key < best_key:
+                best_key, best = key, (adjacency[i], features[i])
+    return build_graph(*best, smallest[0].directed, smallest[0].num_labels)
 
 
 def sample_feasible(domain: DomainSpec, seed, attempts: int = SAMPLING_ATTEMPTS) -> AttributedGraph:

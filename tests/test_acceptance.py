@@ -241,6 +241,7 @@ def test_06_solver_exactness():
             branch = solve(model, dom, 1.0, strategy="branch_and_propagate")
             assert branch.status == "Optimal"
             assert abs(branch.objective - exact.objective) <= 1e-6
+            assert branch.incumbent == exact.incumbent
 
 
 def test_07_export_fidelity(tmp_path):

@@ -133,11 +133,22 @@ def test_branch_and_propagate_breaks_ties_like_enumerate():
 
 def test_labeled_domain_branches_on_structure_only():
     # n=5 with 2 labels: 728 connected structures with 32 labelings each;
-    # branching on feature bits bounded 46,734 nodes here
+    # branching on feature bits bounded 46,734 nodes here, every numbering
+    # of each structure 1,598 and one breadth-first numbering 369
     exact, branch = _solve_both(DomainSpec(n=5, num_labels=2), KernelVariant.SSP)
     assert exact.status == branch.status == "Optimal"
-    assert branch.nodes_explored <= 2000
+    assert branch.nodes_explored <= 400
     assert branch.objective == exact.objective
+    assert branch.incumbent == exact.incumbent
+
+
+def test_tied_numberings_of_one_class_return_the_smallest_sort_key():
+    # n=6 with 1 label: two numberings of the 6-node path tie for the
+    # optimum; the search meets one of them and renumbers it to enumerate's
+    # incumbent
+    exact, branch = _solve_both(DomainSpec(n=6, num_labels=1), KernelVariant.SSP)
+    assert exact.status == branch.status == "Optimal"
+    assert abs(branch.objective - exact.objective) <= 1e-6
     assert branch.incumbent == exact.incumbent
 
 

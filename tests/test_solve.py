@@ -2,6 +2,7 @@
 agreement of both strategies."""
 
 import importlib
+import itertools
 import logging
 import math
 import time
@@ -192,13 +193,50 @@ def reference_quick_infeasible(pa):
             cap = dom.degree_caps[labelled[0]] if labelled else max(dom.degree_caps)
             if committed > cap:
                 return True
+    if not dom.extra_rows:
+        # a breadth-first numbering of the surely-present nodes, on the
+        # underlying undirected graph: every node v >= 1 has a parent u < v,
+        # and the first parent never decreases in v
+        def edge(u, v):
+            pair = (pa.adj[u, v], pa.adj[v, u])
+            return 1 if 1 in pair else (-1 if -1 in pair else 0)
+
+        parent_ranges = []
+        for v in range(1, n):
+            if diag[v] != 1:
+                continue
+            possible = [u for u in range(v) if edge(u, v) != 0]
+            if not possible:
+                return True
+            sure = [u for u in possible if edge(u, v) == 1]
+            parent_ranges.append((possible[0], sure[0] if sure else possible[-1]))
+        for i, (first_possible, _) in enumerate(parent_ranges):
+            for _, latest in parent_ranges[i + 1:]:
+                if first_possible > latest:
+                    return True
     return False
+
+
+def brute_smallest_renumbering(graph):
+    """The renumbering of ``graph`` with the smallest ``graph_sort_key``,
+    over every ``itertools.permutations`` order of its nodes."""
+    best = None
+    for order in itertools.permutations(range(graph.n)):
+        order = list(order)
+        adjacency = graph.adjacency[np.ix_(order, order)]
+        features = graph.features[order]
+        key = (graph.n, tuple(adjacency.ravel().tolist()),
+               tuple(features.ravel().tolist()))
+        if best is None or key < best[0]:
+            best = (key, adjacency, features)
+    return build_graph(best[1], best[2], graph.directed, graph.num_labels)
 
 
 def reference_search(model, dom, beta_sqrt):
     """Branch-and-propagate written out node by node, without batching: the
     quick checks, then a fresh ``dual_bound`` per node; each structure's
-    labelings are scored as the solver scores them. Returns the status,
+    labelings are scored as the solver scores them, and each tie is
+    renumbered by brute force as soon as it is met. Returns the status,
     nodes bounded, objective, bound and incumbent of a search that runs to
     completion."""
     bits = branch_bits(dom)
@@ -211,24 +249,28 @@ def reference_search(model, dom, beta_sqrt):
         adjacency = pa.adj[:size, :size].copy()
         np.fill_diagonal(adjacency, 0)
         dist = bfs_distances(adjacency, dom.directed).astype(np.int64)
-        best_value, best_features = math.inf, None
+        values, labelings = [], []
         for profiles, features in structure_profiles(dom, adjacency, dist):
             if not len(features):
                 continue
             mu, var = predict(model, profiles)
-            values = mu - beta_sqrt * np.sqrt(var)
-            i = int(np.argmin(values))
-            if values[i] < best_value:
-                best_value, best_features = values[i], features[i]
-        if best_features is None:
-            return
-        graph = build_graph(adjacency, best_features, dom.directed, dom.num_labels)
-        if not domain_feasible(dom, graph):
-            return
-        value, key = lcb(model, graph, beta_sqrt), graph_sort_key(graph)
-        if value < best["value"] or (value == best["value"]
-                                     and (best["key"] is None or key < best["key"])):
-            best.update(graph=graph, value=value, key=key)
+            values += (mu - beta_sqrt * np.sqrt(var)).tolist()
+            labelings += list(features)
+        # every labeling that ties the structure's minimum, each offered as
+        # its smallest renumbering unless user rows pin the numbering
+        for value, features in zip(values, labelings):
+            if value != min(values):
+                continue
+            graph = build_graph(adjacency, features, dom.directed, dom.num_labels)
+            if not domain_feasible(dom, graph):
+                continue
+            value = lcb(model, graph, beta_sqrt)
+            if not dom.extra_rows:
+                graph = brute_smallest_renumbering(graph)
+            key = graph_sort_key(graph)
+            if value < best["value"] or (value == best["value"]
+                                         and (best["key"] is None or key < best["key"])):
+                best.update(graph=graph, value=value, key=key)
 
     def visit(depth):
         nonlocal nodes
@@ -345,8 +387,6 @@ class TestCountFeasible:
     def test_literal_full_product_scan_agrees(self, size, directed, expected):
         # independent of the pruned enumeration: scan the complete product
         # space of every declared variable domain at the smallest sizes
-        import itertools
-
         system = encode_shortest_paths(size, directed)
         domains = []
         for var in system.variables:
@@ -777,7 +817,7 @@ class TestSolve:
         monkeypatch.setattr(PartialAssignment, "empty", staticmethod(recorded_empty))
         monkeypatch.setattr(subtree, "bound", fresh_bound)
         for dom in (DomainSpec(n=4, num_labels=2), DomainSpec(n=4, n_min=2, num_labels=2),
-                    DomainSpec(n=5, num_labels=1)):
+                    DomainSpec(n=5, num_labels=1), DomainSpec(n=5, num_labels=2)):
             model = fitted_model(rng, dom)
             solve(model, dom, 1.0, strategy="branch_and_propagate")
         assert checked > 500

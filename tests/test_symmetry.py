@@ -1,0 +1,164 @@
+"""The breadth-first numbering rule of branch-and-propagate and the
+renumbering that recovers the smallest sort key, against brute force and
+networkx's graph atlas."""
+
+import importlib
+import itertools
+
+import numpy as np
+import pytest
+
+from graphbo import DomainSpec, KernelHyperparams, KernelVariant
+from graphbo.gp import GpModel
+from graphbo.graphs import (
+    _connected_structures,
+    build_graph,
+    sample_feasible,
+    smallest_relabeling,
+    structure_profiles,
+)
+from graphbo.solve import PartialAssignment, graph_sort_key, solve
+
+from conftest import random_graph
+
+solve_module = importlib.import_module("graphbo.solve")
+
+
+def structures(n, directed):
+    """Every connected n-node structure, with the diagonal set to 1 as in a
+    search state whose nodes all exist."""
+    states = np.stack([adjacency for adjacency, _ in _connected_structures(n, directed)])
+    states[:, np.arange(n), np.arange(n)] = 1
+    return states
+
+
+def kept(states):
+    """The states of full structures that the search's rule keeps."""
+    n = states.shape[-1]
+    return states[~solve_module._bfs_order_violated(states, np.arange(n))]
+
+
+def renumberings(adjacency):
+    """Every renumbering of one structure, stacked."""
+    n = len(adjacency)
+    orders = np.array(list(itertools.permutations(range(n))))
+    return adjacency[orders[:, :, None], orders[:, None, :]]
+
+
+def brute_keeps(adjacency):
+    """The rule read off one full structure, loop by loop."""
+    n = len(adjacency)
+    previous = 0
+    for v in range(1, n):
+        parents = [u for u in range(v) if adjacency[u, v] or adjacency[v, u]]
+        if not parents or parents[0] < previous:
+            return False
+        previous = parents[0]
+    return True
+
+
+@pytest.mark.parametrize("n,expected", [(4, 17), (5, 171), (6, 3113)])
+def test_rule_keeps_the_breadth_first_structures(n, expected):
+    states = structures(n, directed=False)
+    assert len(kept(states)) == expected
+    assert sum(brute_keeps(state) for state in states) == expected
+
+
+@pytest.mark.parametrize("n,classes", [(4, 6), (5, 21), (6, 112)])
+def test_every_atlas_class_keeps_a_numbering(n, classes):
+    nx = pytest.importorskip("networkx")
+    atlas = [g for g in nx.graph_atlas_g()
+             if g.number_of_nodes() == n and nx.is_connected(g)]
+    assert len(atlas) == classes
+    for g in atlas:
+        adjacency = nx.to_numpy_array(g, nodelist=range(n), dtype=np.int8)
+        np.fill_diagonal(adjacency, 1)
+        assert len(kept(renumberings(adjacency))), sorted(g.edges())
+
+
+def test_every_directed_class_keeps_a_numbering():
+    # canonical form by brute force: the smallest renumbered bit string
+    states = structures(3, directed=True)
+    survivors = {state.tobytes() for state in kept(states)}
+    classes = {}
+    for state in states:
+        forms = renumberings(state)
+        canonical = min(form.tobytes() for form in forms)
+        classes.setdefault(canonical, set()).update(form.tobytes() for form in forms)
+    assert len(states) == 18 and len(classes) == 5
+    assert all(members & survivors for members in classes.values())
+
+
+@pytest.mark.parametrize("dom", [DomainSpec(n=4, num_labels=1),
+                                 DomainSpec(n=3, num_labels=1, directed=True),
+                                 DomainSpec(n=4, n_min=2, num_labels=1)],
+                         ids=["n4", "directed_n3", "bounded_2_4"])
+def test_partial_states_keep_every_breadth_first_completion(rng, dom):
+    # a state is cut only when none of its completions is kept
+    n = dom.n
+    full = {size: [s for s in structures(size, dom.directed) if brute_keeps(s)]
+            for size in dom.sizes}
+    cut = 0
+    for _ in range(300):
+        pa = PartialAssignment.empty(dom)
+        size = int(rng.integers(dom.n_min, n + 1))
+        for v in range(n):
+            pa.set_adj(v, v, int(v < size))
+        for u in range(size):
+            for v in range(size):
+                if u != v and rng.random() < 0.6:
+                    pa.set_adj(u, v, int(rng.integers(0, 2)))
+        sub = pa.adj[:size, :size]
+        completions = [s for s in full[size]
+                       if ((sub == -1) | (sub == s)).all()]
+        violated = solve_module._bfs_order_violated(pa.adj[None],
+                                                    np.arange(size))[0]
+        assert not (violated and completions)
+        cut += bool(violated)
+    assert cut >= 10
+
+
+def test_search_scores_one_numbering_per_kept_structure(monkeypatch):
+    # zero targets and beta 0: every bound ties the incumbent, so nothing is
+    # pruned and the search scores exactly the structures the rule keeps
+    dom = DomainSpec(n=5, num_labels=1)
+    points = [sample_feasible(dom, s) for s in range(3)]
+    model = GpModel.build(points, np.zeros(3), KernelVariant.SSP,
+                          KernelHyperparams(alpha=1.0, beta=1.0))
+    scored = []
+
+    def recording(domain, adjacency, dist):
+        scored.append(adjacency.copy())
+        return structure_profiles(domain, adjacency, dist)
+
+    monkeypatch.setattr(solve_module, "structure_profiles", recording)
+    result = solve(model, dom, 0.0, strategy="branch_and_propagate")
+    assert result.status == "Optimal"
+    assert len(scored) == 171
+    assert all(brute_keeps(adjacency) for adjacency in scored)
+
+
+def brute_smallest(graphs):
+    best = None
+    for g in graphs:
+        for order in itertools.permutations(range(g.n)):
+            order = list(order)
+            candidate = build_graph(g.adjacency[np.ix_(order, order)],
+                                    g.features[order], g.directed, g.num_labels)
+            if best is None or graph_sort_key(candidate) < graph_sort_key(best):
+                best = candidate
+    return best
+
+
+@pytest.mark.parametrize("sizes,num_labels,num_features,directed", [
+    ((2, 3, 4), 2, 2, False),
+    ((4,), 2, 4, False),
+    ((3,), 2, 3, True),
+    ((5, 5), 3, 3, False),
+], ids=["bounded", "extra_features", "directed", "two_of_one_size"])
+def test_smallest_relabeling_matches_brute_force(rng, sizes, num_labels,
+                                                 num_features, directed):
+    for _ in range(5):
+        graphs = [random_graph(rng, n, num_labels, num_features, directed)
+                  for n in sizes]
+        assert smallest_relabeling(graphs) == brute_smallest(graphs)
