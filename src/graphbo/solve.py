@@ -3,24 +3,26 @@
 Two strategies: exhaustive enumeration of the (guarded) domain, and
 branch-and-propagate over the adjacency bits. Enumeration scores one row
 per distinct feasible kernel profile (``graphs.profile_table``), since the
-LCB reads a graph only through its profile. Branch-and-propagate branches
-on node existence and edges only; once a structure is fixed and its bound
+LCB reads a graph only through its profile. Branch-and-propagate searches
+each graph size on its own, largest first: present nodes are a prefix, so
+a size fixes the node-existence bits, and the search branches on the edge
+bits among the present nodes only. Once a structure is fixed and its bound
 does not prune it, every feasible labeling of it is scored exactly, one
 ``gp.predict`` call per block of labelings (``graphs.structure_profiles``,
 which the profile table also reads). Distance/on-path variables are never
 branched: once the structural bits are fixed they are uniquely determined.
 Partial assignments are pruned with interval-arithmetic lower bounds on the
 acquisition value, read from per-training-point range-min/max tables of the
-count profile. Label bits that one-hot labels force are set by propagation,
-which tightens the bound. Once the existence bits are fixed, the nodes
-below differ only in their edge bits, so a node whose whole subtree fits
-the ``graphs.BLOCK`` element budget computes the distance intervals, the
-edge-dependent quick checks and the kernel boxes of every node of that
-subtree in one batch; the walk over the batch visits, counts, prunes and
-polls the budget exactly as a node-by-node search would. The search keeps
-one numbering of each connected graph, a breadth-first one from node 0
-(``_bfs_order_violated``), and renumbers the graphs that tie its optimum
-to the smallest sort key at the end (``graphs.smallest_relabeling``).
+count profile. Label bits that one-hot labels force are set at each size's
+root, which tightens the bound. The nodes of one size differ only in their
+edge bits, so a node whose whole subtree fits the ``graphs.BLOCK`` element
+budget computes the distance intervals, the edge-dependent quick checks and
+the kernel boxes of every node of that subtree in one batch; the walk over
+the batch visits, counts, prunes and polls the budget exactly as a
+node-by-node search would. The search keeps one numbering of each
+connected graph, a breadth-first one from node 0 (``_bfs_order_violated``),
+and renumbers the graphs that tie its optimum to the smallest sort key at
+the end (``graphs.smallest_relabeling``).
 Both strategies break objective ties toward the smallest
 ``graph_sort_key``.
 
@@ -50,7 +52,6 @@ from .graphs import (  # noqa: F401  enumerate_domain is re-exported
     DomainSpec,
     ProfileTable,
     _all_pairs_distances,
-    _reachable_from,
     build_graph,
     domain_feasible,
     enumerate_domain,
@@ -285,22 +286,13 @@ class PartialAssignment:
         return not (np.diag(self.adj) == -1).any()
 
 
-def branch_bits(domain: DomainSpec) -> list[tuple[str, int, int]]:
-    """Branching order, adjacency bits only: in bounded-size mode the
-    existence (diagonal) bits first, then edge bits in lexicographic
-    (row-major) order. Fixing the size first lets every edge-phase node use
-    the count-space bound instead of the crude box bound. Feature bits are
-    never branched: once a structure is fixed, all its labelings are scored
-    at once."""
-    n = domain.n
-    bits: list[tuple[str, int, int]] = []
-    if not domain.fixed_size:
-        bits += [("adj", v, v) for v in range(n)]
-    for u in range(n):
-        for v in range(n):
-            if u != v and (domain.directed or u < v):
-                bits.append(("adj", u, v))
-    return bits
+def branch_bits(size: int, directed: bool) -> list[tuple[int, int]]:
+    """Branching order of the search over graphs of ``size`` nodes: the
+    edge bits among the present nodes 0..size-1 in lexicographic
+    (row-major) order. Feature bits are never branched: once a structure is
+    fixed, all its labelings are scored at once."""
+    return [(u, v) for u in range(size) for v in range(size)
+            if u != v and (directed or u < v)]
 
 
 def _propagate_labels(pa: PartialAssignment) -> np.ndarray:
@@ -328,39 +320,27 @@ def _propagate_labels(pa: PartialAssignment) -> np.ndarray:
     return mask
 
 
-def _fixed_infeasible(pa: PartialAssignment) -> bool:
-    """The quick checks that read no edge bit: monotone existence, the
-    minimum node count, features of surely-absent nodes, one-hot labels of
-    surely-present nodes and the label-count interval. Edge bits are
-    branched after the existence bits and never change a feature bit, so
-    every node of an edge-phase subtree shares their outcome."""
-    domain = pa.domain
-    n, L = domain.n, domain.num_labels
-    feat = pa.feat
-    diag = np.diag(pa.adj)
-    absent = diag == 0
-    if not domain.fixed_size:
-        # monotone existence and the minimum node count
-        if np.any(absent[:-1] & (diag[1:] == 1)):
-            return True
-        if int(absent.sum()) > n - domain.n_min:
-            return True
-        # features of surely-absent nodes must stay off
-        if (feat[absent] == 1).any():
-            return True
-    # one-hot labels of surely-present nodes
-    labels = feat[:, :L]
-    ones = (labels == 1).sum(axis=1)
-    if np.any((diag == 1) & ((ones > 1) | (labels == 0).all(axis=1))):
-        return True
-    # label-count interval check
-    if domain.label_count_bounds is not None:
-        lo, hi = np.array(domain.label_count_bounds).T
-        sure = (labels == 1).sum(axis=0)
-        open_ = (labels == -1) & ((diag != 0) & (ones == 0))[:, None]
-        if np.any(sure > hi) or np.any(sure + open_.sum(axis=0) < lo):
-            return True
-    return False
+def _size_infeasible(domain: DomainSpec, size: int) -> bool:
+    """No labeling of ``size`` nodes meets the label-count bounds. Each node
+    carries exactly one label, so the counts sum to ``size``, and counts
+    with lo <= count <= hi reach that sum exactly when every lo <= hi and
+    sum(lo) <= size <= sum(hi)."""
+    if domain.label_count_bounds is None:
+        return False
+    lo, hi = np.array(domain.label_count_bounds).T
+    return bool((lo > hi).any() or not lo.sum() <= size <= hi.sum())
+
+
+def _size_root(domain: DomainSpec, size: int) -> PartialAssignment:
+    """The root of the search over graphs of ``size`` nodes: nodes
+    0..size-1 present, the others absent with every edge bit 0, and the
+    label bits that one-hot labels force set (``_propagate_labels``)."""
+    pa = PartialAssignment.empty(domain)
+    pa.adj[size:] = 0
+    pa.adj[:, size:] = 0
+    np.fill_diagonal(pa.adj, np.arange(domain.n) < size)
+    _propagate_labels(pa)
+    return pa
 
 
 def _bfs_order_violated(states: np.ndarray, present: np.ndarray) -> np.ndarray:
@@ -392,20 +372,15 @@ def _bfs_order_violated(states: np.ndarray, present: np.ndarray) -> np.ndarray:
 
 def _edges_infeasible(pa: PartialAssignment, states: np.ndarray) -> np.ndarray:
     """The quick checks that read edge bits, for each adjacency state of the
-    stack ``states`` (which share ``pa``'s diagonal and feature bits): edges
-    of surely-absent nodes, committed in-edges over the best possible
-    degree cap, and the breadth-first numbering of the surely-present nodes
-    (``_bfs_order_violated``). User rows name nodes, so with any the
-    numbering is left free."""
+    stack ``states`` (which share ``pa``'s diagonal and feature bits):
+    committed in-edges over the best possible degree cap, and the
+    breadth-first numbering of the present nodes (``_bfs_order_violated``).
+    User rows name nodes, so with any the numbering is left free."""
     domain = pa.domain
     diag = np.diag(pa.adj)
     bad = np.zeros(len(states), dtype=bool)
     if not domain.extra_rows:
         bad |= _bfs_order_violated(states, np.flatnonzero(diag == 1))
-    if not domain.fixed_size:
-        absent = diag == 0
-        bad |= ((states[:, absent] == 1).any(axis=(1, 2))
-                | (states[:, :, absent] == 1).any(axis=(1, 2)))
     if domain.degree_caps is not None:
         labels = pa.feat[:, : domain.num_labels]
         ones = (labels == 1).sum(axis=1)
@@ -414,29 +389,6 @@ def _edges_infeasible(pa: PartialAssignment, states: np.ndarray) -> np.ndarray:
         cap = np.where(ones > 0, caps[(labels == 1).argmax(axis=1)], caps.max())
         bad |= (committed > cap).any(axis=1)
     return bad
-
-
-def _quick_infeasible(pa: PartialAssignment) -> bool:
-    """Cheap conservative pruning checks for a node whose existence bits are
-    still open; never cuts a feasible completion."""
-    if _fixed_infeasible(pa) or _edges_infeasible(pa, pa.adj[None])[0]:
-        return True
-    # optimistic connectivity: treat unknowns as present
-    diag = np.diag(pa.adj)
-    maybe = np.flatnonzero(diag != 0)
-    present = np.flatnonzero(diag[maybe] == 1)
-    if not len(present):
-        return False
-    sub = pa.adj[np.ix_(maybe, maybe)] != 0
-    return not _covers(sub, present, pa.domain.directed)
-
-
-def _covers(sub: np.ndarray, present: np.ndarray, directed: bool) -> bool:
-    """All ``present`` indices mutually reachable inside ``sub``."""
-    start = int(present[0])
-    if not _reachable_from(sub, start)[present].all():
-        return False
-    return not directed or _reachable_from(sub.T, start)[present].all()
 
 
 def _distance_intervals(states: np.ndarray, nodes: np.ndarray):
@@ -459,7 +411,7 @@ def _subtree_states(adj: np.ndarray, bits, directed: bool) -> np.ndarray:
     in order, 1 before 0, stacked in the search's preorder."""
     if not bits:
         return adj[None].copy()
-    _, a, b = bits[0]
+    a, b = bits[0]
     below = _subtree_states(adj, bits[1:], directed)
     half = len(below)
     states = np.concatenate([adj[None], below, below])
@@ -644,7 +596,7 @@ def dual_bound(partial: PartialAssignment, gp_model: GpModel,
 
 @dataclass(frozen=True)
 class _EdgeSubtree:
-    """An edge-phase node and the nodes below it, in the search's preorder,
+    """A search node and the nodes below it, in the search's preorder,
     with everything the search reads of them computed in one batch.
 
     Row 0 is the node itself; a row at depth d < ``end`` has its 1-child at
@@ -664,9 +616,9 @@ class _EdgeSubtree:
 
 def _edge_subtree(ctx: _BoundContext, pa: PartialAssignment, depth: int,
                   bits: list) -> _EdgeSubtree:
-    """The node at ``pa``, whose diagonal is fixed, batched with its whole
-    subtree when the subtree's rows x present-node pairs x range-table cells
-    fit the ``BLOCK`` element budget, else alone."""
+    """The node at ``pa``, batched with its whole subtree when the
+    subtree's rows x present-node pairs x range-table cells fit the
+    ``BLOCK`` element budget, else alone."""
     nodes = np.flatnonzero(np.diag(pa.adj) == 1)
     levels = len(bits) - depth
     if (2 ** (levels + 1) - 1) * len(nodes) ** 2 * ctx.cells > BLOCK:
@@ -758,7 +710,6 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
                   log_interval: int) -> SolveResult:
     start = time.monotonic()
     ctx = _BoundContext(model, beta_sqrt, domain)
-    bits = branch_bits(domain)
     warm_best, incumbent_obj, _ = _best_warm_start(model, domain, beta_sqrt, warm)
     # the graphs met so far whose LCB equals the incumbent value; pruning
     # reads only the value, so the sort keys are compared once, at the end
@@ -767,19 +718,18 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
     nodes = 0
     open_bounds: list[float] = []
     timed_out = False
-    # one partial assignment, set and restored in place along the search
-    pa = PartialAssignment.empty(domain)
 
     def out_of_time() -> bool:
         return (time.monotonic() - start) > budget
 
-    def score_structure(node_bound: float, dist: np.ndarray) -> None:
+    def score_structure(pa: PartialAssignment, node_bound: float,
+                        dist: np.ndarray) -> None:
         """Score every feasible labeling of the structure at ``pa``, one
         ``predict`` call per block of labelings, and re-score through
         ``gp.lcb`` every labeling that ties the structure's minimum: two
         such labelings need not be renumberings of each other."""
         nonlocal incumbent_obj, tied, timed_out
-        size = int(np.diag(pa.adj).sum())  # present nodes are a prefix
+        size = len(dist)  # present nodes are a prefix
         adjacency = pa.adj[:size, :size].copy()
         np.fill_diagonal(adjacency, 0)
         best_value, ties = math.inf, []
@@ -811,27 +761,23 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             elif value == incumbent_obj:
                 tied.append(graph)
 
-    def search(depth: int, subtree: _EdgeSubtree | None, row: int) -> None:
-        """Bound the node at ``pa`` and branch on its next adjacency bit, or
-        score its structure once every adjacency bit is fixed.
+    def search(pa: PartialAssignment, bits: list[tuple[int, int]], depth: int,
+               subtree: _EdgeSubtree | None, row: int) -> None:
+        """Bound the node at ``pa`` and branch on its next edge bit, or
+        score its structure once every edge bit is fixed.
 
-        Once the node's diagonal is fixed it is row ``row`` of ``subtree``:
-        the batch of the nearest node on its path whose whole subtree fits
-        the ``BLOCK`` budget, or a stack of the node alone
-        (``_edge_subtree``).
+        The node is row ``row`` of ``subtree``: the batch of the nearest
+        node on its path whose whole subtree fits the ``BLOCK`` budget, or
+        a stack of the node alone (``_edge_subtree``). A ``subtree`` of
+        None starts a new batch at the node.
         """
         nonlocal nodes, timed_out
-        if subtree is None and pa.diag_fixed():
-            if _fixed_infeasible(pa):
-                return
-            subtree, row = _edge_subtree(ctx, pa, depth, bits), 0
         if subtree is None:
-            if _quick_infeasible(pa):
-                return
-        elif subtree.infeasible[row]:
+            subtree, row = _edge_subtree(ctx, pa, depth, bits), 0
+        if subtree.infeasible[row]:
             return
         nodes += 1
-        node_bound = ctx.bound(pa) if subtree is None else subtree.bound(row)
+        node_bound = subtree.bound(row)
         if log_interval and nodes % log_interval == 0:
             logger.info("node=%d depth=%d bound=%g incumbent=%s", nodes, depth,
                         node_bound,
@@ -841,30 +787,36 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         if node_bound > incumbent_obj or node_bound == math.inf:
             return
         if depth == len(bits):
-            score_structure(node_bound, subtree.dist[row])
+            score_structure(pa, node_bound, subtree.dist[row])
             return
         if timed_out or out_of_time():
             timed_out = True
             open_bounds.append(node_bound)
             return
-        _, a, b = bits[depth]
+        a, b = bits[depth]
         for value in (1, 0):
             pa.set_adj(a, b, value)
-            forced = _propagate_labels(pa) if a == b else None
-            if subtree is not None and depth < subtree.end:
-                search(depth + 1, subtree,
+            if depth < subtree.end:
+                search(pa, bits, depth + 1, subtree,
                        row + 1 if value else row + 2 ** (subtree.end - depth))
             else:
-                search(depth + 1, None, 0)
+                search(pa, bits, depth + 1, None, 0)
             pa.set_adj(a, b, -1)
-            if forced is not None:
-                pa.feat[forced] = -1
             if timed_out:
                 open_bounds.append(node_bound)
                 return
 
-    _propagate_labels(pa)
-    search(0, None, 0)
+    # one search per graph size, largest first; each sets and restores its
+    # partial assignment in place
+    for size in reversed(domain.sizes):
+        if _size_infeasible(domain, size):
+            continue
+        root = _size_root(domain, size)
+        if timed_out:
+            # a size the budget left unsearched contributes its root bound
+            open_bounds.append(ctx.bound(root))
+        else:
+            search(root, branch_bits(size, domain.directed), 0, None, 0)
     elapsed = time.monotonic() - start
 
     if not tied:
@@ -911,28 +863,34 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     starts, and keeps the better (FeasibleTimeLimit, bound -inf) or, with
     neither, ends BudgetExhausted. A complete table ignores warm starts.
 
-    ``branch_and_propagate`` branches on the existence bits (bounded sizes
-    only), then the edge bits, starting from the best domain-feasible warm
-    start. Feature bits are not branched: once every adjacency bit is fixed
+    ``branch_and_propagate`` searches each graph size on its own, largest
+    first, starting from the best domain-feasible warm start. Present nodes
+    form a prefix, so a size fixes every node-existence bit and the edge
+    bits of the absent nodes; a size whose label-count bounds cannot sum to
+    it is skipped. Each size branches on the edge bits among its present
+    nodes only. Feature bits are not branched: once every edge bit is fixed
     and the node's bound does not prune it, the structure's feasible
     labelings are scored by ``gp.predict``, one call per block of labelings,
     and every labeling that ties the structure's minimum is built and
     re-scored through ``gp.lcb``. Label bits that one-hot labels force are
-    set by propagation to tighten the bound. Below the existence bits, each
-    subtree that fits the ``graphs.BLOCK`` element budget is bounded in one
-    batch; the nodes bounded, their values, the tie-breaks and the budget
-    polls are those of a node-by-node search. ``nodes_explored`` counts the
-    nodes whose bound was computed: 369 at n=5 with 2 labels and 10 random
-    points, where searching every numbering bounded 1,598.
+    set at each size's root to tighten the bound. Each subtree that fits
+    the ``graphs.BLOCK`` element budget is bounded in one batch; the nodes
+    bounded, their values, the tie-breaks and the budget polls are those of
+    a node-by-node search. ``nodes_explored`` counts the nodes whose bound
+    was computed: 369 at n=5 with 2 labels and 10 random points, where
+    searching every numbering bounded 1,598. With 10 random points, a
+    search per size bounds 417 nodes at n=2..5 with 2 labels, 6,869 at
+    n=3..6 with 1 label and 49 at n=1..4 with 2 labels, where branching on
+    the existence bits first bounded 506, 7,042–7,058 and 78.
 
-    Symmetry: the search keeps only states whose surely-present nodes can
+    Symmetry: the search keeps only states whose present nodes can
     still be numbered as a breadth-first search from node 0 numbers them.
     Every node v >= 1 then has a neighbour u < v, and the first one does
     not decrease in v. Every connected graph has such a numbering, so
     every isomorphism class is searched; at fixed sizes 4, 5 and 6 the rule
-    keeps 17 of 38, 171 of 728 and 3,113 of 26,704 structures. Present
-    nodes form a prefix, so bounded sizes apply the rule to the present
-    nodes; directed domains apply it to the underlying undirected graph.
+    keeps 17 of 38, 171 of 728 and 3,113 of 26,704 structures. Each size
+    applies the rule to its present nodes; directed domains apply it to the
+    underlying undirected graph.
     Degree caps and label-count bounds do not depend on the numbering, but
     user rows name nodes, so with ``extra_rows`` the rule is off.
 
@@ -946,8 +904,17 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     incumbent is the smallest sort key among the graphs met, unrenumbered.
     The budget is polled at every branching node and before each block of
     labelings; a structure cut short keeps its best scored labelings and
-    contributes its bound to the reported bound. The search runs
+    contributes its bound to the reported bound, and each size left
+    unsearched contributes the bound of its root. The search runs
     single-threaded, which keeps results bit-for-bit reproducible.
+
+    "Optimal" means the search certified a zero gap in floating point, so
+    it holds to the posterior's own roundoff. Against an exact rational
+    reference (``fractions`` on the same float Gram matrix, targets and
+    noise), ``gp.predict``'s mu is off by up to 1.8e-8 on ssp models of 10
+    random points at n=5 and n=6 (max |w| about 1.5e6), and by up to
+    1.8e-5 on essp models of the same set-up. A graph within that distance
+    of the incumbent may be pruned or lose a tie on roundoff alone.
 
     ``warm_start`` may be any iterable, lazy ones included: it is read only
     by the strategy that needs it, ``branch_and_propagate`` always and

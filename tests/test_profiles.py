@@ -152,33 +152,6 @@ def test_tied_numberings_of_one_class_return_the_smallest_sort_key():
     assert branch.incumbent == exact.incumbent
 
 
-def _row_major_bits(domain):
-    """The earlier branch order: each existence (diagonal) bit row-major
-    among the edge bits, so the size is fixed only at the last of them."""
-    n = domain.n
-    return [("adj", u, v) for u in range(n) for v in range(n)
-            if (u == v and not domain.fixed_size)
-            or (u != v and (domain.directed or u < v))]
-
-
-def test_existence_bits_first_bounds_fewer_nodes(monkeypatch):
-    # with the size fixed first, edge-phase nodes get the count-space bound
-    # instead of the crude box bound
-    domain = DomainSpec(n=5, n_min=2, num_labels=1)
-    rng = np.random.default_rng(0)
-    points = [sample_feasible(domain, rng) for _ in range(8)]
-    model = fit(points, rng.normal(size=8), KernelVariant.SSP, seed=0, restarts=2)
-    assert solve_module.branch_bits(domain)[:5] == [("adj", v, v) for v in range(5)]
-    exact = solve(model, domain, 1.0, strategy="enumerate")
-    branch = solve(model, domain, 1.0, strategy="branch_and_propagate")
-    monkeypatch.setattr(solve_module, "branch_bits", _row_major_bits)
-    row_major = solve(model, domain, 1.0, strategy="branch_and_propagate")
-    assert exact.status == branch.status == row_major.status == "Optimal"
-    assert abs(branch.objective - exact.objective) <= 1e-6
-    assert branch.incumbent == row_major.incumbent
-    assert branch.nodes_explored < row_major.nodes_explored
-
-
 @pytest.mark.parametrize("n,num_labels,num_features", [
     (1, 1, 1), (4, 2, 2), (3, 2, 6), (4, 3, 5), (2, 1, 4)])
 def test_labelings_follow_the_feature_row_product(n, num_labels, num_features):

@@ -233,19 +233,17 @@ def brute_smallest_renumbering(graph):
 
 
 def reference_search(model, dom, beta_sqrt):
-    """Branch-and-propagate written out node by node, without batching: the
-    quick checks, then a fresh ``dual_bound`` per node; each structure's
-    labelings are scored as the solver scores them, and each tie is
-    renumbered by brute force as soon as it is met. Returns the status,
-    nodes bounded, objective, bound and incumbent of a search that runs to
-    completion."""
-    bits = branch_bits(dom)
-    pa = PartialAssignment.empty(dom)
+    """Branch-and-propagate written out node by node, without batching: one
+    search per graph size, largest first, each skipped unless some vector
+    of label counts within the bounds sums to the size; then the quick
+    checks and a fresh ``dual_bound`` per node. Each structure's labelings
+    are scored as the solver scores them, and each tie is renumbered by
+    brute force as soon as it is met. Returns the status, nodes bounded,
+    objective, bound and incumbent of a search that runs to completion."""
     best = {"graph": None, "value": math.inf, "key": None}
     nodes = 0
 
-    def score():
-        size = int(np.diag(pa.adj).sum())
+    def score(pa, size):
         adjacency = pa.adj[:size, :size].copy()
         np.fill_diagonal(adjacency, 0)
         dist = bfs_distances(adjacency, dom.directed).astype(np.int64)
@@ -272,7 +270,7 @@ def reference_search(model, dom, beta_sqrt):
                                          and (best["key"] is None or key < best["key"])):
                 best.update(graph=graph, value=value, key=key)
 
-    def visit(depth):
+    def visit(pa, size, bits, depth):
         nonlocal nodes
         if reference_quick_infeasible(pa):
             return
@@ -281,29 +279,43 @@ def reference_search(model, dom, beta_sqrt):
         if bound > best["value"] or bound == math.inf:
             return
         if depth == len(bits):
-            score()
+            score(pa, size)
             return
-        _, a, b = bits[depth]
+        a, b = bits[depth]
         for value in (1, 0):
             pa.set_adj(a, b, value)
-            forced = solve_module._propagate_labels(pa) if a == b else None
-            visit(depth + 1)
+            visit(pa, size, bits, depth + 1)
             pa.set_adj(a, b, -1)
-            if forced is not None:
-                pa.feat[forced] = -1
 
-    solve_module._propagate_labels(pa)
-    visit(0)
+    for size in reversed(dom.sizes):
+        bounds = dom.label_count_bounds
+        if bounds is not None and not any(
+                sum(counts) == size
+                and all(lo <= c <= hi for c, (lo, hi) in zip(counts, bounds))
+                for counts in itertools.product(range(size + 1),
+                                                repeat=dom.num_labels)):
+            continue
+        pa = PartialAssignment.empty(dom)
+        for u in range(dom.n):
+            for v in range(dom.n):
+                if u >= size or v >= size:
+                    pa.set_adj(u, v, 0)
+                elif u == v:
+                    pa.set_adj(u, v, 1)
+        solve_module._propagate_labels(pa)
+        visit(pa, size, branch_bits(size, dom.directed), 0)
     if best["graph"] is None:
         return "Infeasible", nodes, None, math.inf, None
     return "Optimal", nodes, best["value"], best["value"], best["graph"]
 
 
 def structural_bits(dom):
-    """The branched adjacency bits followed by every feature bit, which the
-    search no longer branches but partial assignments may still fix."""
-    return branch_bits(dom) + [("feat", v, m) for v in range(dom.n)
-                               for m in range(dom.num_features)]
+    """The existence bits of a bounded domain, its edge bits, then every
+    feature bit: the bits a partial assignment may fix."""
+    existence = [] if dom.fixed_size else [("adj", v, v) for v in range(dom.n)]
+    return (existence
+            + [("adj", u, v) for u, v in branch_bits(dom.n, dom.directed)]
+            + [("feat", v, m) for v in range(dom.n) for m in range(dom.num_features)])
 
 
 def random_partial(rng, dom, fixed_share):
@@ -729,10 +741,14 @@ class TestSolve:
                    extra_rows=(LinearRow(adjacency=((0, 1, 1.0),), sense="<=",
                                          rhs=0.0),)),
         DomainSpec(n=3, n_min=1, num_labels=2),
+        DomainSpec(n=4, n_min=2, num_labels=2, label_count_bounds=((2, 3), (1, 3))),
+        DomainSpec(n=3, n_min=2, num_labels=1, directed=True),
     ], ids=["n4_2labels", "n5_1label", "bounded_2_4", "directed_n3",
-            "degree_caps", "label_counts", "extra_row", "bounded_1_3"])
+            "degree_caps", "label_counts", "extra_row", "bounded_1_3",
+            "bounded_label_counts", "bounded_directed"])
     def test_batched_search_matches_reference_search(self, rng, dom, variant):
-        # bounded_1_3 reaches a fixed diagonal with no present node
+        # bounded_label_counts cuts size 2 at its root: no counts within the
+        # bounds sum to 2
         model = fitted_model(rng, dom, t=6, variant=variant)
         result = solve(model, dom, 1.0, strategy="branch_and_propagate")
         status, nodes, objective, bound, incumbent = reference_search(model, dom, 1.0)
@@ -777,6 +793,47 @@ class TestSolve:
         assert result.bound <= result.objective
         assert result.bound <= exact.objective
 
+    def test_budget_expires_inside_the_largest_size(self, monkeypatch):
+        # targets grow with the graph size, so the optimum has 2 nodes; the
+        # budget runs out inside the search over 4 nodes, the sizes below
+        # are never searched, and their root bounds keep the bound valid
+        dom = DomainSpec(n=4, n_min=2, num_labels=1)
+        rng = np.random.default_rng(0)
+        points = [sample_feasible(dom, rng) for _ in range(6)]
+        model = fit(points, [float(g.n) for g in points], KernelVariant.SSP, seed=0)
+        exact = solve(model, dom, 1.0, strategy="enumerate")
+        assert exact.incumbent.n < dom.n
+
+        class Clock:
+            now = 0.0
+
+            def monotonic(self):
+                return self.now
+
+        clock = Clock()
+        subtree = solve_module._EdgeSubtree
+        bound = subtree.bound
+        rows = []
+
+        def expiring_bound(self, row):
+            # the clock runs out at the third node of the first multi-row
+            # batch, which lies in the search over the largest size
+            assert clock.now == 0.0, "a node was bounded after the budget ran out"
+            if len(self.infeasible) > 1:
+                rows.append(row)
+                if len(rows) == 3:
+                    clock.now = 1e9
+            return bound(self, row)
+
+        monkeypatch.setattr(solve_module, "time", clock)
+        monkeypatch.setattr(subtree, "bound", expiring_bound)
+        result = solve(model, dom, 1.0, budget=10.0, strategy="branch_and_propagate")
+        assert rows == [0, 1, 2]
+        assert result.status in ("FeasibleTimeLimit", "BudgetExhausted")
+        assert result.bound <= exact.objective
+        if result.objective is not None:
+            assert result.bound <= result.objective
+
     def test_propagation_sets_forced_label_bits(self):
         dom = DomainSpec(n=5, n_min=2, num_labels=2, num_features=3)
         pa = PartialAssignment.empty(dom)
@@ -792,7 +849,7 @@ class TestSolve:
         assert not solve_module._propagate_labels(pa).any()
 
     def test_nodes_bound_with_fresh_intervals(self, rng, monkeypatch):
-        # every edge-phase node is bounded from its row of a batched subtree;
+        # every searched node is bounded from its row of a batched subtree;
         # that row must be the node's own adjacency state, so every node
         # bound equals a fresh one of the search's partial assignment
         subtree = solve_module._EdgeSubtree
