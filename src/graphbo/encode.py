@@ -7,13 +7,19 @@ layers link distances to path counts, label-pair counts, and feature sums;
 the acquisition objective mu - beta_sqrt * sigma is tied to those counts
 through kernel variables, one convex quadratic variance row, and, for
 exponential kernels, explicit exp links.
+
+A ``ConstraintBlock`` keeps its rows in flat typed buffers, with no object
+per row or coefficient; ``constraints`` reads them as ``LinearConstraint``
+views built on access, and the exporter reads the buffers as arrays.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from array import array
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import eq
 
 import numpy as np
 
@@ -89,13 +95,55 @@ class ExpLink:
     arg: int
 
 
+class _LazySequence(Sequence):
+    """Read-only sequence whose items are built on access; its length
+    builds nothing."""
+
+    def __init__(self, length: int, item: Callable[[int], object]) -> None:
+        self._length = length
+        self._item = item
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(*i.indices(self._length))]
+        if i < 0:
+            i += self._length
+        if not 0 <= i < self._length:
+            raise IndexError(i)
+        return self._item(i)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+
 class ConstraintBlock:
-    """Mutable container for variables and linear rows."""
+    """Mutable container for variables and linear rows.
+
+    The rows live in flat typed buffers, with no object per row or
+    coefficient: row ``i`` is named ``row_names[i]`` and holds the column
+    ids ``cols[row_ends[i - 1]:row_ends[i]]`` (ascending, each once; the
+    first row starts at 0) with the coefficients ``coefs`` at the same
+    positions, its sense ``senses[i]`` and its right-hand side ``rhs[i]``.
+    ``constraints`` is a read-only view that builds a ``LinearConstraint``
+    per row on access.
+    """
 
     def __init__(self) -> None:
         self.variables: list[MipVariable] = []
-        self.constraints: list[LinearConstraint] = []
         self.index: dict[str, int] = {}
+        self.row_names: list[str] = []
+        self.senses: list[str] = []
+        self.rhs = array("d")
+        self.row_ends = array("q")
+        self.cols = array("q")
+        self.coefs = array("d")
 
     def add_var(self, name: str, kind: str, lb: float, ub: float,
                 tag: str, index: tuple[int, ...] = ()) -> int:
@@ -108,12 +156,29 @@ class ConstraintBlock:
 
     def add_con(self, name: str, coeffs: Mapping[int, float] | Sequence[tuple[int, float]],
                 sense: str, rhs: float) -> None:
+        """Append a row; repeated ids are summed and the ids sorted."""
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         merged: dict[int, float] = {}
         for vid, coef in items:
             merged[vid] = merged.get(vid, 0.0) + float(coef)
-        self.constraints.append(
-            LinearConstraint(name, tuple(sorted(merged.items())), sense, float(rhs)))
+        ids = sorted(merged)
+        self.cols.extend(ids)
+        self.coefs.extend(map(merged.__getitem__, ids))
+        self.row_ends.append(len(self.cols))
+        self.row_names.append(name)
+        self.senses.append(sense)
+        self.rhs.append(float(rhs))
+
+    @property
+    def constraints(self) -> Sequence[LinearConstraint]:
+        return _LazySequence(len(self.row_names), self._constraint)
+
+    def _constraint(self, i: int) -> LinearConstraint:
+        lo, hi = self.row_ends[i - 1] if i else 0, self.row_ends[i]
+        return LinearConstraint(self.row_names[i],
+                                tuple(zip(self.cols[lo:hi].tolist(),
+                                          self.coefs[lo:hi].tolist())),
+                                self.senses[i], self.rhs[i])
 
     def var_id(self, name: str) -> int:
         return self.index[name]
@@ -446,7 +511,7 @@ class MipModel:
         return self.block.variables
 
     @property
-    def constraints(self) -> list[LinearConstraint]:
+    def constraints(self) -> Sequence[LinearConstraint]:
         return self.block.constraints
 
     def mu_sigma_for(self, graph: AttributedGraph) -> tuple[float, float]:

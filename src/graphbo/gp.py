@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg as sla
 from scipy import optimize as sopt
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import FactorizationError, UnfittedModelError
 from .graphs import AttributedGraph
@@ -45,20 +46,20 @@ def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
     added jitter before giving up.
 
     Non-finite entries raise ValueError. This is the one finiteness check
-    on the factor: the solves against it skip scipy's own.
+    on the factor: the solves against it skip scipy's own. The factor and
+    the solves against it call LAPACK's ``dpotrf``/``dpotrs`` directly,
+    the routines under ``scipy.linalg.cholesky``/``cho_solve``, without
+    those wrappers' per-call overhead.
     """
     k = matrix + noise_var * np.eye(matrix.shape[0])
     if not np.isfinite(k).all():
         raise ValueError("matrix to factorize must not contain infs or NaNs")
-    try:
-        return sla.cholesky(k, lower=True, check_finite=False)
-    except sla.LinAlgError:
-        pass
-    try:
-        return sla.cholesky(k + JITTER * np.eye(matrix.shape[0]), lower=True,
-                            check_finite=False)
-    except sla.LinAlgError as exc:
-        raise FactorizationError("Gram factorization failed with jitter") from exc
+    chol, info = dpotrf(k, lower=True)
+    if info > 0:  # a leading minor is not positive definite
+        chol, info = dpotrf(k + JITTER * np.eye(matrix.shape[0]), lower=True)
+    if info > 0:
+        raise FactorizationError("Gram factorization failed with jitter")
+    return chol
 
 
 def _targets(y) -> np.ndarray:
@@ -109,8 +110,7 @@ class GramBuilder:
         except FactorizationError:
             return 1e25, np.zeros(len(theta))
         value, a = _lml_terms(chol, y)
-        w = np.outer(a, a) - sla.cho_solve((chol, True), np.eye(len(y)),
-                                            check_finite=False)
+        w = np.outer(a, a) - dpotrs(chol, np.eye(len(y)), lower=True)[0]
         grad_graph = -0.5 * np.vdot(w, graph)
         grad = [grad_graph, -0.5 * np.vdot(w, feature)]
         if self.variant.exponential:
@@ -121,7 +121,7 @@ class GramBuilder:
 def _lml_terms(chol: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Log marginal likelihood from the Cholesky factor of K + noise I, and
     the weights a = (K + noise I)^-1 y it solves for."""
-    a = sla.cho_solve((chol, True), y, check_finite=False)
+    a = dpotrs(chol, y, lower=True)[0]
     t = len(y)
     value = float(
         -0.5 * np.dot(y, a)
@@ -177,7 +177,7 @@ class GpModel:
             return GpModel(points, y, variant, hyper, noise_var, None, np.zeros(0), None)
         profile = StackedSummaries.build(points)
         chol = factorize(cross_gram(profile, profile, variant, hyper), noise_var)
-        weights = sla.cho_solve((chol, True), y, check_finite=False)
+        weights = dpotrs(chol, y, lower=True)[0]
         return GpModel(points, y, variant, hyper, noise_var, chol, weights, profile)
 
     def inverse_factor(self) -> np.ndarray:

@@ -51,7 +51,7 @@ def _as_binary_matrix(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise NonSquareError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise NonSquareError(f"{name} must contain only 0/1 entries")
     return arr.astype(np.int8)
 

@@ -4,15 +4,17 @@
 model: the objective vector ``c``, the constraint matrix ``A`` (a
 ``scipy.sparse`` CSR array) with row names, senses and right-hand sides,
 variable names, kinds and bounds ``lb``/``ub``, and the quadratic variance
-row. Exponential links are expanded into big-M piecewise-linear rows over
-the argument range [0, 1], built for every link and segment at once; the
-internal solver never uses the expansion. The same arrays feed the writers
-(COLUMNS from the CSC view, LP rows from CSR) and a MILP solver such as
-``scipy.optimize.milp``. The readers parse a file straight into the same
-arrays (``ParsedModel.flat``): each section is split once and its tokens
-are parsed in bulk, with no object per row or variable. Export requires
-fixed-size models because bounded-size kernel normalizations are not
-linear.
+row as variable-id and value arrays (``QuadEntry``). It reads the encoded
+rows straight off the ``ConstraintBlock`` buffers. Exponential links are
+expanded into big-M piecewise-linear rows over the argument range [0, 1],
+built for every link and segment at once; the internal solver never uses
+the expansion. The same arrays feed the writers (COLUMNS from the CSC view,
+LP rows from CSR, QCMATRIX and the LP bracket from the quadratic arrays) and
+a MILP solver such as ``scipy.optimize.milp``. The readers parse a file
+straight into the same arrays (``ParsedModel.flat``): each section is split
+once and its tokens are parsed in bulk, with no object per row, variable or
+quadratic term. Export requires fixed-size models because bounded-size
+kernel normalizations are not linear.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from collections import defaultdict
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from .encode import LinearConstraint, MipModel
+from .encode import LinearConstraint, MipModel, _LazySequence
 from .errors import UnsupportedBoundedSizeExportError
 
 PWL_BIG_M = 4.0
@@ -53,10 +55,24 @@ def piecewise_exp_error(breakpoints: int, grid_size: int = 10_000) -> float:
     return float(np.max(np.abs(np.interp(grid, xs, ys) - np.exp(grid))))
 
 
-@dataclass
+@dataclass(eq=False)
 class QuadEntry:
+    """The quadratic part of the row ``row``: the value ``values[k]`` on the
+    product of variables ``first[k]`` and ``second[k]``, ids into the
+    model's ``names``. ``entries`` lists the terms as (name, name, value)
+    triples, built on access."""
+
     row: str
-    entries: list[tuple[str, str, float]]
+    first: np.ndarray
+    second: np.ndarray
+    values: np.ndarray
+    names: Sequence[str] = field(repr=False)
+
+    @property
+    def entries(self) -> Sequence[tuple[str, str, float]]:
+        names, first, second, values = self.names, self.first, self.second, self.values
+        return _LazySequence(len(values), lambda k: (
+            names[first[k]], names[second[k]], float(values[k])))
 
 
 class FlatVariable(NamedTuple):
@@ -64,34 +80,6 @@ class FlatVariable(NamedTuple):
     kind: str  # "binary" | "integer" | "continuous"
     lb: float
     ub: float
-
-
-class _LazySequence(Sequence):
-    """Read-only sequence whose items are built on access; its length
-    builds nothing."""
-
-    def __init__(self, length: int, item: Callable[[int], object]) -> None:
-        self._length = length
-        self._item = item
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._item(j) for j in range(*i.indices(self._length))]
-        if i < 0:
-            i += self._length
-        if not 0 <= i < self._length:
-            raise IndexError(i)
-        return self._item(i)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
 
 
 @dataclass(eq=False)
@@ -102,9 +90,9 @@ class ExportedModel:
     ``lb[j]``/``ub[j]`` and objective coefficient ``c[j]``. Row ``i`` of the
     CSR array ``A`` is the linear constraint ``row_names[i]``:
     ``A[i] . x  senses[i]  rhs[i]``, its column indices ascending. The
-    linear part of the variance row comes last; its quadratic entries are
-    in ``quad``. ``variables``, ``constraints`` and ``objective`` are views
-    built from these arrays.
+    linear part of the variance row comes last; its quadratic terms are the
+    arrays of ``quad``. ``variables``, ``constraints`` and ``objective`` are
+    views built from these arrays.
     """
 
     names: list[str]
@@ -197,21 +185,20 @@ def expand_model(model: MipModel, breakpoints: int = DEFAULT_BREAKPOINTS) -> Exp
     if not model.domain.fixed_size:
         raise UnsupportedBoundedSizeExportError(
             "bounded-size models cannot be exported; fix the size first")
-    variables, constraints = model.variables, model.constraints
+    block = model.block
+    variables = block.variables
     names = [v.name for v in variables]
     kinds = [v.kind for v in variables]
     lb = [float(v.lb) for v in variables]
     ub = [float(v.ub) for v in variables]
-    row_names = [con.name for con in constraints]
-    senses = [con.sense for con in constraints]
-    rhs = [con.rhs for con in constraints]
+    row_names = list(block.row_names)
+    senses = list(block.senses)
+    rhs = [np.frombuffer(block.rhs, dtype=float)]
     # the encoded rows already hold merged coefficients in ascending column order
-    lengths = np.array([len(con.coeffs) for con in constraints], dtype=np.int64)
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(
-        con.coeffs for con in constraints)), dtype=float, count=2 * int(lengths.sum()))
-    rows = [np.repeat(np.arange(len(constraints)), lengths)]
-    cols = [pairs[0::2].astype(np.int64)]
-    vals = [pairs[1::2]]
+    ends = np.frombuffer(block.row_ends, dtype=np.int64)
+    rows = [np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))]
+    cols = [np.frombuffer(block.cols, dtype=np.int64)]
+    vals = [np.frombuffer(block.coefs, dtype=float)]
 
     if model.exp_links:
         z_names, z_rows, z_senses, z_rhs, coo = _piecewise_block(
@@ -222,24 +209,25 @@ def expand_model(model: MipModel, breakpoints: int = DEFAULT_BREAKPOINTS) -> Exp
         ub += [1.0] * len(z_names)
         row_names += z_rows
         senses += z_senses
-        rhs += z_rhs.tolist()
+        rhs.append(z_rhs)
         for parts, part in zip((rows, cols, vals), coo):
             parts.append(part)
 
+    # the variance row: sigma^2 + k' Q k, each nonzero of Q in row-major order
     q = model.quad.q
-    kernel = [names[i] for i in model.quad.kernel_vars]
-    sigma = names[model.quad.sigma]
     qi, qj = np.nonzero(q)
-    quad = QuadEntry(model.quad.name, [(sigma, sigma, 1.0)] + [
-        (kernel[i], kernel[j], value)
-        for i, j, value in zip(qi.tolist(), qj.tolist(), q[qi, qj].tolist())])
+    kernel = np.asarray(model.quad.kernel_vars, dtype=np.int64)
+    sigma = np.array([model.quad.sigma])
+    quad = QuadEntry(model.quad.name, np.concatenate((sigma, kernel[qi])),
+                     np.concatenate((sigma, kernel[qj])),
+                     np.concatenate(([1.0], q[qi, qj])), names)
     # linear part of the variance row: -kxx <= 0
     rows.append(np.array([len(row_names)]))
     cols.append(np.array([model.quad.kxx]))
     vals.append(np.array([-1.0]))
     row_names.append(model.quad.name)
     senses.append("<=")
-    rhs.append(0.0)
+    rhs.append([0.0])
 
     row, col, val = (np.concatenate(parts) for parts in (rows, cols, vals))
     order = np.lexsort((col, row))
@@ -251,7 +239,7 @@ def expand_model(model: MipModel, breakpoints: int = DEFAULT_BREAKPOINTS) -> Exp
     for j, coef in model.objective.items():
         c[j] += coef
     return ExportedModel(names, kinds, np.array(lb), np.array(ub), c, A,
-                         row_names, senses, np.array(rhs, dtype=float), quad)
+                         row_names, senses, np.concatenate(rhs), quad)
 
 
 def export_model(model: MipModel, path, fmt: str = "mps",
@@ -349,9 +337,13 @@ def render_mps(flat: ExportedModel) -> str:
         _per_value(flat.rhs[nonzero], repr))]
     lines.append("BOUNDS")
     lines += _bound_lines(flat, _mps_bound)
-    if flat.quad is not None:
-        lines.append(f"QCMATRIX   {flat.quad.row}")
-        lines += [f"    {a}  {b}  {coef!r}" for a, b, coef in flat.quad.entries]
+    quad = flat.quad
+    if quad is not None:
+        lines.append(f"QCMATRIX   {quad.row}")
+        lines += [f"    {a}  {b}  {coef}" for a, b, coef in zip(
+            map(flat.names.__getitem__, quad.first.tolist()),
+            map(flat.names.__getitem__, quad.second.tolist()),
+            _per_value(quad.values, repr))]
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
@@ -381,19 +373,19 @@ def render_lp(flat: ExportedModel) -> str:
     obj = [f"{_lp_coef(coef)} {names[j]}" for j, coef in flat.objective.items()]
     lines.append(" obj: " + (_lp_sum(obj) if obj else "0"))
     lines.append("Subject To")
-    quad_text = None
-    if flat.quad is not None:
-        entries = flat.quad.entries
-        quad_text = _lp_sum([f"{coef} {a} ^ 2" if a == b else f"{coef} {a} * {b}"
-                             for (a, b, _), coef in zip(
-                                 entries, _per_value([e[2] for e in entries], _lp_coef))])
+    quad, quad_text = flat.quad, None
+    if quad is not None:
+        quad_text = _lp_sum([
+            f"{coef} {names[a]} ^ 2" if a == b else f"{coef} {names[a]} * {names[b]}"
+            for a, b, coef in zip(quad.first.tolist(), quad.second.tolist(),
+                                  _per_value(quad.values, _lp_coef))])
     terms = iter([f"{coef} {name}" for coef, name in zip(
         _per_value(flat.A.data, _lp_coef), map(names.__getitem__, flat.A.indices.tolist()))])
     sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
     for name, sense, rhs, count in zip(flat.row_names, flat.senses, flat.rhs.tolist(),
                                        np.diff(flat.A.indptr).tolist()):
         text = _lp_sum(islice(terms, count))
-        if quad_text is not None and name == flat.quad.row:
+        if quad_text is not None and name == quad.row:
             text = f"[ {quad_text} ] " + ("+ " if not text.startswith("-") else "") + text
         lines.append(f" {name}: {text} {sense_txt[sense]} {rhs!r}")
     lines.append("Bounds")
@@ -476,15 +468,16 @@ class ParsedModel:
     and repeated entries of a row are summed. The other fields show
     it by name: ``variables`` maps each name to ``{"kind", "lb", "ub"}`` and
     ``constraints`` holds one ``{"name", "sense", "rhs", "coeffs"}`` dict
-    per row (``coeffs`` keyed by variable name); both are read-only views
-    whose entries are built on access. ``objective`` maps each variable
-    with a nonzero coefficient to it.
+    per row (``coeffs`` keyed by variable name); ``quad_entries`` lists the
+    quadratic terms as (name, name, value) triples. All three are read-only
+    views whose entries are built on access. ``objective`` maps each
+    variable with a nonzero coefficient to it.
     """
 
     variables: Mapping[str, dict]
     constraints: Sequence[dict]
     objective: dict[str, float]
-    quad_entries: list[tuple[str, str, float]] = field(default_factory=list)
+    quad_entries: Sequence[tuple[str, str, float]] = field(default_factory=list)
     flat: ExportedModel | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -523,6 +516,12 @@ class _Variables:
         """Ids of ``names``; unseen names are added in order."""
         return np.fromiter(map(self.index.__getitem__, names), dtype=np.int64,
                            count=len(names))
+
+    def pair_ids(self, first: list[str], second: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the names of each (first, second) pair; unseen names are
+        added pair by pair."""
+        ids = self.ids(list(chain.from_iterable(zip(first, second))))
+        return ids[0::2], ids[1::2]
 
     def set(self, field_name: str, ids: np.ndarray, values) -> None:
         """``field_name[ids] = values``, applied in the order of the calls."""
@@ -706,12 +705,12 @@ def read_mps(path) -> ParsedModel:
                 new[lines] = line_values[lines] if rule[k] == _LINE_VALUE else rule[k]
         variables.set(fname, bound_ids[sets], new[sets])
 
-    quad = None
+    quad_terms = None
     if "qcmatrix" in sections:
         first, second, quad_values = _fields(sections.pop("qcmatrix"), 3, "QCMATRIX")
-        variables.ids(list(chain.from_iterable(zip(first, second))))
-        quad = QuadEntry(header_names["qcmatrix"],
-                         list(zip(first, second, _floats(quad_values, "QCMATRIX").tolist())))
+        quad_terms = (header_names["qcmatrix"], *variables.pair_ids(first, second),
+                      _floats(quad_values, "QCMATRIX"))
+        del first, second, quad_values
 
     var_names, kinds, lb, ub = variables.arrays()
     objective = row_ids == nrows
@@ -722,7 +721,7 @@ def read_mps(path) -> ParsedModel:
         np.bincount(var_ids[objective], weights=coefs[objective], minlength=len(var_names)),
         sparse.csr_array((coefs[entries], (row_ids[entries], var_ids[entries])),
                          shape=(nrows, len(var_names))),
-        row_names, senses, rhs, quad)
+        row_names, senses, rhs, QuadEntry(*quad_terms, var_names) if quad_terms else None)
     return _parsed(flat, dict(variables.index))
 
 
@@ -801,7 +800,7 @@ def read_lp(path) -> ParsedModel:
                                        np.array([len(tokens) - 1]), variables)
 
     body = sections.pop("subject to", "")
-    quad = None
+    quad_terms = None
     brackets = list(re.finditer(r"\[([^\]]*)\]", body))
     if len(brackets) > 1:
         raise ValueError("LP: more than one row has a quadratic part")
@@ -811,7 +810,6 @@ def read_lp(path) -> ParsedModel:
         if len(head) != 1 or not head[0].endswith(":"):
             raise ValueError("LP: a quadratic part must follow its row's name")
         first, second, quad_values = _lp_quad(mark.group(1))
-        quad = QuadEntry(head[0][:-1], list(zip(first, second, quad_values.tolist())))
         # a "+" after the bracket joins it to the linear terms
         body = body[:mark.start()] + re.sub(r"^[ \t]*\+?", " ", body[mark.end():], count=1)
     tokens, start, count = _lines(body, "LP")
@@ -831,8 +829,9 @@ def read_lp(path) -> ParsedModel:
     rhs = _floats(_take(tokens, end - 1), "LP")
     row_ids, var_ids, values = _lp_terms(tokens, start, count - 3, variables)
     del tokens, names, sense_tokens
-    if quad is not None:
-        variables.ids(list(chain.from_iterable(zip(first, second))))
+    if brackets:
+        quad_terms = (head[0][:-1], *variables.pair_ids(first, second), quad_values)
+        del first, second
 
     tokens, start, count = _lines(sections.pop("bounds", ""), "LP")
     two_sided = count == 5
@@ -860,5 +859,5 @@ def read_lp(path) -> ParsedModel:
         var_names, kinds, lb, ub,
         np.bincount(obj_ids, weights=obj_values, minlength=len(var_names)),
         sparse.csr_array((values, (row_ids, var_ids)), shape=(len(row_names), len(var_names))),
-        row_names, senses, rhs, quad)
+        row_names, senses, rhs, QuadEntry(*quad_terms, var_names) if quad_terms else None)
     return _parsed(flat, dict(variables.index))

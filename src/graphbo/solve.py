@@ -117,12 +117,14 @@ def check_feasible(system: ConstraintBlock, assignment: Mapping[str, float],
         if not (var.lb - tol <= value <= var.ub + tol):
             return False
         values.append(value)
-    index = system.index
-    for con in system.constraints:
+    # the (id, coefficient) pairs of every row in turn, off the flat buffers
+    pairs = zip(system.cols, system.coefs)
+    start = 0
+    for end, sense, con_rhs in zip(system.row_ends, system.senses, system.rhs):
         exact = True
         total_int = 0
         total = 0.0
-        for vid, coef in con.coeffs:
+        for vid, coef in itertools.islice(pairs, end - start):
             value = values[vid]
             if exact and _is_integral(coef) and _is_integral(value):
                 total_int += int(coef) * int(value)
@@ -131,21 +133,20 @@ def check_feasible(system: ConstraintBlock, assignment: Mapping[str, float],
                     total = float(total_int)
                     exact = False
                 total += coef * value
+        start = end
         if exact:
             lhs: float = total_int
-            rhs = con.rhs
-            if _is_integral(rhs):
-                rhs = int(rhs)
+            rhs = int(con_rhs) if _is_integral(con_rhs) else con_rhs
             eps = 0
         else:
             lhs = total_int + total if total_int else total
-            rhs = con.rhs
+            rhs = con_rhs
             eps = tol if tol else 1e-9
-        if con.sense == "<=" and not lhs <= rhs + eps:
+        if sense == "<=" and not lhs <= rhs + eps:
             return False
-        if con.sense == ">=" and not lhs >= rhs - eps:
+        if sense == ">=" and not lhs >= rhs - eps:
             return False
-        if con.sense == "==" and not (rhs - eps <= lhs <= rhs + eps):
+        if sense == "==" and not (rhs - eps <= lhs <= rhs + eps):
             return False
     return True
 

@@ -2,6 +2,7 @@
 acquisition model."""
 
 import types
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -55,6 +56,37 @@ class TestConstraintBlock:
             rows.append(block.constraints[0])
         expected = LinearConstraint("r", ((0, -2.0), (3, 1.5), (7, 0.25)), "<=", 4.0)
         assert rows == [expected] * 3
+
+    @pytest.mark.parametrize("variant, n_min", [(v, 3) for v in KernelVariant]
+                             + [(KernelVariant.SSP, 1)])
+    def test_constraints_view_matches_tuple_rows(self, monkeypatch, variant, n_min):
+        # each row as a tuple-per-row add_con stored it: repeated ids summed,
+        # then sorted
+        tuple_rows = []
+        add_con = ConstraintBlock.add_con
+
+        def recording(self, name, coeffs, sense, rhs):
+            items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+            merged = {}
+            for vid, coef in items:
+                merged[vid] = merged.get(vid, 0.0) + float(coef)
+            tuple_rows.append(
+                LinearConstraint(name, tuple(sorted(merged.items())), sense, float(rhs)))
+            add_con(self, name, coeffs, sense, rhs)
+
+        dom = DomainSpec(n=3, n_min=n_min, num_labels=2)
+        rng = np.random.default_rng(5)
+        points = [sample_feasible(dom, rng) for _ in range(4)]
+        model = fit(points, rng.normal(size=4), variant, seed=0, restarts=2)
+        monkeypatch.setattr(ConstraintBlock, "add_con", recording)
+        mip = encode_acquisition(model, dom, 1.0)
+        view = mip.constraints
+        assert len(view) == len(tuple_rows) > 0
+        for row, expected in zip(view, tuple_rows):
+            assert row == expected
+            assert all(type(vid) is int and type(coef) is float for vid, coef in row.coeffs)
+            assert type(row.rhs) is float
+        assert view[-1] == tuple_rows[-1]
 
 
 class TestShortestPathBlock:

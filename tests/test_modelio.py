@@ -16,7 +16,6 @@ from graphbo.modelio import (
     OBJ_NAME,
     PWL_BIG_M,
     ParsedModel,
-    QuadEntry,
     expand_model,
     export_model,
     piecewise_exp_error,
@@ -36,6 +35,16 @@ def fitted():
     dom = DomainSpec(n=3, num_labels=2)
     points = [sample_feasible(dom, rng) for _ in range(4)]
     y = rng.normal(size=4)
+    return dom, {variant: fit(points, y, variant, seed=0) for variant in KernelVariant}
+
+
+@pytest.fixture(scope="module")
+def smoke_fitted():
+    # the export benchmark's smoke shape: n=4, 2 labels, 12 points
+    rng = np.random.default_rng(4)
+    dom = DomainSpec(n=4, num_labels=2)
+    points = [sample_feasible(dom, rng) for _ in range(12)]
+    y = rng.normal(size=12)
     return dom, {variant: fit(points, y, variant, seed=0) for variant in KernelVariant}
 
 
@@ -76,9 +85,9 @@ def reference_expand(model, breakpoints):
             if q[i, j] != 0.0:
                 entries.append((names[i], names[j], float(q[i, j])))
     block.add_con(model.quad.name, {model.quad.kxx: -1.0}, "<=", 0.0)
-    return SimpleNamespace(variables=block.variables, constraints=block.constraints,
+    return SimpleNamespace(variables=block.variables, constraints=list(block.constraints),
                            objective=dict(model.objective),
-                           quad=QuadEntry(model.quad.name, entries),
+                           quad=SimpleNamespace(row=model.quad.name, entries=entries),
                            names=[v.name for v in block.variables])
 
 
@@ -233,7 +242,8 @@ class TestExpansion:
         assert [tuple(v) for v in flat.variables] == [
             (v.name, v.kind, float(v.lb), float(v.ub)) for v in ref.variables]
         assert flat.objective == ref.objective
-        assert flat.quad == ref.quad
+        assert flat.quad.row == ref.quad.row
+        assert list(flat.quad.entries) == ref.quad.entries
         assert flat.names == ref.names
         assert flat.integrality.tolist() == [v.kind != "continuous" for v in ref.variables]
 
@@ -311,28 +321,33 @@ class TestRoundTrip:
         parsed = read_mps(path) if fmt == "mps" else read_lp(path)
         assert sorted(parsed.quad_entries) == sorted(flat.quad.entries)
 
-    def test_arrays_match_exactly(self, tmp_path, fitted, variant, fmt):
-        dom, models = fitted
-        mip = encode_acquisition(models[variant], dom, 1.0)
-        path = tmp_path / f"model.{fmt}"
-        flat = export_model(mip, path, fmt=fmt, breakpoints=8)
-        back = (read_mps(path) if fmt == "mps" else read_lp(path)).flat
-        # written column j is read-back column perm[j]
-        assert sorted(back.names) == sorted(flat.names)
-        position = {name: j for j, name in enumerate(back.names)}
-        perm = np.array([position[name] for name in flat.names])
-        assert (back.A[:, perm] - flat.A).nnz == 0
-        assert back.A.shape == flat.A.shape
-        assert np.array_equal(back.c[perm], flat.c)
-        assert np.array_equal(back.lb[perm], flat.lb)
-        assert np.array_equal(back.ub[perm], flat.ub)
-        assert [back.kinds[j] for j in perm] == flat.kinds
-        assert back.row_names == flat.row_names
-        assert back.senses == flat.senses
-        assert np.array_equal(back.rhs, flat.rhs)
-        assert back.quad == flat.quad
-        if fmt == "mps":
-            assert render_mps(back) == path.read_text()
+    def test_arrays_match_exactly(self, tmp_path, fitted, smoke_fitted, variant, fmt):
+        # the n=3 models at 8 breakpoints and the smoke shape at 16
+        for (dom, models), breakpoints in ((fitted, 8), (smoke_fitted, 16)):
+            mip = encode_acquisition(models[variant], dom, 1.0)
+            path = tmp_path / f"model{dom.n}.{fmt}"
+            flat = export_model(mip, path, fmt=fmt, breakpoints=breakpoints)
+            back = (read_mps(path) if fmt == "mps" else read_lp(path)).flat
+            # written column j is read-back column perm[j]
+            assert sorted(back.names) == sorted(flat.names)
+            position = {name: j for j, name in enumerate(back.names)}
+            perm = np.array([position[name] for name in flat.names])
+            assert (back.A[:, perm] - flat.A).nnz == 0
+            assert back.A.shape == flat.A.shape
+            assert np.array_equal(back.c[perm], flat.c)
+            assert np.array_equal(back.lb[perm], flat.lb)
+            assert np.array_equal(back.ub[perm], flat.ub)
+            assert [back.kinds[j] for j in perm] == flat.kinds
+            assert back.row_names == flat.row_names
+            assert back.senses == flat.senses
+            assert np.array_equal(back.rhs, flat.rhs)
+            # the quadratic terms by name, in order, values ==
+            assert back.quad.row == flat.quad.row
+            assert np.array_equal(back.quad.first, perm[flat.quad.first])
+            assert np.array_equal(back.quad.second, perm[flat.quad.second])
+            assert np.array_equal(back.quad.values, flat.quad.values)
+            if fmt == "mps":
+                assert render_mps(back) == path.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +530,6 @@ def test_malformed_input_raises(tmp_path, fmt, text, section):
 # HiGHS on the exported arrays, an oracle that shares no code with the solver
 
 
-@pytest.mark.parametrize("n, labels, variant", [
-    (4, 2, KernelVariant.SSP),
-    (4, 2, KernelVariant.SP),
-    (5, 1, KernelVariant.SSP),
-])
 def _milp_without_variance_row(flat):
     keep = np.array([name != flat.quad.row for name in flat.row_names])
     senses = np.array(flat.senses)[keep]
