@@ -183,9 +183,6 @@ class ConstraintBlock:
     def var_id(self, name: str) -> int:
         return self.index[name]
 
-    def names_by_tag(self, tag: str) -> list[str]:
-        return [v.name for v in self.variables if v.tag == tag]
-
 
 # ---------------------------------------------------------------------------
 # structural blocks

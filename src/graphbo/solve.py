@@ -11,18 +11,17 @@ does not prune it, every feasible labeling of it is scored exactly, one
 ``gp.predict`` call per block of labelings (``graphs.structure_profiles``,
 which the profile table also reads). Distance/on-path variables are never
 branched: once the structural bits are fixed they are uniquely determined.
-Partial assignments are pruned with interval-arithmetic lower bounds on the
-acquisition value, read from per-training-point range-min/max tables of the
-count profile. Label bits that one-hot labels force are set at each size's
-root, which tightens the bound. The nodes of one size differ only in their
-edge bits, so a node whose whole subtree fits the ``graphs.BLOCK`` element
-budget computes the distance intervals, the edge-dependent quick checks and
-the kernel boxes of every node of that subtree in one batch; the walk over
-the batch visits, counts, prunes and polls the budget exactly as a
-node-by-node search would. The search keeps one numbering of each
-connected graph, a breadth-first one from node 0 (``_bfs_order_violated``),
-and renumbers the graphs that tie its optimum to the smallest sort key at
-the end (``graphs.smallest_relabeling``).
+A search state is one graph size and its edge bits; it is pruned with
+interval-arithmetic lower bounds on the acquisition value, read from
+per-training-point range-min/max tables of the count profile. The nodes of
+one size differ only in their edge bits, so a node whose whole subtree fits
+the ``graphs.BLOCK`` element budget computes the distance intervals, the
+edge-dependent quick checks and the kernel boxes of every node of that
+subtree in one batch; the walk over the batch visits, counts, prunes and
+polls the budget exactly as a node-by-node search would. The search keeps
+one numbering of each connected graph, a breadth-first one from node 0
+(``_bfs_order_violated``), and renumbers the graphs that tie its optimum to
+the smallest sort key at the end (``graphs.smallest_relabeling``).
 Both strategies break objective ties toward the smallest
 ``graph_sort_key``.
 
@@ -60,7 +59,7 @@ from .graphs import (  # noqa: F401  enumerate_domain is re-exported
     smallest_relabeling,
     structure_profiles,
 )
-from .kernels import _normalize, kernel_range
+from .kernels import _normalize
 from .kernels import cross_gram  # noqa: F401  kept for perfbench's span hooks
 
 logger = logging.getLogger("graphbo.solve")
@@ -255,70 +254,41 @@ def count_feasible(system: ConstraintBlock, size_spec: SizeSpec, directed: bool,
 
 @dataclass
 class PartialAssignment:
-    """Structural bits under branching: -1 unknown, else 0/1.
+    """A state of the search over graphs of ``size`` nodes: nodes
+    0..size-1 present, the others absent, and each edge bit among the
+    present nodes -1 (open), 0 or 1.
 
-    ``adj`` covers the full grid including the diagonal (node existence in
-    bounded mode; preset to 1 in fixed mode). ``feat`` covers the feature
-    grid. Undirected domains keep ``adj`` symmetric.
+    ``adj`` covers the domain's full n x n grid: its diagonal holds the
+    node-existence bits and every edge bit of an absent node is 0.
+    Undirected domains keep ``adj`` symmetric. Feature bits are never
+    fixed: once every edge bit is, all labelings are scored at once.
     """
 
     domain: DomainSpec
+    size: int
     adj: np.ndarray
-    feat: np.ndarray
 
     @staticmethod
-    def empty(domain: DomainSpec) -> "PartialAssignment":
-        n, m = domain.n, domain.num_features
-        adj = np.full((n, n), -1, dtype=np.int8)
-        if domain.fixed_size:
-            np.fill_diagonal(adj, 1)
-        feat = np.full((n, m), -1, dtype=np.int8)
-        return PartialAssignment(domain, adj, feat)
+    def root(domain: DomainSpec, size: int) -> "PartialAssignment":
+        """The root of the search over graphs of ``size`` nodes: every
+        edge bit among the present nodes open."""
+        adj = np.zeros((domain.n, domain.n), dtype=np.int8)
+        adj[:size, :size] = -1
+        np.fill_diagonal(adj, np.arange(domain.n) < size)
+        return PartialAssignment(domain, size, adj)
 
     def set_adj(self, u: int, v: int, value: int) -> None:
         self.adj[u, v] = value
-        if not self.domain.directed and u != v:
+        if not self.domain.directed:
             self.adj[v, u] = value
-
-    def set_feat(self, v: int, m: int, value: int) -> None:
-        self.feat[v, m] = value
-
-    def diag_fixed(self) -> bool:
-        return not (np.diag(self.adj) == -1).any()
 
 
 def branch_bits(size: int, directed: bool) -> list[tuple[int, int]]:
     """Branching order of the search over graphs of ``size`` nodes: the
     edge bits among the present nodes 0..size-1 in lexicographic
-    (row-major) order. Feature bits are never branched: once a structure is
-    fixed, all its labelings are scored at once."""
+    (row-major) order."""
     return [(u, v) for u in range(size) for v in range(size)
             if u != v and (directed or u < v)]
-
-
-def _propagate_labels(pa: PartialAssignment) -> np.ndarray:
-    """Set the feature bits that one-hot labels force, in place, and return
-    the mask of bits set.
-
-    Forced are every feature bit of a surely absent node (0), the open label
-    bits of a block that already holds a 1 (0), and the last open label of a
-    surely present node whose other label bits are 0 (1). The other value of
-    each has no feasible completion. One pass reaches the fixpoint: a bit set
-    to 1 leaves its block no open label, and bits set to 0 sit in blocks that
-    hold a 1 or belong to absent nodes.
-    """
-    feat = pa.feat
-    labels = feat[:, : pa.domain.num_labels]
-    diag = np.diag(pa.adj)
-    has_one = (labels == 1).any(axis=1)
-    forced = np.full(feat.shape, -1, dtype=np.int8)
-    forced[diag == 0] = 0
-    forced[has_one, : labels.shape[1]] = 0
-    last = (diag == 1) & ~has_one & ((labels == -1).sum(axis=1) == 1)
-    forced[last, : labels.shape[1]] = 1
-    mask = (feat == -1) & (forced >= 0)
-    feat[mask] = forced[mask]
-    return mask
 
 
 def _size_infeasible(domain: DomainSpec, size: int) -> bool:
@@ -332,21 +302,9 @@ def _size_infeasible(domain: DomainSpec, size: int) -> bool:
     return bool((lo > hi).any() or not lo.sum() <= size <= hi.sum())
 
 
-def _size_root(domain: DomainSpec, size: int) -> PartialAssignment:
-    """The root of the search over graphs of ``size`` nodes: nodes
-    0..size-1 present, the others absent with every edge bit 0, and the
-    label bits that one-hot labels force set (``_propagate_labels``)."""
-    pa = PartialAssignment.empty(domain)
-    pa.adj[size:] = 0
-    pa.adj[:, size:] = 0
-    np.fill_diagonal(pa.adj, np.arange(domain.n) < size)
-    _propagate_labels(pa)
-    return pa
-
-
-def _bfs_order_violated(states: np.ndarray, present: np.ndarray) -> np.ndarray:
+def _bfs_order_violated(states: np.ndarray, size: int) -> np.ndarray:
     """Per adjacency state of the stack ``states``: no completion numbers
-    the ``present`` nodes as a breadth-first search from node 0 does.
+    the present nodes 0..size-1 as a breadth-first search from node 0 does.
 
     Such a numbering gives every present node v >= 1 a neighbour u < v,
     and its first one, p(v), does not decrease in v; every connected graph
@@ -356,10 +314,10 @@ def _bfs_order_violated(states: np.ndarray, present: np.ndarray) -> np.ndarray:
     surely is, or else the last that may be. A state is cut when a node has
     no possible parent or p_min(v) > p_max(w) for some v < w.
     """
-    cols = present[present > 0]
-    if not len(cols):
+    if size < 2:
         return np.zeros(len(states), dtype=bool)
     n = states.shape[-1]
+    cols = np.arange(1, size)
     below = np.arange(n)[:, None] < cols  # row u < column v
     down, across = states[:, :, cols], np.swapaxes(states, 1, 2)[:, :, cols]
     maybe = ((down != 0) | (across != 0)) & below
@@ -373,38 +331,34 @@ def _bfs_order_violated(states: np.ndarray, present: np.ndarray) -> np.ndarray:
 
 def _edges_infeasible(pa: PartialAssignment, states: np.ndarray) -> np.ndarray:
     """The quick checks that read edge bits, for each adjacency state of the
-    stack ``states`` (which share ``pa``'s diagonal and feature bits):
-    committed in-edges over the best possible degree cap, and the
-    breadth-first numbering of the present nodes (``_bfs_order_violated``).
-    User rows name nodes, so with any the numbering is left free."""
+    stack ``states`` (which share ``pa``'s size): committed in-edges over
+    the largest degree cap (no label is fixed while edges are branched),
+    and the breadth-first numbering of the present nodes
+    (``_bfs_order_violated``). User rows name nodes, so with any the
+    numbering is left free."""
     domain = pa.domain
-    diag = np.diag(pa.adj)
     bad = np.zeros(len(states), dtype=bool)
     if not domain.extra_rows:
-        bad |= _bfs_order_violated(states, np.flatnonzero(diag == 1))
+        bad |= _bfs_order_violated(states, pa.size)
     if domain.degree_caps is not None:
-        labels = pa.feat[:, : domain.num_labels]
-        ones = (labels == 1).sum(axis=1)
-        caps = np.array(domain.degree_caps)
-        committed = (states == 1).sum(axis=1) - (diag == 1)
-        cap = np.where(ones > 0, caps[(labels == 1).argmax(axis=1)], caps.max())
-        bad |= (committed > cap).any(axis=1)
+        committed = (states == 1).sum(axis=1) - (np.diag(pa.adj) == 1)
+        bad |= (committed > max(domain.degree_caps)).any(axis=1)
     return bad
 
 
-def _distance_intervals(states: np.ndarray, nodes: np.ndarray):
+def _distance_intervals(states: np.ndarray, size: int):
     """Per adjacency state of the stack ``states`` and per ordered pair of
-    ``nodes`` (its existing nodes): the distance [lo, hi] over all
-    completions, each (states, nodes, nodes).
+    its ``size`` present nodes: the distance [lo, hi] over all completions,
+    each (states, size, size).
 
     ``lo`` counts unknown edges as present and is +inf where no completion
     joins the pair; ``hi`` counts only fixed edges and caps pairs no fixed
     path joins at (number of nodes - 1). Both come from one batched
     distance pass.
     """
-    sub = states[:, nodes[:, None], nodes]
+    sub = states[:, :size, :size]
     lo, hi = _all_pairs_distances(np.stack([sub != 0, sub == 1]))
-    return lo, np.where(np.isfinite(hi), hi, len(nodes) - 1.0)
+    return lo, np.where(np.isfinite(hi), hi, size - 1.0)
 
 
 def _subtree_states(adj: np.ndarray, bits, directed: bool) -> np.ndarray:
@@ -424,30 +378,36 @@ def _subtree_states(adj: np.ndarray, bits, directed: bool) -> np.ndarray:
 
 
 def _range_tables(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max of ``counts[:, s]`` over every length range lo <= s <= hi.
+    """Min and max of ``counts[:, s]`` over every length range lo <= s <= hi
+    and every label pair.
 
-    ``counts`` is (t, n, ...); both tables are (n, n, t, ...), indexed
+    ``counts`` is (t, n, L, L); both tables are (n, n, t), indexed
     [lo, hi]. Entries with hi < lo are never read.
     """
-    by_length = np.moveaxis(counts, 1, 0)
-    n = len(by_length)
-    low = np.zeros((n,) + by_length.shape)
+    low_by_length = np.moveaxis(counts.min(axis=(2, 3)), 1, 0)
+    high_by_length = np.moveaxis(counts.max(axis=(2, 3)), 1, 0)
+    n = len(low_by_length)
+    low = np.zeros((n,) + low_by_length.shape)
     high = np.zeros_like(low)
     for lo in range(n):
-        low[lo, lo:] = np.minimum.accumulate(by_length[lo:], axis=0)
-        high[lo, lo:] = np.maximum.accumulate(by_length[lo:], axis=0)
+        low[lo, lo:] = np.minimum.accumulate(low_by_length[lo:], axis=0)
+        high[lo, lo:] = np.maximum.accumulate(high_by_length[lo:], axis=0)
     return low, high
 
 
 class _BoundContext:
-    """Precomputed tables for interval bounds on the acquisition value.
+    """Precomputed tables for interval bounds on the acquisition value over
+    the states of the search.
 
-    Every kernel entry k_i gets an interval from the node's distance
+    Every kernel entry k_i gets an interval from the state's distance
     intervals: the count of each node pair lies between the min and the max
-    of training point i's counts over that pair's length range (and over the
-    label pairs its endpoints still allow, for sp/esp). The range tables
-    hold those min/max values for every range, so a node reads them with one
-    index over its pairs. Counts are integers, so the sums are exact.
+    of training point i's counts over that pair's length range and, for
+    sp/esp, over every label pair, since no label is fixed while edges are
+    branched. The range tables hold those min/max values for every range,
+    so a state reads them with one index over its pairs. Counts are
+    integers, so the sums are exact. The feature box depends only on the
+    size: a node's label is known only when the domain has one label, and
+    every other feature bit is open.
     """
 
     def __init__(self, model: GpModel, beta_sqrt: float, domain: DomainSpec):
@@ -467,60 +427,34 @@ class _BoundContext:
         # of variant read (t, n, labels, labels) counts
         profile = model.profile.resized(domain.n)
         self.train_sizes = profile.sizes.astype(float)
-        self.feature_tab = profile.feature_sums
         counts = (profile.labeled_counts if self.variant.labeled
                   else profile.length_counts[:, :, None, None])
         self.range_min, self.range_max = _range_tables(counts)
-        # range-table entries read per node pair and adjacency state
-        self.cells = int(np.prod(self.range_min.shape[2:]))
-        self.k_box_crude = kernel_range(self.variant, self.hyper)
+        self.label_pairs = counts.shape[2] * counts.shape[3]
+        # feature-sum products with the training points per present node:
+        # at least its label when the domain has only one, at most every bit
+        L, M = domain.num_labels, domain.num_features
+        sure = np.zeros(M)
+        sure[:L] = L == 1
+        self.feature_per_node = np.stack([sure, np.ones(M)]) @ profile.feature_sums.T
 
-    def boxes(self, pa: PartialAssignment, lo: np.ndarray, hi: np.ndarray):
-        """Kernel boxes of a stack of adjacency states that share ``pa``'s
-        present nodes and feature bits, from their distance intervals
-        ``lo``/``hi`` (``_distance_intervals``).
+    def boxes(self, size: int, lo: np.ndarray, hi: np.ndarray):
+        """Kernel boxes of a stack of adjacency states of ``size`` present
+        nodes, from their distance intervals ``lo``/``hi``
+        (``_distance_intervals``).
 
-        Returns k_lo and k_hi, (states, t), the linear self-kernel count
-        term per state and the self feature term; or None when the feature
-        bits leave a present node no label, which bounds every state by inf.
-        Every step is an integer sum or elementwise, so each state's values
-        equal those of a stack of one.
+        Returns k_lo and k_hi, (states, t), and the linear self-kernel count
+        term per state. Every step is an integer sum or elementwise, so each
+        state's values equal those of a stack of one.
         """
-        nodes = np.flatnonzero(np.diag(pa.adj) == 1)
-        npx = len(nodes)
-        L, M = self.domain.num_labels, self.domain.num_features
-        feat = pa.feat[nodes]
-        labels = feat[:, :L]
-        ones = labels == 1
-        n_ones = ones.sum(axis=1)
-        # labels each node may still take: its fixed one, else its open
-        # ones; a node with none or with two fixed (which the search never
-        # reaches) leaves no label column possible
-        allowed = np.where((n_ones == 1)[:, None], ones, labels != 0)
-        labels_valid = bool((n_ones <= 1).all() and allowed.any(axis=1).all())
-        if self.variant.labeled:
-            if not labels_valid:
-                return None
-            pair_labels = (allowed[:, None, :, None]
-                           & allowed[None, :, None, :]).reshape(npx * npx, L, L)
-        else:
-            pair_labels = np.ones((npx * npx, 1, 1), dtype=bool)
-
         rows = len(lo)
         s_hi = np.minimum(hi.reshape(rows, -1), self.domain.n - 1).astype(np.intp)
         s_lo = np.minimum(lo.reshape(rows, -1), s_hi).astype(np.intp)
-        mask = pair_labels[:, None]
-        sums = np.stack([
-            np.where(mask, self.range_min[s_lo, s_hi], np.inf).min(axis=(-2, -1)),
-            np.where(mask, self.range_max[s_lo, s_hi], -np.inf).max(axis=(-2, -1)),
-        ]).sum(axis=2)
-        n_lo = ones.sum(axis=0).astype(float)
-        n_hi = allowed.sum(axis=0).astype(float) if labels_valid else np.zeros(L)
-        n_lo = np.concatenate([n_lo, (feat[:, L:] == 1).sum(axis=0)])
-        n_hi = np.concatenate([n_hi, (feat[:, L:] != 0).sum(axis=0)])
+        sums = np.stack([self.range_min[s_lo, s_hi],
+                         self.range_max[s_lo, s_hi]]).sum(axis=2)
+        M = self.domain.num_features
         (g_lo, g_hi), (f_lo, f_hi) = _normalize(
-            sums, np.stack([n_lo, n_hi]) @ self.feature_tab.T, float(npx),
-            self.train_sizes, M)
+            sums, size * self.feature_per_node, float(size), self.train_sizes, M)
 
         var = self.hyper.require_variance(self.variant)
         if self.variant.exponential:
@@ -531,37 +465,31 @@ class _BoundContext:
             k_hi = self.hyper.alpha * g_hi + self.hyper.beta * f_hi
 
         # the self kernel is largest when every pair may sit at every
-        # length and label pair its intervals allow
+        # length its interval allows, with every label pair
         lengths = np.arange(self.domain.n)
-        covers = (s_lo[..., None] <= lengths) & (lengths <= s_hi[..., None])
-        self_counts = (np.swapaxes(covers, 1, 2).astype(float)
-                       @ pair_labels.reshape(npx * npx, -1))
-        self_lin, self_feat = _normalize(np.sum(self_counts ** 2, axis=(1, 2)),
-                                         float(np.dot(n_hi, n_hi)),
-                                         float(npx), float(npx), M)
-        return k_lo, k_hi, self_lin, self_feat
+        covered = (s_lo[..., None] <= lengths) & (lengths <= s_hi[..., None])
+        per_length = covered.sum(axis=1).astype(float)
+        self_lin, _ = _normalize(self.label_pairs * np.sum(per_length ** 2, axis=1),
+                                 0.0, float(size), float(size), M)
+        return k_lo, k_hi, self_lin
 
     def row_bound(self, boxes, row: int) -> float:
-        """The bound of state ``row`` of a ``boxes`` stack.
+        """The bound of state ``row`` of a ``boxes`` stack: the lowest
+        mu - beta_sqrt * sigma over the state's kernel box. The feature
+        kernel of a graph with itself is at most 1.
 
         The O(t^2) tail runs per state, in 1-D expressions: a batched matmul
         or ``np.exp`` rounds it differently in the last ulp, which could
         flip a tie.
         """
-        if boxes is None:
-            return math.inf
-        k_lo, k_hi, self_lin, self_feat = boxes
+        k_lo, k_hi, self_lin = (part[row] for part in boxes)
         hyper = self.hyper
-        self_lin_hi = min(1.0, self_lin[row])
+        self_lin_hi = min(1.0, self_lin)
         if self.variant.exponential:
             self_graph_hi = math.exp(self_lin_hi) / hyper.require_variance(self.variant)
         else:
             self_graph_hi = self_lin_hi
-        kxx_hi = hyper.alpha * self_graph_hi + hyper.beta * min(1.0, self_feat)
-        return self._tail(k_lo[row], k_hi[row], kxx_hi)
-
-    def _tail(self, k_lo: np.ndarray, k_hi: np.ndarray, kxx_hi: float) -> float:
-        """mu_lo - beta_sqrt * sigma_hi over the kernel box [k_lo, k_hi]."""
+        kxx_hi = hyper.alpha * self_graph_hi + hyper.beta
         mu_lo = float(self.w_pos @ k_lo + self.w_neg @ k_hi)
         z_lo = self.ct_pos @ k_lo + self.ct_neg @ k_hi
         z_hi = self.ct_pos @ k_hi + self.ct_neg @ k_lo
@@ -572,24 +500,19 @@ class _BoundContext:
         return mu_lo - self.beta_sqrt * sigma_hi
 
     def bound(self, pa: PartialAssignment) -> float:
-        """A lower bound on the LCB over every feasible completion: the
-        crude kernel box while the diagonal is open, else the batched bound
-        applied to a stack of one."""
-        if not pa.diag_fixed():
-            k_lo, k_hi = self.k_box_crude
-            return self._tail(np.full(self.t, k_lo), np.full(self.t, k_hi), k_hi)
-        nodes = np.flatnonzero(np.diag(pa.adj) == 1)
-        if not len(nodes):
-            return math.inf
-        lo, hi = _distance_intervals(pa.adj[None], nodes)
+        """A lower bound on the LCB over every feasible completion of
+        ``pa``: the batched bound applied to a stack of one, or inf when no
+        completion connects the present nodes."""
+        lo, hi = _distance_intervals(pa.adj[None], pa.size)
         if not np.isfinite(lo).all():
             return math.inf
-        return self.row_bound(self.boxes(pa, lo, hi), 0)
+        return self.row_bound(self.boxes(pa.size, lo, hi), 0)
 
 
 def dual_bound(partial: PartialAssignment, gp_model: GpModel,
                beta_sqrt: float) -> float:
-    """Valid lower bound on the LCB over all completions of ``partial``."""
+    """Valid lower bound on the LCB over all completions of ``partial``, a
+    state of the search: one graph size and its edge bits."""
     check_acquisition_inputs(gp_model, partial.domain, beta_sqrt)
     ctx = _BoundContext(gp_model, beta_sqrt, partial.domain)
     return ctx.bound(partial)
@@ -602,14 +525,14 @@ class _EdgeSubtree:
 
     Row 0 is the node itself; a row at depth d < ``end`` has its 1-child at
     row + 1 and its 0-child at row + 2**(end - d). Every row shares the
-    node's present nodes and feature bits; only edge bits differ.
+    node's size; only edge bits differ.
     """
 
     ctx: _BoundContext
     end: int
     infeasible: np.ndarray  # per row: connectivity and the other edge checks
     dist: np.ndarray  # per row: lower distance intervals, exact at leaves
-    boxes: tuple | None  # ctx.boxes of the rows; None bounds every row by inf
+    boxes: tuple | None  # ctx.boxes of the rows; None when row 0 is infeasible
 
     def bound(self, row: int) -> float:
         return self.ctx.row_bound(self.boxes, row)
@@ -618,17 +541,16 @@ class _EdgeSubtree:
 def _edge_subtree(ctx: _BoundContext, pa: PartialAssignment, depth: int,
                   bits: list) -> _EdgeSubtree:
     """The node at ``pa``, batched with its whole subtree when the
-    subtree's rows x present-node pairs x range-table cells fit the
+    subtree's rows x present-node pairs x training points fit the
     ``BLOCK`` element budget, else alone."""
-    nodes = np.flatnonzero(np.diag(pa.adj) == 1)
     levels = len(bits) - depth
-    if (2 ** (levels + 1) - 1) * len(nodes) ** 2 * ctx.cells > BLOCK:
+    if (2 ** (levels + 1) - 1) * pa.size ** 2 * ctx.t > BLOCK:
         levels = 0
     states = _subtree_states(pa.adj, bits[depth : depth + levels], pa.domain.directed)
-    lo, hi = _distance_intervals(states, nodes)
+    lo, hi = _distance_intervals(states, pa.size)
     infeasible = ~np.isfinite(lo).all(axis=(1, 2)) | _edges_infeasible(pa, states)
     # below an infeasible node the search reads no row
-    boxes = None if infeasible[0] else ctx.boxes(pa, lo, hi)
+    boxes = None if infeasible[0] else ctx.boxes(pa.size, lo, hi)
     return _EdgeSubtree(ctx, depth + levels, infeasible, lo, boxes)
 
 
@@ -730,8 +652,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         ``gp.lcb`` every labeling that ties the structure's minimum: two
         such labelings need not be renumberings of each other."""
         nonlocal incumbent_obj, tied, timed_out
-        size = len(dist)  # present nodes are a prefix
-        adjacency = pa.adj[:size, :size].copy()
+        adjacency = pa.adj[: pa.size, : pa.size].copy()
         np.fill_diagonal(adjacency, 0)
         best_value, ties = math.inf, []
         for profiles, features in structure_profiles(domain, adjacency,
@@ -812,7 +733,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
     for size in reversed(domain.sizes):
         if _size_infeasible(domain, size):
             continue
-        root = _size_root(domain, size)
+        root = PartialAssignment.root(domain, size)
         if timed_out:
             # a size the budget left unsearched contributes its root bound
             open_bounds.append(ctx.bound(root))
@@ -873,9 +794,8 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     and the node's bound does not prune it, the structure's feasible
     labelings are scored by ``gp.predict``, one call per block of labelings,
     and every labeling that ties the structure's minimum is built and
-    re-scored through ``gp.lcb``. Label bits that one-hot labels force are
-    set at each size's root to tighten the bound. Each subtree that fits
-    the ``graphs.BLOCK`` element budget is bounded in one batch; the nodes
+    re-scored through ``gp.lcb``. Each subtree that fits the
+    ``graphs.BLOCK`` element budget is bounded in one batch; the nodes
     bounded, their values, the tie-breaks and the budget polls are those of
     a node-by-node search. ``nodes_explored`` counts the nodes whose bound
     was computed: 369 at n=5 with 2 labels and 10 random points, where

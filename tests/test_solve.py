@@ -55,7 +55,8 @@ def fitted_model(rng, dom, t=5, variant=KernelVariant.SSP):
 def reference_bound(pa, model, beta_sqrt):
     """The per-pair interval bound written out loop by loop: each node pair
     takes the min/max of every training point's counts over its distance
-    range and allowed label pairs, with per-source BFS distances."""
+    range and every label pair, with per-source BFS distances. A node's
+    label is known only when the domain has one label."""
     dom = pa.domain
     n, L, M = dom.n, dom.num_labels, dom.num_features
     hyper, variant = model.hyper, model.variant
@@ -67,83 +68,47 @@ def reference_bound(pa, model, beta_sqrt):
     w_neg = np.clip(model.weights, None, 0.0)
     factor = model.inverse_factor()
     ct_pos, ct_neg = np.clip(factor, 0.0, None), np.clip(factor, None, 0.0)
-    diag = np.diag(pa.adj)
-    if (diag == -1).any():
-        if variant.exponential:
-            k_lo = np.full(t, hyper.alpha / var)
-            k_hi = np.full(t, hyper.alpha * math.e / var + hyper.beta)
-            kxx_hi = hyper.alpha * math.e / var + hyper.beta
-        else:
-            k_lo = np.full(t, 0.0)
-            k_hi = np.full(t, hyper.alpha + hyper.beta)
-            kxx_hi = hyper.alpha + hyper.beta
+    npx = pa.size
+    sub = pa.adj[:npx, :npx]
+    lo = bfs_distances(sub != 0, dom.directed)
+    if (lo < 0).any():
+        return math.inf
+    hi = bfs_distances(sub == 1, dom.directed)
+    hi = np.where(hi < 0, npx - 1, hi)
+    g_lo, g_hi = np.zeros(t), np.zeros(t)
+    hi_counts = np.zeros((n, L, L)) if variant.labeled else np.zeros(n)
+    for a in range(npx):
+        for b in range(npx):
+            s_lo = 0 if a == b else int(lo[a, b])
+            s_hi = min(0 if a == b else int(hi[a, b]), n - 1)
+            s_lo = min(s_lo, s_hi)
+            if variant.labeled:
+                block = profile.labeled_counts[:, s_lo:s_hi + 1]
+                g_lo += block.min(axis=(1, 2, 3))
+                g_hi += block.max(axis=(1, 2, 3))
+            else:
+                block = profile.length_counts[:, s_lo:s_hi + 1]
+                g_lo += block.min(axis=1)
+                g_hi += block.max(axis=1)
+            hi_counts[s_lo:s_hi + 1] += 1
+    norm = (npx * npx) * (sizes.astype(float) ** 2)
+    g_lo, g_hi = g_lo / norm, g_hi / norm
+    # every feature bit of every node may be 1; a 1-label domain's label bit is
+    n_lo, n_hi = np.zeros(M), np.full(M, float(npx))
+    if L == 1:
+        n_lo[0] = npx
+    f_lo = (profile.feature_sums @ n_lo) / (npx * sizes * M)
+    f_hi = (profile.feature_sums @ n_hi) / (npx * sizes * M)
+    if variant.exponential:
+        k_lo = hyper.alpha * np.exp(g_lo) / var + hyper.beta * f_lo
+        k_hi = hyper.alpha * np.exp(g_hi) / var + hyper.beta * f_hi
     else:
-        nodes = [v for v in range(n) if diag[v] == 1]
-        if not nodes:
-            return math.inf
-        npx = len(nodes)
-        sub = pa.adj[np.ix_(nodes, nodes)]
-        lo = bfs_distances(sub != 0, dom.directed)
-        if (lo < 0).any():
-            return math.inf
-        hi = bfs_distances(sub == 1, dom.directed)
-        hi = np.where(hi < 0, npx - 1, hi)
-        label_sets = []
-        for v in nodes:
-            block = pa.feat[v, :L]
-            fixed = [l for l in range(L) if block[l] == 1]
-            options = fixed if fixed else [l for l in range(L) if block[l] != 0]
-            if len(fixed) > 1 or not options:
-                label_sets = None
-                break
-            label_sets.append(options)
-        if variant.labeled and label_sets is None:
-            return math.inf
-        g_lo, g_hi = np.zeros(t), np.zeros(t)
-        hi_counts = np.zeros((n, L, L)) if variant.labeled else np.zeros(n)
-        for a in range(npx):
-            for b in range(npx):
-                s_lo = 0 if a == b else int(lo[a, b])
-                s_hi = min(0 if a == b else int(hi[a, b]), n - 1)
-                s_lo = min(s_lo, s_hi)
-                if variant.labeled:
-                    lu, lv = label_sets[a], label_sets[b]
-                    block = profile.labeled_counts[:, s_lo:s_hi + 1][:, :, lu][:, :, :, lv]
-                    g_lo += block.min(axis=(1, 2, 3))
-                    g_hi += block.max(axis=(1, 2, 3))
-                    for l1 in lu:
-                        for l2 in lv:
-                            hi_counts[s_lo:s_hi + 1, l1, l2] += 1
-                else:
-                    block = profile.length_counts[:, s_lo:s_hi + 1]
-                    g_lo += block.min(axis=1)
-                    g_hi += block.max(axis=1)
-                    hi_counts[s_lo:s_hi + 1] += 1
-        norm = (npx * npx) * (sizes.astype(float) ** 2)
-        g_lo, g_hi = g_lo / norm, g_hi / norm
-        n_lo, n_hi = np.zeros(M), np.zeros(M)
-        for idx, v in enumerate(nodes):
-            for m in range(M):
-                state = pa.feat[v, m]
-                if state == 1:
-                    n_lo[m] += 1
-                if m < L:
-                    if label_sets is not None and m in label_sets[idx]:
-                        n_hi[m] += 1
-                elif state != 0:
-                    n_hi[m] += 1
-        f_lo = (profile.feature_sums @ n_lo) / (npx * sizes * M)
-        f_hi = (profile.feature_sums @ n_hi) / (npx * sizes * M)
-        if variant.exponential:
-            k_lo = hyper.alpha * np.exp(g_lo) / var + hyper.beta * f_lo
-            k_hi = hyper.alpha * np.exp(g_hi) / var + hyper.beta * f_hi
-        else:
-            k_lo = hyper.alpha * g_lo + hyper.beta * f_lo
-            k_hi = hyper.alpha * g_hi + hyper.beta * f_hi
-        self_lin_hi = min(1.0, float(np.sum(hi_counts ** 2)) / npx ** 4)
-        self_graph_hi = math.exp(self_lin_hi) / var if variant.exponential else self_lin_hi
-        self_feat_hi = min(1.0, float(np.dot(n_hi, n_hi)) / (npx * npx * M))
-        kxx_hi = hyper.alpha * self_graph_hi + hyper.beta * self_feat_hi
+        k_lo = hyper.alpha * g_lo + hyper.beta * f_lo
+        k_hi = hyper.alpha * g_hi + hyper.beta * f_hi
+    self_lin_hi = min(1.0, float(np.sum(hi_counts ** 2)) / npx ** 4)
+    self_graph_hi = math.exp(self_lin_hi) / var if variant.exponential else self_lin_hi
+    self_feat_hi = min(1.0, float(np.dot(n_hi, n_hi)) / (npx * npx * M))
+    kxx_hi = hyper.alpha * self_graph_hi + hyper.beta * self_feat_hi
     mu_lo = float(w_pos @ k_lo + w_neg @ k_hi)
     z_lo = ct_pos @ k_lo + ct_neg @ k_hi
     z_hi = ct_pos @ k_hi + ct_neg @ k_lo
@@ -156,55 +121,27 @@ def reference_bound(pa, model, beta_sqrt):
 def reference_quick_infeasible(pa):
     """The search's cheap pruning checks written out check by check."""
     dom = pa.domain
-    n, L = dom.n, dom.num_labels
-    diag = [int(pa.adj[v, v]) for v in range(n)]
-    if not dom.fixed_size:
-        if any(diag[v] == 0 and diag[v + 1] == 1 for v in range(n - 1)):
-            return True
-        if diag.count(0) > n - dom.n_min:
-            return True
-        for v in range(n):
-            if diag[v] == 0 and (any(pa.adj[v, u] == 1 or pa.adj[u, v] == 1
-                                     for u in range(n))
-                                 or any(pa.feat[v] == 1)):
-                return True
-    ones = [sum(pa.feat[v, label] == 1 for label in range(L)) for v in range(n)]
-    for v in range(n):
-        if diag[v] == 1 and (ones[v] > 1 or all(pa.feat[v, :L] == 0)):
-            return True
-    # connectivity with every open node and edge present
-    maybe = [v for v in range(n) if diag[v] != 0]
-    present = [i for i, v in enumerate(maybe) if diag[v] == 1]
-    if present:
-        reach = bfs_distances(pa.adj[np.ix_(maybe, maybe)] != 0, dom.directed)
-        if any(reach[a, b] < 0 for a in present for b in present):
-            return True
-    if dom.label_count_bounds is not None:
-        for label, (lo, hi) in enumerate(dom.label_count_bounds):
-            sure = sum(pa.feat[v, label] == 1 for v in range(n))
-            open_ = sum(pa.feat[v, label] == -1 and diag[v] != 0 and ones[v] == 0
-                        for v in range(n))
-            if sure > hi or sure + open_ < lo:
-                return True
+    size = pa.size
+    # connectivity with every open edge present
+    reach = bfs_distances(pa.adj[:size, :size] != 0, dom.directed)
+    if (reach < 0).any():
+        return True
     if dom.degree_caps is not None:
-        for v in range(n):
-            committed = sum(pa.adj[u, v] == 1 for u in range(n) if u != v)
-            labelled = [label for label in range(L) if pa.feat[v, label] == 1]
-            cap = dom.degree_caps[labelled[0]] if labelled else max(dom.degree_caps)
-            if committed > cap:
+        # no label is fixed, so a node may take the label with the largest cap
+        for v in range(size):
+            committed = sum(pa.adj[u, v] == 1 for u in range(size) if u != v)
+            if committed > max(dom.degree_caps):
                 return True
     if not dom.extra_rows:
-        # a breadth-first numbering of the surely-present nodes, on the
-        # underlying undirected graph: every node v >= 1 has a parent u < v,
-        # and the first parent never decreases in v
+        # a breadth-first numbering of the present nodes, on the underlying
+        # undirected graph: every node v >= 1 has a parent u < v, and the
+        # first parent never decreases in v
         def edge(u, v):
             pair = (pa.adj[u, v], pa.adj[v, u])
             return 1 if 1 in pair else (-1 if -1 in pair else 0)
 
         parent_ranges = []
-        for v in range(1, n):
-            if diag[v] != 1:
-                continue
+        for v in range(1, size):
             possible = [u for u in range(v) if edge(u, v) != 0]
             if not possible:
                 return True
@@ -295,40 +232,27 @@ def reference_search(model, dom, beta_sqrt):
                 for counts in itertools.product(range(size + 1),
                                                 repeat=dom.num_labels)):
             continue
-        pa = PartialAssignment.empty(dom)
+        adj = np.full((dom.n, dom.n), -1, dtype=np.int8)
         for u in range(dom.n):
             for v in range(dom.n):
                 if u >= size or v >= size:
-                    pa.set_adj(u, v, 0)
+                    adj[u, v] = 0
                 elif u == v:
-                    pa.set_adj(u, v, 1)
-        solve_module._propagate_labels(pa)
-        visit(pa, size, branch_bits(size, dom.directed), 0)
+                    adj[u, v] = 1
+        visit(PartialAssignment(dom, size, adj), size,
+              branch_bits(size, dom.directed), 0)
     if best["graph"] is None:
         return "Infeasible", nodes, None, math.inf, None
     return "Optimal", nodes, best["value"], best["value"], best["graph"]
 
 
-def structural_bits(dom):
-    """The existence bits of a bounded domain, its edge bits, then every
-    feature bit: the bits a partial assignment may fix."""
-    existence = [] if dom.fixed_size else [("adj", v, v) for v in range(dom.n)]
-    return (existence
-            + [("adj", u, v) for u, v in branch_bits(dom.n, dom.directed)]
-            + [("feat", v, m) for v in range(dom.n) for m in range(dom.num_features)])
-
-
 def random_partial(rng, dom, fixed_share):
-    """Each structural bit (and, in bounded mode, each existence bit) fixed
-    to a random value with probability ``fixed_share``."""
-    pa = PartialAssignment.empty(dom)
-    for kind, a, b in structural_bits(dom):
+    """A random size of the domain, then each edge bit among its nodes
+    fixed to a random value with probability ``fixed_share``."""
+    pa = PartialAssignment.root(dom, int(rng.choice(dom.sizes)))
+    for a, b in branch_bits(pa.size, dom.directed):
         if rng.random() < fixed_share:
-            value = int(rng.integers(0, 2))
-            if kind == "adj":
-                pa.set_adj(a, b, value)
-            else:
-                pa.set_feat(a, b, value)
+            pa.set_adj(a, b, int(rng.integers(0, 2)))
     return pa
 
 
@@ -468,70 +392,72 @@ class TestPropagateLeaf:
 
 class TestDualBound:
     def _full_assignment(self, g, dom):
-        pa = PartialAssignment.empty(dom)
-        n = dom.n
-        for u in range(n):
-            for v in range(n):
-                if u != v:
-                    pa.adj[u, v] = g.adjacency[u, v]
-        pa.feat[:, :] = g.features
+        pa = PartialAssignment.root(dom, g.n)
+        for u, v in branch_bits(g.n, dom.directed):
+            pa.set_adj(u, v, g.adjacency[u, v])
         return pa
 
     def test_degenerate_interval_equals_leaf(self, rng):
-        dom = DomainSpec(n=3, num_labels=2)
-        model = fitted_model(rng, dom)
-        train_profiles = {(tuple(p.summary.length_counts),
-                           tuple(p.summary.feature_sums)) for p in model.points}
-        checked = 0
-        for seed in range(20):
-            g = sample_feasible(dom, seed)
-            profile = (tuple(g.summary.length_counts), tuple(g.summary.feature_sums))
-            if profile in train_profiles:
-                continue  # sigma ~ 0 there; sqrt amplifies float noise
-            pa = self._full_assignment(g, dom)
-            bound = dual_bound(pa, model, 1.0)
-            leaf = lcb(model, g, 1.0)
-            assert bound == pytest.approx(leaf, abs=1e-9)
-            assert bound <= leaf + 1e-9
-            checked += 1
-        assert checked >= 5
+        # at a fixed structure the bound is the LCB itself when the domain
+        # has one label, and below every labeling's LCB with two
+        for dom in (DomainSpec(n=4, num_labels=1), DomainSpec(n=3, num_labels=2)):
+            model = fitted_model(rng, dom)
+            train_profiles = {(tuple(p.summary.length_counts),
+                               tuple(p.summary.feature_sums)) for p in model.points}
+            structures = {}
+            for g in enumerate_domain(dom):
+                structures.setdefault(g.adjacency.tobytes(), []).append(g)
+            checked = 0
+            for labelings in structures.values():
+                bound = dual_bound(self._full_assignment(labelings[0], dom), model, 1.0)
+                best = min(lcb(model, g, 1.0) for g in labelings)
+                if dom.num_labels == 1:
+                    g, = labelings
+                    if (tuple(g.summary.length_counts),
+                            tuple(g.summary.feature_sums)) in train_profiles:
+                        continue  # sigma ~ 0 there; sqrt amplifies float noise
+                    assert bound == pytest.approx(best, abs=1e-9)
+                assert bound <= best + 1e-9
+                checked += 1
+            assert checked >= 4
 
     @pytest.mark.parametrize("variant", list(KernelVariant))
     def test_root_bound_below_enumeration_minimum(self, rng, variant):
         dom = DomainSpec(n=4, num_labels=2)
         model = fitted_model(rng, dom, variant=variant)
-        root = dual_bound(PartialAssignment.empty(dom), model, 1.0)
+        root = dual_bound(PartialAssignment.root(dom, dom.n), model, 1.0)
         best = min(lcb(model, g, 1.0) for g in enumerate_domain(dom))
         assert root <= best + 1e-9
 
-    def test_sound_on_random_partial_assignments(self, rng):
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    @pytest.mark.parametrize("dom", [DomainSpec(n=4, num_labels=2),
+                                     DomainSpec(n=4, n_min=2, num_labels=2)],
+                             ids=["n4_2labels", "bounded_2_4"])
+    def test_sound_on_random_partial_assignments(self, rng, dom, variant):
         # the bound never exceeds the best completion of the fixed bits
-        dom = DomainSpec(n=4, num_labels=2)
-        model = fitted_model(rng, dom)
+        model = fitted_model(rng, dom, variant=variant)
         candidates = list(enumerate_domain(dom))
-        bits = structural_bits(dom)
+        checked = 0
         for _ in range(15):
-            pa = PartialAssignment.empty(dom)
-            chosen = rng.permutation(len(bits))[: int(rng.integers(1, 8))]
-            for idx in chosen:
-                kind, a, b = bits[idx]
-                value = int(rng.integers(0, 2))
-                if kind == "adj":
-                    pa.set_adj(a, b, value)
-                else:
-                    pa.set_feat(a, b, value)
+            pa = PartialAssignment.root(dom, int(rng.choice(dom.sizes)))
+            bits = branch_bits(pa.size, dom.directed)
+            for idx in rng.permutation(len(bits))[: int(rng.integers(1, 8))]:
+                a, b = bits[idx]
+                pa.set_adj(a, b, int(rng.integers(0, 2)))
+            sub = pa.adj[: pa.size, : pa.size]
             completions = [
                 g for g in candidates
-                if all((pa.adj[u, v] == -1 or pa.adj[u, v] == g.adjacency[u, v])
-                       for u in range(4) for v in range(4) if u != v)
-                and all((pa.feat[v, m] == -1 or pa.feat[v, m] == g.features[v, m])
-                        for v in range(4) for m in range(2))
+                if g.n == pa.size
+                and all((sub[u, v] == -1 or sub[u, v] == g.adjacency[u, v])
+                        for u, v in branch_bits(pa.size, True))
             ]
             bound = dual_bound(pa, model, 1.0)
             if not completions:
                 continue
             best = min(lcb(model, g, 1.0) for g in completions)
             assert bound <= best + 1e-9
+            checked += 1
+        assert checked >= 5
 
     @pytest.mark.parametrize("variant", list(KernelVariant))
     @pytest.mark.parametrize("dom", [
@@ -547,31 +473,21 @@ class TestDualBound:
         finite = 0
         for trial in range(120):
             pa = random_partial(rng, dom, fixed_share=(trial % 6 + 1) / 6)
-            if not dom.fixed_size and trial % 2:
-                # settle existence so the count-space bound is exercised
-                size = int(rng.integers(dom.n_min, dom.n + 1))
-                for v in range(dom.n):
-                    pa.set_adj(v, v, int(v < size))
             bound = dual_bound(pa, model, 1.0)
             assert bound == reference_bound(pa, model, 1.0)
             finite += math.isfinite(bound)
         assert finite >= 20
 
     def test_monotone_along_random_paths(self, rng):
-        dom = DomainSpec(n=4, num_labels=2)
+        dom = DomainSpec(n=4, n_min=2, num_labels=2)
         model = fitted_model(rng, dom)
-        bits = structural_bits(dom)
         for _ in range(10):
-            pa = PartialAssignment.empty(dom)
+            pa = PartialAssignment.root(dom, int(rng.choice(dom.sizes)))
             previous = dual_bound(pa, model, 1.0)
-            order = rng.permutation(len(bits))
-            for idx in order[:8]:
-                kind, a, b = bits[idx]
-                value = int(rng.integers(0, 2))
-                if kind == "adj":
-                    pa.set_adj(a, b, value)
-                else:
-                    pa.set_feat(a, b, value)
+            bits = branch_bits(pa.size, dom.directed)
+            for idx in rng.permutation(len(bits)):
+                a, b = bits[idx]
+                pa.set_adj(a, b, int(rng.integers(0, 2)))
                 current = dual_bound(pa, model, 1.0)
                 assert current >= previous - 1e-9
                 previous = current
@@ -718,7 +634,7 @@ class TestSolve:
         with pytest.raises(IncompatibleDomainError):
             solve(model, directed, 1.0, strategy=strategy)
         with pytest.raises(IncompatibleDomainError):
-            dual_bound(PartialAssignment.empty(directed), model, 1.0)
+            dual_bound(PartialAssignment.root(directed, 3), model, 1.0)
 
     @pytest.mark.parametrize("strategy", list(SolveStrategy))
     def test_negative_beta_sqrt_raises_before_table_build(self, rng, strategy):
@@ -834,33 +750,19 @@ class TestSolve:
         if result.objective is not None:
             assert result.bound <= result.objective
 
-    def test_propagation_sets_forced_label_bits(self):
-        dom = DomainSpec(n=5, n_min=2, num_labels=2, num_features=3)
-        pa = PartialAssignment.empty(dom)
-        for v, exists in enumerate((1, 1, 1, 0)):  # node 4's existence open
-            pa.set_adj(v, v, exists)
-        pa.set_feat(0, 0, 1)  # the block holds a 1
-        pa.set_feat(1, 0, 0)  # one open label left on a present node
-        pa.set_feat(4, 0, 0)  # one open label left on a node that may be absent
-        forced = solve_module._propagate_labels(pa)
-        assert pa.feat.tolist() == [[1, 0, -1], [0, 1, -1], [-1, -1, -1],
-                                    [0, 0, 0], [0, -1, -1]]
-        assert forced.sum() == 5
-        assert not solve_module._propagate_labels(pa).any()
-
     def test_nodes_bound_with_fresh_intervals(self, rng, monkeypatch):
         # every searched node is bounded from its row of a batched subtree;
         # that row must be the node's own adjacency state, so every node
         # bound equals a fresh one of the search's partial assignment
         subtree = solve_module._EdgeSubtree
         bound = subtree.bound
-        empty = PartialAssignment.empty
+        root = PartialAssignment.root
         searched = []
         checked = 0
         model = None
 
-        def recorded_empty(domain):
-            pa = empty(domain)
+        def recorded_root(domain, size):
+            pa = root(domain, size)
             searched.append(pa)
             return pa
 
@@ -871,7 +773,7 @@ class TestSolve:
             checked += 1
             return value
 
-        monkeypatch.setattr(PartialAssignment, "empty", staticmethod(recorded_empty))
+        monkeypatch.setattr(PartialAssignment, "root", staticmethod(recorded_root))
         monkeypatch.setattr(subtree, "bound", fresh_bound)
         for dom in (DomainSpec(n=4, num_labels=2), DomainSpec(n=4, n_min=2, num_labels=2),
                     DomainSpec(n=5, num_labels=1), DomainSpec(n=5, num_labels=2)):

@@ -35,7 +35,7 @@ def structures(n, directed):
 def kept(states):
     """The states of full structures that the search's rule keeps."""
     n = states.shape[-1]
-    return states[~solve_module._bfs_order_violated(states, np.arange(n))]
+    return states[~solve_module._bfs_order_violated(states, n)]
 
 
 def renumberings(adjacency):
@@ -100,10 +100,8 @@ def test_partial_states_keep_every_breadth_first_completion(rng, dom):
             for size in dom.sizes}
     cut = 0
     for _ in range(300):
-        pa = PartialAssignment.empty(dom)
         size = int(rng.integers(dom.n_min, n + 1))
-        for v in range(n):
-            pa.set_adj(v, v, int(v < size))
+        pa = PartialAssignment.root(dom, size)
         for u in range(size):
             for v in range(size):
                 if u != v and rng.random() < 0.6:
@@ -111,8 +109,7 @@ def test_partial_states_keep_every_breadth_first_completion(rng, dom):
         sub = pa.adj[:size, :size]
         completions = [s for s in full[size]
                        if ((sub == -1) | (sub == s)).all()]
-        violated = solve_module._bfs_order_violated(pa.adj[None],
-                                                    np.arange(size))[0]
+        violated = solve_module._bfs_order_violated(pa.adj[None], size)[0]
         assert not (violated and completions)
         cut += bool(violated)
     assert cut >= 10
