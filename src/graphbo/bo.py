@@ -18,11 +18,11 @@ import numpy as np
 
 from .encode import encode_acquisition  # noqa: F401  re-exported from graphbo.bo
 from .errors import GraphBoError, UnknownOracleError
-from .gp import fit, posterior
+from .gp import FIT_RESTARTS, fit, posterior
 from .gp import lcb as gp_lcb  # noqa: F401  re-exported from graphbo.bo
 from .graphs import AttributedGraph, DomainSpec, sample_feasible, write_graphs
 from .kernels import KernelHyperparams, KernelVariant, k_graph
-from .solve import SolveStrategy, solve
+from .solve import DEFAULT_BUDGET, SolveStrategy, solve
 
 HISTORY_COLUMNS = ["iter", "proposal_id", "y", "best_y", "mu", "sigma",
                    "solver_status", "bound", "solve_seconds", "alpha", "beta",
@@ -37,11 +37,11 @@ class BoConfig:
     beta_sqrt: float = 1.0
     initial_samples: int = 10
     iterations: int = 50
-    solver_budget: float = 600.0
+    solver_budget: float = DEFAULT_BUDGET
     warm_start_count: int = 20
     seed: int = 0
     strategy: SolveStrategy = SolveStrategy.BRANCH_AND_PROPAGATE
-    fit_restarts: int = 8
+    fit_restarts: int = FIT_RESTARTS
     log_interval: int = 0
 
     def __post_init__(self):

@@ -30,8 +30,8 @@ from .graphs import (
     write_graphs,
 )
 from .kernels import KernelHyperparams, KernelVariant, k_combined, k_feature, k_graph
-from .modelio import export_model
-from .solve import SolveStrategy, count_feasible, solve
+from .modelio import DEFAULT_BREAKPOINTS, export_model
+from .solve import DEFAULT_BUDGET, SolveStrategy, count_feasible, solve
 
 CONFIG_KEYS = {
     "seed", "domain", "variant", "alpha", "beta", "sigma_k_sq", "beta_sqrt",
@@ -99,19 +99,21 @@ def _hyper_from(args, config: dict) -> KernelHyperparams:
 
 
 def _bo_config(args, config: dict, seed: int) -> bo_mod.BoConfig:
-    return bo_mod.BoConfig(
-        variant=KernelVariant(_pick(args.variant, config, "variant", "ssp")),
-        beta_sqrt=float(_pick(args.beta_sqrt, config, "beta_sqrt", 1.0)),
-        initial_samples=int(_pick(args.initial_samples, config,
-                                  "initial_samples", 10)),
-        iterations=int(_pick(args.iterations, config, "iterations", 50)),
-        solver_budget=float(_pick(args.budget, config, "solver_budget", 600.0)),
-        warm_start_count=int(_pick(args.warm, config, "warm_start_count", 20)),
-        seed=seed,
-        strategy=SolveStrategy(_pick(args.strategy, config, "strategy",
-                                     "branch_and_propagate")),
-        log_interval=int(_pick(None, config, "log_interval", 0)),
-    )
+    """Flags over config keys; a field that neither sets keeps the BoConfig
+    default."""
+    fields = {  # BoConfig field: (flag value, config key, type)
+        "variant": (args.variant, "variant", KernelVariant),
+        "beta_sqrt": (args.beta_sqrt, "beta_sqrt", float),
+        "initial_samples": (args.initial_samples, "initial_samples", int),
+        "iterations": (args.iterations, "iterations", int),
+        "solver_budget": (args.budget, "solver_budget", float),
+        "warm_start_count": (args.warm, "warm_start_count", int),
+        "strategy": (args.strategy, "strategy", SolveStrategy),
+        "log_interval": (None, "log_interval", int),
+    }
+    given = {name: kind(value) for name, (flag, key, kind) in fields.items()
+             if (value := _pick(flag, config, key, None)) is not None}
+    return bo_mod.BoConfig(seed=seed, **given)
 
 
 def _oracle_from(args, config: dict) -> bo_mod.ObjectiveOracle:
@@ -267,7 +269,7 @@ def _run_command(args, config: dict, seed: int) -> int:
     if command == "fit":
         graphs, y = read_dataset(args.data)
         variant = KernelVariant(_pick(args.variant, config, "variant", "ssp"))
-        restarts = int(_pick(args.restarts, config, "restarts", 8))
+        restarts = int(_pick(args.restarts, config, "restarts", gp_mod.FIT_RESTARTS))
         model = gp_mod.fit(graphs, y, variant, seed=seed, restarts=restarts)
         gp_mod.dump_model(model, args.out)
         h = model.hyper
@@ -289,7 +291,8 @@ def _run_command(args, config: dict, seed: int) -> int:
         domain = _domain_from(args, config)
         beta_sqrt = float(_pick(args.beta_sqrt, config, "beta_sqrt", 1.0))
         fmt = _pick(args.format, config, "format", "mps")
-        breakpoints = int(_pick(args.breakpoints, config, "breakpoints", 64))
+        breakpoints = int(_pick(args.breakpoints, config, "breakpoints",
+                                DEFAULT_BREAKPOINTS))
         mip = encode_acquisition(model, domain, beta_sqrt)
         flat = export_model(mip, args.out, fmt=fmt, breakpoints=breakpoints)
         print(f"variables={len(flat.variables)} rows={len(flat.constraints)}")
@@ -301,7 +304,7 @@ def _run_command(args, config: dict, seed: int) -> int:
         beta_sqrt = float(_pick(args.beta_sqrt, config, "beta_sqrt", 1.0))
         strategy = SolveStrategy(_pick(args.strategy, config, "strategy",
                                        "branch_and_propagate"))
-        budget = float(_pick(args.budget, config, "solver_budget", 600.0))
+        budget = float(_pick(args.budget, config, "solver_budget", DEFAULT_BUDGET))
         warm_count = int(_pick(args.warm, config, "warm_start_count", 0))
         warm = bo_mod.warm_start(domain, warm_count, seed)
         result = solve(model, domain, beta_sqrt, budget=budget, strategy=strategy,

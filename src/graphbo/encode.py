@@ -466,16 +466,14 @@ def apply_domain_constraints(block: ConstraintBlock, domain: DomainSpec) -> None
         block.add_con(f"user_row_{i}", row, user.sense, user.rhs)
 
 
-def structural_system(domain: DomainSpec, include_labels: bool = True,
-                      include_indicators: bool = True) -> ConstraintBlock:
+def structural_system(domain: DomainSpec, include_labels: bool = True) -> ConstraintBlock:
     """Assemble the full structural block for a domain."""
     size: SizeSpec = domain.n if domain.fixed_size else (domain.n_min, domain.n)
     block = encode_shortest_paths(size, domain.directed)
     encode_feature_block(domain, block)
-    if include_indicators:
-        encode_path_indicators(size, domain.num_labels, block,
-                               directed=domain.directed,
-                               include_labels=include_labels)
+    encode_path_indicators(size, domain.num_labels, block,
+                           directed=domain.directed,
+                           include_labels=include_labels)
     apply_domain_constraints(block, domain)
     return block
 

@@ -31,6 +31,8 @@ from .kernels import (
     KernelVariant,
     StackedSummaries,
     _count_products,
+    _graph_part,
+    _weigh,
     cross_gram,
     gram,
     self_kernel_parts,
@@ -72,12 +74,12 @@ def _targets(y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramBuilder:
-    """Hyperparameter-independent Gram components of a training set: the
-    graph part G (the linear graph kernel, or its exponential for
-    ``essp``/``esp``) and the feature kernel F, computed once so that
-    likelihood evaluations during fitting only recombine them as
-    K = alpha * G + beta * F, with G divided by sigma_k_sq for the
-    exponential variants."""
+    """Hyperparameter-independent Gram components of a training set,
+    computed once: the graph part G (``kernels._graph_part``: the linear
+    graph kernel, or its exponential for ``essp``/``esp``) and the feature
+    kernel F. Each likelihood evaluation during fitting weights them with
+    ``kernels._weigh`` and sums them, K = alpha * (G / sigma_k_sq) + beta * F,
+    which is ``cross_gram``'s arithmetic in its order."""
 
     variant: KernelVariant
     graph: np.ndarray
@@ -85,9 +87,8 @@ class GramBuilder:
 
     @staticmethod
     def build(profile: StackedSummaries, variant: KernelVariant) -> "GramBuilder":
-        base, feature = _count_products(profile, profile, variant.labeled)
-        return GramBuilder(variant, np.exp(base) if variant.exponential else base,
-                           feature)
+        linear, feature = _count_products(profile, profile, variant.labeled)
+        return GramBuilder(variant, _graph_part(linear, variant), feature)
 
     def neg_lml(self, theta: np.ndarray, y: np.ndarray,
                 noise_var: float = NOISE_VAR) -> tuple[float, np.ndarray]:
@@ -101,10 +102,8 @@ class GramBuilder:
         minus the weighted graph part. A failed factorization scores 1e25
         with a zero gradient.
         """
-        values = np.exp(theta)
-        graph = self.graph / values[2] if self.variant.exponential else self.graph
-        graph = values[0] * graph
-        feature = values[1] * self.feature
+        graph, feature = _weigh(self.graph, self.feature, self.variant,
+                                _hyper_from_theta(theta, self.variant.exponential))
         try:
             chol = factorize(graph + feature, noise_var)
         except FactorizationError:

@@ -466,15 +466,18 @@ def domain_feasible(domain: DomainSpec, graph: AttributedGraph) -> bool:
 # exhaustive enumeration (the brute-force oracle)
 
 
-def _free_adjacency_pairs(n: int, directed: bool) -> list[tuple[int, int]]:
-    if directed:
-        return [(u, v) for u in range(n) for v in range(n) if u != v]
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+def adjacency_pairs(n: int, directed: bool) -> list[tuple[int, int]]:
+    """The free adjacency bits of n nodes in row-major order, u < v when
+    undirected: the order in which enumeration, the bijection count and
+    branch-and-propagate range over them."""
+    return [(u, v) for u in range(n) for v in range(n)
+            if u != v and (directed or u < v)]
+
 
 def domain_bit_count(domain: DomainSpec) -> int:
     """Structural bits of the largest size: adjacency + label + extra features."""
     n = domain.n
-    adj_bits = len(_free_adjacency_pairs(n, domain.directed))
+    adj_bits = len(adjacency_pairs(n, domain.directed))
     label_bits = n * math.ceil(math.log2(domain.num_labels)) if domain.num_labels > 1 else 0
     extra_bits = n * (domain.num_features - domain.num_labels)
     return adj_bits + label_bits + extra_bits
@@ -492,24 +495,23 @@ def _feature_rows(domain: DomainSpec) -> list[tuple[int, ...]]:
     return sorted(rows)
 
 
-def _check_bit_cap(domain: DomainSpec, bit_cap: int) -> None:
+def _check_bit_cap(domain: DomainSpec) -> None:
     bits = domain_bit_count(domain)
-    if bits > bit_cap:
+    if bits > ENUMERATION_BIT_CAP:
         raise DomainTooLargeError(
-            f"domain needs {bits} structural bits, cap is {bit_cap}")
+            f"domain needs {bits} structural bits, cap is {ENUMERATION_BIT_CAP}")
 
 
-def enumerate_domain(domain: DomainSpec,
-                     bit_cap: int = ENUMERATION_BIT_CAP) -> Iterator[AttributedGraph]:
+def enumerate_domain(domain: DomainSpec) -> Iterator[AttributedGraph]:
     """Yield every connected graph in the domain exactly once.
 
     Sizes ascend; within a size the order is lexicographic over the flattened
     adjacency bits and then the flattened feature bits.
     """
-    _check_bit_cap(domain, bit_cap)
+    _check_bit_cap(domain)
     feature_rows = _feature_rows(domain)
     for n in domain.sizes:
-        pairs = _free_adjacency_pairs(n, domain.directed)
+        pairs = adjacency_pairs(n, domain.directed)
         for adj_bits in itertools.product((0, 1), repeat=len(pairs)):
             adjacency = np.zeros((n, n), dtype=np.int8)
             for (u, v), bit in zip(pairs, adj_bits):
@@ -574,7 +576,7 @@ def _connected_structures(n: int, directed: bool) -> Iterator[tuple[np.ndarray, 
     ``enumerate_domain`` order. Floyd-Warshall runs on blocks of adjacency
     patterns at once; a pattern is connected iff all its distances are finite.
     """
-    pairs = _free_adjacency_pairs(n, directed)
+    pairs = adjacency_pairs(n, directed)
     us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     # itertools.product order: the first pair is the most significant bit
     shifts = np.arange(len(pairs) - 1, -1, -1)
@@ -697,7 +699,7 @@ def structure_profiles(domain: DomainSpec, adjacency: np.ndarray, dist: np.ndarr
                                 features.sum(axis=1)), features)
 
 
-def profile_table(domain: DomainSpec, bit_cap: int = ENUMERATION_BIT_CAP,
+def profile_table(domain: DomainSpec,
                   out_of_time: Callable[[], bool] | None = None) -> ProfileTable:
     """The domain's distinct feasible kernel profiles, each with the first
     graph in ``enumerate_domain`` order that realizes it.
@@ -710,7 +712,7 @@ def profile_table(domain: DomainSpec, bit_cap: int = ENUMERATION_BIT_CAP,
     incomplete. Raises DomainTooLargeError above the same bit cap as
     ``enumerate_domain``.
     """
-    _check_bit_cap(domain, bit_cap)
+    _check_bit_cap(domain)
     n, L, M = domain.n, domain.num_labels, domain.num_features
     seen: set[bytes] = set()
     keys: list[np.ndarray] = []  # [size, labeled counts..., feature sums...]

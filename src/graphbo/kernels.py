@@ -13,7 +13,12 @@ alpha * graph + beta * feature.
 ``StackedSummaries`` holds the profiles of a point set. ``cross_gram`` and
 ``self_kernel_parts`` are the only kernel code: pairwise values, Gram
 matrices, the GP, the MIP coefficient rows and the enumerate solve all go
-through them.
+through them. ``_combine`` is the one place that takes the exponential
+(``_graph_part``) and weights the two parts (``_weigh``): the GP fit builds
+its graph part once and weights it per likelihood evaluation with those two
+steps, and the branch-and-propagate kernel box combines its count bounds
+with ``_combine``. Only ``kernel_range`` and the encoder's linear rows
+restate the combine, as MIP variable bounds and coefficients.
 """
 
 from __future__ import annotations
@@ -188,12 +193,24 @@ def _normalize(graph, feature, n1, n2, num_features: int, pair=np.multiply):
     return graph / pair(n1 ** 2, n2 ** 2), feature / (pair(n1, n2) * num_features)
 
 
-def _combine(graph, feature, variant: KernelVariant, hyper: KernelHyperparams):
-    """alpha * graph part + beta * feature, where the graph part of an
-    exponential variant is exp(graph) / sigma_k_sq."""
+def _graph_part(linear, variant: KernelVariant):
+    """The graph kernel: exp(linear) for the exponential variants."""
+    return np.exp(linear) if variant.exponential else linear
+
+
+def _weigh(graph, feature, variant: KernelVariant, hyper: KernelHyperparams):
+    """The weighted parts alpha * (graph / sigma_k_sq) and beta * feature;
+    sigma_k_sq is 1 for ``ssp``/``sp``."""
     if variant.exponential:
-        graph = np.exp(graph) / hyper.require_variance(variant)
-    return hyper.alpha * graph + hyper.beta * feature
+        graph = graph / hyper.require_variance(variant)
+    return hyper.alpha * graph, hyper.beta * feature
+
+
+def _combine(linear, feature, variant: KernelVariant, hyper: KernelHyperparams):
+    """The combined kernel from the linear graph kernel and the feature
+    kernel."""
+    graph, feature = _weigh(_graph_part(linear, variant), feature, variant, hyper)
+    return graph + feature
 
 
 def cross_gram(rows: StackedSummaries, cols: StackedSummaries,

@@ -51,6 +51,7 @@ from .graphs import (  # noqa: F401  enumerate_domain is re-exported
     DomainSpec,
     ProfileTable,
     _all_pairs_distances,
+    adjacency_pairs,
     build_graph,
     domain_feasible,
     enumerate_domain,
@@ -59,7 +60,7 @@ from .graphs import (  # noqa: F401  enumerate_domain is re-exported
     smallest_relabeling,
     structure_profiles,
 )
-from .kernels import _normalize
+from .kernels import _combine, _normalize
 from .kernels import cross_gram  # noqa: F401  kept for perfbench's span hooks
 
 logger = logging.getLogger("graphbo.solve")
@@ -196,8 +197,7 @@ def count_feasible(system: ConstraintBlock, size_spec: SizeSpec, directed: bool,
     n_min, n = _size_bounds(size_spec)
     fixed = n_min == n
     d_max = n - 1 if fixed else n
-    pairs = ([(u, v) for u in range(n) for v in range(n) if u != v]
-             if directed else [(u, v) for u in range(n) for v in range(u + 1, n)])
+    pairs = adjacency_pairs(n, directed)
 
     count = 0
     examined = 0
@@ -281,14 +281,6 @@ class PartialAssignment:
         self.adj[u, v] = value
         if not self.domain.directed:
             self.adj[v, u] = value
-
-
-def branch_bits(size: int, directed: bool) -> list[tuple[int, int]]:
-    """Branching order of the search over graphs of ``size`` nodes: the
-    edge bits among the present nodes 0..size-1 in lexicographic
-    (row-major) order."""
-    return [(u, v) for u in range(size) for v in range(size)
-            if u != v and (directed or u < v)]
 
 
 def _size_infeasible(domain: DomainSpec, size: int) -> bool:
@@ -407,7 +399,9 @@ class _BoundContext:
     so a state reads them with one index over its pairs. Counts are
     integers, so the sums are exact. The feature box depends only on the
     size: a node's label is known only when the domain has one label, and
-    every other feature bit is open.
+    every other feature bit is open. The graph and feature bounds are
+    combined by ``kernels._combine``, the GP's own combine, so a box
+    rounds as the kernel it bounds does.
     """
 
     def __init__(self, model: GpModel, beta_sqrt: float, domain: DomainSpec):
@@ -443,9 +437,10 @@ class _BoundContext:
         nodes, from their distance intervals ``lo``/``hi``
         (``_distance_intervals``).
 
-        Returns k_lo and k_hi, (states, t), and the linear self-kernel count
-        term per state. Every step is an integer sum or elementwise, so each
-        state's values equal those of a stack of one.
+        Returns k_lo and k_hi, (states, t), and the self-kernel upper bound
+        per state, each from ``kernels._combine``. Every step is an integer
+        sum or elementwise, so each state's values equal those of a stack
+        of one.
         """
         rows = len(lo)
         s_hi = np.minimum(hi.reshape(rows, -1), self.domain.n - 1).astype(np.intp)
@@ -453,43 +448,30 @@ class _BoundContext:
         sums = np.stack([self.range_min[s_lo, s_hi],
                          self.range_max[s_lo, s_hi]]).sum(axis=2)
         M = self.domain.num_features
-        (g_lo, g_hi), (f_lo, f_hi) = _normalize(
+        graph, feature = _normalize(
             sums, size * self.feature_per_node, float(size), self.train_sizes, M)
-
-        var = self.hyper.require_variance(self.variant)
-        if self.variant.exponential:
-            k_lo = self.hyper.alpha * np.exp(g_lo) / var + self.hyper.beta * f_lo
-            k_hi = self.hyper.alpha * np.exp(g_hi) / var + self.hyper.beta * f_hi
-        else:
-            k_lo = self.hyper.alpha * g_lo + self.hyper.beta * f_lo
-            k_hi = self.hyper.alpha * g_hi + self.hyper.beta * f_hi
+        k_lo, k_hi = _combine(graph, feature[:, None], self.variant, self.hyper)
 
         # the self kernel is largest when every pair may sit at every
-        # length its interval allows, with every label pair
+        # length its interval allows, with every label pair; the linear
+        # graph kernel and the feature kernel of a graph with itself are at
+        # most 1
         lengths = np.arange(self.domain.n)
         covered = (s_lo[..., None] <= lengths) & (lengths <= s_hi[..., None])
         per_length = covered.sum(axis=1).astype(float)
         self_lin, _ = _normalize(self.label_pairs * np.sum(per_length ** 2, axis=1),
                                  0.0, float(size), float(size), M)
-        return k_lo, k_hi, self_lin
+        kxx_hi = _combine(np.minimum(self_lin, 1.0), 1.0, self.variant, self.hyper)
+        return k_lo, k_hi, kxx_hi
 
     def row_bound(self, boxes, row: int) -> float:
         """The bound of state ``row`` of a ``boxes`` stack: the lowest
-        mu - beta_sqrt * sigma over the state's kernel box. The feature
-        kernel of a graph with itself is at most 1.
+        mu - beta_sqrt * sigma over the state's kernel box.
 
         The O(t^2) tail runs per state, in 1-D expressions: a batched matmul
-        or ``np.exp`` rounds it differently in the last ulp, which could
-        flip a tie.
+        rounds it differently in the last ulp, which could flip a tie.
         """
-        k_lo, k_hi, self_lin = (part[row] for part in boxes)
-        hyper = self.hyper
-        self_lin_hi = min(1.0, self_lin)
-        if self.variant.exponential:
-            self_graph_hi = math.exp(self_lin_hi) / hyper.require_variance(self.variant)
-        else:
-            self_graph_hi = self_lin_hi
-        kxx_hi = hyper.alpha * self_graph_hi + hyper.beta
+        k_lo, k_hi, kxx_hi = (part[row] for part in boxes)
         mu_lo = float(self.w_pos @ k_lo + self.w_neg @ k_hi)
         z_lo = self.ct_pos @ k_lo + self.ct_neg @ k_hi
         z_hi = self.ct_pos @ k_hi + self.ct_neg @ k_lo
@@ -738,7 +720,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             # a size the budget left unsearched contributes its root bound
             open_bounds.append(ctx.bound(root))
         else:
-            search(root, branch_bits(size, domain.directed), 0, None, 0)
+            search(root, adjacency_pairs(size, domain.directed), 0, None, 0)
     elapsed = time.monotonic() - start
 
     if not tied:

@@ -23,6 +23,7 @@ from graphbo.errors import (
 )
 from graphbo.gp import GpModel, fit, lcb, predict
 from graphbo.graphs import (
+    adjacency_pairs,
     build_graph,
     domain_feasible,
     enumerate_domain,
@@ -30,11 +31,10 @@ from graphbo.graphs import (
     sample_feasible,
     structure_profiles,
 )
-from graphbo.kernels import k_combined
+from graphbo.kernels import StackedSummaries, cross_gram, k_combined, self_kernel_parts
 from graphbo.solve import (
     PartialAssignment,
     SolveStrategy,
-    branch_bits,
     check_feasible,
     count_feasible,
     dual_bound,
@@ -100,13 +100,13 @@ def reference_bound(pa, model, beta_sqrt):
     f_lo = (profile.feature_sums @ n_lo) / (npx * sizes * M)
     f_hi = (profile.feature_sums @ n_hi) / (npx * sizes * M)
     if variant.exponential:
-        k_lo = hyper.alpha * np.exp(g_lo) / var + hyper.beta * f_lo
-        k_hi = hyper.alpha * np.exp(g_hi) / var + hyper.beta * f_hi
+        k_lo = hyper.alpha * (np.exp(g_lo) / var) + hyper.beta * f_lo
+        k_hi = hyper.alpha * (np.exp(g_hi) / var) + hyper.beta * f_hi
     else:
         k_lo = hyper.alpha * g_lo + hyper.beta * f_lo
         k_hi = hyper.alpha * g_hi + hyper.beta * f_hi
     self_lin_hi = min(1.0, float(np.sum(hi_counts ** 2)) / npx ** 4)
-    self_graph_hi = math.exp(self_lin_hi) / var if variant.exponential else self_lin_hi
+    self_graph_hi = np.exp(self_lin_hi) / var if variant.exponential else self_lin_hi
     self_feat_hi = min(1.0, float(np.dot(n_hi, n_hi)) / (npx * npx * M))
     kxx_hi = hyper.alpha * self_graph_hi + hyper.beta * self_feat_hi
     mu_lo = float(w_pos @ k_lo + w_neg @ k_hi)
@@ -240,7 +240,7 @@ def reference_search(model, dom, beta_sqrt):
                 elif u == v:
                     adj[u, v] = 1
         visit(PartialAssignment(dom, size, adj), size,
-              branch_bits(size, dom.directed), 0)
+              adjacency_pairs(size, dom.directed), 0)
     if best["graph"] is None:
         return "Infeasible", nodes, None, math.inf, None
     return "Optimal", nodes, best["value"], best["value"], best["graph"]
@@ -250,7 +250,7 @@ def random_partial(rng, dom, fixed_share):
     """A random size of the domain, then each edge bit among its nodes
     fixed to a random value with probability ``fixed_share``."""
     pa = PartialAssignment.root(dom, int(rng.choice(dom.sizes)))
-    for a, b in branch_bits(pa.size, dom.directed):
+    for a, b in adjacency_pairs(pa.size, dom.directed):
         if rng.random() < fixed_share:
             pa.set_adj(a, b, int(rng.integers(0, 2)))
     return pa
@@ -393,7 +393,7 @@ class TestPropagateLeaf:
 class TestDualBound:
     def _full_assignment(self, g, dom):
         pa = PartialAssignment.root(dom, g.n)
-        for u, v in branch_bits(g.n, dom.directed):
+        for u, v in adjacency_pairs(g.n, dom.directed):
             pa.set_adj(u, v, g.adjacency[u, v])
         return pa
 
@@ -422,6 +422,27 @@ class TestDualBound:
             assert checked >= 4
 
     @pytest.mark.parametrize("variant", list(KernelVariant))
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_box_at_complete_structure_is_the_gp_kernel(self, rng, n, variant):
+        # at one label a structure is one graph: its kernel box is the point
+        # the GP predicts with and its self-kernel bound the GP's self kernel
+        dom = DomainSpec(n=n, num_labels=1)
+        model = fitted_model(rng, dom, variant=variant)
+        graphs = list(enumerate_domain(dom))
+        profiles = StackedSummaries.build(graphs)
+        kx = cross_gram(profiles, model.profile, variant, model.hyper)
+        kxx = self_kernel_parts(profiles, variant, model.hyper)
+        states = np.stack([g.adjacency + np.eye(n, dtype=np.int8) for g in graphs])
+        lo, hi = solve_module._distance_intervals(states, n)
+        ctx = solve_module._BoundContext(model, 1.0, dom)
+        # every structure in one stack, as a batched subtree reads them, and
+        # each in a stack of its own, as dual_bound reads it
+        for rows in [slice(None)] + [slice(i, i + 1) for i in range(len(graphs))]:
+            k_lo, k_hi, kxx_hi = ctx.boxes(n, lo[rows], hi[rows])
+            assert (k_lo == kx[rows]).all() and (k_hi == kx[rows]).all()
+            assert (kxx_hi == kxx[rows]).all()
+
+    @pytest.mark.parametrize("variant", list(KernelVariant))
     def test_root_bound_below_enumeration_minimum(self, rng, variant):
         dom = DomainSpec(n=4, num_labels=2)
         model = fitted_model(rng, dom, variant=variant)
@@ -440,7 +461,7 @@ class TestDualBound:
         checked = 0
         for _ in range(15):
             pa = PartialAssignment.root(dom, int(rng.choice(dom.sizes)))
-            bits = branch_bits(pa.size, dom.directed)
+            bits = adjacency_pairs(pa.size, dom.directed)
             for idx in rng.permutation(len(bits))[: int(rng.integers(1, 8))]:
                 a, b = bits[idx]
                 pa.set_adj(a, b, int(rng.integers(0, 2)))
@@ -449,7 +470,7 @@ class TestDualBound:
                 g for g in candidates
                 if g.n == pa.size
                 and all((sub[u, v] == -1 or sub[u, v] == g.adjacency[u, v])
-                        for u, v in branch_bits(pa.size, True))
+                        for u, v in adjacency_pairs(pa.size, True))
             ]
             bound = dual_bound(pa, model, 1.0)
             if not completions:
@@ -484,7 +505,7 @@ class TestDualBound:
         for _ in range(10):
             pa = PartialAssignment.root(dom, int(rng.choice(dom.sizes)))
             previous = dual_bound(pa, model, 1.0)
-            bits = branch_bits(pa.size, dom.directed)
+            bits = adjacency_pairs(pa.size, dom.directed)
             for idx in rng.permutation(len(bits)):
                 a, b = bits[idx]
                 pa.set_adj(a, b, int(rng.integers(0, 2)))
