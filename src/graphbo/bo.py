@@ -22,7 +22,7 @@ from .gp import FIT_RESTARTS, fit, posterior
 from .gp import lcb as gp_lcb  # noqa: F401  re-exported from graphbo.bo
 from .graphs import AttributedGraph, DomainSpec, sample_feasible, write_graphs
 from .kernels import KernelHyperparams, KernelVariant, k_graph
-from .solve import DEFAULT_BUDGET, SolveStrategy, solve
+from .solve import DEFAULT_BUDGET, DEFAULT_STRATEGY, SolveStrategy, solve
 
 HISTORY_COLUMNS = ["iter", "proposal_id", "y", "best_y", "mu", "sigma",
                    "solver_status", "bound", "solve_seconds", "alpha", "beta",
@@ -40,7 +40,7 @@ class BoConfig:
     solver_budget: float = DEFAULT_BUDGET
     warm_start_count: int = 20
     seed: int = 0
-    strategy: SolveStrategy = SolveStrategy.BRANCH_AND_PROPAGATE
+    strategy: SolveStrategy = DEFAULT_STRATEGY
     fit_restarts: int = FIT_RESTARTS
     log_interval: int = 0
 

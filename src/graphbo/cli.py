@@ -31,7 +31,7 @@ from .graphs import (
 )
 from .kernels import KernelHyperparams, KernelVariant, k_combined, k_feature, k_graph
 from .modelio import DEFAULT_BREAKPOINTS, export_model
-from .solve import DEFAULT_BUDGET, SolveStrategy, count_feasible, solve
+from .solve import DEFAULT_BUDGET, DEFAULT_STRATEGY, SolveStrategy, count_feasible, solve
 
 CONFIG_KEYS = {
     "seed", "domain", "variant", "alpha", "beta", "sigma_k_sq", "beta_sqrt",
@@ -91,9 +91,10 @@ def _domain_from(args, config: dict) -> DomainSpec:
 
 
 def _hyper_from(args, config: dict) -> KernelHyperparams:
+    default = KernelHyperparams()
     return KernelHyperparams(
-        alpha=float(_pick(getattr(args, "alpha", None), config, "alpha", 1.0)),
-        beta=float(_pick(getattr(args, "beta", None), config, "beta", 1.0)),
+        alpha=float(_pick(getattr(args, "alpha", None), config, "alpha", default.alpha)),
+        beta=float(_pick(getattr(args, "beta", None), config, "beta", default.beta)),
         sigma_k_sq=_pick(getattr(args, "sigma_k_sq", None), config, "sigma_k_sq", None),
     )
 
@@ -268,7 +269,8 @@ def _run_command(args, config: dict, seed: int) -> int:
 
     if command == "fit":
         graphs, y = read_dataset(args.data)
-        variant = KernelVariant(_pick(args.variant, config, "variant", "ssp"))
+        variant = KernelVariant(_pick(args.variant, config, "variant",
+                                      bo_mod.BoConfig().variant))
         restarts = int(_pick(args.restarts, config, "restarts", gp_mod.FIT_RESTARTS))
         model = gp_mod.fit(graphs, y, variant, seed=seed, restarts=restarts)
         gp_mod.dump_model(model, args.out)
@@ -279,7 +281,8 @@ def _run_command(args, config: dict, seed: int) -> int:
 
     if command == "predict":
         model = gp_mod.load_model(args.model)
-        beta_sqrt = float(_pick(args.beta_sqrt, config, "beta_sqrt", 1.0))
+        beta_sqrt = float(_pick(args.beta_sqrt, config, "beta_sqrt",
+                                    bo_mod.BoConfig().beta_sqrt))
         print("index,mu,var,lcb")
         for i, graph in enumerate(read_graphs(args.graphs)):
             mu, var = gp_mod.posterior(model, graph)
@@ -289,7 +292,8 @@ def _run_command(args, config: dict, seed: int) -> int:
     if command == "encode":
         model = gp_mod.load_model(args.model)
         domain = _domain_from(args, config)
-        beta_sqrt = float(_pick(args.beta_sqrt, config, "beta_sqrt", 1.0))
+        beta_sqrt = float(_pick(args.beta_sqrt, config, "beta_sqrt",
+                                    bo_mod.BoConfig().beta_sqrt))
         fmt = _pick(args.format, config, "format", "mps")
         breakpoints = int(_pick(args.breakpoints, config, "breakpoints",
                                 DEFAULT_BREAKPOINTS))
@@ -301,9 +305,9 @@ def _run_command(args, config: dict, seed: int) -> int:
     if command == "solve":
         model = gp_mod.load_model(args.model)
         domain = _domain_from(args, config)
-        beta_sqrt = float(_pick(args.beta_sqrt, config, "beta_sqrt", 1.0))
-        strategy = SolveStrategy(_pick(args.strategy, config, "strategy",
-                                       "branch_and_propagate"))
+        beta_sqrt = float(_pick(args.beta_sqrt, config, "beta_sqrt",
+                                    bo_mod.BoConfig().beta_sqrt))
+        strategy = SolveStrategy(_pick(args.strategy, config, "strategy", DEFAULT_STRATEGY))
         budget = float(_pick(args.budget, config, "solver_budget", DEFAULT_BUDGET))
         warm_count = int(_pick(args.warm, config, "warm_start_count", 0))
         warm = bo_mod.warm_start(domain, warm_count, seed)

@@ -9,8 +9,10 @@ through kernel variables, one convex quadratic variance row, and, for
 exponential kernels, explicit exp links.
 
 A ``ConstraintBlock`` keeps its rows in flat typed buffers, with no object
-per row or coefficient; ``constraints`` reads them as ``LinearConstraint``
-views built on access, and the exporter reads the buffers as arrays.
+per row or coefficient; ``add_con`` appends one row and ``add_rows`` many
+from entry arrays (the t kernel rows of the acquisition model in one call).
+``constraints`` reads the rows as ``LinearConstraint`` views built on
+access, and the exporter reads the buffers as arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate, islice
 from operator import eq
 
 import numpy as np
@@ -162,12 +165,38 @@ class ConstraintBlock:
         for vid, coef in items:
             merged[vid] = merged.get(vid, 0.0) + float(coef)
         ids = sorted(merged)
-        self.cols.extend(ids)
-        self.coefs.extend(map(merged.__getitem__, ids))
-        self.row_ends.append(len(self.cols))
-        self.row_names.append(name)
-        self.senses.append(sense)
-        self.rhs.append(float(rhs))
+        self._extend([name], [sense], [float(rhs)], [len(ids)], ids,
+                     map(merged.__getitem__, ids))
+
+    def add_rows(self, names: Sequence[str], senses: Sequence[str], rhs,
+                 rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray) -> None:
+        """Append the rows ``names`` at once: entry k puts ``coefs[k]`` on the
+        variable ``cols[k]`` of the new row ``rows[k]`` (0 for ``names[0]``).
+        As in ``add_con``, repeated ids of a row are summed in entry order and
+        each row's ids are sorted."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        # bincount adds each entry in turn to 0.0, as add_con's merge does
+        sums = np.bincount(np.cumsum(first) - 1,
+                           weights=np.asarray(coefs, dtype=float)[order])
+        self._extend(names, senses, np.asarray(rhs, dtype=float).tolist(),
+                     np.bincount(rows[first], minlength=len(names)).tolist(),
+                     array("q", cols[first].tobytes()), array("d", sums.tobytes()))
+
+    def _extend(self, names, senses, rhs, lengths, cols, coefs) -> None:
+        """Append rows whose ids (ascending and distinct within each row) and
+        coefficients, row after row, are ``cols`` and ``coefs``; row k holds
+        ``lengths[k]`` of them."""
+        self.row_ends.extend(islice(accumulate(lengths, initial=len(self.cols)), 1, None))
+        self.cols.extend(cols)
+        self.coefs.extend(coefs)
+        self.row_names.extend(names)
+        self.senses.extend(senses)
+        self.rhs.extend(rhs)
 
     @property
     def constraints(self) -> Sequence[LinearConstraint]:
@@ -500,6 +529,9 @@ class MipModel:
     objective: dict[int, float]
     quad: QuadConstraint
     exp_links: list[ExpLink]
+    # (breakpoints, ExportedModel) of the last ``modelio.export_model`` call,
+    # so that writing a second format reuses the expansion
+    _exported: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def variables(self) -> list[MipVariable]:
@@ -535,29 +567,21 @@ def _count_coefficients(train: StackedSummaries, n: int, labeled: bool,
     return graph[:cells].reshape(n, L, L, -1), feature[cells:]
 
 
-def _kernel_coefficient_rows(block: ConstraintBlock, labeled: bool,
-                             coef: np.ndarray) -> dict[int, float]:
-    """Linear coefficients of one graph-kernel entry over the path-count
-    indicators: every node pair's indicator of a cell (s, l1, l2), or of a
-    length s when unlabeled, carries that cell's coefficient."""
-    n, L = coef.shape[0], coef.shape[1]
-    pairs = [(l1, l2) for l1 in range(L) for l2 in range(L)] if labeled else [(0, 0)]
-    coeffs: dict[int, float] = {}
-    for s in range(n):
-        for l1, l2 in pairs:
-            value = float(coef[s, l1, l2])
-            if value == 0.0:
-                continue
-            for u in range(n):
-                for v in range(n):
-                    name = f"p_{u}_{v}_{s}_{l1}_{l2}" if labeled else f"ds_{u}_{v}_{s}"
-                    coeffs[block.var_id(name)] = value
-    return coeffs
-
-
-def _feature_coefficients(block: ConstraintBlock, coef: np.ndarray) -> dict[int, float]:
-    return {block.var_id(f"N_{m}"): float(value)
-            for m, value in enumerate(coef) if value != 0.0}
+def _count_indicator_ids(block: ConstraintBlock, n: int, L: int,
+                         labeled: bool) -> np.ndarray:
+    """Ids of the indicators that sum to each count cell, as an
+    (n, L, L, n^2) grid over (s, l1, l2, node pair): the label-pair path
+    indicators ``p``, or when unlabeled the distance indicators ``ds`` as an
+    (n, 1, 1, n^2) grid."""
+    if labeled:
+        names = [f"p_{u}_{v}_{s}_{l1}_{l2}" for s in range(n) for l1 in range(L)
+                 for l2 in range(L) for u in range(n) for v in range(n)]
+        shape = (n, L, L, n * n)
+    else:
+        names = [f"ds_{u}_{v}_{s}" for s in range(n) for u in range(n) for v in range(n)]
+        shape = (n, 1, 1, n * n)
+    return np.fromiter(map(block.var_id, names), dtype=np.int64,
+                       count=len(names)).reshape(shape)
 
 
 def _self_values(n: int, L: int, M: int, labeled: bool):
@@ -620,18 +644,35 @@ def encode_acquisition(model: GpModel, domain: DomainSpec,
                      for i in range(t)]
             e_ids = [block.add_var(f"e_{i}", "continuous", 1.0, math.e, "eexp", (i,))
                      for i in range(t)]
-        for i in range(t):
-            coeffs = _kernel_coefficient_rows(block, variant.labeled, graph_coef[..., i])
-            krow = _feature_coefficients(block, feature_coef[:, i])
-            if variant.exponential:
-                coeffs[g_ids[i]] = -1.0
-                block.add_con(f"g_def_{i}", coeffs, "==", 0.0)
-                exp_links.append(ExpLink(f"exp_{i}", e_ids[i], g_ids[i]))
-                krow[e_ids[i]] = hyper.alpha / sigma_scale
-            else:
-                krow.update(coeffs)
-            krow[k_ids[i]] = -1.0
-            block.add_con(f"k_def_{i}", krow, "==", 0.0)
+        # kernel entry i: each node pair's indicator of a count cell carries
+        # the cell's coefficient and N_m its feature coefficient; for the
+        # exponential variants the graph part defines g_i in row g_def_i,
+        # just before k_def_i, and k_i reads exp(g_i) through e_i
+        cell_ids = _count_indicator_ids(block, n, L, variant.labeled)
+        table = graph_coef[:, :cell_ids.shape[1], :cell_ids.shape[2]]
+        s, l1, l2, cell_point = np.nonzero(table)
+        feature, feature_point = np.nonzero(feature_coef)
+        n_ids = np.array([block.var_id(f"N_{m}") for m in range(M)], dtype=np.int64)
+        points = np.arange(t)
+        if variant.exponential:
+            names = [name for i in range(t) for name in (f"g_def_{i}", f"k_def_{i}")]
+            graph_rows, k_rows = 2 * points, 2 * points + 1
+            exp_links += [ExpLink(f"exp_{i}", e_ids[i], g_ids[i]) for i in range(t)]
+        else:
+            names = [f"k_def_{i}" for i in range(t)]
+            graph_rows = k_rows = points
+        # (rows, columns, coefficients) of each kind of entry
+        entries = [(np.repeat(graph_rows[cell_point], n * n), cell_ids[s, l1, l2].ravel(),
+                    np.repeat(table[s, l1, l2, cell_point], n * n)),
+                   (k_rows[feature_point], n_ids[feature], feature_coef[feature, feature_point])]
+        if variant.exponential:
+            entries += [(graph_rows, g_ids, -1.0), (k_rows, e_ids, hyper.alpha / sigma_scale)]
+        entries.append((k_rows, k_ids, -1.0))
+        block.add_rows(names, ["=="] * len(names), np.zeros(len(names)),
+                       np.concatenate([rows for rows, _, _ in entries]),
+                       np.concatenate([cols for _, cols, _ in entries]),
+                       np.concatenate([np.broadcast_to(coefs, len(rows))
+                                       for rows, _, coefs in entries]))
 
         # self-kernel row: kxx = alpha * (graph self) + beta * (feature self),
         # each a sum over one-hot count indicators

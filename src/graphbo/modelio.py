@@ -8,13 +8,19 @@ row as variable-id and value arrays (``QuadEntry``). It reads the encoded
 rows straight off the ``ConstraintBlock`` buffers. Exponential links are
 expanded into big-M piecewise-linear rows over the argument range [0, 1],
 built for every link and segment at once; the internal solver never uses
-the expansion. The same arrays feed the writers (COLUMNS from the CSC view,
-LP rows from CSR, QCMATRIX and the LP bracket from the quadratic arrays) and
-a MILP solver such as ``scipy.optimize.milp``. The readers parse a file
-straight into the same arrays (``ParsedModel.flat``): each section is split
-once and its tokens are parsed in bulk, with no object per row, variable or
-quadratic term. Export requires fixed-size models because bounded-size
-kernel normalizations are not linear.
+the expansion. ``export_model`` keeps the expansion on the model, so a
+second format at the same breakpoint count reuses it. The same arrays feed
+the writers and a MILP solver such as ``scipy.optimize.milp``. The writers
+build each section as an object array of text pieces, indexed from texts
+formatted once per variable, row and distinct value (COLUMNS from the CSC
+view, LP rows from CSR, QCMATRIX and the LP bracket from the quadratic
+arrays), and join the pieces of the whole file once, with no string per
+line. The readers parse a file straight into the same arrays
+(``ParsedModel.flat``): tokens are parsed in bulk, with no object per row,
+variable or quadratic term, and the long sections (MPS COLUMNS, LP Subject
+To) in line-aligned blocks of about ``READ_BLOCK_CHARS`` characters, so no
+token list of a whole section exists. Export requires fixed-size models
+because bounded-size kernel normalizations are not linear.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ import itertools
 import math
 import re
 from collections import defaultdict
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -244,8 +250,17 @@ def expand_model(model: MipModel, breakpoints: int = DEFAULT_BREAKPOINTS) -> Exp
 
 def export_model(model: MipModel, path, fmt: str = "mps",
                  breakpoints: int = DEFAULT_BREAKPOINTS) -> ExportedModel:
-    """Write the model to ``path`` in MPS or LP form; returns the flat model."""
-    flat = expand_model(model, breakpoints)
+    """Write the model to ``path`` in MPS or LP form; returns the flat model.
+
+    The model keeps its last expansion, so writing it again at the same
+    breakpoint count, in either format, expands it no second time and
+    returns the same ``ExportedModel``.
+    """
+    if model._exported is not None and model._exported[0] == breakpoints:
+        flat = model._exported[1]
+    else:
+        flat = expand_model(model, breakpoints)
+        model._exported = (breakpoints, flat)
     if fmt == "mps":
         text = render_mps(flat)
     elif fmt == "lp":
@@ -259,39 +274,59 @@ def export_model(model: MipModel, path, fmt: str = "mps",
 
 # ---------------------------------------------------------------------------
 # writers (numbers as repr(float), so every value survives a round-trip)
+#
+# Each section is an object array of text pieces, taken by index from texts
+# formatted once per variable, row or distinct value; the file is the pieces
+# of every section joined once.
 
 
-def _per_value(values, text: Callable[[float], str]) -> list[str]:
-    """``text(v)`` for every value, computed once per distinct value: the
-    kernel rows repeat one coefficient over every node pair, so an exported
-    model has a few hundred distinct coefficients among ~10^5 entries."""
+def _value_texts(values, text: Callable[[float], str]) -> np.ndarray:
+    """``text(v)`` of every value, formatted once per distinct value (bit
+    pattern): the kernel rows repeat one coefficient over every node pair,
+    so an exported model has a few hundred distinct coefficients among
+    ~10^5 entries."""
     bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64),
                               return_inverse=True)
-    texts = [text(value) for value in bits.view(np.float64).tolist()]
-    return list(map(texts.__getitem__, inverse.tolist()))
+    return np.array([text(value) for value in bits.view(np.float64).tolist()],
+                    dtype=object)[inverse]
 
 
-def _bound_lines(flat: ExportedModel, line: Callable[[str, str, float, float], list[str]]
-                 ) -> list[str]:
-    return [text for name, kind, lo, hi in zip(flat.names, flat.kinds,
-                                               flat.lb.tolist(), flat.ub.tolist())
-            for text in line(name, kind, lo, hi)]
+def _pieces(*parts) -> np.ndarray:
+    """The pieces of one line per entry, entry after entry: ``parts[0][i]``,
+    ``parts[1][i]``, ...; a str part is the same on every line."""
+    count = next(len(part) for part in parts if not isinstance(part, str))
+    out = np.empty((count, len(parts)), dtype=object)
+    for k, part in enumerate(parts):
+        out[:, k] = part
+    return out.ravel()
 
 
-def _mps_bound(name: str, kind: str, lo: float, hi: float) -> list[str]:
+def _joined(sections) -> str:
+    return "".join(chain.from_iterable(sections))
+
+
+def _repr_line(value: float) -> str:
+    return f"{value!r}\n"
+
+
+def _mps_bound(name: str, kind: str, lo: float, hi: float) -> str:
     if kind == "binary":
-        return [f" BV BND  {name}"]
+        return f" BV BND  {name}\n"
     if kind == "integer":
-        return [f" LI BND  {name}  {int(lo)}", f" UI BND  {name}  {int(hi)}"]
+        return f" LI BND  {name}  {int(lo)}\n UI BND  {name}  {int(hi)}\n"
     if math.isinf(lo) and math.isinf(hi):
-        return [f" FR BND  {name}"]
-    lines = [f" LO BND  {name}  {lo!r}" if not math.isinf(lo) else f" MI BND  {name}"]
+        return f" FR BND  {name}\n"
+    text = f" LO BND  {name}  {lo!r}\n" if not math.isinf(lo) else f" MI BND  {name}\n"
     if not math.isinf(hi):
-        lines.append(f" UP BND  {name}  {hi!r}")
-    return lines
+        text += f" UP BND  {name}  {hi!r}\n"
+    return text
 
 
-def _mps_columns(flat: ExportedModel) -> list[str]:
+def _bounds(flat: ExportedModel, text: Callable[[str, str, float, float], str]) -> list[str]:
+    return list(map(text, flat.names, flat.kinds, flat.lb.tolist(), flat.ub.tolist()))
+
+
+def _mps_columns(flat: ExportedModel, heads: np.ndarray, row_texts: np.ndarray) -> np.ndarray:
     """COLUMNS, column by column with rows ascending and the objective last.
 
     A column with no entry at all is written as a zero objective entry, and
@@ -303,107 +338,117 @@ def _mps_columns(flat: ExportedModel) -> list[str]:
     obj_row = sparse.csr_array((flat.c[obj_cols], obj_cols, [0, len(obj_cols)]),
                                shape=(1, nv))
     csc = sparse.vstack([flat.A, obj_row], format="csc")
-    row_names = flat.row_names + [OBJ_NAME]
-    owners = map(flat.names.__getitem__,
-                 np.repeat(np.arange(nv), np.diff(csc.indptr)).tolist())
-    entries = [f"    {name}  {row}  {value}" for name, row, value in zip(
-        owners, map(row_names.__getitem__, csc.indices.tolist()),
-        _per_value(csc.data, repr))]
-
+    owners = np.repeat(np.arange(nv), np.diff(csc.indptr))
+    pieces = _pieces(heads[owners], row_texts[csc.indices],
+                     _value_texts(csc.data, _repr_line))
     # marker k sits before column switches[k]; even markers open an integer run
-    switches = np.flatnonzero(np.diff(flat.integrality, prepend=0, append=0)).tolist()
-    ptr = csc.indptr.tolist()
-    lines, start = [], 0
-    for k, col in enumerate(switches):
-        lines += entries[ptr[start]:ptr[col]]
-        flag = "'INTEND'" if k % 2 else "'INTORG'"
-        lines.append(f"    MARKER{k}    'MARKER'    {flag}")
-        start = col
-    lines += entries[ptr[start]:]
-    return lines
+    switches = np.flatnonzero(np.diff(flat.integrality, prepend=0, append=0))
+    flags = ("'INTORG'", "'INTEND'")
+    markers = [f"    MARKER{k}    'MARKER'    {flags[k % 2]}\n" for k in range(len(switches))]
+    return np.insert(pieces, 3 * csc.indptr[switches], np.array(markers, dtype=object))
+
+
+_MPS_ROW_TYPES = {"<=": " L  ", ">=": " G  ", "==": " E  "}
 
 
 def render_mps(flat: ExportedModel) -> str:
-    code = {"<=": "L", ">=": "G", "==": "E"}
-    lines = ["NAME graphbo_acquisition", "OBJSENSE", "    MIN", "ROWS",
-             f" N  {OBJ_NAME}"]
-    lines += [f" {code[sense]}  {name}" for name, sense in zip(flat.row_names, flat.senses)]
-    lines.append("COLUMNS")
-    lines += _mps_columns(flat)
-    lines.append("RHS")
+    # "    name  " opens a COLUMNS or QCMATRIX line, "row  " follows it
+    heads = np.array([f"    {name}  " for name in flat.names], dtype=object)
+    row_texts = np.array([f"{name}  " for name in flat.row_names + [OBJ_NAME]], dtype=object)
     nonzero = np.flatnonzero(flat.rhs != 0.0)
-    lines += [f"    RHS  {name}  {value}" for name, value in zip(
-        map(flat.row_names.__getitem__, nonzero.tolist()),
-        _per_value(flat.rhs[nonzero], repr))]
-    lines.append("BOUNDS")
-    lines += _bound_lines(flat, _mps_bound)
+    sections = [
+        [f"NAME graphbo_acquisition\nOBJSENSE\n    MIN\nROWS\n N  {OBJ_NAME}\n"],
+        _pieces(list(map(_MPS_ROW_TYPES.__getitem__, flat.senses)), flat.row_names, "\n"),
+        ["COLUMNS\n"], _mps_columns(flat, heads, row_texts),
+        ["RHS\n"], _pieces("    RHS  ", row_texts[nonzero],
+                           _value_texts(flat.rhs[nonzero], _repr_line)),
+        ["BOUNDS\n"], _bounds(flat, _mps_bound)]
     quad = flat.quad
     if quad is not None:
-        lines.append(f"QCMATRIX   {quad.row}")
-        lines += [f"    {a}  {b}  {coef}" for a, b, coef in zip(
-            map(flat.names.__getitem__, quad.first.tolist()),
-            map(flat.names.__getitem__, quad.second.tolist()),
-            _per_value(quad.values, repr))]
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+        ids, inverse = np.unique(quad.second, return_inverse=True)
+        seconds = np.array([f"{flat.names[j]}  " for j in ids.tolist()], dtype=object)[inverse]
+        sections += [[f"QCMATRIX   {quad.row}\n"],
+                     _pieces(heads[quad.first], seconds, _value_texts(quad.values, _repr_line))]
+    sections.append(["ENDATA\n"])
+    return _joined(sections)
 
 
 def _lp_coef(coef: float) -> str:
-    return f"{'-' if coef < 0 else '+'} {abs(coef)!r}"
+    return f" {'-' if coef < 0 else '+'} {abs(coef)!r}"
 
 
-def _lp_sum(terms) -> str:
-    text = " ".join(terms)
-    return text[2:] if text.startswith("+ ") else text
+def _lp_lead(coef: float) -> str:
+    """The coefficient text of a sum's first term: no "+" and no space."""
+    return f"- {abs(coef)!r}" if coef < 0 else repr(abs(coef))
 
 
-def _lp_bound(name: str, kind: str, lo: float, hi: float) -> list[str]:
+def _lp_coefs(values: np.ndarray, opens) -> np.ndarray:
+    """Signed coefficient texts of sum terms; the terms at ``opens`` open
+    their sum."""
+    texts = _value_texts(values, _lp_coef)
+    texts[opens] = _value_texts(values[opens], _lp_lead)
+    return texts
+
+
+def _lp_bound(name: str, kind: str, lo: float, hi: float) -> str:
     if kind == "binary":
-        return []
+        return ""
     if math.isinf(lo) and math.isinf(hi):
-        return [f" {name} free"]
+        return f" {name} free\n"
     low = "-inf" if math.isinf(lo) else repr(lo)
     high = "+inf" if math.isinf(hi) else repr(hi)
-    return [f" {low} <= {name} <= {high}"]
+    return f" {low} <= {name} <= {high}\n"
+
+
+_LP_SENSE_TEXTS = {"<=": "<=", ">=": ">=", "==": "="}
 
 
 def render_lp(flat: ExportedModel) -> str:
-    names = flat.names
-    lines = ["\\ graphbo acquisition model", "Minimize"]
-    obj = [f"{_lp_coef(coef)} {names[j]}" for j, coef in flat.objective.items()]
-    lines.append(" obj: " + (_lp_sum(obj) if obj else "0"))
-    lines.append("Subject To")
-    quad, quad_text = flat.quad, None
+    A, quad = flat.A, flat.quad
+    # " name" follows each coefficient; slice(1) picks the term that opens a sum
+    tails = np.array([f" {name}" for name in flat.names], dtype=object)
+    obj_cols = np.flatnonzero(flat.c)
+    objective = (_pieces(_lp_coefs(flat.c[obj_cols], slice(1)), tails[obj_cols])
+                 if len(obj_cols) else ["0"])
+    # row i is " name: ", its terms and " sense rhs"; its first term opens
+    # its sum unless the row's quadratic part comes first
+    count = np.diff(A.indptr)
+    heads = [f" {name}: " for name in flat.row_names]
+    opens = count > 0
     if quad is not None:
-        quad_text = _lp_sum([
-            f"{coef} {names[a]} ^ 2" if a == b else f"{coef} {names[a]} * {names[b]}"
-            for a, b, coef in zip(quad.first.tolist(), quad.second.tolist(),
-                                  _per_value(quad.values, _lp_coef))])
-    terms = iter([f"{coef} {name}" for coef, name in zip(
-        _per_value(flat.A.data, _lp_coef), map(names.__getitem__, flat.A.indices.tolist()))])
-    sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
-    for name, sense, rhs, count in zip(flat.row_names, flat.senses, flat.rhs.tolist(),
-                                       np.diff(flat.A.indptr).tolist()):
-        text = _lp_sum(islice(terms, count))
-        if quad_text is not None and name == quad.row:
-            text = f"[ {quad_text} ] " + ("+ " if not text.startswith("-") else "") + text
-        lines.append(f" {name}: {text} {sense_txt[sense]} {rhs!r}")
-    lines.append("Bounds")
-    lines += _bound_lines(flat, _lp_bound)
-    generals = [f" {name}" for name, kind in zip(names, flat.kinds) if kind == "integer"]
-    if generals:
-        lines += ["Generals", *generals]
-    binaries = [f" {name}" for name, kind in zip(names, flat.kinds) if kind == "binary"]
-    if binaries:
-        lines += ["Binaries", *binaries]
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        ids, inverse = np.unique(quad.second, return_inverse=True)
+        factors = np.array([f" * {flat.names[j]}" for j in ids.tolist()],
+                           dtype=object)[inverse]
+        factors[quad.first == quad.second] = " ^ 2"
+        quad_text = _joined([_pieces(_lp_coefs(quad.values, slice(1)), tails[quad.first],
+                                     factors)])
+        for i, name in enumerate(flat.row_names):
+            if name == quad.row:
+                heads[i] = f" {name}: [ {quad_text} ]" + ("" if count[i] else " + ")
+                opens[i] = False
+    ends = [f" {_LP_SENSE_TEXTS[sense]} {rhs!r}\n"
+            for sense, rhs in zip(flat.senses, flat.rhs.tolist())]
+    # row i's head goes before its first term and its end after its last
+    rows = np.insert(_pieces(_lp_coefs(A.data, A.indptr[:-1][opens]), tails[A.indices]),
+                     2 * np.stack((A.indptr[:-1], A.indptr[1:]), axis=1).ravel(),
+                     np.array([text for pair in zip(heads, ends) for text in pair],
+                              dtype=object))
+    sections = [["\\ graphbo acquisition model\nMinimize\n obj: "], objective,
+                ["\nSubject To\n"], rows, ["Bounds\n"], _bounds(flat, _lp_bound)]
+    kinds = np.array(flat.kinds)
+    for header, kind in (("Generals\n", "integer"), ("Binaries\n", "binary")):
+        ids = np.flatnonzero(kinds == kind)
+        if len(ids):
+            sections += [[header], _pieces(tails[ids], "\n")]
+    sections.append(["End\n"])
+    return _joined(sections)
 
 
 # ---------------------------------------------------------------------------
 # readers: each file is parsed straight into the arrays of an ExportedModel
 
 
+READ_BLOCK_CHARS = 512 * 1024  # MPS COLUMNS and LP rows are parsed in pieces of this size
 _KINDS = ("continuous", "integer", "binary")  # the kind codes 0, 1, 2
 _INTEGER, _BINARY = 1, 2
 _LINE_VALUE = "value"  # a bound rule that takes the number on the line
@@ -574,6 +619,23 @@ def _sections(text: str, header: re.Pattern, comment: str
     return bodies, names
 
 
+def _blocks(body: str, span: tuple[int, int] = (0, 0)) -> Iterator[tuple[int, int]]:
+    """Start and stop of the consecutive pieces a long section is parsed in,
+    so that no token list of the whole section exists: each piece runs to
+    the first line end at least ``READ_BLOCK_CHARS`` characters on, or to the
+    end of ``body``, and never ends inside ``span``. An empty body is one
+    empty piece."""
+    start = 0
+    while True:
+        stop = body.find("\n", start + READ_BLOCK_CHARS) + 1 or len(body)
+        if span[0] < stop < span[1]:
+            stop = body.find("\n", span[1]) + 1 or len(body)
+        yield start, stop
+        if stop == len(body):
+            return
+        start = stop
+
+
 def _fields(body: str, width: int, section: str) -> list[list[str]]:
     """The section's tokens as ``width`` columns, one entry per line."""
     tokens = body.split()
@@ -625,7 +687,7 @@ class _FloatTable(dict):
 
 def _floats(tokens: list[str], section: str) -> np.ndarray:
     """float() of every token, parsed once per distinct token (see
-    ``_per_value``)."""
+    ``_value_texts``)."""
     try:
         return np.fromiter(map(_FloatTable().__getitem__, tokens), dtype=float,
                            count=len(tokens))
@@ -663,23 +725,26 @@ def read_mps(path) -> ParsedModel:
     if free_rows:
         column_rows[free_rows[0]] = nrows
     column_rows[_MARKER] = -1
-    columns, rows, values = _fields(sections.pop("columns", ""), 3, "COLUMNS")
-    row_ids = _lookup(column_rows, rows, "COLUMNS", "undeclared row")
     # each variable takes the kind of the marker run it first appears in
     variables = _Variables()
-    var_ids, start, integer = [], 0, False
-    for stop in np.flatnonzero(row_ids == -1).tolist() + [len(columns)]:
-        seen = len(variables.index)
-        var_ids.append(variables.ids(columns[start:stop]))
-        if integer:
-            variables.set("kind", np.arange(seen, len(variables.index)), _INTEGER)
-        if stop < len(columns):
-            integer = values[stop] == "'INTORG'"
-        start = stop + 1
-    var_ids = np.concatenate(var_ids)
-    coefs = _floats(list(compress(values, (row_ids != -1).tolist())), "COLUMNS")
-    row_ids = row_ids[row_ids != -1]
-    del columns, rows, values
+    var_ids, row_ids, coefs, integer = [], [], [], False
+    body = sections.pop("columns", "")
+    for lo, hi in _blocks(body):
+        columns, rows, values = _fields(body[lo:hi], 3, "COLUMNS")
+        ids = _lookup(column_rows, rows, "COLUMNS", "undeclared row")
+        start = 0
+        for stop in np.flatnonzero(ids == -1).tolist() + [len(columns)]:
+            seen = len(variables.index)
+            var_ids.append(variables.ids(columns[start:stop]))
+            if integer:
+                variables.set("kind", np.arange(seen, len(variables.index)), _INTEGER)
+            if stop < len(columns):
+                integer = values[stop] == "'INTORG'"
+            start = stop + 1
+        coefs.append(_floats(list(compress(values, (ids != -1).tolist())), "COLUMNS"))
+        row_ids.append(ids[ids != -1])
+    del body
+    var_ids, row_ids, coefs = map(np.concatenate, (var_ids, row_ids, coefs))
 
     rhs = np.zeros(nrows)
     _, rhs_rows, rhs_values = _fields(sections.pop("rhs", ""), 3, "RHS")
@@ -785,6 +850,27 @@ def _lp_quad(text: str) -> tuple[list[str], list[str], np.ndarray]:
     return first, second, _floats(coefs, "LP") * sign
 
 
+def _lp_rows(text: str, variables: _Variables):
+    """Names, senses and right-hand sides of the ``name: terms sense rhs``
+    lines of ``text``, and their terms as row index, variable id and
+    coefficient arrays."""
+    tokens, start, count = _lines(text, "LP")
+    end = start + count
+    names = _take(tokens, start)
+    sense_tokens = _take(tokens, np.maximum(end - 2, start))
+    bad = ((count < 3)
+           | ~np.fromiter(map(str.endswith, names, repeat(":")), dtype=bool, count=len(names))
+           | ~np.fromiter(map(_LP_SENSES.__contains__, sense_tokens), dtype=bool,
+                          count=len(names)))
+    if bad.any():
+        raise ValueError("LP: not a 'name: terms sense rhs' line: "
+                         f"{_line(tokens, start, count, bad)!r}")
+    return (list(map(itemgetter(slice(None, -1)), names)),
+            list(map(_LP_SENSES.__getitem__, sense_tokens)),
+            _floats(_take(tokens, end - 1), "LP"),
+            *_lp_terms(tokens, start, count - 3, variables))
+
+
 def read_lp(path) -> ParsedModel:
     """Read an LP file as written by ``render_lp``: every token separated by
     spaces, one ``name: terms sense rhs`` line per constraint, a bracketed
@@ -800,38 +886,34 @@ def read_lp(path) -> ParsedModel:
                                        np.array([len(tokens) - 1]), variables)
 
     body = sections.pop("subject to", "")
-    quad_terms = None
-    brackets = list(re.finditer(r"\[([^\]]*)\]", body))
+    brackets = [(mark.span(), mark.group(1)) for mark in re.finditer(r"\[([^\]]*)\]", body)]
     if len(brackets) > 1:
         raise ValueError("LP: more than one row has a quadratic part")
+    span, quad = (0, 0), None
     if brackets:
-        mark = brackets[0]
-        head = body[body.rfind("\n", 0, mark.start()) + 1:mark.start()].split()
+        span, terms = brackets[0]
+        head = body[body.rfind("\n", 0, span[0]) + 1:span[0]].split()
         if len(head) != 1 or not head[0].endswith(":"):
             raise ValueError("LP: a quadratic part must follow its row's name")
-        first, second, quad_values = _lp_quad(mark.group(1))
-        # a "+" after the bracket joins it to the linear terms
-        body = body[:mark.start()] + re.sub(r"^[ \t]*\+?", " ", body[mark.end():], count=1)
-    tokens, start, count = _lines(body, "LP")
-    del body
-    end = start + count
-    names = _take(tokens, start)
-    sense_tokens = _take(tokens, np.maximum(end - 2, start))
-    bad = ((count < 3)
-           | ~np.fromiter(map(str.endswith, names, repeat(":")), dtype=bool, count=len(names))
-           | ~np.fromiter(map(_LP_SENSES.__contains__, sense_tokens), dtype=bool,
-                          count=len(names)))
-    if bad.any():
-        raise ValueError("LP: not a 'name: terms sense rhs' line: "
-                         f"{_line(tokens, start, count, bad)!r}")
-    row_names = list(map(itemgetter(slice(None, -1)), names))
-    senses = list(map(_LP_SENSES.__getitem__, sense_tokens))
-    rhs = _floats(_take(tokens, end - 1), "LP")
-    row_ids, var_ids, values = _lp_terms(tokens, start, count - 3, variables)
-    del tokens, names, sense_tokens
-    if brackets:
-        quad_terms = (head[0][:-1], *variables.pair_ids(first, second), quad_values)
-        del first, second
+        quad = (head[0][:-1], *_lp_quad(terms))
+    row_names, senses, rhs, row_ids, var_ids, values = [], [], [], [], [], []
+    for lo, hi in _blocks(body, span):
+        text = body[lo:hi]
+        if quad is not None and lo <= span[0] < hi:
+            # a "+" after the bracket joins it to the linear terms
+            text = body[lo:span[0]] + re.sub(r"^[ \t]*\+?", " ", body[span[1]:hi], count=1)
+        names, block_senses, block_rhs, rows, ids, block_values = _lp_rows(text, variables)
+        row_ids.append(rows + len(row_names))
+        row_names += names
+        senses += block_senses
+        rhs.append(block_rhs)
+        var_ids.append(ids)
+        values.append(block_values)
+    del body, brackets
+    rhs, row_ids, var_ids, values = map(np.concatenate, (rhs, row_ids, var_ids, values))
+    if quad is not None:
+        name, first, second, quad_values = quad
+        quad = (name, *variables.pair_ids(first, second), quad_values)
 
     tokens, start, count = _lines(sections.pop("bounds", ""), "LP")
     two_sided = count == 5
@@ -859,5 +941,5 @@ def read_lp(path) -> ParsedModel:
         var_names, kinds, lb, ub,
         np.bincount(obj_ids, weights=obj_values, minlength=len(var_names)),
         sparse.csr_array((values, (row_ids, var_ids)), shape=(len(row_names), len(var_names))),
-        row_names, senses, rhs, QuadEntry(*quad_terms, var_names) if quad_terms else None)
+        row_names, senses, rhs, QuadEntry(*quad, var_names) if quad is not None else None)
     return _parsed(flat, dict(variables.index))

@@ -74,6 +74,9 @@ class SolveStrategy(str, enum.Enum):
     BRANCH_AND_PROPAGATE = "branch_and_propagate"
 
 
+DEFAULT_STRATEGY = SolveStrategy.BRANCH_AND_PROPAGATE
+
+
 @dataclass(frozen=True)
 class SolveResult:
     incumbent: AttributedGraph | None
@@ -751,7 +754,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
 
 def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
           budget: float = DEFAULT_BUDGET,
-          strategy: SolveStrategy | str = SolveStrategy.BRANCH_AND_PROPAGATE,
+          strategy: SolveStrategy | str = DEFAULT_STRATEGY,
           warm_start: Iterable[AttributedGraph] = (),
           log_interval: int = 0) -> SolveResult:
     """Minimize the LCB over the domain.

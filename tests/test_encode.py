@@ -12,6 +12,7 @@ from graphbo import DomainSpec, KernelHyperparams, KernelVariant, LinearRow
 from graphbo.encode import (
     ConstraintBlock,
     LinearConstraint,
+    _count_coefficients,
     apply_domain_constraints,
     canonical_assignment,
     canonical_structural_assignment,
@@ -78,7 +79,21 @@ class TestConstraintBlock:
         rng = np.random.default_rng(5)
         points = [sample_feasible(dom, rng) for _ in range(4)]
         model = fit(points, rng.normal(size=4), variant, seed=0, restarts=2)
+        add_rows = ConstraintBlock.add_rows
+
+        def recording_rows(self, names, senses, rhs, rows, cols, coefs):
+            merged = [{} for _ in names]
+            for row, vid, coef in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist(),
+                                      np.broadcast_to(coefs, len(rows)).tolist()):
+                merged[row][vid] = merged[row].get(vid, 0.0) + float(coef)
+            for name, sense, value, row in zip(names, senses,
+                                               np.asarray(rhs, dtype=float).tolist(), merged):
+                tuple_rows.append(
+                    LinearConstraint(name, tuple(sorted(row.items())), sense, float(value)))
+            add_rows(self, names, senses, rhs, rows, cols, coefs)
+
         monkeypatch.setattr(ConstraintBlock, "add_con", recording)
+        monkeypatch.setattr(ConstraintBlock, "add_rows", recording_rows)
         mip = encode_acquisition(model, dom, 1.0)
         view = mip.constraints
         assert len(view) == len(tuple_rows) > 0
@@ -87,6 +102,82 @@ class TestConstraintBlock:
             assert all(type(vid) is int and type(coef) is float for vid, coef in row.coeffs)
             assert type(row.rhs) is float
         assert view[-1] == tuple_rows[-1]
+
+    def test_add_rows_sums_repeats_and_sorts_like_add_con(self):
+        rows = [([(7, 0.25), (0, -1.0), (3, 1.5), (0, -1.0)], "<=", 4.0),
+                ([], "==", 0.0),
+                ([(2, 1e-3), (2, -1e-3), (1, -0.0)], ">=", -1.0)]
+        one_by_one, at_once = ConstraintBlock(), ConstraintBlock()
+        for k, (coeffs, sense, rhs) in enumerate(rows):
+            one_by_one.add_con(f"r{k}", coeffs, sense, rhs)
+        at_once.add_con("before", {5: 1.0}, "==", 1.0)
+        entries = [(k, vid, coef) for k, (coeffs, _, _) in enumerate(rows)
+                   for vid, coef in coeffs]
+        at_once.add_rows([f"r{k}" for k in range(3)], [sense for _, sense, _ in rows],
+                         [rhs for _, _, rhs in rows], *map(np.array, zip(*entries)))
+        assert list(at_once.constraints)[1:] == list(one_by_one.constraints)
+        # -0.0 and the cancelling pair are stored as add_con stores them
+        assert [str(coef) for _, coef in at_once.constraints[3].coeffs] == ["0.0", "0.0"]
+        assert at_once.row_ends.tolist() == [1, 4, 4, 6]
+
+
+def reference_kernel_rows(mip) -> ConstraintBlock:
+    """The g_def/k_def rows written row by row: per kernel entry, one dict
+    that puts each count cell's coefficient on every node pair's indicator
+    of that cell, then ``add_con``."""
+    model, domain, block = mip.gp, mip.domain, mip.block
+    variant, hyper = model.variant, model.hyper
+    n, L = domain.n, domain.num_labels
+    graph_coef, feature_coef = _count_coefficients(
+        model.profile, n, variant.labeled, 1.0 if variant.exponential else hyper.alpha,
+        hyper.beta)
+    pairs = [(l1, l2) for l1 in range(L) for l2 in range(L)] if variant.labeled else [(0, 0)]
+    ref = ConstraintBlock()
+    for i in range(model.size):
+        coeffs = {}
+        for s in range(n):
+            for l1, l2 in pairs:
+                value = float(graph_coef[s, l1, l2, i])
+                if value == 0.0:
+                    continue
+                for u in range(n):
+                    for v in range(n):
+                        name = (f"p_{u}_{v}_{s}_{l1}_{l2}" if variant.labeled
+                                else f"ds_{u}_{v}_{s}")
+                        coeffs[block.var_id(name)] = value
+        krow = {block.var_id(f"N_{m}"): float(value)
+                for m, value in enumerate(feature_coef[:, i]) if value != 0.0}
+        if variant.exponential:
+            coeffs[block.var_id(f"g_{i}")] = -1.0
+            ref.add_con(f"g_def_{i}", coeffs, "==", 0.0)
+            krow[block.var_id(f"e_{i}")] = hyper.alpha / hyper.require_variance(variant)
+        else:
+            krow.update(coeffs)
+        krow[block.var_id(f"k_{i}")] = -1.0
+        ref.add_con(f"k_def_{i}", krow, "==", 0.0)
+    return ref
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("variant", list(KernelVariant))
+def test_kernel_rows_match_the_per_row_builder(variant, n):
+    dom = DomainSpec(n=n, num_labels=2)
+    rng = np.random.default_rng(n)
+    points = [sample_feasible(dom, rng) for _ in range(5)]
+    model = fit(points, rng.normal(size=5), variant, seed=0, restarts=2)
+    mip = encode_acquisition(model, dom, 1.0)
+    ref = reference_kernel_rows(mip)
+    # the kernel rows follow the structural rows
+    first = len(structural_system(dom, include_labels=variant.labeled).row_names)
+    rows = mip.constraints[first:first + len(ref.row_names)]
+    assert [row.name for row in rows] == ref.row_names
+    assert [row.sense for row in rows] == ref.senses
+    assert [row.rhs for row in rows] == ref.rhs.tolist()
+    for row, expected in zip(rows, ref.constraints):
+        assert [vid for vid, _ in row.coeffs] == [vid for vid, _ in expected.coeffs]
+        assert [coef for _, coef in row.coeffs] == [coef for _, coef in expected.coeffs]
+    assert mip.constraints[first + len(ref.row_names)].name == (
+        "g_self_def" if variant.exponential else "kxx_def")
 
 
 class TestShortestPathBlock:

@@ -1,13 +1,15 @@
 """File export round-trips and the piecewise-linear exponential expansion."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from graphbo import DomainSpec, KernelVariant
+from graphbo import DomainSpec, KernelVariant, modelio
 from graphbo.encode import ConstraintBlock, encode_acquisition
 from graphbo.errors import UnsupportedBoundedSizeExportError
 from graphbo.gp import fit
@@ -15,7 +17,9 @@ from graphbo.graphs import sample_feasible
 from graphbo.modelio import (
     OBJ_NAME,
     PWL_BIG_M,
+    ExportedModel,
     ParsedModel,
+    QuadEntry,
     expand_model,
     export_model,
     piecewise_exp_error,
@@ -142,9 +146,10 @@ def reference_render_mps(flat):
                 lines.append(f" MI BND  {var.name}")
             if not math.isinf(var.ub):
                 lines.append(f" UP BND  {var.name}  {_num(var.ub)}")
-    lines.append(f"QCMATRIX   {flat.quad.row}")
-    for a, b, coef in flat.quad.entries:
-        lines.append(f"    {a}  {b}  {_num(coef)}")
+    if flat.quad is not None:
+        lines.append(f"QCMATRIX   {flat.quad.row}")
+        for a, b, coef in flat.quad.entries:
+            lines.append(f"    {a}  {b}  {_num(coef)}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
@@ -167,7 +172,7 @@ def reference_render_lp(flat):
     sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
     for con in flat.constraints:
         terms = _reference_lp_terms([(names[vid], coef) for vid, coef in con.coeffs])
-        if con.name == flat.quad.row:
+        if flat.quad is not None and con.name == flat.quad.row:
             q_parts = []
             for a, b, coef in flat.quad.entries:
                 sign = "-" if coef < 0 else "+"
@@ -261,6 +266,56 @@ def test_writers_match_the_reference_byte_for_byte(variant, n, breakpoints):
     ref = reference_expand(mip, breakpoints)
     assert render_mps(flat) == reference_render_mps(ref)
     assert render_lp(flat) == reference_render_lp(ref)
+
+
+def hand_built(quad: bool) -> ExportedModel:
+    """A flat model with the writers' edge cases: an empty row, rows and an
+    objective whose first coefficient is negative, a variance row with no
+    linear part, a column with no entry (z) and an integer run that reaches
+    the last column; ``quad`` False drops the quadratic part."""
+    names = ["x", "y", "z", "w", "i", "b"]
+    kinds = ["continuous"] * 4 + ["integer", "binary"]
+    lb = np.array([-math.inf, 0.0, -math.inf, -1.0, 0.0, 0.0])
+    ub = np.array([math.inf, math.inf, 3.5, 5.0, 4.0, 1.0])
+    c = np.array([-1.0, -3.0, 0.0, 0.0, 0.5, 0.0])
+    # rows: neg, empty, pos, var
+    A = sparse.csr_array((np.array([-2.0, 1.5, 1.0, 0.25, 1e-06, -0.0]),
+                          np.array([0, 1, 4, 1, 3, 5]), np.array([0, 3, 3, 6, 6])),
+                         shape=(4, len(names)))
+    entry = QuadEntry("var", np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                      np.array([1.0, -0.5, -0.5, 2.0]), names) if quad else None
+    return ExportedModel(names, kinds, lb, ub, c, A, ["neg", "empty", "pos", "var"],
+                         ["<=", "==", ">=", "<="], np.array([4.0, 0.0, -1.0, 0.0]), entry)
+
+
+@pytest.mark.parametrize("quad", [True, False], ids=["quad", "no_quad"])
+def test_writers_match_the_reference_on_edge_cases(quad):
+    flat = hand_built(quad)
+    mps, lp = render_mps(flat), render_lp(flat)
+    assert mps == reference_render_mps(flat)
+    assert lp == reference_render_lp(flat)
+    # the cases are in the files
+    assert "    z  OBJ  0.0\n" in mps and "    MARKER1    'MARKER'    'INTEND'\nRHS\n" in mps
+    assert " obj: - 1.0 x - 3.0 y + 0.5 i\n" in lp and " empty:  = 0.0\n" in lp
+    assert " neg: - 2.0 x + 1.5 y + 1.0 i <= 4.0\n" in lp
+    assert (" var: [ 1.0 x ^ 2 - 0.5 x * y - 0.5 y * x + 2.0 y ^ 2 ] +  <= 0.0\n" in lp) == quad
+
+
+def test_one_expansion_serves_both_formats(tmp_path, fitted):
+    dom, models = fitted
+    mip = encode_acquisition(models[KernelVariant.ESSP], dom, 1.0)
+    flats = {}
+    for breakpoints in (8, 16):
+        for fmt in ("mps", "lp"):
+            flats[breakpoints, fmt] = export_model(
+                mip, tmp_path / f"model{breakpoints}.{fmt}", fmt=fmt, breakpoints=breakpoints)
+    assert flats[8, "lp"] is flats[8, "mps"]
+    assert flats[16, "mps"] is not flats[8, "mps"]
+    assert flats[16, "lp"] is flats[16, "mps"]
+    for breakpoints in (8, 16):
+        fresh = expand_model(mip, breakpoints)
+        assert (tmp_path / f"model{breakpoints}.mps").read_bytes() == render_mps(fresh).encode()
+        assert (tmp_path / f"model{breakpoints}.lp").read_bytes() == render_lp(fresh).encode()
 
 
 class TestPiecewiseExp:
@@ -565,3 +620,82 @@ def test_milp_on_the_flat_arrays_matches_enumeration(tmp_path, n, labels, varian
         result = _milp_without_variance_row(flat)
         assert result.status == 0, source
         assert abs(result.fun - exact.objective) <= 1e-6, source
+
+
+# ---------------------------------------------------------------------------
+# block-wise reading: tiny blocks read every file as whole sections do
+
+
+def small_blocks(monkeypatch, size: int) -> list[tuple[int, int]]:
+    """Parse long sections in pieces of about ``size`` characters; returns
+    the list that records each piece parsed."""
+    monkeypatch.setattr(modelio, "READ_BLOCK_CHARS", size)
+    pieces = []
+    blocks = modelio._blocks
+
+    def recording(body, *span):
+        for piece in blocks(body, *span):
+            pieces.append(piece)
+            yield piece
+
+    monkeypatch.setattr(modelio, "_blocks", recording)
+    return pieces
+
+
+@pytest.mark.parametrize("variant", list(KernelVariant))
+@pytest.mark.parametrize("fmt", ["mps", "lp"])
+def test_small_read_blocks_give_the_same_arrays(monkeypatch, tmp_path, fitted, smoke_fitted,
+                                                variant, fmt):
+    pieces = small_blocks(monkeypatch, 40)
+    TestRoundTrip().test_arrays_match_exactly(tmp_path, fitted, smoke_fitted, variant, fmt)
+    assert len(pieces) > 100
+
+
+@pytest.mark.parametrize("size", [1, 7, 40])
+@pytest.mark.parametrize("fmt, text", [
+    ("mps", HAND_MPS), ("lp", HAND_LP),
+    ("lp", HAND_LP.replace("y ^ 2 + 2.0 y * z", "y ^ 2\n + 2.0 y * z")),
+], ids=["mps", "lp", "lp_quadratic_over_two_lines"])
+def test_small_read_blocks_read_hand_written_files(monkeypatch, tmp_path, size, fmt, text):
+    path = tmp_path / f"tiny.{fmt}"
+    path.write_text(text)
+    read = read_mps if fmt == "mps" else read_lp
+    assert read(path) == HAND_PARSED
+    small_blocks(monkeypatch, size)
+    assert read(path) == HAND_PARSED
+
+
+def test_small_read_blocks_keep_an_integer_run_across_pieces(monkeypatch, tmp_path):
+    # the kinds of a, b and c come from the markers alone
+    path = tmp_path / "run.mps"
+    path.write_text("ROWS\n N  OBJ\n L  r\nCOLUMNS\n    MARKER0    'MARKER'    'INTORG'\n"
+                    "    a  r  1.0\n    b  r  2.0\n    c  r  3.0\n"
+                    "    MARKER1    'MARKER'    'INTEND'\n    y  r  4.0\nENDATA\n")
+    expected = {"a": "integer", "b": "integer", "c": "integer", "y": "continuous"}
+    flat = read_mps(path).flat
+    assert dict(zip(flat.names, flat.kinds)) == expected
+    pieces = small_blocks(monkeypatch, 1)
+    flat = read_mps(path).flat
+    assert dict(zip(flat.names, flat.kinds)) == expected
+    assert len(pieces) > 5
+
+
+@pytest.mark.parametrize("fmt", ["mps", "lp"])
+def test_small_read_blocks_refuse_a_late_malformed_line(monkeypatch, tmp_path, fmt):
+    if fmt == "mps":
+        lines = [f"    x{k}  c  1.0" for k in range(60)] + ["    x60  c"]
+        text = "ROWS\n N  OBJ\n L  c\nCOLUMNS\n" + "\n".join(lines) + "\nENDATA\n"
+        message = "COLUMNS: every line must hold 3 fields"
+    else:
+        lines = [f" c{k}: 1.0 x{k} <= 1.0" for k in range(60)] + [" c60: 1.0 x60"]
+        text = "Minimize\n obj: 1.0 x0\nSubject To\n" + "\n".join(lines) + "\nEnd\n"
+        message = "LP: not a 'name: terms sense rhs' line: 'c60: 1.0 x60'"
+    path = tmp_path / f"late.{fmt}"
+    path.write_text(text)
+    read = read_mps if fmt == "mps" else read_lp
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(path)
+    pieces = small_blocks(monkeypatch, 40)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(path)
+    assert len(pieces) > 10  # the malformed line is in a later piece
