@@ -19,7 +19,8 @@ line. The readers parse a file straight into the same arrays
 (``ParsedModel.flat``): tokens are parsed in bulk, with no object per row,
 variable or quadratic term, and the long sections (MPS COLUMNS, LP Subject
 To) in line-aligned blocks of about ``READ_BLOCK_CHARS`` characters, so no
-token list of a whole section exists. Export requires fixed-size models
+token list of a whole section exists; one ``_FloatTable`` per file parses
+each distinct number once. Export requires fixed-size models
 because bounded-size kernel normalizations are not linear.
 """
 
@@ -400,7 +401,7 @@ def _lp_bound(name: str, kind: str, lo: float, hi: float) -> str:
     return f" {low} <= {name} <= {high}\n"
 
 
-_LP_SENSE_TEXTS = {"<=": "<=", ">=": ">=", "==": "="}
+_LP_SENSE_TEXTS = {"<=": " <= ", ">=": " >= ", "==": " = "}
 
 
 def render_lp(flat: ExportedModel) -> str:
@@ -426,13 +427,11 @@ def render_lp(flat: ExportedModel) -> str:
             if name == quad.row:
                 heads[i] = f" {name}: [ {quad_text} ]" + ("" if count[i] else " + ")
                 opens[i] = False
-    ends = [f" {_LP_SENSE_TEXTS[sense]} {rhs!r}\n"
-            for sense, rhs in zip(flat.senses, flat.rhs.tolist())]
-    # row i's head goes before its first term and its end after its last
+    # row i's head goes before its first term, its sense and rhs after its last
     rows = np.insert(_pieces(_lp_coefs(A.data, A.indptr[:-1][opens]), tails[A.indices]),
-                     2 * np.stack((A.indptr[:-1], A.indptr[1:]), axis=1).ravel(),
-                     np.array([text for pair in zip(heads, ends) for text in pair],
-                              dtype=object))
+                     2 * np.stack((A.indptr[:-1], A.indptr[1:], A.indptr[1:]), axis=1).ravel(),
+                     _pieces(heads, list(map(_LP_SENSE_TEXTS.__getitem__, flat.senses)),
+                             _value_texts(flat.rhs, _repr_line)))
     sections = [["\\ graphbo acquisition model\nMinimize\n obj: "], objective,
                 ["\nSubject To\n"], rows, ["Bounds\n"], _bounds(flat, _lp_bound)]
     kinds = np.array(flat.kinds)
@@ -678,21 +677,21 @@ def _line(tokens: list[str], start: np.ndarray, count: np.ndarray, bad: np.ndarr
 
 
 class _FloatTable(dict):
-    """float() of each token, parsed on its first lookup."""
+    """float() of each token, parsed on its first lookup. A reader keeps one
+    table for its whole file, so every distinct token is parsed once however
+    many blocks and sections repeat it (see ``_value_texts``)."""
 
     def __missing__(self, token: str) -> float:
         value = self[token] = float(token)
         return value
 
-
-def _floats(tokens: list[str], section: str) -> np.ndarray:
-    """float() of every token, parsed once per distinct token (see
-    ``_value_texts``)."""
-    try:
-        return np.fromiter(map(_FloatTable().__getitem__, tokens), dtype=float,
-                           count=len(tokens))
-    except ValueError as exc:
-        raise ValueError(f"{section}: {exc}") from None
+    def parse(self, tokens: list[str], section: str) -> np.ndarray:
+        """float() of every token."""
+        try:
+            return np.fromiter(map(self.__getitem__, tokens), dtype=float,
+                               count=len(tokens))
+        except ValueError as exc:
+            raise ValueError(f"{section}: {exc}") from None
 
 
 def _lookup(index: dict[str, int], names: list[str], section: str, what: str) -> np.ndarray:
@@ -710,6 +709,7 @@ def read_mps(path) -> ParsedModel:
     lines and blank lines anywhere. The first N row is the objective;
     further N rows are dropped."""
     sections, header_names = _sections(_read_text(path), _MPS_HEADER, "*")
+    numbers = _FloatTable()
     row_types, names = _fields(sections.pop("rows", ""), 2, "ROWS")
     codes = _lookup(_MPS_ROW_CODES, row_types, "ROWS", "unknown row type")
     is_row = (codes >= 0).tolist()
@@ -741,14 +741,15 @@ def read_mps(path) -> ParsedModel:
             if stop < len(columns):
                 integer = values[stop] == "'INTORG'"
             start = stop + 1
-        coefs.append(_floats(list(compress(values, (ids != -1).tolist())), "COLUMNS"))
+        coefs.append(numbers.parse(list(compress(values, (ids != -1).tolist())), "COLUMNS"))
         row_ids.append(ids[ids != -1])
     del body
     var_ids, row_ids, coefs = map(np.concatenate, (var_ids, row_ids, coefs))
 
     rhs = np.zeros(nrows)
     _, rhs_rows, rhs_values = _fields(sections.pop("rhs", ""), 3, "RHS")
-    rhs[_lookup(row_index, rhs_rows, "RHS", "not a constraint row")] = _floats(rhs_values, "RHS")
+    rhs[_lookup(row_index, rhs_rows, "RHS", "not a constraint row")] = \
+        numbers.parse(rhs_values, "RHS")
 
     tokens, start, count = _lines(sections.pop("bounds", ""), "BOUNDS")
     types = _lookup(_MPS_BOUND_CODES, _take(tokens, start), "BOUNDS", "unsupported bound type")
@@ -759,7 +760,7 @@ def read_mps(path) -> ParsedModel:
                          f"{_line(tokens, start, count, bad)!r}")
     bound_ids = variables.ids(_take(tokens, start + 2))
     line_values = np.full(len(start), math.nan)
-    line_values[count == 4] = _floats(_take(tokens, start[count == 4] + 3), "BOUNDS")
+    line_values[count == 4] = numbers.parse(_take(tokens, start[count == 4] + 3), "BOUNDS")
     for k, fname in enumerate(("kind", "lb", "ub")):
         sets = np.zeros(len(start), dtype=bool)
         new = np.empty(len(start))
@@ -774,7 +775,7 @@ def read_mps(path) -> ParsedModel:
     if "qcmatrix" in sections:
         first, second, quad_values = _fields(sections.pop("qcmatrix"), 3, "QCMATRIX")
         quad_terms = (header_names["qcmatrix"], *variables.pair_ids(first, second),
-                      _floats(quad_values, "QCMATRIX"))
+                      numbers.parse(quad_values, "QCMATRIX"))
         del first, second, quad_values
 
     var_names, kinds, lb, ub = variables.arrays()
@@ -793,8 +794,8 @@ def read_mps(path) -> ParsedModel:
 _TERM_SIGNS = {"+": 1.0, "-": -1.0}
 
 
-def _lp_terms(tokens: list[str], head: np.ndarray, length: np.ndarray,
-              variables: _Variables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lp_terms(tokens: list[str], head: np.ndarray, length: np.ndarray, variables: _Variables,
+              numbers: _FloatTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expression index, variable id and signed coefficient of every term of
     the expressions ``tokens[head[i] + 1:head[i] + 1 + length[i]]``.
 
@@ -828,11 +829,11 @@ def _lp_terms(tokens: list[str], head: np.ndarray, length: np.ndarray,
                        count=len(expr))
     sign[(np.cumsum(count) - count)[bare & (count > 0)]] = 1.0
     refuse(np.bincount(expr[sign == 0.0], minlength=len(head)) > 0)
-    values = _floats(stream[1::3], "LP") * sign
+    values = numbers.parse(stream[1::3], "LP") * sign
     return expr, variables.ids(stream[2::3]), values
 
 
-def _lp_quad(text: str) -> tuple[list[str], list[str], np.ndarray]:
+def _lp_quad(text: str, numbers: _FloatTable) -> tuple[list[str], list[str], np.ndarray]:
     """First names, second names and coefficients of a "[sign] coef a ^ 2"
     / "[sign] coef a * b" stream."""
     tokens = text.split()
@@ -847,10 +848,10 @@ def _lp_quad(text: str) -> tuple[list[str], list[str], np.ndarray]:
     second = np.where(square, np.array(first, dtype=object),
                       np.array(second, dtype=object)).tolist()
     sign = np.fromiter(map(_TERM_SIGNS.__getitem__, signs), dtype=float, count=len(signs))
-    return first, second, _floats(coefs, "LP") * sign
+    return first, second, numbers.parse(coefs, "LP") * sign
 
 
-def _lp_rows(text: str, variables: _Variables):
+def _lp_rows(text: str, variables: _Variables, numbers: _FloatTable):
     """Names, senses and right-hand sides of the ``name: terms sense rhs``
     lines of ``text``, and their terms as row index, variable id and
     coefficient arrays."""
@@ -867,8 +868,8 @@ def _lp_rows(text: str, variables: _Variables):
                          f"{_line(tokens, start, count, bad)!r}")
     return (list(map(itemgetter(slice(None, -1)), names)),
             list(map(_LP_SENSES.__getitem__, sense_tokens)),
-            _floats(_take(tokens, end - 1), "LP"),
-            *_lp_terms(tokens, start, count - 3, variables))
+            numbers.parse(_take(tokens, end - 1), "LP"),
+            *_lp_terms(tokens, start, count - 3, variables, numbers))
 
 
 def read_lp(path) -> ParsedModel:
@@ -877,13 +878,13 @@ def read_lp(path) -> ParsedModel:
     quadratic part opening at most one row, two-sided or ``free`` bounds,
     and ``\\`` comment lines and blank lines anywhere."""
     sections, _ = _sections(_read_text(path), _LP_HEADER, "\\")
-    variables = _Variables()
+    variables, numbers = _Variables(), _FloatTable()
 
     tokens = sections.pop("minimize", "").split()
     if not tokens or not tokens[0].endswith(":"):
         tokens.insert(0, "obj:")  # a name for an unnamed objective
     _, obj_ids, obj_values = _lp_terms(tokens, np.zeros(1, dtype=np.int64),
-                                       np.array([len(tokens) - 1]), variables)
+                                       np.array([len(tokens) - 1]), variables, numbers)
 
     body = sections.pop("subject to", "")
     brackets = [(mark.span(), mark.group(1)) for mark in re.finditer(r"\[([^\]]*)\]", body)]
@@ -895,14 +896,15 @@ def read_lp(path) -> ParsedModel:
         head = body[body.rfind("\n", 0, span[0]) + 1:span[0]].split()
         if len(head) != 1 or not head[0].endswith(":"):
             raise ValueError("LP: a quadratic part must follow its row's name")
-        quad = (head[0][:-1], *_lp_quad(terms))
+        quad = (head[0][:-1], *_lp_quad(terms, numbers))
     row_names, senses, rhs, row_ids, var_ids, values = [], [], [], [], [], []
     for lo, hi in _blocks(body, span):
         text = body[lo:hi]
         if quad is not None and lo <= span[0] < hi:
             # a "+" after the bracket joins it to the linear terms
             text = body[lo:span[0]] + re.sub(r"^[ \t]*\+?", " ", body[span[1]:hi], count=1)
-        names, block_senses, block_rhs, rows, ids, block_values = _lp_rows(text, variables)
+        names, block_senses, block_rhs, rows, ids, block_values = \
+            _lp_rows(text, variables, numbers)
         row_ids.append(rows + len(row_names))
         row_names += names
         senses += block_senses
@@ -927,8 +929,8 @@ def read_lp(path) -> ParsedModel:
     bound_ids = variables.ids(_take(tokens, np.where(two_sided, start + 2, start)))
     lo = np.full(len(start), -math.inf)
     hi = np.full(len(start), math.inf)
-    lo[two_sided] = _floats(_take(tokens, start[two_sided]), "LP")
-    hi[two_sided] = _floats(_take(tokens, start[two_sided] + 4), "LP")
+    lo[two_sided] = numbers.parse(_take(tokens, start[two_sided]), "LP")
+    hi[two_sided] = numbers.parse(_take(tokens, start[two_sided] + 4), "LP")
     variables.set("lb", bound_ids, lo)
     variables.set("ub", bound_ids, hi)
     variables.set("kind", variables.ids(sections.pop("generals", "").split()), _INTEGER)

@@ -336,6 +336,28 @@ class TestPiecewiseExp:
         assert np.all(np.interp(grid, xs, ys) >= np.exp(grid) - 1e-12)
 
 
+def assert_same_arrays(back: ExportedModel, flat: ExportedModel) -> None:
+    """A read-back model equals the written one, array by array (==)."""
+    # written column j is read-back column perm[j]
+    assert sorted(back.names) == sorted(flat.names)
+    position = {name: j for j, name in enumerate(back.names)}
+    perm = np.array([position[name] for name in flat.names])
+    assert (back.A[:, perm] - flat.A).nnz == 0
+    assert back.A.shape == flat.A.shape
+    assert np.array_equal(back.c[perm], flat.c)
+    assert np.array_equal(back.lb[perm], flat.lb)
+    assert np.array_equal(back.ub[perm], flat.ub)
+    assert [back.kinds[j] for j in perm] == flat.kinds
+    assert back.row_names == flat.row_names
+    assert back.senses == flat.senses
+    assert np.array_equal(back.rhs, flat.rhs)
+    # the quadratic terms by name, in order, values ==
+    assert back.quad.row == flat.quad.row
+    assert np.array_equal(back.quad.first, perm[flat.quad.first])
+    assert np.array_equal(back.quad.second, perm[flat.quad.second])
+    assert np.array_equal(back.quad.values, flat.quad.values)
+
+
 @pytest.mark.parametrize("variant", list(KernelVariant))
 @pytest.mark.parametrize("fmt", ["mps", "lp"])
 class TestRoundTrip:
@@ -383,24 +405,7 @@ class TestRoundTrip:
             path = tmp_path / f"model{dom.n}.{fmt}"
             flat = export_model(mip, path, fmt=fmt, breakpoints=breakpoints)
             back = (read_mps(path) if fmt == "mps" else read_lp(path)).flat
-            # written column j is read-back column perm[j]
-            assert sorted(back.names) == sorted(flat.names)
-            position = {name: j for j, name in enumerate(back.names)}
-            perm = np.array([position[name] for name in flat.names])
-            assert (back.A[:, perm] - flat.A).nnz == 0
-            assert back.A.shape == flat.A.shape
-            assert np.array_equal(back.c[perm], flat.c)
-            assert np.array_equal(back.lb[perm], flat.lb)
-            assert np.array_equal(back.ub[perm], flat.ub)
-            assert [back.kinds[j] for j in perm] == flat.kinds
-            assert back.row_names == flat.row_names
-            assert back.senses == flat.senses
-            assert np.array_equal(back.rhs, flat.rhs)
-            # the quadratic terms by name, in order, values ==
-            assert back.quad.row == flat.quad.row
-            assert np.array_equal(back.quad.first, perm[flat.quad.first])
-            assert np.array_equal(back.quad.second, perm[flat.quad.second])
-            assert np.array_equal(back.quad.values, flat.quad.values)
+            assert_same_arrays(back, flat)
             if fmt == "mps":
                 assert render_mps(back) == path.read_text()
 
@@ -649,6 +654,41 @@ def test_small_read_blocks_give_the_same_arrays(monkeypatch, tmp_path, fitted, s
     pieces = small_blocks(monkeypatch, 40)
     TestRoundTrip().test_arrays_match_exactly(tmp_path, fitted, smoke_fitted, variant, fmt)
     assert len(pieces) > 100
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("fmt", ["mps", "lp"])
+def test_small_read_blocks_parse_each_number_once(monkeypatch, tmp_path, smoke_fitted, fmt):
+    # one float table per file: a token repeated across blocks and sections
+    # is parsed on its first appearance only
+    dom, models = smoke_fitted
+    path = tmp_path / f"model.{fmt}"
+    flat = export_model(encode_acquisition(models[KernelVariant.ESP], dom, 1.0), path,
+                        fmt=fmt, breakpoints=16)
+    pieces = small_blocks(monkeypatch, 40)
+    parsed = []
+    missing = modelio._FloatTable.__missing__
+
+    def counting(table, token):
+        parsed.append(token)
+        return missing(table, token)
+
+    monkeypatch.setattr(modelio._FloatTable, "__missing__", counting)
+    back = (read_mps(path) if fmt == "mps" else read_lp(path)).flat
+    assert len(pieces) > 100
+    # the 2 of an LP square term "x ^ 2" is syntax, not a number to parse
+    tokens = path.read_text().split()
+    numbers = {token for before, token in zip([""] + tokens, tokens)
+               if before != "^" and _is_number(token)}
+    assert sorted(parsed) == sorted(numbers)
+    assert_same_arrays(back, flat)
 
 
 @pytest.mark.parametrize("size", [1, 7, 40])
