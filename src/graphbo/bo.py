@@ -94,10 +94,6 @@ class BoHistory:
             return math.inf
         return self.records[-1].best_y
 
-    def best_graph(self) -> AttributedGraph:
-        best = min(self.records, key=lambda r: r.y)
-        return best.graph
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

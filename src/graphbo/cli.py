@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -286,7 +287,8 @@ def _run_command(args, config: dict, seed: int) -> int:
         print("index,mu,var,lcb")
         for i, graph in enumerate(read_graphs(args.graphs)):
             mu, var = gp_mod.posterior(model, graph)
-            print(f"{i},{mu!r},{var!r},{mu - beta_sqrt * var ** 0.5!r}")
+            # math.sqrt as in gp.lcb: var ** 0.5 may round differently
+            print(f"{i},{mu!r},{var!r},{mu - beta_sqrt * math.sqrt(var)!r}")
         return 0
 
     if command == "encode":

@@ -416,7 +416,7 @@ class _BoundContext:
         self.w_pos = np.clip(model.weights, 0.0, None)
         self.w_neg = np.clip(model.weights, None, 0.0)
         # factor F of the precision (F'F = Q): z = F k gives k'Qk = |z|^2
-        factor = model.inverse_factor()
+        factor = model.inverse_factor
         self.ct_pos = np.clip(factor, 0.0, None)
         self.ct_neg = np.clip(factor, None, 0.0)
         # the training profile with counts cut or padded to the domain's
@@ -590,10 +590,9 @@ def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         values = mu - beta_sqrt * np.sqrt(var)
         # rows ascend in enumeration order, so argmin keeps the tie-break toward
         # the lexicographically smallest graph
-        graph = table.graph(int(np.argmin(values)))
-        # report the incumbent's value through the per-graph reference path so
-        # both strategies quote identical numbers for identical graphs
-        best = (graph, gp_lcb(model, graph, beta_sqrt), graph_sort_key(graph))
+        row = int(np.argmin(values))
+        graph = table.graph(row)
+        best = (graph, float(values[row]), graph_sort_key(graph))
     if table.complete:
         return SolveResult(best[0], best[1], best[1], "Optimal", len(table),
                            time.monotonic() - start)
@@ -633,13 +632,12 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
     def score_structure(pa: PartialAssignment, node_bound: float,
                         dist: np.ndarray) -> None:
         """Score every feasible labeling of the structure at ``pa``, one
-        ``predict`` call per block of labelings, and re-score through
-        ``gp.lcb`` every labeling that ties the structure's minimum: two
-        such labelings need not be renumberings of each other."""
+        ``predict`` call per block of labelings, and build a graph only for
+        the labelings that improve or tie the incumbent value: ``predict``
+        gives a profile one value in any batch, ``gp.lcb``'s."""
         nonlocal incumbent_obj, tied, timed_out
         adjacency = pa.adj[: pa.size, : pa.size].copy()
         np.fill_diagonal(adjacency, 0)
-        best_value, ties = math.inf, []
         for profiles, features in structure_profiles(domain, adjacency,
                                                      dist.astype(np.int64)):
             if out_of_time():
@@ -650,23 +648,13 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
                 continue
             mu, var = predict(model, profiles)
             values = mu - beta_sqrt * np.sqrt(var)
-            low = values.min()
-            if low < best_value:
-                best_value, ties = low, []
-            if low == best_value:
-                ties.extend(features[values == low])
-        for features in ties:
-            graph = build_graph(adjacency, features, domain.directed,
-                                domain.num_labels)
-            if not domain_feasible(domain, graph):
+            low = float(values.min())
+            if low > incumbent_obj:
                 continue
-            # the incumbent's value comes through the per-graph path, as in
-            # enumerate, so both strategies quote identical numbers
-            value = gp_lcb(model, graph, beta_sqrt)
-            if value < incumbent_obj:
-                incumbent_obj, tied = value, [graph]
-            elif value == incumbent_obj:
-                tied.append(graph)
+            if low < incumbent_obj:
+                incumbent_obj, tied = low, []
+            tied.extend(build_graph(adjacency, f, domain.directed, domain.num_labels)
+                        for f in features[values == low])
 
     def search(pa: PartialAssignment, bits: list[tuple[int, int]], depth: int,
                subtree: _EdgeSubtree | None, row: int) -> None:
@@ -760,7 +748,8 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     """Minimize the LCB over the domain.
 
     ``enumerate`` scores one row per distinct feasible kernel profile of the
-    domain through ``gp.predict``; the table is built once per domain and
+    domain through ``gp.predict`` and quotes the argmin row's value, which
+    is ``gp.lcb``'s for its graph; the table is built once per domain and
     cached only when complete, and a domain over the enumeration bit cap
     raises DomainTooLargeError. Objective ties still break toward the
     lexicographically smallest graph, and ``nodes_explored`` counts the
@@ -777,9 +766,11 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     it is skipped. Each size branches on the edge bits among its present
     nodes only. Feature bits are not branched: once every edge bit is fixed
     and the node's bound does not prune it, the structure's feasible
-    labelings are scored by ``gp.predict``, one call per block of labelings,
-    and every labeling that ties the structure's minimum is built and
-    re-scored through ``gp.lcb``. Each subtree that fits the
+    labelings are scored by ``gp.predict``, one call per block of labelings.
+    ``predict`` gives a profile one value in any batch, equal to
+    ``gp.lcb``'s, so the block's values are compared with the incumbent
+    value directly, and only a labeling that improves or ties it is built
+    into a graph; nothing is re-scored. Each subtree that fits the
     ``graphs.BLOCK`` element budget is bounded in one batch; the nodes
     bounded, their values, the tie-breaks and the budget polls are those of
     a node-by-node search. ``nodes_explored`` counts the nodes whose bound
@@ -817,10 +808,12 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     "Optimal" means the search certified a zero gap in floating point, so
     it holds to the posterior's own roundoff. Against an exact rational
     reference (``fractions`` on the same float Gram matrix, targets and
-    noise), ``gp.predict``'s mu is off by up to 1.8e-8 on ssp models of 10
-    random points at n=5 and n=6 (max |w| about 1.5e6), and by up to
-    1.8e-5 on essp models of the same set-up. A graph within that distance
-    of the incumbent may be pruned or lose a tie on roundoff alone.
+    noise), ``gp.predict``'s mu is off by up to 2.0e-8 on ssp models of 10
+    random points at n=5 (max |w| about 1.5e6), and by up to 5.8e-5 on
+    essp models of the same set-up. A graph within that distance of the
+    incumbent may be pruned or lose a tie on roundoff alone. Both
+    strategies and ``gp.lcb`` quote one value per profile, so they agree
+    with each other bit for bit, not with the exact value.
 
     ``warm_start`` may be any iterable, lazy ones included: it is read only
     by the strategy that needs it, ``branch_and_propagate`` always and

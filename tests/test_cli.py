@@ -112,6 +112,28 @@ def test_config_unknown_keys_rejected(tmp_path):
     assert dispatch(["--config", str(config), "enumerate", "--n", "3"]) == 2
 
 
+def test_predict_prints_gp_lcb(tmp_path, capsys):
+    # every printed lcb is gp.lcb's number for its graph, digit for digit
+    dom = graphbo.DomainSpec(n=3, num_labels=2)
+    dataset = tmp_path / "data.json"
+    graphbo.write_dataset(dataset, [(graphbo.sample_feasible(dom, s), 0.1 * s)
+                                    for s in range(6)])
+    model_path = tmp_path / "model.json"
+    assert dispatch(["fit", "--data", str(dataset), "--variant", "essp",
+                     "--out", str(model_path)]) == 0
+    queries = list(graphbo.enumerate_domain(dom))
+    graphs_path = tmp_path / "query.jsonl"
+    graphbo.write_graphs(graphs_path, queries)
+    capsys.readouterr()
+    assert dispatch(["predict", "--model", str(model_path), "--graphs",
+                     str(graphs_path), "--beta-sqrt", "1.7"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()[1:]
+    model = graphbo.load_model(model_path)
+    assert len(lines) == len(queries)
+    for line, graph in zip(lines, queries):
+        assert line.split(",")[3] == repr(graphbo.lcb(model, graph, 1.7))
+
+
 def test_fit_predict_encode_solve_pipeline(tmp_path, capsys, rng):
     dom_args = ["--n", "3", "--labels", "2"]
     dataset = tmp_path / "data.json"

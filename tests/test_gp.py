@@ -13,7 +13,15 @@ from scipy import linalg, optimize
 
 import graphbo
 import graphbo.gp as gp_module
-from graphbo import GpModel, KernelHyperparams, KernelVariant, gram
+from graphbo import (
+    DomainSpec,
+    GpModel,
+    KernelHyperparams,
+    KernelVariant,
+    build_graph,
+    gram,
+    sample_feasible,
+)
 from graphbo.errors import FactorizationError
 from graphbo.gp import (
     GramBuilder,
@@ -32,7 +40,9 @@ from graphbo.kernels import (
     self_kernel_parts,
 )
 
-from conftest import random_graph
+from graphbo.graphs import structure_profiles
+
+from conftest import bfs_distances, random_graph
 
 NOISE = 1e-6
 
@@ -196,6 +206,69 @@ class TestPredict:
         mu, var = predict(empty, probes)
         assert np.all(mu == 0.0)
         assert np.array_equal(var, kxx)
+
+
+def _rows(stack, index):
+    """The profiles of ``stack`` at ``index``, as a stack of their own."""
+    return StackedSummaries(stack.sizes[index], stack.labeled_counts[index],
+                            stack.feature_sums[index])
+
+
+class TestBatchInvariance:
+    """``predict`` reduces each row on its own, so a profile has one mean,
+    one variance and one LCB in any batch: the solvers compare batched
+    values with ``lcb``'s and with each other without a re-score."""
+
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    def test_every_labeling_scores_alike_in_any_batch(self, variant):
+        domain = DomainSpec(n=5, num_labels=3)
+        rng = np.random.default_rng(0)
+        points = [sample_feasible(domain, rng) for _ in range(12)]
+        model = fit(points, rng.normal(size=12), variant, seed=0)
+        # every labeling of a 5-cycle with one chord
+        adjacency = np.zeros((5, 5), dtype=np.int64)
+        for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]:
+            adjacency[a, b] = adjacency[b, a] = 1
+        dist = bfs_distances(adjacency, False).astype(np.int64)
+        blocks = [(p, f) for p, f in structure_profiles(domain, adjacency, dist)
+                  if len(f)]
+        stack = StackedSummaries(*(np.concatenate([getattr(p, name) for p, _ in blocks])
+                                   for name in ("sizes", "labeled_counts",
+                                                "feature_sums")))
+        features = np.concatenate([f for _, f in blocks])
+        rows = len(features)
+        assert rows == 3 ** 5
+
+        mu, var = predict(model, stack)
+        backwards = predict(model, _rows(stack, np.arange(rows)[::-1]))
+        cuts = [1, 3, 8, 25, 60, 131, 200]
+        pieces = [predict(model, _rows(stack, part))
+                  for part in np.split(np.arange(rows), cuts)]
+        singles = [predict(model, _rows(stack, [i])) for i in range(rows)]
+        for other_mu, other_var in [
+                (backwards[0][::-1], backwards[1][::-1]),
+                (np.concatenate([m for m, _ in pieces]),
+                 np.concatenate([v for _, v in pieces])),
+                (np.concatenate([m for m, _ in singles]),
+                 np.concatenate([v for _, v in singles]))]:
+            assert np.array_equal(other_mu, mu)
+            assert np.array_equal(other_var, var)
+
+        values = mu - np.sqrt(var)
+        for i, row in enumerate(features):
+            graph = build_graph(adjacency, row, False, domain.num_labels)
+            assert posterior(model, graph) == (mu[i], var[i])
+            assert lcb(model, graph, 1.0) == values[i]
+
+        # labelings with one kernel row share one value: 21 label histograms
+        # for ssp/essp, fewer merges for the labeled variants
+        kx = cross_gram(stack, model.profile, variant, model.hyper)
+        _, group = np.unique(kx, axis=0, return_inverse=True)
+        group = group.ravel()
+        assert len(set(group.tolist())) < rows
+        for g in set(group.tolist()):
+            assert len(set(mu[group == g].tolist())) == 1
+            assert len(set(var[group == g].tolist())) == 1
 
 
 class TestLcb:

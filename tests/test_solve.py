@@ -66,7 +66,7 @@ def reference_bound(pa, model, beta_sqrt):
     sizes = profile.sizes
     w_pos = np.clip(model.weights, 0.0, None)
     w_neg = np.clip(model.weights, None, 0.0)
-    factor = model.inverse_factor()
+    factor = model.inverse_factor
     ct_pos, ct_neg = np.clip(factor, 0.0, None), np.clip(factor, None, 0.0)
     npx = pa.size
     sub = pa.adj[:npx, :npx]
@@ -339,11 +339,24 @@ class TestPropagateLeaf:
     """Structure leaves: the search quotes a leaf at ``gp.lcb``'s value and
     never offers a graph that ``domain_feasible`` rejects."""
 
-    def test_matches_gp_lcb(self, rng):
-        dom = DomainSpec(n=3, num_labels=2)
-        model = fitted_model(rng, dom)
-        result = solve(model, dom, 1.0, strategy="branch_and_propagate")
-        assert result.objective == lcb(model, result.incumbent, 1.0)
+    def test_matches_gp_lcb(self):
+        # the batched value each strategy quotes is gp.lcb's for its
+        # incumbent, with no re-score, on the domains of
+        # test_profiles._solve_both (10 samples and targets from
+        # default_rng(0), fit seed 0) and all four variants
+        for dom in (DomainSpec(n=3, num_labels=2),
+                    DomainSpec(n=5, n_min=2, num_labels=2),
+                    DomainSpec(n=5, num_labels=2), DomainSpec(n=6, num_labels=1)):
+            for variant in KernelVariant:
+                rng = np.random.default_rng(0)
+                points = [sample_feasible(dom, rng) for _ in range(10)]
+                model = fit(points, rng.normal(size=10), variant, seed=0)
+                exact, branch = (solve(model, dom, 1.0, strategy=s)
+                                 for s in ("enumerate", "branch_and_propagate"))
+                assert exact.status == branch.status == "Optimal"
+                assert branch.incumbent == exact.incumbent
+                assert branch.objective == exact.objective == lcb(
+                    model, exact.incumbent, 1.0)
 
     def test_single_training_point_example(self):
         # one training point: mu = k y / (k + s2), var = k s2 / (k + s2)
