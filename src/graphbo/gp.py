@@ -3,17 +3,22 @@
 Hyperparameters (graph weight, feature weight, and the exponential-variant
 variance) are fitted by maximizing the log marginal likelihood with a
 multi-start bounded quasi-Newton search over log-parameters: an in-house
-projected BFGS (``_minimize_box``) over the 2- or 3-dimensional box, not
-SciPy's optimizer package, whose import alone would add about 0.2 s and
-19 MiB to every graphbo process for this one call. Each evaluation
-factorizes the noisy Gram matrix once and takes both the likelihood and its
-closed-form gradient (Rasmussen & Williams 2006, eq. 5.9) from that factor.
-Every prediction (``posterior``, ``lcb``, both solvers, the MIP model's
-exact evaluation) goes through ``predict``, which reduces each row along
-its own axis in a fixed order (Higham 2002, section 3.1: a sum rounds the
-same way only when it is taken in the same order). A point therefore gets
-one mean, one variance and one LCB in any batch, at any position, so the
-solvers can compare batched values with ``lcb``'s directly.
+projected BFGS (``_minimize_box``) over the 2- or 3-dimensional box. Each
+evaluation factorizes the noisy Gram matrix once (Rasmussen & Williams 2006,
+Algorithm 2.1) and takes both the likelihood and its closed-form gradient
+(eq. 5.9) from that factor. The factor is ``np.linalg.cholesky``'s, and
+every solve against it runs through ``numpy.linalg`` on an upper triangular
+matrix (L^T, or L with rows and columns reversed): LU's partial pivoting
+swaps no row of such a matrix, so ``solve`` and ``inv`` do a plain back
+substitution. graphbo therefore needs numpy only; SciPy's optimizer,
+``linalg`` and ``sparse`` packages would add about 50 MiB and 0.5 s to the
+start of every process. Every prediction (``posterior``, ``lcb``, both
+solvers, the MIP model's exact evaluation) goes through ``predict``, which
+reduces each row along its own axis in a fixed order (Higham 2002, section
+3.1: a sum rounds the same way only when it is taken in the same order). A
+point therefore gets one mean, one variance and one LCB in any batch, at
+any position, so the solvers can compare batched values with ``lcb``'s
+directly.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import FactorizationError, UnfittedModelError
 from .graphs import AttributedGraph
@@ -49,24 +52,45 @@ FIT_RESTARTS = 8
 
 
 def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
-    """Lower Cholesky factor of (matrix + noise_var I), retrying once with
-    added jitter before giving up.
+    """Lower Cholesky factor L of (matrix + noise_var I), from
+    ``np.linalg.cholesky``, retrying once with ``JITTER`` added to the
+    diagonal before raising FactorizationError.
 
-    Non-finite entries raise ValueError. This is the one finiteness check
-    on the factor: the solves against it skip scipy's own. The factor and
-    the solves against it call LAPACK's ``dpotrf``/``dpotrs`` directly,
-    the routines under ``scipy.linalg.cholesky``/``cho_solve``, without
-    those wrappers' per-call overhead.
+    Non-finite entries raise ValueError. Cholesky reads the lower triangle,
+    and a non-finite entry there either stops the factorization or leaves a
+    non-finite diagonal, so the matrix itself is checked only then: a
+    likelihood evaluation of a finite Gram pays no extra pass over it.
     """
-    k = matrix + noise_var * np.eye(matrix.shape[0])
+    k = np.array(matrix, dtype=float, order="C")
+    diagonal = k.reshape(-1)[::len(k) + 1]
+    diagonal += noise_var
+    try:
+        chol = np.linalg.cholesky(k)
+        if math.isfinite(chol.trace()):  # a sum of positive finite square roots
+            return chol
+    except np.linalg.LinAlgError:  # a leading minor is not positive definite
+        pass
     if not np.isfinite(k).all():
         raise ValueError("matrix to factorize must not contain infs or NaNs")
-    chol, info = dpotrf(k, lower=True)
-    if info > 0:  # a leading minor is not positive definite
-        chol, info = dpotrf(k + JITTER * np.eye(matrix.shape[0]), lower=True)
-    if info > 0:
-        raise FactorizationError("Gram factorization failed with jitter")
-    return chol
+    diagonal += JITTER
+    try:
+        return np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        raise FactorizationError("Gram factorization failed with jitter") from None
+
+
+def _upper_inverse(chol: np.ndarray) -> np.ndarray:
+    """L^-T, the inverse of the upper triangular L^T. ``np.linalg.inv``
+    factors its argument with partial pivoting, which swaps no rows of an
+    upper triangular matrix, so this is a plain back substitution, and the
+    result is exactly upper triangular."""
+    return np.linalg.inv(chol.T)
+
+
+def _forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b. It runs on the reversed factor, which is upper triangular, so
+    ``np.linalg.solve`` swaps no row (see ``_upper_inverse``)."""
+    return np.linalg.solve(chol[::-1, ::-1], b[::-1])[::-1]
 
 
 def _targets(y) -> np.ndarray:
@@ -99,13 +123,14 @@ class GramBuilder:
                 noise_var: float = NOISE_VAR) -> tuple[float, np.ndarray]:
         """Negative log marginal likelihood at log-hyperparameters theta
         (log alpha, log beta[, log sigma_k_sq]) and its gradient in theta,
-        both from one factorization.
+        both from one factorization K = L L^T and the inverse L^-T of its
+        upper factor, K^-1 = L^-T L^-1.
 
         With W = a a^T - K^-1 and a = K^-1 y, d(-LML)/d theta_j is
-        -1/2 sum(W * dK/d theta_j); dK/d log alpha is the weighted graph
-        part, dK/d log beta the weighted feature part, and dK/d log sigma_k_sq
-        minus the weighted graph part. A failed factorization scores 1e25
-        with a zero gradient.
+        -1/2 sum(W * dK/d theta_j), taken as -1/2 (a^T dK a - <K^-1, dK>);
+        dK/d log alpha is the weighted graph part, dK/d log beta the weighted
+        feature part, and dK/d log sigma_k_sq minus the weighted graph part.
+        A failed factorization scores 1e25 with a zero gradient.
         """
         graph, feature = _weigh(self.graph, self.feature, self.variant,
                                 _hyper_from_theta(theta, self.variant.exponential))
@@ -113,26 +138,23 @@ class GramBuilder:
             chol = factorize(graph + feature, noise_var)
         except FactorizationError:
             return 1e25, np.zeros(len(theta))
-        value, a = _lml_terms(chol, y)
-        w = np.outer(a, a) - dpotrs(chol, np.eye(len(y)), lower=True)[0]
-        grad_graph = -0.5 * np.vdot(w, graph)
-        grad = [grad_graph, -0.5 * np.vdot(w, feature)]
+        inv_t = _upper_inverse(chol)
+        k_inv = inv_t.dot(inv_t.T)
+        z = y.dot(inv_t)  # L^-1 y
+        a = inv_t.dot(z)
+        # a^T G a - <K^-1, G> is sum(W * G) without forming W
+        grad_graph = -0.5 * (a.dot(graph).dot(a) - np.vdot(k_inv, graph))
+        grad = [grad_graph, -0.5 * (a.dot(feature).dot(a) - np.vdot(k_inv, feature))]
         if self.variant.exponential:
             grad.append(-grad_graph)
-        return -value, np.array(grad)
+        return -_lml_value(chol, z.dot(z)), np.array(grad)
 
 
-def _lml_terms(chol: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log marginal likelihood from the Cholesky factor of K + noise I, and
-    the weights a = (K + noise I)^-1 y it solves for."""
-    a = dpotrs(chol, y, lower=True)[0]
-    t = len(y)
-    value = float(
-        -0.5 * np.dot(y, a)
-        - np.sum(np.log(np.diag(chol)))
-        - 0.5 * t * math.log(2.0 * math.pi)
-    )
-    return value, a
+def _lml_value(chol: np.ndarray, quad: float) -> float:
+    """Log marginal likelihood from the Cholesky factor L of K + noise I and
+    quad = y^T (K + noise I)^-1 y."""
+    return float(-0.5 * quad - np.log(chol.diagonal()).sum()
+                 - 0.5 * len(chol) * math.log(2.0 * math.pi))
 
 
 def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
@@ -144,7 +166,8 @@ def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
     if len(points) != len(y) or len(y) < 1:
         raise ValueError("need one target per point and at least one point")
     chol = factorize(gram(points, variant, hyper), noise_var)
-    return _lml_terms(chol, y)[0]
+    z = _forward_solve(chol, y)
+    return _lml_value(chol, z @ z)
 
 
 @dataclass(frozen=True)
@@ -181,7 +204,7 @@ class GpModel:
             return GpModel(points, y, variant, hyper, noise_var, None, np.zeros(0), None)
         profile = StackedSummaries.build(points)
         chol = factorize(cross_gram(profile, profile, variant, hyper), noise_var)
-        weights = dpotrs(chol, y, lower=True)[0]
+        weights = np.linalg.solve(chol.T, _forward_solve(chol, y))  # L^T is upper triangular
         return GpModel(points, y, variant, hyper, noise_var, chol, weights, profile)
 
     @cached_property
@@ -190,8 +213,7 @@ class GpModel:
         once per model."""
         if self.chol is None:
             raise UnfittedModelError("empty model has no covariance factor")
-        return sla.solve_triangular(self.chol, np.eye(self.size), lower=True,
-                                    check_finite=False)
+        return _upper_inverse(self.chol).T
 
     def precision(self) -> np.ndarray:
         """(K + noise I)^-1 reconstructed from the Cholesky factor."""
@@ -279,10 +301,9 @@ def lcb(model: GpModel, x: AttributedGraph, beta_sqrt: float) -> float:
 
 
 def _hyper_from_theta(theta: np.ndarray, exponential: bool) -> KernelHyperparams:
-    values = np.exp(theta)
-    sigma = float(values[2]) if exponential else None
-    return KernelHyperparams(alpha=float(values[0]), beta=float(values[1]),
-                             sigma_k_sq=sigma)
+    values = np.exp(theta).tolist()
+    return KernelHyperparams(alpha=values[0], beta=values[1],
+                             sigma_k_sq=values[2] if exponential else None)
 
 
 # stopping rules and line search of _minimize_box: L-BFGS-B's defaults
@@ -311,12 +332,16 @@ def _minimize_box(fun, theta0: np.ndarray, lo: float, hi: float
     after ``_MAX_EVALS`` evaluations. A start that ``fun`` scores with a
     zero gradient (a failed factorization) is returned after one evaluation.
     """
-    theta = np.clip(theta0, lo, hi)
+    def project(v):  # np.clip's arithmetic without its per-call overhead
+        return np.minimum(np.maximum(v, lo), hi)
+
+    identity = np.eye(len(theta0))
+    theta = project(theta0)
     value, grad = fun(theta)
     evals = 1
     inv_hess = None
     while evals < _MAX_EVALS:
-        if np.max(np.abs(theta - np.clip(theta - grad, lo, hi))) <= _PGTOL:
+        if np.abs(theta - project(theta - grad)).max() <= _PGTOL:
             break
         free = ~(((theta <= lo) & (grad > 0)) | ((theta >= hi) & (grad < 0)))
         step = -np.where(free, grad, 0.0)
@@ -331,7 +356,7 @@ def _minimize_box(fun, theta0: np.ndarray, lo: float, hi: float
         descent = -(grad @ step)
         scale = 1.0
         while True:
-            trial = np.clip(theta + scale * step, lo, hi)
+            trial = project(theta + scale * step)
             trial_value, trial_grad = fun(trial)
             evals += 1
             if trial_value <= value + _ARMIJO * (grad @ (trial - theta)):
@@ -348,9 +373,9 @@ def _minimize_box(fun, theta0: np.ndarray, lo: float, hi: float
         sy = s @ y
         if sy > 0:
             if inv_hess is None:  # scaled identity first (N&W eq. 6.20)
-                inv_hess = sy / (y @ y) * np.eye(len(theta))
+                inv_hess = sy / (y @ y) * identity
             rho = 1.0 / sy
-            v = np.eye(len(theta)) - rho * np.outer(s, y)
+            v = identity - rho * np.outer(s, y)
             inv_hess = v @ inv_hess @ v.T + rho * np.outer(s, s)
     return theta, value
 

@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; every sample and fit draws from it
 
 from .errors import (
     AsymmetricUndirectedError,

@@ -1,21 +1,23 @@
 """Model file export (MPS and LP) with a bundled reader for round-trips.
 
 ``expand_model`` turns a fixed-size ``MipModel`` into one array-backed flat
-model: the objective vector ``c``, the constraint matrix ``A`` (a
-``scipy.sparse`` CSR array) with row names, senses and right-hand sides,
-variable names, kinds and bounds ``lb``/``ub``, and the quadratic variance
-row as variable-id and value arrays (``QuadEntry``). It reads the encoded
-rows straight off the ``ConstraintBlock`` buffers. Exponential links are
-expanded into big-M piecewise-linear rows over the argument range [0, 1],
-built for every link and segment at once; the internal solver never uses
-the expansion. ``export_model`` keeps the expansion on the model, so a
-second format at the same breakpoint count reuses it. The same arrays feed
-the writers and a MILP solver such as ``scipy.optimize.milp``. The writers
-build each section as an object array of text pieces, indexed from texts
-formatted once per variable, row and distinct value (COLUMNS from the CSC
-view, LP rows from CSR, QCMATRIX and the LP bracket from the quadratic
-arrays), and join the pieces of the whole file once, with no string per
-line. The readers parse a file straight into the same arrays
+model: the objective vector ``c``, the constraint matrix ``A`` (a ``Csr``:
+numpy arrays in ``scipy.sparse.csr_array``'s layout, so export needs no
+SciPy) with row names, senses and right-hand sides, variable names, kinds
+and bounds ``lb``/``ub``, and the quadratic variance row as variable-id and
+value arrays (``QuadEntry``). It reads the encoded rows straight off the
+``ConstraintBlock`` buffers. Exponential links are expanded into big-M
+piecewise-linear rows over the argument range [0, 1], built for every link
+and segment at once; the internal solver never uses the expansion.
+``export_model`` keeps the expansion on the model, so a second format at
+the same breakpoint count reuses it. The same arrays feed the writers and,
+with ``A`` converted by ``scipy.sparse.csr_array(A[:3], shape=A.shape)``, a
+MILP solver such as ``scipy.optimize.milp``. The writers build each section
+as an object array of text pieces, indexed from texts formatted once per
+variable, row and distinct value (COLUMNS from the entries sorted column by
+column, LP rows from the CSR rows, QCMATRIX and the LP bracket from the
+quadratic arrays), and join the pieces of the whole file once, with no
+string per line. The readers parse a file straight into the same arrays
 (``ParsedModel.flat``): tokens are parsed in bulk, with no object per row,
 variable or quadratic term, and the long sections (MPS COLUMNS, LP Subject
 To) in line-aligned blocks of about ``READ_BLOCK_CHARS`` characters, so no
@@ -37,7 +39,6 @@ from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .encode import LinearConstraint, MipModel, _LazySequence
 from .errors import UnsupportedBoundedSizeExportError
@@ -82,6 +83,35 @@ class QuadEntry:
             names[first[k]], names[second[k]], float(values[k])))
 
 
+class Csr(NamedTuple):
+    """A sparse matrix in compressed sparse row form, the layout of
+    ``scipy.sparse.csr_array``: row ``i`` holds ``data[k]`` in column
+    ``indices[k]`` for ``k`` in ``range(indptr[i], indptr[i + 1])``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> Csr:
+    """The CSR form of the entries ``vals[k]`` at (``rows[k]``, ``cols[k]``):
+    columns ascending in each row, and the entries of one position summed in
+    the order given, explicit zeros kept (``scipy.sparse.csr_array``'s
+    canonical form of the same triplets)."""
+    order = np.lexsort((cols, rows))  # stable: repeats keep the order given
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = vals[first]
+    repeat = ~first
+    # np.add.at adds one entry after the other, so each sum runs in order
+    np.add.at(data, np.cumsum(first)[repeat] - 1, vals[repeat])
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[first], minlength=shape[0]), out=indptr[1:])
+    return Csr(data, cols[first], indptr, shape)
+
+
 class FlatVariable(NamedTuple):
     name: str
     kind: str  # "binary" | "integer" | "continuous"
@@ -95,8 +125,11 @@ class ExportedModel:
 
     Variable ``j`` is ``names[j]`` of kind ``kinds[j]`` with bounds
     ``lb[j]``/``ub[j]`` and objective coefficient ``c[j]``. Row ``i`` of the
-    CSR array ``A`` is the linear constraint ``row_names[i]``:
-    ``A[i] . x  senses[i]  rhs[i]``, its column indices ascending. The
+    ``Csr`` matrix ``A`` is the linear constraint ``row_names[i]``:
+    ``A[i] . x  senses[i]  rhs[i]``, its column indices ascending; a
+    ``scipy.sparse.csr_array`` with sorted indices works in its place, and
+    ``scipy.sparse.csr_array(A[:3], shape=A.shape)`` turns ``A`` into one,
+    for example for ``scipy.optimize.milp``. The
     linear part of the variance row comes last; its quadratic terms are the
     arrays of ``quad``. ``variables``, ``constraints`` and ``objective`` are
     views built from these arrays.
@@ -107,7 +140,7 @@ class ExportedModel:
     lb: np.ndarray
     ub: np.ndarray
     c: np.ndarray
-    A: sparse.csr_array
+    A: Csr
     row_names: list[str]
     senses: list[str]  # "<=", ">=", "=="
     rhs: np.ndarray
@@ -240,8 +273,7 @@ def expand_model(model: MipModel, breakpoints: int = DEFAULT_BREAKPOINTS) -> Exp
     order = np.lexsort((col, row))
     indptr = np.zeros(len(row_names) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=len(row_names)), out=indptr[1:])
-    A = sparse.csr_array((val[order], col[order], indptr),
-                         shape=(len(row_names), len(names)))
+    A = Csr(val[order], col[order], indptr, (len(row_names), len(names)))
     c = np.zeros(len(names))
     for j, coef in model.objective.items():
         c[j] += coef
@@ -333,20 +365,23 @@ def _mps_columns(flat: ExportedModel, heads: np.ndarray, row_texts: np.ndarray) 
     A column with no entry at all is written as a zero objective entry, and
     each run of integer columns sits between INTORG/INTEND markers.
     """
-    nv = len(flat.names)
-    empty = np.bincount(flat.A.indices, minlength=nv) == 0
+    A, nv = flat.A, len(flat.names)
+    empty = np.bincount(A.indices, minlength=nv) == 0
     obj_cols = np.flatnonzero((flat.c != 0.0) | empty)
-    obj_row = sparse.csr_array((flat.c[obj_cols], obj_cols, [0, len(obj_cols)]),
-                               shape=(1, nv))
-    csc = sparse.vstack([flat.A, obj_row], format="csc")
-    owners = np.repeat(np.arange(nv), np.diff(csc.indptr))
-    pieces = _pieces(heads[owners], row_texts[csc.indices],
-                     _value_texts(csc.data, _repr_line))
+    # the entries of A and then the objective row, column by column
+    rows = np.concatenate((np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)),
+                           np.full(len(obj_cols), len(flat.row_names))))
+    cols = np.concatenate((A.indices, obj_cols))
+    order = np.lexsort((rows, cols))
+    owners, rows = cols[order], rows[order]
+    values = np.concatenate((A.data, flat.c[obj_cols]))[order]
+    starts = np.searchsorted(owners, np.arange(nv + 1))  # the CSC column pointers
+    pieces = _pieces(heads[owners], row_texts[rows], _value_texts(values, _repr_line))
     # marker k sits before column switches[k]; even markers open an integer run
     switches = np.flatnonzero(np.diff(flat.integrality, prepend=0, append=0))
     flags = ("'INTORG'", "'INTEND'")
     markers = [f"    MARKER{k}    'MARKER'    {flags[k % 2]}\n" for k in range(len(switches))]
-    return np.insert(pieces, 3 * csc.indptr[switches], np.array(markers, dtype=object))
+    return np.insert(pieces, 3 * starts[switches], np.array(markers, dtype=object))
 
 
 _MPS_ROW_TYPES = {"<=": " L  ", ">=": " G  ", "==": " E  "}
@@ -509,13 +544,14 @@ class ParsedModel:
     ``flat`` is the file's model as the arrays of an ``ExportedModel``: its
     variables are numbered in the order the reader first meets them,
     section by section (an LP file's quadratic part after its linear rows),
-    and repeated entries of a row are summed. The other fields show
-    it by name: ``variables`` maps each name to ``{"kind", "lb", "ub"}`` and
-    ``constraints`` holds one ``{"name", "sense", "rhs", "coeffs"}`` dict
-    per row (``coeffs`` keyed by variable name); ``quad_entries`` lists the
-    quadratic terms as (name, name, value) triples. All three are read-only
-    views whose entries are built on access. ``objective`` maps each
-    variable with a nonzero coefficient to it.
+    and repeated entries of a row are summed in file order (``_csr``). The
+    other fields show it by name: ``variables`` maps each name to
+    ``{"kind", "lb", "ub"}`` and ``constraints`` holds one
+    ``{"name", "sense", "rhs", "coeffs"}`` dict per row (``coeffs`` keyed by
+    variable name); ``quad_entries`` lists the quadratic terms as (name,
+    name, value) triples. All three are read-only views whose entries are
+    built on access. ``objective`` maps each variable with a nonzero
+    coefficient to it.
     """
 
     variables: Mapping[str, dict]
@@ -785,8 +821,7 @@ def read_mps(path) -> ParsedModel:
     flat = ExportedModel(
         var_names, kinds, lb, ub,
         np.bincount(var_ids[objective], weights=coefs[objective], minlength=len(var_names)),
-        sparse.csr_array((coefs[entries], (row_ids[entries], var_ids[entries])),
-                         shape=(nrows, len(var_names))),
+        _csr(row_ids[entries], var_ids[entries], coefs[entries], (nrows, len(var_names))),
         row_names, senses, rhs, QuadEntry(*quad_terms, var_names) if quad_terms else None)
     return _parsed(flat, dict(variables.index))
 
@@ -942,6 +977,6 @@ def read_lp(path) -> ParsedModel:
     flat = ExportedModel(
         var_names, kinds, lb, ub,
         np.bincount(obj_ids, weights=obj_values, minlength=len(var_names)),
-        sparse.csr_array((values, (row_ids, var_ids)), shape=(len(row_names), len(var_names))),
+        _csr(row_ids, var_ids, values, (len(row_names), len(var_names))),
         row_names, senses, rhs, QuadEntry(*quad, var_names) if quad is not None else None)
     return _parsed(flat, dict(variables.index))

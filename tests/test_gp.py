@@ -383,6 +383,29 @@ class TestFitObjective:
         assert grad.shape == (dim,)
         assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("where", ["interior", "box_edge"])
+    def test_matches_a_cho_factor_reference(self, problem, where):
+        variant, points, y, builder = problem
+        dim = 3 if variant.exponential else 2
+        theta = (np.array([0.3, -0.4, 0.2]) if where == "interior"
+                 else np.array([LOG_HI, LOG_LO, LOG_HI]))[:dim]
+        hyper = hyper_at(theta)
+        graph = gram(points, variant, dataclasses.replace(hyper, beta=0.0))
+        feature = gram(points, variant, dataclasses.replace(hyper, alpha=0.0))
+        k = graph + feature + NOISE * np.eye(len(points))
+        assert np.linalg.cond(k) < 1e5
+        factor = linalg.cho_factor(k, lower=True)
+        a = linalg.cho_solve(factor, y)
+        w = np.outer(a, a) - linalg.cho_solve(factor, np.eye(len(y)))
+        ref_value = (0.5 * y @ a + np.sum(np.log(np.diag(factor[0])))
+                     + 0.5 * len(y) * math.log(2 * math.pi))
+        ref_grad = [-0.5 * np.sum(w * graph), -0.5 * np.sum(w * feature)]
+        if variant.exponential:
+            ref_grad.append(-ref_grad[0])
+        value, grad = builder.neg_lml(theta, y)
+        assert abs(value - ref_value) <= 1e-9 * abs(ref_value)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-9 * np.max(np.abs(ref_grad))
+
     def test_failed_factorization_scores_high_with_zero_gradient(self, problem,
                                                                  monkeypatch):
         variant, _, y, builder = problem
@@ -480,11 +503,25 @@ class TestMinimizeBox:
         assert np.array_equal(theta, start)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # fit runs its own search: importing scipy.optimize would cost every
-    # graphbo process about 19 MiB and 0.2 s
-    code = ("import sys, graphbo, graphbo.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+def test_no_graphbo_process_imports_scipy(tmp_path):
+    # the runtime needs numpy only: a fresh process that fits, solves with
+    # both strategies, encodes, exports and reads back never loads scipy,
+    # whose linalg and sparse subpackages alone cost about 30 MiB and 0.3 s
+    code = f"""
+import sys
+import graphbo, graphbo.cli
+dom = graphbo.DomainSpec(n=3, num_labels=2)
+points = [graphbo.sample_feasible(dom, seed) for seed in range(4)]
+model = graphbo.fit(points, [0.5, -1.0, 0.25, 2.0], "essp", seed=0, restarts=2)
+for strategy in ("enumerate", "branch_and_propagate"):
+    graphbo.solve(model, dom, 1.0, strategy=strategy)
+mip = graphbo.encode_acquisition(model, dom, 1.0)
+graphbo.export_model(mip, {str(tmp_path / "m.mps")!r}, fmt="mps", breakpoints=8)
+graphbo.export_model(mip, {str(tmp_path / "m.lp")!r}, fmt="lp", breakpoints=8)
+graphbo.read_mps({str(tmp_path / "m.mps")!r})
+graphbo.read_lp({str(tmp_path / "m.lp")!r})
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(graphbo.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
@@ -507,6 +544,35 @@ class TestFactorization:
         assert np.allclose(model.chol @ model.chol.T, k, rtol=1e-10, atol=1e-12)
         assert np.allclose(k @ model.weights, y, atol=1e-8)
 
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        """Models at unit weights on t = 5, 25 and 100 distinct profiles and
+        on t = 25 points with five profiles repeated, for every variant."""
+        rng = np.random.default_rng(7)
+        points = distinct_profile_graphs(rng, 100)
+        sets = {"5": points[:5], "25": points[:25], "100": points,
+                "duplicates": points[:20] + points[:5]}
+        out = []
+        for name, pts in sets.items():
+            for variant in KernelVariant:
+                hyper = KernelHyperparams(alpha=1.0, beta=1.0,
+                                          sigma_k_sq=1.0 if variant.exponential else None)
+                y = rng.normal(size=len(pts))
+                out.append((name, variant, GpModel.build(pts, y, variant, hyper), y))
+        return out
+
+    def test_inverse_factor_matches_solve_triangular(self, models):
+        for name, variant, model, _ in models:
+            inv = model.inverse_factor
+            assert not np.triu(inv, 1).any(), (name, variant)
+            ref = linalg.solve_triangular(model.chol, np.eye(model.size), lower=True)
+            assert np.max(np.abs(inv - ref)) <= 1e-13 * np.max(np.abs(ref)), (name, variant)
+
+    def test_weights_match_cho_solve(self, models):
+        for name, variant, model, y in models:
+            ref = linalg.cho_solve((model.chol, True), y)
+            assert np.allclose(model.weights, ref, rtol=1e-10, atol=1e-12), (name, variant)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_raises(self, rng, bad):

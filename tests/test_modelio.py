@@ -342,8 +342,10 @@ def assert_same_arrays(back: ExportedModel, flat: ExportedModel) -> None:
     assert sorted(back.names) == sorted(flat.names)
     position = {name: j for j, name in enumerate(back.names)}
     perm = np.array([position[name] for name in flat.names])
-    assert (back.A[:, perm] - flat.A).nnz == 0
-    assert back.A.shape == flat.A.shape
+    back_a, flat_a = (sparse.csr_array((m.A.data, m.A.indices, m.A.indptr), shape=m.A.shape)
+                      for m in (back, flat))
+    assert (back_a[:, perm] - flat_a).nnz == 0
+    assert back_a.shape == flat_a.shape
     assert np.array_equal(back.c[perm], flat.c)
     assert np.array_equal(back.lb[perm], flat.lb)
     assert np.array_equal(back.ub[perm], flat.ub)
@@ -559,6 +561,43 @@ def test_parsed_views_are_read_only(tmp_path):
     assert parsed.constraints[-1]["name"] == "q"
 
 
+# a file's linear rows as read back: in row R1 the entry of x appears three
+# times, then y with an explicit zero; row R2 lists y before x. Summed in file
+# order, (1 + 2^53) - 2^53 is 0.0; summed in any order that adds the two large
+# terms first it is 1.0.
+BIG = 2.0 ** 53
+CSR_FILES = {
+    "mps": ("NAME csr\nROWS\n N  OBJ\n L  R1\n G  R2\nCOLUMNS\n"
+            "    x  OBJ  1.0\n    x  R1  1.0\n    y  R2  2.0\n    x  R2  3.0\n"
+            f"    x  R1  {BIG!r}\n    x  R1  {-BIG!r}\n    y  R1  0.0\n"
+            "RHS\n    RHS  R1  1.0\nENDATA\n"),
+    "lp": ("Minimize\n obj: 1.0 x\nSubject To\n"
+           f" R1: 1.0 x + {BIG!r} x - {BIG!r} x + 0.0 y <= 1.0\n"
+           " R2: 2.0 y + 3.0 x >= 0.0\nEnd\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["mps", "lp"])
+def test_readers_build_canonical_csr(tmp_path, fmt):
+    path = tmp_path / f"csr.{fmt}"
+    path.write_text(CSR_FILES[fmt], encoding="utf-8")
+    flat = (read_mps(path) if fmt == "mps" else read_lp(path)).flat
+    assert flat.names == ["x", "y"] and flat.row_names == ["R1", "R2"]
+    A = flat.A
+    assert A.shape == (2, 2)
+    assert A.indptr.tolist() == [0, 2, 4]
+    assert A.indices.tolist() == [0, 1, 0, 1]  # ascending in each row
+    # the repeats summed in file order, and the explicit zero kept
+    assert A.data.tolist() == [0.0, 0.0, 3.0, 2.0]
+    rows = [0, 1, 1, 0, 0, 0]
+    cols = [0, 1, 0, 0, 0, 1]
+    vals = [1.0, 2.0, 3.0, BIG, -BIG, 0.0]
+    ref = sparse.csr_array((vals, (rows, cols)), shape=(2, 2))
+    assert ref.has_canonical_format
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, part), getattr(ref, part)), part
+
+
 @pytest.mark.parametrize("fmt, text, section", [
     ("mps", "ROWS\n N  OBJ\n L  c\nCOLUMNS\n    x  c  1.0  OBJ\nENDATA\n", "COLUMNS"),
     ("mps", "ROWS\n N  OBJ\nCOLUMNS\n    x  OBJ  1.0\nBOUNDS\n FX BND  x  1.0\nENDATA\n",
@@ -596,7 +635,8 @@ def _milp_without_variance_row(flat):
     rhs = flat.rhs[keep]
     lo = np.where(senses == "<=", -np.inf, rhs)
     hi = np.where(senses == ">=", np.inf, rhs)
-    return milp(flat.c, constraints=LinearConstraint(flat.A[keep], lo, hi),
+    A = sparse.csr_array((flat.A.data, flat.A.indices, flat.A.indptr), shape=flat.A.shape)
+    return milp(flat.c, constraints=LinearConstraint(A[keep], lo, hi),
                 bounds=Bounds(flat.lb, flat.ub), integrality=flat.integrality)
 
 
