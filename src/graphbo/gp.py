@@ -6,7 +6,17 @@ multi-start bounded quasi-Newton search over log-parameters: an in-house
 projected BFGS (``_minimize_box``) over the 2- or 3-dimensional box. Each
 evaluation factorizes the noisy Gram matrix once (Rasmussen & Williams 2006,
 Algorithm 2.1) and takes both the likelihood and its closed-form gradient
-(eq. 5.9) from that factor. The factor is ``np.linalg.cholesky``'s, and
+(eq. 5.9) from that factor. The restarts search in lockstep, so each step
+evaluates the likelihood of every running restart as one stack: one
+``cholesky``, one ``inv`` and one ``matmul`` per stage instead of one per
+restart. The per-call overhead, about two thirds of a single evaluation at
+t = 20, is then paid once per step rather than once per restart. numpy runs
+a stacked linear-algebra call as the same BLAS or LAPACK call on each
+slice, and each sum is a per-row ``ddot`` (``_rowdot``), as the 1-D
+``dot`` of a single evaluation is, so every restart follows its own
+trajectory to the bit. Plain Python floats would not: OpenBLAS rounds short
+dot products and 3x3 products with fused multiply-adds, which Python's
+arithmetic does not. The factor is ``np.linalg.cholesky``'s, and
 every solve against it runs through ``numpy.linalg`` on an upper triangular
 matrix (L^T, or L with rows and columns reversed): LU's partial pivoting
 swaps no row of such a matrix, so ``solve`` and ``inv`` do a plain back
@@ -49,6 +59,11 @@ from .kernels import (
 NOISE_VAR = 1e-6
 JITTER = 1e-8
 FIT_RESTARTS = 8
+# Gram entries per stacked likelihood evaluation: 128 KiB of float64 per
+# temporary, glibc's default mmap threshold. A larger temporary is mapped
+# afresh for each evaluation and page-faulted in, which at t = 100 made a
+# stack of 8 rows cost 25% more per row than 8 single evaluations
+_STACK_ENTRIES = 16_384
 
 
 def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
@@ -60,10 +75,32 @@ def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
     and a non-finite entry there either stops the factorization or leaves a
     non-finite diagonal, so the matrix itself is checked only then: a
     likelihood evaluation of a finite Gram pays no extra pass over it.
+
+    ``matrix`` may also be a stack (B, n, n), factored by one
+    ``np.linalg.cholesky`` call, which runs LAPACK on each slice as on that
+    slice alone. A slice that fails makes the call fail for the whole stack,
+    so if it raises, or leaves a non-finite diagonal, each slice is factored
+    on its own under the rule above; a slice that fails even with jitter
+    gets a factor of NaNs instead of raising.
     """
     k = np.array(matrix, dtype=float, order="C")
-    diagonal = k.reshape(-1)[::len(k) + 1]
-    diagonal += noise_var
+    n = k.shape[-1]
+    k.reshape(-1, n * n)[:, ::n + 1] += noise_var
+    if k.ndim == 2:
+        return _factor_one(k)
+    try:
+        chol = np.linalg.cholesky(k)
+        # a sum of positive finite square roots
+        if math.isfinite(chol.diagonal(axis1=1, axis2=2).sum()):
+            return chol
+    except np.linalg.LinAlgError:  # a leading minor of some slice is not positive definite
+        pass
+    return np.stack([_factor_or_nan(slice_) for slice_ in k])
+
+
+def _factor_one(k: np.ndarray) -> np.ndarray:
+    """``factorize``'s rule on one matrix that already holds the noise; the
+    jitter goes onto k in place."""
     try:
         chol = np.linalg.cholesky(k)
         if math.isfinite(chol.trace()):  # a sum of positive finite square roots
@@ -72,25 +109,40 @@ def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
         pass
     if not np.isfinite(k).all():
         raise ValueError("matrix to factorize must not contain infs or NaNs")
-    diagonal += JITTER
+    k.reshape(-1)[::len(k) + 1] += JITTER
     try:
         return np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
         raise FactorizationError("Gram factorization failed with jitter") from None
 
 
-def _upper_inverse(chol: np.ndarray) -> np.ndarray:
-    """L^-T, the inverse of the upper triangular L^T. ``np.linalg.inv``
-    factors its argument with partial pivoting, which swaps no rows of an
-    upper triangular matrix, so this is a plain back substitution, and the
-    result is exactly upper triangular."""
-    return np.linalg.inv(chol.T)
+def _factor_or_nan(k: np.ndarray) -> np.ndarray:
+    """``_factor_one``, with a factor of NaNs where it fails."""
+    try:
+        return _factor_one(k)
+    except FactorizationError:
+        return np.full(k.shape, math.nan)
+
+
+def _upper_inverse(upper: np.ndarray) -> np.ndarray:
+    """The inverse of an upper triangular matrix (L^T), or of each in a
+    stack. ``np.linalg.inv`` factors its argument with partial pivoting,
+    which swaps no rows of an upper triangular matrix, so this is a plain
+    back substitution, and the result is exactly upper triangular."""
+    return np.linalg.inv(upper)
 
 
 def _forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L^-1 b. It runs on the reversed factor, which is upper triangular, so
     ``np.linalg.solve`` swaps no row (see ``_upper_inverse``)."""
     return np.linalg.solve(chol[::-1, ::-1], b[::-1])[::-1]
+
+
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_i . v_i for each row i of two (B, n) stacks, as a (1 x n) @ (n x 1)
+    ``matmul`` per row, which numpy runs as one BLAS ``ddot``, the call a
+    1-D ``dot`` makes: each row's sum rounds as it would alone."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _targets(y) -> np.ndarray:
@@ -119,42 +171,66 @@ class GramBuilder:
         linear, feature = _count_products(profile, profile, variant.labeled)
         return GramBuilder(variant, _graph_part(linear, variant), feature)
 
-    def neg_lml(self, theta: np.ndarray, y: np.ndarray,
-                noise_var: float = NOISE_VAR) -> tuple[float, np.ndarray]:
-        """Negative log marginal likelihood at log-hyperparameters theta
-        (log alpha, log beta[, log sigma_k_sq]) and its gradient in theta,
-        both from one factorization K = L L^T and the inverse L^-T of its
-        upper factor, K^-1 = L^-T L^-1.
+    def neg_lml(self, thetas: np.ndarray, y: np.ndarray,
+                noise_var: float = NOISE_VAR) -> tuple[np.ndarray, np.ndarray]:
+        """Negative log marginal likelihood at each row of a stack (B, d) of
+        log-hyperparameters (log alpha, log beta[, log sigma_k_sq]) and its
+        gradient in theta: values (B,) and gradients (B, d), each row from
+        one factorization K = L L^T and the inverse L^-T of its upper
+        factor, K^-1 = L^-T L^-1.
 
         With W = a a^T - K^-1 and a = K^-1 y, d(-LML)/d theta_j is
         -1/2 sum(W * dK/d theta_j), taken as -1/2 (a^T dK a - <K^-1, dK>);
         dK/d log alpha is the weighted graph part, dK/d log beta the weighted
         feature part, and dK/d log sigma_k_sq minus the weighted graph part.
-        A failed factorization scores 1e25 with a zero gradient.
+        A row whose factorization fails scores 1e25 with a zero gradient.
+
+        The rows go through one stacked ``factorize``, ``np.linalg.inv`` and
+        ``matmul`` each, and every sum is a ``_rowdot``: numpy makes a single
+        matrix's BLAS or LAPACK call on each slice (a dot product is one
+        ``ddot``), so each row is ``==`` to its stack of one, in any stack. A
+        stack of more than ``_STACK_ENTRIES`` Gram entries goes in chunks.
         """
-        graph, feature = _weigh(self.graph, self.feature, self.variant,
-                                _hyper_from_theta(theta, self.variant.exponential))
-        try:
-            chol = factorize(graph + feature, noise_var)
-        except FactorizationError:
-            return 1e25, np.zeros(len(theta))
-        inv_t = _upper_inverse(chol)
-        k_inv = inv_t.dot(inv_t.T)
-        z = y.dot(inv_t)  # L^-1 y
-        a = inv_t.dot(z)
-        # a^T G a - <K^-1, G> is sum(W * G) without forming W
-        grad_graph = -0.5 * (a.dot(graph).dot(a) - np.vdot(k_inv, graph))
-        grad = [grad_graph, -0.5 * (a.dot(feature).dot(a) - np.vdot(k_inv, feature))]
+        rows = max(1, _STACK_ENTRIES // self.graph.size)
+        if len(thetas) > rows:
+            parts = [self.neg_lml(thetas[i:i + rows], y, noise_var)
+                     for i in range(0, len(thetas), rows)]
+            return (np.concatenate([values for values, _ in parts]),
+                    np.concatenate([grads for _, grads in parts]))
+        weights = np.exp(thetas)[:, :, None, None]
+        graph, feature = _weigh(self.graph, self.feature, weights[:, 0], weights[:, 1],
+                                weights[:, 2] if self.variant.exponential else None)
+        chol = factorize(graph + feature, noise_var)
+        failed = np.isnan(chol[:, 0, 0])  # factorize's mark of a failed slice
+        any_failed = failed.any()
+        if any_failed:  # evaluated at an identity factor, then overwritten
+            chol[failed] = np.eye(len(y))
+        inv_t = _upper_inverse(chol.transpose(0, 2, 1))
+        k_inv = inv_t @ inv_t.transpose(0, 2, 1)
+        z = y @ inv_t  # L^-1 y
+        a = (inv_t @ z[:, :, None])[:, :, 0]
+
+        def weighted_sum(part):  # a^T G a - <K^-1, G> is sum(W * G) without forming W
+            quad = _rowdot((a[:, None, :] @ part)[:, 0], a)
+            return -0.5 * (quad - _rowdot(k_inv.reshape(len(part), -1),
+                                            part.reshape(len(part), -1)))
+
+        grads = np.empty(thetas.shape)
+        grads[:, 0] = weighted_sum(graph)
+        grads[:, 1] = weighted_sum(feature)
         if self.variant.exponential:
-            grad.append(-grad_graph)
-        return -_lml_value(chol, z.dot(z)), np.array(grad)
+            grads[:, 2] = -grads[:, 0]
+        values = -_lml_value(chol, _rowdot(z, z))
+        if any_failed:
+            values[failed], grads[failed] = 1e25, 0.0
+        return values, grads
 
 
-def _lml_value(chol: np.ndarray, quad: float) -> float:
+def _lml_value(chol: np.ndarray, quad):
     """Log marginal likelihood from the Cholesky factor L of K + noise I and
-    quad = y^T (K + noise I)^-1 y."""
-    return float(-0.5 * quad - np.log(chol.diagonal()).sum()
-                 - 0.5 * len(chol) * math.log(2.0 * math.pi))
+    quad = y^T (K + noise I)^-1 y, for one factor or a stack of them."""
+    return (-0.5 * quad - np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+            - 0.5 * chol.shape[-1] * math.log(2.0 * math.pi))
 
 
 def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
@@ -167,7 +243,7 @@ def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
         raise ValueError("need one target per point and at least one point")
     chol = factorize(gram(points, variant, hyper), noise_var)
     z = _forward_solve(chol, y)
-    return _lml_value(chol, z @ z)
+    return float(_lml_value(chol, z @ z))
 
 
 @dataclass(frozen=True)
@@ -213,7 +289,7 @@ class GpModel:
         once per model."""
         if self.chol is None:
             raise UnfittedModelError("empty model has no covariance factor")
-        return _upper_inverse(self.chol).T
+        return _upper_inverse(self.chol.T).T
 
     def precision(self) -> np.ndarray:
         """(K + noise I)^-1 reconstructed from the Cholesky factor."""
@@ -314,70 +390,137 @@ _MAX_EVALS = 15_000
 _ARMIJO = 1e-4
 
 
-def _minimize_box(fun, theta0: np.ndarray, lo: float, hi: float
-                  ) -> tuple[np.ndarray, float]:
-    """Minimize ``fun(theta) -> (value, gradient)`` over the box [lo, hi]^d
-    from theta0 by projected BFGS (Nocedal & Wright 2006, sections 6.1 and
-    16.7); returns the last point and its value.
+def _minimize_box(fun, starts: np.ndarray, lo: float, hi: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ``fun(thetas) -> (values, gradients)``, which scores a stack
+    of points (B, d), over the box [lo, hi]^d from each row of ``starts``
+    (R, d) by projected BFGS (Nocedal & Wright 2006, sections 6.1 and
+    16.7); returns each start's last point (R, d) and its value (R,).
 
     A dense inverse-Hessian estimate (d is 2 or 3) gives the step on the
     free coordinates; a coordinate on a bound whose gradient points out of
     the box stays fixed. Each step backtracks by halving along the path
     projected onto the box until the Armijo condition holds, the estimate is
     updated only when s^T y > 0, and a step that does not descend is
-    replaced by steepest descent. The search stops when the projected
+    replaced by steepest descent. A search stops when the projected
     gradient's max-norm is at most ``_PGTOL``, when an iteration lowers the
     value by at most ``_FTOL`` relative (or a backtracked step's first-order
     decrease falls to that size, so no shorter step could do better), or
     after ``_MAX_EVALS`` evaluations. A start that ``fun`` scores with a
-    zero gradient (a failed factorization) is returned after one evaluation.
+    zero gradient (a failed factorization) stops after one evaluation.
+
+    The searches run in lockstep: each round scores the next trial point of
+    every search still running in one call of ``fun``, and each search's
+    state (point, value, gradient, estimate, step, step length) is a row of
+    an array. Every row's arithmetic is a row-wise ufunc or a stacked
+    ``matmul`` (``_rowdot`` for dot products), which makes a single
+    vector's BLAS call on each row, so each start takes the same trial
+    points to the same end as a search from it alone. Running searches
+    have all made the same number of evaluations, so one count serves
+    ``_MAX_EVALS``.
     """
     def project(v):  # np.clip's arithmetic without its per-call overhead
         return np.minimum(np.maximum(v, lo), hi)
 
-    identity = np.eye(len(theta0))
-    theta = project(theta0)
+    def direction(theta, grad, inv_hess, curved, every):
+        """For every row: whether the projected gradient is small, the step
+        at step length 1 and its first-order decrease. ``every`` says
+        whether every row's estimate is set."""
+        at_lo, at_hi = theta <= lo, theta >= hi
+        converged = np.abs(theta - project(theta - grad)).max(axis=1) <= _PGTOL
+        pinned = (at_lo & (grad > 0)) | (at_hi & (grad < 0))
+        downhill = -grad
+        step = np.where(pinned, -0.0, downhill)  # minus the free gradient
+        if not every:  # no curvature pair yet: a descent step of length <= 1
+            plain = step / np.maximum(np.sqrt(_rowdot(step, step)), 1.0)[:, None]
+        if every or curved.any():
+            newton = (inv_hess @ step[:, :, None])[:, :, 0]
+            # on the free coordinates; the projected path starts without the
+            # components that leave the box
+            newton = np.where(pinned | (at_lo & (newton < 0)) | (at_hi & (newton > 0)),
+                              0.0, newton)
+            uphill = _rowdot(grad, newton) >= 0
+            newton = np.where(uphill[:, None], np.where(pinned, 0.0, downhill), newton)
+            step = newton if every else np.where(curved[:, None], newton, plain)
+        else:
+            step = plain
+        return converged, step, -_rowdot(grad, step)
+
+    theta = project(np.asarray(starts, dtype=float))
+    count, dim = theta.shape
+    identity = np.eye(dim)
+    end_theta, end_value = theta.copy(), np.empty(count)
+    rows = np.arange(count)  # the start of each running search
     value, grad = fun(theta)
     evals = 1
-    inv_hess = None
-    while evals < _MAX_EVALS:
-        if np.abs(theta - project(theta - grad)).max() <= _PGTOL:
-            break
-        free = ~(((theta <= lo) & (grad > 0)) | ((theta >= hi) & (grad < 0)))
-        step = -np.where(free, grad, 0.0)
-        if inv_hess is None:  # no curvature pair yet: a descent step of length <= 1
-            step /= max(np.linalg.norm(step), 1.0)
-        else:
-            step = np.where(free, inv_hess @ step, 0.0)
-            # the projected path starts without the components that leave the box
-            step[((theta <= lo) & (step < 0)) | ((theta >= hi) & (step > 0))] = 0.0
-            if grad @ step >= 0:
-                step = np.where(free, -grad, 0.0)
-        descent = -(grad @ step)
-        scale = 1.0
-        while True:
-            trial = project(theta + scale * step)
-            trial_value, trial_grad = fun(trial)
-            evals += 1
-            if trial_value <= value + _ARMIJO * (grad @ (trial - theta)):
-                break
-            scale *= 0.5
-            # a shorter step cannot pass the relative-decrease test either
-            if scale * descent <= _FTOL * max(abs(value), 1.0) or evals >= _MAX_EVALS:
-                return theta, value
-        s, y = trial - theta, trial_grad - grad
+    inv_hess = np.zeros((count, dim, dim))
+    curved = np.zeros(count, dtype=bool)  # whether a row's estimate is set
+    stop, step, descent = direction(theta, grad, inv_hess, curved, False)
+    stop |= evals >= _MAX_EVALS
+    scale = np.ones(count)
+    while True:
+        if stop.any():
+            end_theta[rows[stop]], end_value[rows[stop]] = theta[stop], value[stop]
+            keep = ~stop
+            if not keep.any():
+                return end_theta, end_value
+            rows, theta, value, grad, inv_hess, curved, step, descent, scale = (
+                state[keep] for state in
+                (rows, theta, value, grad, inv_hess, curved, step, descent, scale))
+        trial = project(theta + scale[:, None] * step)
+        trial_value, trial_grad = fun(trial)
+        evals += 1
+        s = trial - theta
+        accepted = trial_value <= value + _ARMIJO * _rowdot(grad, s)
+        stop = ~accepted
+        if stop.any():  # a rejected trial halves the step ...
+            scale = np.where(accepted, scale, 0.5 * scale)
+            # ... and ends the search once a shorter step cannot pass the
+            # relative-decrease test either
+            stop &= ((scale * descent <= _FTOL * np.maximum(np.abs(value), 1.0))
+                     | (evals >= _MAX_EVALS))
+            if not accepted.any():
+                continue
+            # a rejected row keeps its point: s, y and its decrease are unused
+            trial = np.where(accepted[:, None], trial, theta)
+            trial_grad = np.where(accepted[:, None], trial_grad, grad)
+            trial_value = np.where(accepted, trial_value, value)
+        y = trial_grad - grad
         decrease = value - trial_value
         theta, value, grad = trial, trial_value, trial_grad
-        if decrease <= _FTOL * max(abs(value), abs(value + decrease), 1.0):
-            break
-        sy = s @ y
-        if sy > 0:
-            if inv_hess is None:  # scaled identity first (N&W eq. 6.20)
-                inv_hess = sy / (y @ y) * identity
-            rho = 1.0 / sy
-            v = identity - rho * np.outer(s, y)
-            inv_hess = v @ inv_hess @ v.T + rho * np.outer(s, s)
-    return theta, value
+        flat = decrease <= _FTOL * np.maximum(
+            np.maximum(np.abs(value), np.abs(value + decrease)), 1.0)
+        fresh = accepted & ~flat if evals < _MAX_EVALS else np.zeros_like(accepted)
+        sy = _rowdot(s, y)
+        update = fresh & (sy > 0)
+        if update.all():  # so every row is fresh, and curved from here on
+            inv_hess = _bfgs_update(inv_hess, curved, s, y, sy, identity)
+            curved, every, all_fresh = update, True, True
+        else:
+            if update.any():
+                inv_hess[update] = _bfgs_update(inv_hess[update], curved[update],
+                                                s[update], y[update], sy[update], identity)
+                curved = curved | update
+            every, all_fresh = curved.all(), fresh.all()
+        converged, new_step, new_descent = direction(theta, grad, inv_hess, curved, every)
+        stop |= accepted & (converged | ~fresh)
+        if all_fresh:
+            step, descent, scale = new_step, new_descent, np.ones(len(fresh))
+        else:
+            step = np.where(fresh[:, None], new_step, step)
+            descent = np.where(fresh, new_descent, descent)
+            scale = np.where(fresh, 1.0, scale)
+
+
+def _bfgs_update(inv_hess, curved, s, y, sy, identity):
+    """The BFGS inverse-Hessian update (N&W eq. 6.17) of each row, from the
+    scaled identity (N&W eq. 6.20) where a row has no estimate yet."""
+    if not curved.all():
+        scaled = (sy / _rowdot(y, y))[:, None, None] * identity
+        inv_hess = np.where(curved[:, None, None], inv_hess, scaled)
+    rho = (1.0 / sy)[:, None, None]
+    v = identity - rho * (s[:, :, None] * y[:, None, :])
+    return v @ inv_hess @ v.transpose(0, 2, 1) + rho * (s[:, :, None] * s[:, None, :])
 
 
 def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
@@ -386,12 +529,13 @@ def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
     """Fit hyperparameters by maximizing the log marginal likelihood.
 
     Multi-start bounded search: the first start is the all-ones point, the
-    rest are log-uniform in the [0.01, 100] box, and each runs
-    ``_minimize_box`` (projected BFGS with L-BFGS-B's stopping rules, kept
-    in-house so that no graphbo process imports SciPy's optimizer package).
-    Deterministic for a given seed; ties between restarts resolve to the
-    lowest restart index. ``variant`` may be a KernelVariant or its string
-    value.
+    rest are log-uniform in the [0.01, 100] box, and one ``_minimize_box``
+    call runs them all in lockstep (projected BFGS with L-BFGS-B's stopping
+    rules, kept in-house so that no graphbo process imports SciPy's
+    optimizer package), each likelihood evaluation scoring the running
+    restarts as one stack. Deterministic for a given seed; ties between
+    restarts resolve to the lowest restart index. ``variant`` may be a
+    KernelVariant or its string value; ``restarts`` must be at least 1.
     """
     variant = KernelVariant(variant)
     y = _targets(y)
@@ -400,24 +544,16 @@ def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
         raise ValueError("fitting needs at least two points")
     if len(points) != len(y):
         raise ValueError("need one target per point")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
 
     builder = GramBuilder.build(StackedSummaries.build(points), variant)
     dim = 3 if variant.exponential else 2
     lo, hi = math.log(HYPER_BOX[0]), math.log(HYPER_BOX[1])
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(dim)]
-    for _ in range(max(restarts - 1, 0)):
-        starts.append(rng.uniform(lo, hi, size=dim))
-
-    best_value = math.inf
-    best_theta = starts[0]
-    for theta0 in starts:
-        theta, value = _minimize_box(lambda theta: builder.neg_lml(theta, y, noise_var),
-                                     theta0, lo, hi)
-        if value < best_value:
-            best_value = value
-            best_theta = theta
-
-    hyper = _hyper_from_theta(best_theta, variant.exponential)
+    starts = np.vstack([np.zeros(dim), rng.uniform(lo, hi, size=(restarts - 1, dim))])
+    thetas, values = _minimize_box(lambda thetas: builder.neg_lml(thetas, y, noise_var),
+                                   starts, lo, hi)
+    hyper = _hyper_from_theta(thetas[np.argmin(values)], variant.exponential)
     return GpModel.build(points, y, variant, hyper, noise_var=noise_var)

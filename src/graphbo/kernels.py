@@ -198,18 +198,22 @@ def _graph_part(linear, variant: KernelVariant):
     return np.exp(linear) if variant.exponential else linear
 
 
-def _weigh(graph, feature, variant: KernelVariant, hyper: KernelHyperparams):
-    """The weighted parts alpha * (graph / sigma_k_sq) and beta * feature;
-    sigma_k_sq is 1 for ``ssp``/``sp``."""
-    if variant.exponential:
-        graph = graph / hyper.require_variance(variant)
-    return hyper.alpha * graph, hyper.beta * feature
+def _weigh(graph, feature, alpha, beta, sigma_k_sq=None):
+    """The weighted parts alpha * (graph / sigma_k_sq) and beta * feature,
+    with no division for ``ssp``/``sp`` (sigma_k_sq None). The weights are
+    floats, or arrays that broadcast against the parts: the GP fit weights
+    one pair of parts for a stack of hyperparameters at once."""
+    if sigma_k_sq is not None:
+        graph = graph / sigma_k_sq
+    return alpha * graph, beta * feature
 
 
 def _combine(linear, feature, variant: KernelVariant, hyper: KernelHyperparams):
     """The combined kernel from the linear graph kernel and the feature
     kernel."""
-    graph, feature = _weigh(_graph_part(linear, variant), feature, variant, hyper)
+    variance = hyper.require_variance(variant) if variant.exponential else None
+    graph, feature = _weigh(_graph_part(linear, variant), feature,
+                            hyper.alpha, hyper.beta, variance)
     return graph + feature
 
 

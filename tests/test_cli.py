@@ -134,6 +134,19 @@ def test_predict_prints_gp_lcb(tmp_path, capsys):
         assert line.split(",")[3] == repr(graphbo.lcb(model, graph, 1.7))
 
 
+@pytest.mark.parametrize("restarts", ["0", "-2"])
+def test_fit_refuses_fewer_than_one_restart(tmp_path, capsys, restarts):
+    dataset = tmp_path / "data.json"
+    dom = graphbo.DomainSpec(n=3, num_labels=2)
+    graphs = [graphbo.sample_feasible(dom, s) for s in range(4)]
+    graphbo.write_dataset(dataset, [(g, float(i)) for i, g in enumerate(graphs)])
+    model_path = tmp_path / "model.json"
+    assert dispatch(["fit", "--data", str(dataset), "--restarts", restarts,
+                     "--out", str(model_path)]) == 2
+    assert "restarts" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 def test_fit_predict_encode_solve_pipeline(tmp_path, capsys, rng):
     dom_args = ["--n", "3", "--labels", "2"]
     dataset = tmp_path / "data.json"

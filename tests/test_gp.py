@@ -336,6 +336,12 @@ class TestFit:
             assert log_marginal_likelihood(points, y, variant.value, by_enum.hyper) == \
                 log_marginal_likelihood(points, y, variant, by_enum.hyper)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_refuses_fewer_than_one_restart(self, rng, restarts):
+        points = distinct_profile_graphs(rng, 4)
+        with pytest.raises(ValueError, match="restarts"):
+            fit(points, rng.normal(size=4), KernelVariant.SSP, seed=0, restarts=restarts)
+
     def test_exponential_variant_gets_variance(self, rng):
         points = distinct_profile_graphs(rng, 4)
         model = fit(points, rng.normal(size=4), KernelVariant.ESP, seed=0)
@@ -350,6 +356,115 @@ def hyper_at(theta):
     values = np.exp(theta)
     return KernelHyperparams(alpha=values[0], beta=values[1],
                              sigma_k_sq=values[2] if len(theta) == 3 else None)
+
+
+def scalar_neg_lml(builder, theta, y, noise_var=NOISE):
+    """-LML and its gradient at one theta as the scalar evaluation computed
+    them (one 2-D factorization, 1-D dot products): the reference every
+    stacked row must equal to the bit."""
+    weights = np.exp(theta).tolist()
+    graph = builder.graph / weights[2] if builder.variant.exponential else builder.graph
+    graph, feature = weights[0] * graph, weights[1] * builder.feature
+    try:
+        chol = factorize(graph + feature, noise_var)
+    except FactorizationError:
+        return 1e25, np.zeros(len(theta))
+    inv_t = np.linalg.inv(chol.T)
+    k_inv = inv_t.dot(inv_t.T)
+    z = y.dot(inv_t)
+    a = inv_t.dot(z)
+    grad_graph = -0.5 * (a.dot(graph).dot(a) - np.vdot(k_inv, graph))
+    grad = [grad_graph, -0.5 * (a.dot(feature).dot(a) - np.vdot(k_inv, feature))]
+    if builder.variant.exponential:
+        grad.append(-grad_graph)
+    lml = float(-0.5 * z.dot(z) - np.log(chol.diagonal()).sum()
+                - 0.5 * len(chol) * math.log(2.0 * math.pi))
+    return -lml, np.array(grad)
+
+
+class TestStackedLikelihood:
+    """``GramBuilder.neg_lml`` on stacks: each row is the scalar evaluation's
+    result, whatever else the stack holds."""
+
+    @pytest.fixture(params=[(v, t) for v in KernelVariant for t in (2, 10, 30)],
+                    ids=lambda p: f"{p[0].value}-t{p[1]}")
+    def stack(self, request):
+        variant, t = request.param
+        rng = np.random.default_rng(2100 + t)
+        points = distinct_profile_graphs(rng, t)
+        y = rng.normal(size=t)
+        builder = GramBuilder.build(StackedSummaries.build(points), variant)
+        dim = 3 if variant.exponential else 2
+        thetas = rng.uniform(LOG_LO, LOG_HI, size=(6, dim))
+        thetas[0], thetas[1] = 0.0, [LOG_HI, LOG_LO, LOG_HI][:dim]  # all ones, a corner
+        return builder, y, thetas
+
+    def test_rows_match_stacks_of_one_in_any_order(self, stack):
+        builder, y, thetas = stack
+        singles = [builder.neg_lml(theta[None], y) for theta in thetas]
+        for theta, (value, grad) in zip(thetas, singles):
+            ref_value, ref_grad = scalar_neg_lml(builder, theta, y)
+            assert value[0] == ref_value and np.array_equal(grad[0], ref_grad)
+        shuffled = np.random.default_rng(0).permutation(len(thetas))
+        for order in (range(6), range(5, -1, -1), shuffled, [2, 2, 0], [5, 1]):
+            values, grads = builder.neg_lml(thetas[list(order)], y)
+            for row, i in enumerate(order):
+                assert values[row] == singles[i][0][0]
+                assert np.array_equal(grads[row], singles[i][1][0])
+
+    def test_stacks_beyond_the_entry_cap_go_in_chunks(self, stack, monkeypatch):
+        builder, y, thetas = stack
+        whole = builder.neg_lml(thetas, y)
+        calls = []
+
+        def counted(matrix, noise_var):
+            calls.append(len(matrix))
+            return factorize(matrix, noise_var)
+
+        monkeypatch.setattr(gp_module, "factorize", counted)
+        monkeypatch.setattr(gp_module, "_STACK_ENTRIES", 2 * builder.graph.size + 1)
+        values, grads = builder.neg_lml(thetas, y)
+        assert calls == [2, 2, 2]
+        assert np.array_equal(values, whole[0]) and np.array_equal(grads, whole[1])
+
+    def test_failed_row_scores_high_and_leaves_the_others(self, stack):
+        # a feature part shifted by -3 I: K = alpha/sigma (G + I) + beta (F - 3 I)
+        # is positive definite where alpha/sigma > 3 beta, and where beta
+        # dominates it has an eigenvalue near -3 beta (F has rank below t or
+        # entries at most 1), beyond what jitter can mend
+        builder, y, _ = stack
+        t = len(y)
+        shifted = GramBuilder(builder.variant, builder.graph + np.eye(t),
+                              builder.feature - 3.0 * np.eye(t))
+        dim = 3 if builder.variant.exponential else 2
+        thetas = np.array([[4.0, -4.0, 0.0], [-4.0, 4.0, 0.0], [3.0, -3.0, 0.5]])[:, :dim]
+        values, grads = shifted.neg_lml(thetas, y)
+        assert values[1] == 1e25 and not grads[1].any()
+        for row in (0, 2):
+            (value,), (grad,) = shifted.neg_lml(thetas[row][None], y)
+            assert value < 1e25
+            assert values[row] == value and np.array_equal(grads[row], grad)
+            ref_value, ref_grad = scalar_neg_lml(shifted, thetas[row], y)
+            assert value == ref_value and np.array_equal(grad, ref_grad)
+
+    def test_rows_that_need_jitter_get_the_scalar_value(self, stack):
+        # every profile twice: K is singular, and a noise just below zero
+        # makes the first Cholesky fail, so each row takes the JITTER retry
+        builder, y, thetas = stack
+        t = len(y)
+        twice = GramBuilder(builder.variant, np.kron(np.ones((2, 2)), builder.graph),
+                            np.kron(np.ones((2, 2)), builder.feature))
+        y2, noise = np.concatenate([y, -y]), -1e-9
+        values, grads = twice.neg_lml(thetas, y2, noise)
+        for theta, value, grad in zip(thetas, values, grads):
+            hyper = hyper_at(theta)
+            graph = twice.graph / (hyper.sigma_k_sq or 1.0)
+            k = hyper.alpha * graph + hyper.beta * twice.feature + noise * np.eye(2 * t)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(k)
+            ref_value, ref_grad = scalar_neg_lml(twice, theta, y2, noise)
+            assert value < 1e25
+            assert value == ref_value and np.array_equal(grad, ref_grad)
 
 
 class TestFitObjective:
@@ -372,16 +487,15 @@ class TestFitObjective:
                  else np.array([LOG_HI, LOG_LO, LOG_HI]))[:dim]
         k = gram(points, variant, hyper_at(theta)) + NOISE * np.eye(len(points))
         assert np.linalg.cond(k) < 1e5  # central differences are trustworthy here
-        value, grad = builder.neg_lml(theta, y)
-        assert value == pytest.approx(
-            -log_marginal_likelihood(points, y, variant, hyper_at(theta)), abs=1e-12)
         step = 1e-5
-        numeric = np.array([
-            (builder.neg_lml(theta + step * e, y)[0]
-             - builder.neg_lml(theta - step * e, y)[0]) / (2 * step)
-            for e in np.eye(dim)])
-        assert grad.shape == (dim,)
-        assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+        # one stack: theta, then theta +- step along each coordinate
+        thetas = np.vstack([theta, theta + step * np.eye(dim), theta - step * np.eye(dim)])
+        values, grads = builder.neg_lml(thetas, y)
+        assert values[0] == pytest.approx(
+            -log_marginal_likelihood(points, y, variant, hyper_at(theta)), abs=1e-12)
+        numeric = (values[1:dim + 1] - values[dim + 1:]) / (2 * step)
+        assert values.shape == (2 * dim + 1,) and grads.shape == (2 * dim + 1, dim)
+        assert np.allclose(grads[0], numeric, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("where", ["interior", "box_edge"])
     def test_matches_a_cho_factor_reference(self, problem, where):
@@ -402,7 +516,7 @@ class TestFitObjective:
         ref_grad = [-0.5 * np.sum(w * graph), -0.5 * np.sum(w * feature)]
         if variant.exponential:
             ref_grad.append(-ref_grad[0])
-        value, grad = builder.neg_lml(theta, y)
+        (value,), (grad,) = builder.neg_lml(theta[None], y)
         assert abs(value - ref_value) <= 1e-9 * abs(ref_value)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-9 * np.max(np.abs(ref_grad))
 
@@ -410,13 +524,13 @@ class TestFitObjective:
                                                                  monkeypatch):
         variant, _, y, builder = problem
 
-        def refuse(matrix, noise_var):
-            raise FactorizationError("refused")
+        def refuse(matrix, noise_var):  # factorize's mark of a failed slice
+            return np.full(matrix.shape, math.nan)
 
         monkeypatch.setattr(gp_module, "factorize", refuse)
-        value, grad = builder.neg_lml(np.zeros(3 if variant.exponential else 2), y)
-        assert value == 1e25
-        assert not grad.any()
+        values, grads = builder.neg_lml(np.zeros((2, 3 if variant.exponential else 2)), y)
+        assert np.all(values == 1e25)
+        assert not grads.any()
 
     def test_fit_improves_on_the_all_ones_start(self, problem):
         variant, points, y, _ = problem
@@ -427,17 +541,46 @@ class TestFitObjective:
             log_marginal_likelihood(points, y, variant, start)
 
 
+def fit_starts(variant, seed, restarts=gp_module.FIT_RESTARTS):
+    """``fit``'s starts: the all-ones point, then log-uniform draws of
+    ``seed``."""
+    dim = 3 if variant.exponential else 2
+    draws = np.random.default_rng(seed)
+    return np.array([np.zeros(dim)] + [draws.uniform(LOG_LO, LOG_HI, size=dim)
+                                       for _ in range(restarts - 1)])
+
+
+def search_problem(case):
+    """One of 40 fit problems: every variant, t = 4..30, targets drawn from
+    the GP prior or scored by the BO loop's path-profile objective."""
+    rng = np.random.default_rng(1800 + case)
+    variant = list(KernelVariant)[case % 4]
+    t = 4 + 26 * case // 39
+    points = distinct_profile_graphs(rng, t)
+    if case % 8 < 4:
+        hyper = hyper_at(rng.uniform(LOG_LO, LOG_HI, size=3))
+        y = prior_draw(rng, points, variant, hyper)
+    else:
+        oracle = graphbo.synthetic_oracle("path_profile",
+                                          {"target": graphbo.path_profile_target(5)})
+        y = np.array([oracle(g) for g in points])
+    return variant, points, y
+
+
 def lbfgsb_lml(points, y, variant, seed, restarts=gp_module.FIT_RESTARTS):
     """LML at the best point of a scipy L-BFGS-B multi-start from ``fit``'s
     starts (the all-ones point, then log-uniform draws of ``seed``): the
     reference search for ``fit``'s own optimizer."""
     builder = GramBuilder.build(StackedSummaries.build(points), variant)
     dim = 3 if variant.exponential else 2
-    draws = np.random.default_rng(seed)
-    starts = [np.zeros(dim)] + [draws.uniform(LOG_LO, LOG_HI, size=dim)
-                                for _ in range(restarts - 1)]
+    starts = fit_starts(variant, seed, restarts)
+
+    def fun(theta):
+        (value,), (grad,) = builder.neg_lml(np.clip(theta, LOG_LO, LOG_HI)[None], y)
+        return value, grad
+
     results = [optimize.minimize(
-        lambda theta: builder.neg_lml(np.clip(theta, LOG_LO, LOG_HI), y), start,
+        fun, start,
         jac=True, method="L-BFGS-B", bounds=[(LOG_LO, LOG_HI)] * dim) for start in starts]
     best = min(results, key=lambda result: result.fun)
     return log_marginal_likelihood(points, y, variant,
@@ -449,23 +592,12 @@ class TestMinimizeBox:
 
     @pytest.mark.parametrize("case", range(40))
     def test_fit_matches_an_lbfgsb_multi_start(self, case):
-        # every variant, t = 4..30, targets drawn from the GP prior or scored
-        # by the BO loop's path-profile objective. Targets of plain noise are
-        # left out: on inputs an exponential kernel can barely tell apart
-        # they push the optimum into a corner where the likelihood is
-        # roundoff (moving one coordinate by 1e-7 changes it by 1e-6
-        # relative), so no two searches can be compared at this tolerance
-        rng = np.random.default_rng(1800 + case)
-        variant = list(KernelVariant)[case % 4]
-        t = 4 + 26 * case // 39
-        points = distinct_profile_graphs(rng, t)
-        if case % 8 < 4:
-            hyper = hyper_at(rng.uniform(LOG_LO, LOG_HI, size=3))
-            y = prior_draw(rng, points, variant, hyper)
-        else:
-            oracle = graphbo.synthetic_oracle("path_profile",
-                                              {"target": graphbo.path_profile_target(5)})
-            y = np.array([oracle(g) for g in points])
+        # targets of plain noise are left out of the problems: on inputs an
+        # exponential kernel can barely tell apart they push the optimum
+        # into a corner where the likelihood is roundoff (moving one
+        # coordinate by 1e-7 changes it by 1e-6 relative), so no two
+        # searches can be compared at this tolerance
+        variant, points, y = search_problem(case)
         model = fit(points, y, variant, seed=case)
         fitted = log_marginal_likelihood(points, y, variant, model.hyper)
         reference = lbfgsb_lml(points, y, variant, seed=case)
@@ -479,28 +611,92 @@ class TestMinimizeBox:
         a = 10.0 * np.array([[2.0, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1, 1.5]])
         c = np.array([2.0, -0.5, 0.3])
 
-        def fun(x):
-            return 0.5 * (x - c) @ a @ (x - c), a @ (x - c)
+        def fun(xs):
+            return (np.array([0.5 * (x - c) @ a @ (x - c) for x in xs]),
+                    np.array([a @ (x - c) for x in xs]))
 
         free = c[1:] - np.linalg.solve(a[1:, 1:], a[1:, 0] * (1.0 - c[0]))
         expected = np.concatenate(([1.0], free))
-        assert np.all(np.abs(free) < 1.0) and fun(expected)[1][0] < 0.0
-        theta, value = gp_module._minimize_box(fun, np.zeros(3), -1.0, 1.0)
-        assert np.allclose(theta, expected, rtol=0.0, atol=1e-6)
-        assert value == fun(theta)[0]
+        assert np.all(np.abs(free) < 1.0) and fun([expected])[1][0, 0] < 0.0
+        thetas, values = gp_module._minimize_box(fun, np.zeros((1, 3)), -1.0, 1.0)
+        assert np.allclose(thetas[0], expected, rtol=0.0, atol=1e-6)
+        assert values[0] == fun(thetas)[0][0]
 
     def test_failed_start_is_returned_after_one_evaluation(self):
         calls = []
 
-        def fun(theta):
-            calls.append(theta.copy())
-            return 1e25, np.zeros(len(theta))
+        def fun(thetas):
+            calls.append(thetas.copy())
+            return np.full(len(thetas), 1e25), np.zeros(thetas.shape)
 
-        start = np.array([0.3, -0.2])
-        theta, value = gp_module._minimize_box(fun, start, LOG_LO, LOG_HI)
+        start = np.array([[0.3, -0.2]])
+        thetas, values = gp_module._minimize_box(fun, start, LOG_LO, LOG_HI)
         assert len(calls) == 1
-        assert value == 1e25
-        assert np.array_equal(theta, start)
+        assert values[0] == 1e25
+        assert np.array_equal(thetas, start)
+
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_lockstep_restarts_match_single_starts(self, case):
+        # the restarts share each likelihood call and nothing else: every
+        # one ends where a search from its start alone ends, to the bit
+        variant, points, y = search_problem(case)
+        builder = GramBuilder.build(StackedSummaries.build(points), variant)
+
+        def fun(thetas):
+            return builder.neg_lml(thetas, y)
+
+        starts = fit_starts(variant, case)
+        thetas, values = gp_module._minimize_box(fun, starts, LOG_LO, LOG_HI)
+        assert thetas.shape == starts.shape and values.shape == (len(starts),)
+        for start, theta, value in zip(starts, thetas, values):
+            (alone,), (alone_value,) = gp_module._minimize_box(fun, start[None], LOG_LO,
+                                                               LOG_HI)
+            assert np.array_equal(theta, alone) and value == alone_value
+
+    def test_max_evals_stops_each_row_on_its_own_count(self, monkeypatch):
+        monkeypatch.setattr(gp_module, "_MAX_EVALS", 4)
+        variant, points, y = search_problem(5)
+        builder = GramBuilder.build(StackedSummaries.build(points), variant)
+        seen = []
+
+        def fun(thetas):
+            seen.append(len(thetas))
+            return builder.neg_lml(thetas, y)
+
+        starts = fit_starts(variant, 5)
+        thetas, values = gp_module._minimize_box(fun, starts, LOG_LO, LOG_HI)
+        lockstep_rows, counts = sum(seen), []
+        for start, theta, value in zip(starts, thetas, values):
+            seen.clear()
+            (alone,), (alone_value,) = gp_module._minimize_box(fun, start[None], LOG_LO,
+                                                               LOG_HI)
+            counts.append(len(seen))
+            assert np.array_equal(theta, alone) and value == alone_value
+        assert max(counts) == 4  # the cap ends some searches ...
+        assert lockstep_rows == sum(counts)  # ... and each row made its own evaluations
+
+    def test_failed_start_stops_while_the_others_go_on(self):
+        bad = np.array([0.25, -0.5])
+        center = np.array([0.3, -0.2])
+        calls = []
+
+        def fun(thetas):
+            calls.append(thetas.copy())
+            failed = (thetas == bad).all(axis=1)
+            values = np.where(failed, 1e25, ((thetas - center) ** 2).sum(axis=1))
+            return values, np.where(failed[:, None], 0.0, 2.0 * (thetas - center))
+
+        starts = np.array([[1.0, 1.0], bad, [-2.0, 0.5]])
+        thetas, values = gp_module._minimize_box(fun, starts, LOG_LO, LOG_HI)
+        assert values[1] == 1e25 and np.array_equal(thetas[1], bad)
+        assert [len(c) for c in calls[:2]] == [3, 2]
+        assert not any((c == bad).all(axis=1).any() for c in calls[1:])
+        assert np.allclose(thetas[[0, 2]], center, atol=1e-5)
+        for row in (0, 2):
+            (alone,), (alone_value,) = gp_module._minimize_box(fun, starts[row][None],
+                                                               LOG_LO, LOG_HI)
+            assert np.array_equal(thetas[row], alone) and values[row] == alone_value
 
 
 def test_no_graphbo_process_imports_scipy(tmp_path):
@@ -574,6 +770,26 @@ class TestFactorization:
             ref = linalg.cho_solve((model.chol, True), y)
             assert np.allclose(model.weights, ref, rtol=1e-10, atol=1e-12), (name, variant)
 
+    def test_stack_factors_each_slice_as_alone(self, rng):
+        points = distinct_profile_graphs(rng, 6)
+        hyper = KernelHyperparams(alpha=1.0, beta=1.0)
+        k = gram(points, KernelVariant.SSP, hyper)
+        # a repeated point makes this Gram singular
+        singular = gram(points[:1] + points[:5], KernelVariant.SSP, hyper)
+        plain = np.stack([k, 2.0 * k])
+        chol = factorize(plain, NOISE)
+        for slice_, factor in zip(plain, chol):
+            assert np.array_equal(factor, factorize(slice_, NOISE))
+        # one slice that fails even with jitter: the stacked call fails, and
+        # each slice is factored alone
+        mixed = np.stack([k, singular, -np.eye(6), 2.0 * k])
+        chol = factorize(mixed, 0.0)
+        for i in (0, 1, 3):
+            assert np.array_equal(chol[i], factorize(mixed[i], 0.0))
+        assert np.isnan(chol[2]).all()
+        with pytest.raises(FactorizationError):
+            factorize(-np.eye(6), 0.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_raises(self, rng, bad):
         # the factorization checks finiteness once; the solves against the
@@ -584,6 +800,8 @@ class TestFactorization:
         k[0, 1] = k[1, 0] = bad
         with pytest.raises(ValueError):
             factorize(k, NOISE)
+        with pytest.raises(ValueError):
+            factorize(np.stack([np.eye(3), k]), NOISE)
         y = [0.5, bad, -0.5]
         with pytest.raises(ValueError):
             GpModel.build(points, y, KernelVariant.SSP, hyper)
