@@ -9,9 +9,13 @@ node label. All objects are immutable after construction.
 profile; the ``enumerate`` solve strategy scores those rows (its
 ``nodes_explored`` counts them) instead of every graph. Each row keeps the
 first graph in ``enumerate_domain`` order with its profile, so ties still
-break toward the lexicographically smallest graph. Both solve strategies
-read one structure's labelings through ``structure_profiles``: the table
-to deduplicate them, branch-and-propagate to score them.
+break toward the lexicographically smallest graph. Undirected domains
+without user rows build the table from one structure per isomorphism class
+of connected graphs (``_connected_classes``: vertex augmentation, exact
+canonical codes), in its smallest numbering, which is that first graph's
+structure; other domains walk every connected structure. Both solve
+strategies read one structure's labelings through ``structure_profiles``:
+the table to deduplicate them, branch-and-propagate to score them.
 ``smallest_relabeling`` renumbers graphs to their smallest
 ``graph_sort_key``, which branch-and-propagate needs because it searches
 one numbering per isomorphism class.
@@ -572,24 +576,125 @@ def _code_blocks(total: int) -> Iterator[np.ndarray]:
         yield np.arange(lo, min(lo + BLOCK, total))
 
 
+def _code_adjacency(codes: np.ndarray, n: int, directed: bool) -> np.ndarray:
+    """Adjacency matrices (b, n, n) of adjacency codes: the
+    ``adjacency_pairs`` bits with the first pair the most significant, as
+    ``itertools.product`` orders them in ``enumerate_domain``."""
+    pairs = adjacency_pairs(n, directed)
+    us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    shifts = np.arange(len(pairs) - 1, -1, -1)
+    bits = ((codes[:, None] >> shifts) & 1).astype(np.int8)
+    adjacency = np.zeros((len(codes), n, n), dtype=np.int8)
+    adjacency[:, us, vs] = bits
+    if not directed:
+        adjacency[:, vs, us] = bits
+    return adjacency
+
+
 def _connected_structures(n: int, directed: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(adjacency, distances) of every connected n-node structure, in
     ``enumerate_domain`` order. Floyd-Warshall runs on blocks of adjacency
     patterns at once; a pattern is connected iff all its distances are finite.
     """
-    pairs = adjacency_pairs(n, directed)
-    us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    # itertools.product order: the first pair is the most significant bit
-    shifts = np.arange(len(pairs) - 1, -1, -1)
-    for codes in _code_blocks(1 << len(pairs)):
-        bits = ((codes[:, None] >> shifts) & 1).astype(np.int8)
-        adjacency = np.zeros((len(codes), n, n), dtype=np.int8)
-        adjacency[:, us, vs] = bits
-        if not directed:
-            adjacency[:, vs, us] = bits
+    for codes in _code_blocks(1 << len(adjacency_pairs(n, directed))):
+        adjacency = _code_adjacency(codes, n, directed)
         dist = _all_pairs_distances(adjacency)
         for i in np.flatnonzero(np.isfinite(dist).all(axis=(1, 2))):
             yield adjacency[i], dist[i].astype(np.int64)
+
+
+def _group_starts(groups: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``groups`` begins."""
+    return np.flatnonzero(np.diff(groups, prepend=-1))
+
+
+def _canonical_codes(adjacency: np.ndarray) -> np.ndarray:
+    """The smallest adjacency code (see ``_code_adjacency``) over every
+    numbering of each undirected graph in ``adjacency`` (b, n, n).
+
+    The numbering is built one position at a time. A node's signature is
+    its adjacency bits to the nodes already placed, the first placed most
+    significant. The smallest code numbers the unplaced nodes by ascending
+    signature, since swapping two nodes out of that order lowers the first
+    row in which their bits differ. So position k takes a node of smallest
+    signature, and once it is placed, row k of the code (its bits to the
+    later positions) is the low bits of the remaining signatures in
+    ascending order. Per graph only the states with the smallest rows so
+    far go on; every smallest numbering is among them. Graphs are searched
+    in chunks, which bounds the states held at once. Codes are int64, so
+    n <= 11.
+    """
+    b, n = adjacency.shape[:2]
+    codes = np.zeros(b, dtype=np.int64)
+    placed = 1 << 62  # the signature of a placed node: above the rest, low bit 0
+    earlier = np.tri(n, k=-1, dtype=bool)  # [u, w]: w < u, which breaks ties
+    chunk = 128  # graphs searched at once, which bounds the temporaries
+    for lo in range(0, b, chunk):
+        adj = adjacency[lo: lo + chunk].astype(np.int64)
+        graph = np.arange(len(adj))  # ascends: each graph's states are adjacent
+        sig = np.zeros((len(adj), n), dtype=np.int64)
+        code = np.zeros(len(adj), dtype=np.int64)
+        for k in range(n - 1):
+            state, node = np.nonzero(sig == sig.min(axis=1, keepdims=True))
+            graph, code = graph[state], code[state]
+            sig = np.where(sig[state] == placed, placed,
+                           sig[state] << 1 | adj[graph, node])
+            sig[np.arange(len(node)), node] = placed
+            # each node's position in ascending signature order
+            rank = ((sig[:, None, :] < sig[:, :, None])
+                    | (sig[:, None, :] == sig[:, :, None]) & earlier).sum(axis=2)
+            width = n - 1 - k
+            code = code << width | ((sig & 1) << np.maximum(width - 1 - rank, 0)).sum(axis=1)
+            best = np.minimum.reduceat(code, _group_starts(graph))
+            keep = code == best[graph]
+            graph, code, sig = graph[keep], code[keep], sig[keep]
+        codes[lo: lo + len(adj)] = code[_group_starts(graph)]
+    return codes
+
+
+@functools.lru_cache(maxsize=None)
+def _connected_classes(n: int) -> np.ndarray:
+    """One read-only adjacency (classes, n, n) per isomorphism class of
+    connected undirected n-node graphs: its smallest numbering under
+    ``graph_sort_key``, classes in ascending order.
+
+    Classes are generated by vertex augmentation (McKay, J. Algorithms 26,
+    1998): each (n - 1)-class gets one new node joined to every nonempty
+    subset of its nodes, and the candidates are deduplicated by their
+    canonical code. Removing a leaf of a spanning tree leaves a connected
+    graph, so every class is reached.
+    """
+    if n == 1:
+        classes = np.zeros((1, 1, 1), dtype=np.int8)
+    else:
+        parents = _connected_classes(n - 1)
+        subsets = (np.arange(1, 1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+        candidates = np.zeros((len(parents), len(subsets), n, n), dtype=np.int8)
+        candidates[:, :, :-1, :-1] = parents[:, None]
+        candidates[:, :, -1, :-1] = subsets
+        candidates[:, :, :-1, -1] = subsets
+        codes = sorted(set(_canonical_codes(candidates.reshape(-1, n, n)).tolist()))
+        classes = _code_adjacency(np.array(codes, dtype=np.int64), n, directed=False)
+    classes.setflags(write=False)
+    return classes
+
+
+def _structures(domain: DomainSpec, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(adjacency, distances) of the structures whose labelings give every
+    feasible profile of ``size`` nodes, in ``enumerate_domain`` order.
+
+    Profiles and feasibility do not depend on the numbering unless user
+    rows name nodes, and the first graph with a profile is then a class's
+    smallest numbering; so undirected domains without ``extra_rows`` read
+    one structure per isomorphism class. Directed domains walk every
+    structure: removing a node can break strong connectivity, which
+    vertex augmentation relies on.
+    """
+    if domain.directed or domain.extra_rows:
+        yield from _connected_structures(size, domain.directed)
+        return
+    classes = _connected_classes(size)
+    yield from zip(classes, _all_pairs_distances(classes).astype(np.int64))
 
 
 @functools.lru_cache(maxsize=None)
@@ -705,13 +810,15 @@ def profile_table(domain: DomainSpec,
     """The domain's distinct feasible kernel profiles, each with the first
     graph in ``enumerate_domain`` order that realizes it.
 
-    Works per connected structure: one Floyd-Warshall, then the profiles of
-    its feasible labelings from ``structure_profiles``. Profiles are
-    deduplicated first within the structure and then across the domain,
-    keyed by (size, counts, sums). ``out_of_time`` is polled before each
-    structure; once it returns True the build stops and the table is marked
-    incomplete. Raises DomainTooLargeError above the same bit cap as
-    ``enumerate_domain``.
+    Works per structure from ``_structures``: one isomorphism class of an
+    undirected domain without ``extra_rows``, else every connected
+    structure. Each structure's feasible labelings give their profiles
+    through ``structure_profiles``. Profiles are deduplicated first within
+    the structure and then across the domain, keyed by (size, counts,
+    sums). ``out_of_time`` is polled before each structure, so once per
+    class on the class path; once it returns True the build stops and the
+    table is marked incomplete. Raises DomainTooLargeError above the same
+    bit cap as ``enumerate_domain``.
     """
     _check_bit_cap(domain)
     n, L, M = domain.n, domain.num_labels, domain.num_features
@@ -721,7 +828,7 @@ def profile_table(domain: DomainSpec,
     features: list[np.ndarray] = []
     complete = True
     for size in domain.sizes:
-        for adj, dist in _connected_structures(size, domain.directed):
+        for adj, dist in _structures(domain, size):
             if out_of_time is not None and out_of_time():
                 complete = False
                 break

@@ -754,7 +754,8 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     raises DomainTooLargeError. Objective ties still break toward the
     lexicographically smallest graph, and ``nodes_explored`` counts the
     profile rows scored.
-    The budget is checked per structure while the table is built: a build
+    The budget is checked per structure while the table is built (once per
+    isomorphism class for undirected domains without user rows): a build
     cut short scores the rows found so far and the domain-feasible warm
     starts, and keeps the better (FeasibleTimeLimit, bound -inf) or, with
     neither, ends BudgetExhausted. A complete table ignores warm starts.

@@ -142,6 +142,17 @@ def test_labeled_domain_branches_on_structure_only():
     assert branch.incumbent == exact.incumbent
 
 
+def test_branch_and_propagate_matches_enumerate_at_seven_nodes():
+    # n=7 with 1 label: enumerate scores 79 class-built rows, B&P bounds
+    # 36,782 nodes
+    domain = DomainSpec(n=7, num_labels=1, degree_caps=(4,))
+    exact, branch = _solve_both(domain, KernelVariant.SSP)
+    assert exact.status == branch.status == "Optimal"
+    assert exact.nodes_explored == 79
+    assert branch.objective == exact.objective
+    assert branch.incumbent == exact.incumbent
+
+
 def test_tied_numberings_of_one_class_return_the_smallest_sort_key():
     # n=6 with 1 label: two numberings of the 6-node path tie for the
     # optimum; the search meets one of them and renumbers it to enumerate's
@@ -309,9 +320,58 @@ def test_complete_table_ignores_warm_starts(monkeypatch):
     assert result.objective == lcb(model, result.incumbent, 1.0)
 
 
+def _walk_every_structure(domain, size):
+    return graphs_module._connected_structures(size, domain.directed)
+
+
+@pytest.mark.parametrize("domain", [
+    pytest.param(DomainSpec(n=5, num_labels=1), id="n5-1label"),
+    pytest.param(DomainSpec(n=5, num_labels=2), id="n5-2labels"),
+    pytest.param(DomainSpec(n=6, num_labels=1), id="n6-1label"),
+    pytest.param(DomainSpec(n=6, num_labels=2), id="n6-2labels"),
+    pytest.param(DomainSpec(n=5, num_labels=3, degree_caps=(3, 2, 1)), id="n5-3labels-caps"),
+    pytest.param(DomainSpec(n=5, n_min=2, num_labels=2), id="n2to5-2labels"),
+    pytest.param(DomainSpec(n=5, num_labels=1, num_features=3), id="n5-3features"),
+    pytest.param(DomainSpec(n=5, num_labels=2, label_count_bounds=((1, 3), (2, 4))),
+                 id="n5-2labels-bounds"),
+])
+def test_class_table_equals_the_walk_over_every_structure(domain, monkeypatch):
+    by_class = profile_table(domain)
+    monkeypatch.setattr(graphs_module, "_structures", _walk_every_structure)
+    walked = profile_table(domain)
+    assert by_class.complete and walked.complete
+    for got, want in [(by_class.profiles.sizes, walked.profiles.sizes),
+                      (by_class.profiles.labeled_counts, walked.profiles.labeled_counts),
+                      (by_class.profiles.feature_sums, walked.profiles.feature_sums),
+                      (by_class.adjacency, walked.adjacency),
+                      (by_class.features, walked.features)]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_class_counts_follow_oeis_a001349():
+    counts = [len(graphs_module._connected_classes(n)) for n in range(1, 8)]
+    assert counts == [1, 1, 2, 6, 21, 112, 853]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_each_class_is_its_smallest_numbering(n):
+    # brute force over all n! orders
+    pairs = graphs_module.adjacency_pairs(n, False)
+    us, vs = np.array(pairs).T
+    weights = 1 << np.arange(len(pairs) - 1, -1, -1)
+    orders = np.array(list(itertools.permutations(range(n))))
+    codes = []
+    for adjacency in graphs_module._connected_classes(n):
+        renumbered = adjacency[orders[:, :, None], orders[:, None, :]]
+        codes.append(int(adjacency[us, vs] @ weights))
+        assert codes[-1] == (renumbered[:, us, vs] @ weights).min()
+    assert codes == sorted(set(codes))
+
+
 def test_length_profiles_match_graph_atlas():
     nx = pytest.importorskip("networkx")
-    sizes = range(1, 7)
+    sizes = range(1, 8)
     expected = {n: set() for n in sizes}
     for g in nx.graph_atlas_g():
         n = g.number_of_nodes()
