@@ -3,32 +3,34 @@
 Hyperparameters (graph weight, feature weight, and the exponential-variant
 variance) are fitted by maximizing the log marginal likelihood with a
 multi-start bounded quasi-Newton search over log-parameters: an in-house
-projected BFGS (``_minimize_box``) over the 2- or 3-dimensional box. Each
-evaluation factorizes the noisy Gram matrix once (Rasmussen & Williams 2006,
-Algorithm 2.1) and takes both the likelihood and its closed-form gradient
-(eq. 5.9) from that factor. The restarts search in lockstep, so each step
-evaluates the likelihood of every running restart as one stack: one
-``cholesky``, one ``inv`` and one ``matmul`` per stage instead of one per
-restart. The per-call overhead, about two thirds of a single evaluation at
-t = 20, is then paid once per step rather than once per restart. numpy runs
-a stacked linear-algebra call as the same BLAS or LAPACK call on each
-slice, and each sum is a per-row ``ddot`` (``_rowdot``), as the 1-D
-``dot`` of a single evaluation is, so every restart follows its own
-trajectory to the bit. Plain Python floats would not: OpenBLAS rounds short
-dot products and 3x3 products with fused multiply-adds, which Python's
-arithmetic does not. The factor is ``np.linalg.cholesky``'s, and
-every solve against it runs through ``numpy.linalg`` on an upper triangular
-matrix (L^T, or L with rows and columns reversed): LU's partial pivoting
-swaps no row of such a matrix, so ``solve`` and ``inv`` do a plain back
-substitution. graphbo therefore needs numpy only; SciPy's optimizer,
-``linalg`` and ``sparse`` packages would add about 50 MiB and 0.5 s to the
-start of every process. Every prediction (``posterior``, ``lcb``, both
-solvers, the MIP model's exact evaluation) goes through ``predict``, which
-reduces each row along its own axis in a fixed order (Higham 2002, section
-3.1: a sum rounds the same way only when it is taken in the same order). A
-point therefore gets one mean, one variance and one LCB in any batch, at
-any position, so the solvers can compare batched values with ``lcb``'s
-directly.
+projected BFGS (``_minimize_box``) over the 2- or 3-dimensional box. For
+every variant the noisy Gram matrix is K = a G + b Phi Phi^T + noise I: the
+graph part G is fixed for a fit, a is alpha (alpha / sigma_k_sq for
+essp/esp), Phi holds each point's feature sums over its size (t x M) and b
+is beta / M. So ``GramBuilder`` decomposes G = Q diag(lambda) Q^T once per
+fit (``_grouped_eigh``: repeated profiles get exact zero eigenvalues), and
+in that basis a likelihood evaluation is diagonal plus a rank-M correction
+(the determinant lemma and the Woodbury identity, Rasmussen & Williams
+2006, A.3). The likelihood and its closed-form gradient (eq. 5.9) then cost
+O(t M) per restart after one product Q^T y per call, with no t x t factor
+or inverse. The restarts search in lockstep, so each step scores every
+running restart as one stack; every sum is a row-wise ``einsum`` reduction
+and the M x M inverse and determinant are one LAPACK call per slice, so
+every restart follows its own trajectory to the bit.
+
+A model at given hyperparameters (``GpModel.build``) is factored with
+``np.linalg.cholesky``, and every solve against the factor runs through
+``numpy.linalg`` on an upper triangular matrix (L^T, or L with rows and
+columns reversed): LU's partial pivoting swaps no row of such a matrix, so
+``solve`` and ``inv`` do a plain back substitution. graphbo therefore needs
+numpy only; SciPy's optimizer, ``linalg`` and ``sparse`` packages would add
+about 50 MiB and 0.5 s to the start of every process. Every prediction
+(``posterior``, ``lcb``, both solvers, the MIP model's exact evaluation) goes
+through ``predict``, which reduces each row along its own axis in a fixed
+order (Higham 2002, section 3.1: a sum rounds the same way only when it is
+taken in the same order). A point therefore gets one mean, one variance and
+one LCB in any batch, at any position, so the solvers can compare batched
+values with ``lcb``'s directly.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .kernels import (
     StackedSummaries,
     _count_products,
     _graph_part,
-    _weigh,
     cross_gram,
     gram,
     self_kernel_parts,
@@ -59,11 +60,6 @@ from .kernels import (
 NOISE_VAR = 1e-6
 JITTER = 1e-8
 FIT_RESTARTS = 8
-# Gram entries per stacked likelihood evaluation: 128 KiB of float64 per
-# temporary, glibc's default mmap threshold. A larger temporary is mapped
-# afresh for each evaluation and page-faulted in, which at t = 100 made a
-# stack of 8 rows cost 25% more per row than 8 single evaluations
-_STACK_ENTRIES = 16_384
 
 
 def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
@@ -73,34 +69,10 @@ def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
 
     Non-finite entries raise ValueError. Cholesky reads the lower triangle,
     and a non-finite entry there either stops the factorization or leaves a
-    non-finite diagonal, so the matrix itself is checked only then: a
-    likelihood evaluation of a finite Gram pays no extra pass over it.
-
-    ``matrix`` may also be a stack (B, n, n), factored by one
-    ``np.linalg.cholesky`` call, which runs LAPACK on each slice as on that
-    slice alone. A slice that fails makes the call fail for the whole stack,
-    so if it raises, or leaves a non-finite diagonal, each slice is factored
-    on its own under the rule above; a slice that fails even with jitter
-    gets a factor of NaNs instead of raising.
+    non-finite diagonal, so the matrix itself is checked only then.
     """
     k = np.array(matrix, dtype=float, order="C")
-    n = k.shape[-1]
-    k.reshape(-1, n * n)[:, ::n + 1] += noise_var
-    if k.ndim == 2:
-        return _factor_one(k)
-    try:
-        chol = np.linalg.cholesky(k)
-        # a sum of positive finite square roots
-        if math.isfinite(chol.diagonal(axis1=1, axis2=2).sum()):
-            return chol
-    except np.linalg.LinAlgError:  # a leading minor of some slice is not positive definite
-        pass
-    return np.stack([_factor_or_nan(slice_) for slice_ in k])
-
-
-def _factor_one(k: np.ndarray) -> np.ndarray:
-    """``factorize``'s rule on one matrix that already holds the noise; the
-    jitter goes onto k in place."""
+    k.reshape(-1)[::len(k) + 1] += noise_var
     try:
         chol = np.linalg.cholesky(k)
         if math.isfinite(chol.trace()):  # a sum of positive finite square roots
@@ -116,19 +88,11 @@ def _factor_one(k: np.ndarray) -> np.ndarray:
         raise FactorizationError("Gram factorization failed with jitter") from None
 
 
-def _factor_or_nan(k: np.ndarray) -> np.ndarray:
-    """``_factor_one``, with a factor of NaNs where it fails."""
-    try:
-        return _factor_one(k)
-    except FactorizationError:
-        return np.full(k.shape, math.nan)
-
-
 def _upper_inverse(upper: np.ndarray) -> np.ndarray:
-    """The inverse of an upper triangular matrix (L^T), or of each in a
-    stack. ``np.linalg.inv`` factors its argument with partial pivoting,
-    which swaps no rows of an upper triangular matrix, so this is a plain
-    back substitution, and the result is exactly upper triangular."""
+    """The inverse of an upper triangular matrix (L^T). ``np.linalg.inv``
+    factors its argument with partial pivoting, which swaps no rows of an
+    upper triangular matrix, so this is a plain back substitution, and the
+    result is exactly upper triangular."""
     return np.linalg.inv(upper)
 
 
@@ -153,84 +117,135 @@ def _targets(y) -> np.ndarray:
     return y
 
 
+def _grouped_eigh(graph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of a symmetric
+    matrix, with an exact zero eigenvalue for every repeated row.
+
+    Training points that share a kernel profile give equal rows, and a group
+    of m equal rows spans m - 1 directions of the null space. ``eigh`` on the
+    whole matrix returns those eigenvalues as roundoff of about eps * ||G||
+    (up to 1.1e-15 on a 10-point essp Gram), which the graph weight a (up to
+    1e4) sets against the 1e-6 noise on exactly the directions that dominate
+    y^T K^-1 y: there the likelihood came out up to 16 times, and its
+    gradient up to 41 times, further from an exact reference than the
+    Cholesky path's. So the null directions are built exactly, as Helmert
+    contrasts within each group, and ``eigh`` runs on the matrix of distinct
+    rows scaled by sqrt(m_g m_h), whose eigenvectors, spread evenly over each
+    group, span the rest.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(graph):
+        groups.setdefault(row.tobytes(), []).append(i)
+    members = list(groups.values())
+    first = [idx[0] for idx in members]
+    scale = np.sqrt([float(len(idx)) for idx in members])
+    values, vectors = np.linalg.eigh(graph[np.ix_(first, first)] * np.outer(scale, scale))
+    t, distinct = len(graph), len(members)
+    spread = np.zeros((t, distinct))
+    basis = np.zeros((t, t))
+    column = distinct
+    for g, idx in enumerate(members):
+        spread[idx, g] = 1.0 / scale[g]
+        for k in range(1, len(idx)):
+            norm = math.sqrt(k * (k + 1))
+            basis[idx[:k], column] = 1.0 / norm
+            basis[idx[k], column] = -k / norm
+            column += 1
+    basis[:, :distinct] = spread @ vectors
+    return np.concatenate([values, np.zeros(t - distinct)]), basis
+
+
 @dataclass(frozen=True)
 class GramBuilder:
-    """Hyperparameter-independent Gram components of a training set,
-    computed once: the graph part G (``kernels._graph_part``: the linear
-    graph kernel, or its exponential for ``essp``/``esp``) and the feature
-    kernel F. Each likelihood evaluation during fitting weights them with
-    ``kernels._weigh`` and sums them, K = alpha * (G / sigma_k_sq) + beta * F,
-    which is ``cross_gram``'s arithmetic in its order."""
+    """A training set's hyperparameter-independent Gram components,
+    decomposed once per fit: K = a G + b Phi Phi^T + noise I with
+    G = Q diag(``eigenvalues``) Q^T (``basis`` is Q) and ``features`` the
+    rotated feature map (Q^T Phi)^T, (M, t). G is ``kernels._graph_part``
+    (the linear graph kernel, or its exponential for ``essp``/``esp``), and
+    Phi holds each point's feature sums over its size, so b Phi Phi^T with
+    b = beta / M is the weighted feature kernel."""
 
     variant: KernelVariant
-    graph: np.ndarray
-    feature: np.ndarray
+    eigenvalues: np.ndarray
+    basis: np.ndarray
+    features: np.ndarray
 
     @staticmethod
     def build(profile: StackedSummaries, variant: KernelVariant) -> "GramBuilder":
-        linear, feature = _count_products(profile, profile, variant.labeled)
-        return GramBuilder(variant, _graph_part(linear, variant), feature)
+        linear, _ = _count_products(profile, profile, variant.labeled)
+        return GramBuilder.from_parts(variant, _graph_part(linear, variant),
+                                      profile.feature_sums / profile.sizes[:, None])
+
+    @staticmethod
+    def from_parts(variant: KernelVariant, graph: np.ndarray,
+                   features: np.ndarray) -> "GramBuilder":
+        """The builder of a graph part G (t, t) and a feature map Phi (t, M)."""
+        eigenvalues, basis = _grouped_eigh(graph)
+        return GramBuilder(variant, eigenvalues, basis, features.T @ basis)
 
     def neg_lml(self, thetas: np.ndarray, y: np.ndarray,
                 noise_var: float = NOISE_VAR) -> tuple[np.ndarray, np.ndarray]:
         """Negative log marginal likelihood at each row of a stack (B, d) of
         log-hyperparameters (log alpha, log beta[, log sigma_k_sq]) and its
-        gradient in theta: values (B,) and gradients (B, d), each row from
-        one factorization K = L L^T and the inverse L^-T of its upper
-        factor, K^-1 = L^-T L^-1.
+        gradient in theta: values (B,) and gradients (B, d).
 
-        With W = a a^T - K^-1 and a = K^-1 y, d(-LML)/d theta_j is
-        -1/2 sum(W * dK/d theta_j), taken as -1/2 (a^T dK a - <K^-1, dK>);
-        dK/d log alpha is the weighted graph part, dK/d log beta the weighted
-        feature part, and dK/d log sigma_k_sq minus the weighted graph part.
-        A row whose factorization fails scores 1e25 with a zero gradient.
+        In the eigenbasis K = D + b P P^T with D = a lambda + noise and
+        P = Q^T Phi, so with C = I + b P^T D^-1 P (M x M):
+        log|K| = sum(log D) + log|C|, and K^-1 = D^-1 - b D^-1 P C^-1 P^T D^-1
+        gives r = Q^T K^-1 y from u = Q^T y. With W = K^-1 y y^T K^-1 - K^-1,
+        d(-LML)/d theta_j is -1/2 sum(W * dK/d theta_j): dK/d log alpha is
+        a G, dK/d log beta is b Phi Phi^T and dK/d log sigma_k_sq is -a G, so
+        the gradient needs r^T a diag(lambda) r, b |P^T r|^2 and the traces
+        tr(K^-1 a G) = sum(a lambda / D) - b tr(C^-1 P^T D^-1 a diag(lambda) D^-1 P)
+        and tr(K^-1 b Phi Phi^T) = M - tr(C^-1).
 
-        The rows go through one stacked ``factorize``, ``np.linalg.inv`` and
-        ``matmul`` each, and every sum is a ``_rowdot``: numpy makes a single
-        matrix's BLAS or LAPACK call on each slice (a dot product is one
-        ``ddot``), so each row is ``==`` to its stack of one, in any stack. A
-        stack of more than ``_STACK_ENTRIES`` Gram entries goes in chunks.
+        A row whose D has an entry <= 0 takes ``JITTER`` once, as
+        ``factorize`` does; if one is still <= 0 the row scores 1e25 with a
+        zero gradient. Every sum is a row-wise ``np.einsum`` reduction and
+        C's inverse and determinant are one LAPACK call per slice, so each
+        row is ``==`` to its stack of one, in any stack.
         """
-        rows = max(1, _STACK_ENTRIES // self.graph.size)
-        if len(thetas) > rows:
-            parts = [self.neg_lml(thetas[i:i + rows], y, noise_var)
-                     for i in range(0, len(thetas), rows)]
-            return (np.concatenate([values for values, _ in parts]),
-                    np.concatenate([grads for _, grads in parts]))
-        weights = np.exp(thetas)[:, :, None, None]
-        graph, feature = _weigh(self.graph, self.feature, weights[:, 0], weights[:, 1],
-                                weights[:, 2] if self.variant.exponential else None)
-        chol = factorize(graph + feature, noise_var)
-        failed = np.isnan(chol[:, 0, 0])  # factorize's mark of a failed slice
-        any_failed = failed.any()
-        if any_failed:  # evaluated at an identity factor, then overwritten
-            chol[failed] = np.eye(len(y))
-        inv_t = _upper_inverse(chol.transpose(0, 2, 1))
-        k_inv = inv_t @ inv_t.transpose(0, 2, 1)
-        z = y @ inv_t  # L^-1 y
-        a = (inv_t @ z[:, :, None])[:, :, 0]
-
-        def weighted_sum(part):  # a^T G a - <K^-1, G> is sum(W * G) without forming W
-            quad = _rowdot((a[:, None, :] @ part)[:, 0], a)
-            return -0.5 * (quad - _rowdot(k_inv.reshape(len(part), -1),
-                                            part.reshape(len(part), -1)))
-
+        weights = np.exp(thetas)
+        graph_w = weights[:, 0] / weights[:, 2] if self.variant.exponential else weights[:, 0]
+        num_features, t = self.features.shape
+        feature_w = weights[:, 1] / num_features
+        graph = graph_w[:, None] * self.eigenvalues  # a lambda
+        diag = graph + noise_var
+        failed = None
+        if not (diag > 0).all():  # factorize's retry, then a stand-in to overwrite
+            failed = diag.min(axis=1) <= 0
+            diag[failed] += JITTER
+            failed = diag.min(axis=1) <= 0
+            diag[failed] = 1.0
+        inv_d = 1.0 / diag
+        u = y @ self.basis
+        # Z D^-1 Z^T for Z = [P^T; u^T]: P^T D^-1 P, P^T D^-1 u and u^T D^-1 u
+        z = np.vstack([self.features, u])
+        moments = np.einsum("bt,kt,lt->bkl", inv_d, z, z, optimize=False)
+        correction = feature_w[:, None, None] * moments[:, :-1, :-1] + np.eye(num_features)
+        c_inv = np.linalg.inv(correction)
+        v = moments[:, :-1, -1]
+        c_v = np.einsum("bkl,bl->bk", c_inv, v, optimize=False)  # also P^T r
+        quad = moments[:, -1, -1] - feature_w * np.einsum("bk,bk->b", v, c_v, optimize=False)
+        r = inv_d * (u - feature_w[:, None] * np.einsum("bk,kt->bt", c_v, self.features,
+                                                         optimize=False))
+        graph_moments = np.einsum("bt,kt,lt->bkl", graph * inv_d * inv_d, self.features,
+                                  self.features, optimize=False)
+        trace_graph = (np.einsum("bt,bt->b", graph, inv_d, optimize=False)
+                       - feature_w * np.einsum("bkl,blk->b", c_inv, graph_moments,
+                                               optimize=False))
         grads = np.empty(thetas.shape)
-        grads[:, 0] = weighted_sum(graph)
-        grads[:, 1] = weighted_sum(feature)
+        grads[:, 0] = 0.5 * (trace_graph - np.einsum("bt,bt->b", graph * r, r, optimize=False))
+        grads[:, 1] = 0.5 * (num_features - np.einsum("bkk->b", c_inv, optimize=False)
+                             - feature_w * np.einsum("bk,bk->b", c_v, c_v, optimize=False))
         if self.variant.exponential:
             grads[:, 2] = -grads[:, 0]
-        values = -_lml_value(chol, _rowdot(z, z))
-        if any_failed:
+        log_det = (np.einsum("bt->b", np.log(diag), optimize=False)
+                   + np.linalg.slogdet(correction)[1])
+        values = 0.5 * (quad + log_det + t * math.log(2.0 * math.pi))
+        if failed is not None:
             values[failed], grads[failed] = 1e25, 0.0
         return values, grads
-
-
-def _lml_value(chol: np.ndarray, quad):
-    """Log marginal likelihood from the Cholesky factor L of K + noise I and
-    quad = y^T (K + noise I)^-1 y, for one factor or a stack of them."""
-    return (-0.5 * quad - np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
-            - 0.5 * chol.shape[-1] * math.log(2.0 * math.pi))
 
 
 def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
@@ -243,7 +258,8 @@ def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
         raise ValueError("need one target per point and at least one point")
     chol = factorize(gram(points, variant, hyper), noise_var)
     z = _forward_solve(chol, y)
-    return float(_lml_value(chol, z @ z))
+    return float(-0.5 * (z @ z) - np.log(chol.diagonal()).sum()
+                 - 0.5 * len(y) * math.log(2.0 * math.pi))
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ alpha * graph + beta * feature.
 ``self_kernel_parts`` are the only kernel code: pairwise values, Gram
 matrices, the GP, the MIP coefficient rows and the enumerate solve all go
 through them. ``_combine`` is the one place that takes the exponential
-(``_graph_part``) and weights the two parts (``_weigh``): the GP fit builds
-its graph part once and weights it per likelihood evaluation with those two
-steps, and the branch-and-propagate kernel box combines its count bounds
-with ``_combine``. Only ``kernel_range`` and the encoder's linear rows
-restate the combine, as MIP variable bounds and coefficients.
+(``_graph_part``) and weights the two parts: the GP fit takes its graph part
+from ``_graph_part`` once and weighs its eigenvalues per likelihood
+evaluation, and the branch-and-propagate kernel box combines its count
+bounds with ``_combine``. Only ``kernel_range`` and the encoder's linear
+rows restate the combine, as MIP variable bounds and coefficients.
 """
 
 from __future__ import annotations
@@ -198,23 +198,14 @@ def _graph_part(linear, variant: KernelVariant):
     return np.exp(linear) if variant.exponential else linear
 
 
-def _weigh(graph, feature, alpha, beta, sigma_k_sq=None):
-    """The weighted parts alpha * (graph / sigma_k_sq) and beta * feature,
-    with no division for ``ssp``/``sp`` (sigma_k_sq None). The weights are
-    floats, or arrays that broadcast against the parts: the GP fit weights
-    one pair of parts for a stack of hyperparameters at once."""
-    if sigma_k_sq is not None:
-        graph = graph / sigma_k_sq
-    return alpha * graph, beta * feature
-
-
 def _combine(linear, feature, variant: KernelVariant, hyper: KernelHyperparams):
     """The combined kernel from the linear graph kernel and the feature
-    kernel."""
-    variance = hyper.require_variance(variant) if variant.exponential else None
-    graph, feature = _weigh(_graph_part(linear, variant), feature,
-                            hyper.alpha, hyper.beta, variance)
-    return graph + feature
+    kernel: alpha * (graph / sigma_k_sq) + beta * feature, with no division
+    for ``ssp``/``sp``."""
+    graph = _graph_part(linear, variant)
+    if variant.exponential:
+        graph = graph / hyper.require_variance(variant)
+    return hyper.alpha * graph + hyper.beta * feature
 
 
 def cross_gram(rows: StackedSummaries, cols: StackedSummaries,

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from graphbo.gp import (
 from graphbo.kernels import (
     HYPER_BOX,
     StackedSummaries,
+    _count_products,
+    _graph_part,
     cross_gram,
     k_combined,
     self_kernel_parts,
@@ -358,13 +361,41 @@ def hyper_at(theta):
                              sigma_k_sq=values[2] if len(theta) == 3 else None)
 
 
-def scalar_neg_lml(builder, theta, y, noise_var=NOISE):
-    """-LML and its gradient at one theta as the scalar evaluation computed
-    them (one 2-D factorization, 1-D dot products): the reference every
-    stacked row must equal to the bit."""
+@dataclasses.dataclass(frozen=True)
+class GramParts:
+    """A fit's Gram components as the Cholesky reference weights them: the
+    graph part G, the feature kernel F and the feature map Phi with
+    F = Phi Phi^T / M."""
+
+    variant: KernelVariant
+    graph: np.ndarray
+    feature: np.ndarray
+    phi: np.ndarray
+
+    @staticmethod
+    def of(points, variant):
+        profile = StackedSummaries.build(points)
+        linear, feature = _count_products(profile, profile, variant.labeled)
+        return GramParts(variant, _graph_part(linear, variant), feature,
+                         profile.feature_sums / profile.sizes[:, None])
+
+    @staticmethod
+    def with_graph(parts, graph, phi=None):
+        """Parts with another graph part (and feature map)."""
+        phi = parts.phi if phi is None else phi
+        return GramParts(parts.variant, graph, phi @ phi.T / phi.shape[1], phi)
+
+    def builder(self):
+        return GramBuilder.from_parts(self.variant, self.graph, self.phi)
+
+
+def scalar_neg_lml(parts, theta, y, noise_var=NOISE):
+    """-LML and its gradient at one theta from one Cholesky factorization of
+    the weighted t x t Gram matrix and its explicit inverse: the reference
+    the eigenbasis evaluation is held to."""
     weights = np.exp(theta).tolist()
-    graph = builder.graph / weights[2] if builder.variant.exponential else builder.graph
-    graph, feature = weights[0] * graph, weights[1] * builder.feature
+    graph = parts.graph / weights[2] if parts.variant.exponential else parts.graph
+    graph, feature = weights[0] * graph, weights[1] * parts.feature
     try:
         chol = factorize(graph + feature, noise_var)
     except FactorizationError:
@@ -375,36 +406,119 @@ def scalar_neg_lml(builder, theta, y, noise_var=NOISE):
     a = inv_t.dot(z)
     grad_graph = -0.5 * (a.dot(graph).dot(a) - np.vdot(k_inv, graph))
     grad = [grad_graph, -0.5 * (a.dot(feature).dot(a) - np.vdot(k_inv, feature))]
-    if builder.variant.exponential:
+    if parts.variant.exponential:
         grad.append(-grad_graph)
     lml = float(-0.5 * z.dot(z) - np.log(chol.diagonal()).sum()
                 - 0.5 * len(chol) * math.log(2.0 * math.pi))
     return -lml, np.array(grad)
 
 
+def _exact_inverse(matrix):
+    """Inverse and determinant of a nonsingular matrix of Fractions, by
+    Gauss-Jordan elimination."""
+    n = len(matrix)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        scale = 1 / rows[col][col]
+        rows[col] = [v * scale for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows], det
+
+
+def exact_neg_lml(points, variant, theta, y, noise_var=NOISE):
+    """-LML and its gradient in exact rational arithmetic, rounded once at
+    the end. The float graph part, the float weights exp(theta), the
+    targets and the noise are taken as exact, the feature kernel comes
+    exactly from the integer feature sums, and the log is taken of the exact
+    determinant."""
+    profile = StackedSummaries.build(points)
+    graph = GramParts.of(points, variant).graph
+    t, m = profile.feature_sums.shape
+    weights = [Fraction(float(w)) for w in np.exp(theta)]
+    a = weights[0] / weights[2] if variant.exponential else weights[0]
+    b = weights[1] / m
+    sums = profile.feature_sums.astype(int).tolist()
+    sizes = profile.sizes.astype(int).tolist()
+    graph_w = [[a * Fraction(float(graph[i, j])) for j in range(t)] for i in range(t)]
+    feature_w = [[b * Fraction(sum(p * q for p, q in zip(sums[i], sums[j])), sizes[i] * sizes[j])
+                  for j in range(t)] for i in range(t)]
+    noise = Fraction(float(noise_var))
+    k_inv, det = _exact_inverse([[graph_w[i][j] + feature_w[i][j] + (noise if i == j else 0)
+                                  for j in range(t)] for i in range(t)])
+    targets = [Fraction(float(v)) for v in y]
+    alpha = [sum(k_inv[i][j] * targets[j] for j in range(t)) for i in range(t)]
+
+    def grad(part):  # -1/2 (alpha^T dK alpha - tr(K^-1 dK))
+        quad = sum(alpha[i] * part[i][j] * alpha[j] for i in range(t) for j in range(t))
+        trace = sum(k_inv[i][j] * part[j][i] for i in range(t) for j in range(t))
+        return float(-(quad - trace) / 2)
+
+    value = (float(sum(a_i * y_i for a_i, y_i in zip(alpha, targets)) / 2)
+             + 0.5 * (math.log(det.numerator) - math.log(det.denominator))
+             + 0.5 * t * math.log(2.0 * math.pi))
+    grads = [grad(graph_w), grad(feature_w)]
+    if variant.exponential:
+        grads.append(-grads[0])
+    return value, np.array(grads)
+
+
+# The eigenbasis evaluation and the Cholesky reference round differently,
+# and the Cholesky path's own error grows with the conditioning of K. Against
+# the exact reference it reaches 4.1e-7 of max(1, |value|) on the fixture
+# rows below, 1.1e-6 on the jitter rows (K singular but for noise + JITTER =
+# 9e-9) and 2.1e-6 at an essp fit on the box corner (a = 1e4), in the value
+# and the gradient alike, since both carry the error of y^T K^-1 y. The
+# exact-reference tests bound the eigenbasis path's own error.
+RTOL = 1e-5
+
+
+def assert_close_to_scalar(parts, theta, y, value, grad, noise_var=NOISE):
+    ref_value, ref_grad = scalar_neg_lml(parts, theta, y, noise_var)
+    scale = RTOL * max(1.0, abs(ref_value))
+    assert abs(value - ref_value) <= scale
+    assert np.max(np.abs(grad - ref_grad)) <= scale
+
+
+def stack_case(variant, t, rows=6):
+    """Points, targets and a stack of log-hyperparameters: the all-ones
+    point, a corner of the box, then log-uniform draws."""
+    rng = np.random.default_rng(2100 + t)
+    points = distinct_profile_graphs(rng, t)
+    y = rng.normal(size=t)
+    dim = 3 if variant.exponential else 2
+    thetas = rng.uniform(LOG_LO, LOG_HI, size=(rows, dim))
+    thetas[0], thetas[1] = 0.0, [LOG_HI, LOG_LO, LOG_HI][:dim]
+    return points, y, thetas
+
+
 class TestStackedLikelihood:
-    """``GramBuilder.neg_lml`` on stacks: each row is the scalar evaluation's
-    result, whatever else the stack holds."""
+    """``GramBuilder.neg_lml`` on stacks: each row is its stack of one,
+    whatever else the stack holds, and agrees with the Cholesky reference
+    and with exact arithmetic."""
 
     @pytest.fixture(params=[(v, t) for v in KernelVariant for t in (2, 10, 30)],
                     ids=lambda p: f"{p[0].value}-t{p[1]}")
     def stack(self, request):
         variant, t = request.param
-        rng = np.random.default_rng(2100 + t)
-        points = distinct_profile_graphs(rng, t)
-        y = rng.normal(size=t)
-        builder = GramBuilder.build(StackedSummaries.build(points), variant)
-        dim = 3 if variant.exponential else 2
-        thetas = rng.uniform(LOG_LO, LOG_HI, size=(6, dim))
-        thetas[0], thetas[1] = 0.0, [LOG_HI, LOG_LO, LOG_HI][:dim]  # all ones, a corner
-        return builder, y, thetas
+        points, y, thetas = stack_case(variant, t)
+        return GramParts.of(points, variant), y, thetas
 
     def test_rows_match_stacks_of_one_in_any_order(self, stack):
-        builder, y, thetas = stack
+        parts, y, thetas = stack
+        builder = parts.builder()
         singles = [builder.neg_lml(theta[None], y) for theta in thetas]
         for theta, (value, grad) in zip(thetas, singles):
-            ref_value, ref_grad = scalar_neg_lml(builder, theta, y)
-            assert value[0] == ref_value and np.array_equal(grad[0], ref_grad)
+            assert_close_to_scalar(parts, theta, y, value[0], grad[0])
         shuffled = np.random.default_rng(0).permutation(len(thetas))
         for order in (range(6), range(5, -1, -1), shuffled, [2, 2, 0], [5, 1]):
             values, grads = builder.neg_lml(thetas[list(order)], y)
@@ -412,59 +526,62 @@ class TestStackedLikelihood:
                 assert values[row] == singles[i][0][0]
                 assert np.array_equal(grads[row], singles[i][1][0])
 
-    def test_stacks_beyond_the_entry_cap_go_in_chunks(self, stack, monkeypatch):
-        builder, y, thetas = stack
-        whole = builder.neg_lml(thetas, y)
-        calls = []
-
-        def counted(matrix, noise_var):
-            calls.append(len(matrix))
-            return factorize(matrix, noise_var)
-
-        monkeypatch.setattr(gp_module, "factorize", counted)
-        monkeypatch.setattr(gp_module, "_STACK_ENTRIES", 2 * builder.graph.size + 1)
+    @pytest.mark.parametrize("variant", list(KernelVariant), ids=lambda v: v.value)
+    def test_a_64_row_stack_matches_its_rows_one_by_one(self, variant):
+        points, y, thetas = stack_case(variant, 30, rows=64)
+        builder = GramParts.of(points, variant).builder()
         values, grads = builder.neg_lml(thetas, y)
-        assert calls == [2, 2, 2]
-        assert np.array_equal(values, whole[0]) and np.array_equal(grads, whole[1])
+        for theta, value, grad in zip(thetas, values, grads):
+            (alone,), (alone_grad,) = builder.neg_lml(theta[None], y)
+            assert value == alone and np.array_equal(grad, alone_grad)
+
+    @pytest.mark.parametrize("variant", list(KernelVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("t", [2, 10])
+    def test_no_further_from_exact_than_the_cholesky_path(self, variant, t):
+        points, y, thetas = stack_case(variant, t)
+        parts = GramParts.of(points, variant)
+        values, grads = parts.builder().neg_lml(thetas, y)
+        for theta, value, grad in zip(thetas, values, grads):
+            exact_value, exact_grad = exact_neg_lml(points, variant, theta, y)
+            ref_value, ref_grad = scalar_neg_lml(parts, theta, y)
+            assert abs(value - exact_value) <= 10 * abs(ref_value - exact_value) + 1e-12
+            assert (np.max(np.abs(grad - exact_grad))
+                    <= 10 * np.max(np.abs(ref_grad - exact_grad)) + 1e-12)
 
     def test_failed_row_scores_high_and_leaves_the_others(self, stack):
-        # a feature part shifted by -3 I: K = alpha/sigma (G + I) + beta (F - 3 I)
-        # is positive definite where alpha/sigma > 3 beta, and where beta
-        # dominates it has an eigenvalue near -3 beta (F has rank below t or
-        # entries at most 1), beyond what jitter can mend
-        builder, y, _ = stack
-        t = len(y)
-        shifted = GramBuilder(builder.variant, builder.graph + np.eye(t),
-                              builder.feature - 3.0 * np.eye(t))
-        dim = 3 if builder.variant.exponential else 2
-        thetas = np.array([[4.0, -4.0, 0.0], [-4.0, 4.0, 0.0], [3.0, -3.0, 0.5]])[:, :dim]
-        values, grads = shifted.neg_lml(thetas, y)
+        # a graph part shifted by -3 I at noise 1: D = a (lambda - 3) + 1 has
+        # a negative entry wherever a > 1/3, beyond what jitter can mend
+        parts, y, _ = stack
+        shifted = GramParts.with_graph(parts, parts.graph - 3.0 * np.eye(len(y)))
+        builder = shifted.builder()
+        dim = 3 if parts.variant.exponential else 2
+        thetas = np.array([[-4.0, 4.0, 0.0], [4.0, -4.0, 0.0], [-3.0, 3.0, 0.5]])[:, :dim]
+        values, grads = builder.neg_lml(thetas, y, 1.0)
         assert values[1] == 1e25 and not grads[1].any()
+        assert scalar_neg_lml(shifted, thetas[1], y, 1.0)[0] == 1e25
         for row in (0, 2):
-            (value,), (grad,) = shifted.neg_lml(thetas[row][None], y)
+            (value,), (grad,) = builder.neg_lml(thetas[row][None], y, 1.0)
             assert value < 1e25
             assert values[row] == value and np.array_equal(grads[row], grad)
-            ref_value, ref_grad = scalar_neg_lml(shifted, thetas[row], y)
-            assert value == ref_value and np.array_equal(grad, ref_grad)
+            assert_close_to_scalar(shifted, thetas[row], y, value, grad, 1.0)
 
     def test_rows_that_need_jitter_get_the_scalar_value(self, stack):
-        # every profile twice: K is singular, and a noise just below zero
-        # makes the first Cholesky fail, so each row takes the JITTER retry
-        builder, y, thetas = stack
-        t = len(y)
-        twice = GramBuilder(builder.variant, np.kron(np.ones((2, 2)), builder.graph),
-                            np.kron(np.ones((2, 2)), builder.feature))
+        # every profile twice: G is singular, and a noise just below zero
+        # leaves D = -1e-9 on its null space, so each row takes the JITTER
+        # retry, as the Cholesky reference does
+        parts, y, thetas = stack
+        twice = GramParts.with_graph(parts, np.kron(np.ones((2, 2)), parts.graph),
+                                     np.vstack([parts.phi, parts.phi]))
         y2, noise = np.concatenate([y, -y]), -1e-9
-        values, grads = twice.neg_lml(thetas, y2, noise)
+        values, grads = twice.builder().neg_lml(thetas, y2, noise)
         for theta, value, grad in zip(thetas, values, grads):
             hyper = hyper_at(theta)
             graph = twice.graph / (hyper.sigma_k_sq or 1.0)
-            k = hyper.alpha * graph + hyper.beta * twice.feature + noise * np.eye(2 * t)
+            k = hyper.alpha * graph + hyper.beta * twice.feature + noise * np.eye(2 * len(y))
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(k)
-            ref_value, ref_grad = scalar_neg_lml(twice, theta, y2, noise)
             assert value < 1e25
-            assert value == ref_value and np.array_equal(grad, ref_grad)
+            assert_close_to_scalar(twice, theta, y2, value, grad, noise)
 
 
 class TestFitObjective:
@@ -520,17 +637,35 @@ class TestFitObjective:
         assert abs(value - ref_value) <= 1e-9 * abs(ref_value)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-9 * np.max(np.abs(ref_grad))
 
-    def test_failed_factorization_scores_high_with_zero_gradient(self, problem,
-                                                                 monkeypatch):
-        variant, _, y, builder = problem
-
-        def refuse(matrix, noise_var):  # factorize's mark of a failed slice
-            return np.full(matrix.shape, math.nan)
-
-        monkeypatch.setattr(gp_module, "factorize", refuse)
+    def test_failed_factorization_scores_high_with_zero_gradient(self, problem):
+        # a graph part of -I: D = noise - a < 0 on every row, even with jitter
+        variant, points, y, _ = problem
+        parts = GramParts.of(points, variant)
+        builder = GramParts.with_graph(parts, -np.eye(len(y))).builder()
         values, grads = builder.neg_lml(np.zeros((2, 3 if variant.exponential else 2)), y)
         assert np.all(values == 1e25)
         assert not grads.any()
+
+    @pytest.mark.parametrize("domain", [
+        DomainSpec(n=5, n_min=3, num_labels=2, num_features=3),
+        DomainSpec(n=4, directed=True, num_labels=2)], ids=["sizes_3_to_5", "directed"])
+    @pytest.mark.parametrize("variant", list(KernelVariant), ids=lambda v: v.value)
+    def test_objective_at_the_fit_is_the_public_likelihood(self, domain, variant):
+        # sizes vary row to row, so the feature map divides each point's
+        # sums by its own size
+        rng = np.random.default_rng(2300)
+        points = [sample_feasible(domain, rng) for _ in range(14)]
+        assert domain.directed or len({g.n for g in points}) > 1
+        y = rng.normal(size=len(points))
+        hyper = fit(points, y, variant, seed=3).hyper
+        theta = np.log([hyper.alpha, hyper.beta, hyper.sigma_k_sq or 1.0])
+        builder = GramBuilder.build(StackedSummaries.build(points), variant)
+        theta = theta[:3 if variant.exponential else 2]
+        (value,), _ = builder.neg_lml(theta[None], y)
+        reference = -log_marginal_likelihood(points, y, variant, hyper)
+        assert abs(value - reference) <= RTOL * max(1.0, abs(reference))
+        exact_value, _ = exact_neg_lml(points, variant, theta, y)
+        assert abs(value - exact_value) <= 10 * abs(reference - exact_value) + 1e-12
 
     def test_fit_improves_on_the_all_ones_start(self, problem):
         variant, points, y, _ = problem
@@ -770,26 +905,6 @@ class TestFactorization:
             ref = linalg.cho_solve((model.chol, True), y)
             assert np.allclose(model.weights, ref, rtol=1e-10, atol=1e-12), (name, variant)
 
-    def test_stack_factors_each_slice_as_alone(self, rng):
-        points = distinct_profile_graphs(rng, 6)
-        hyper = KernelHyperparams(alpha=1.0, beta=1.0)
-        k = gram(points, KernelVariant.SSP, hyper)
-        # a repeated point makes this Gram singular
-        singular = gram(points[:1] + points[:5], KernelVariant.SSP, hyper)
-        plain = np.stack([k, 2.0 * k])
-        chol = factorize(plain, NOISE)
-        for slice_, factor in zip(plain, chol):
-            assert np.array_equal(factor, factorize(slice_, NOISE))
-        # one slice that fails even with jitter: the stacked call fails, and
-        # each slice is factored alone
-        mixed = np.stack([k, singular, -np.eye(6), 2.0 * k])
-        chol = factorize(mixed, 0.0)
-        for i in (0, 1, 3):
-            assert np.array_equal(chol[i], factorize(mixed[i], 0.0))
-        assert np.isnan(chol[2]).all()
-        with pytest.raises(FactorizationError):
-            factorize(-np.eye(6), 0.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_raises(self, rng, bad):
         # the factorization checks finiteness once; the solves against the
@@ -800,8 +915,6 @@ class TestFactorization:
         k[0, 1] = k[1, 0] = bad
         with pytest.raises(ValueError):
             factorize(k, NOISE)
-        with pytest.raises(ValueError):
-            factorize(np.stack([np.eye(3), k]), NOISE)
         y = [0.5, bad, -0.5]
         with pytest.raises(ValueError):
             GpModel.build(points, y, KernelVariant.SSP, hyper)
