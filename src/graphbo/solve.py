@@ -15,13 +15,14 @@ A search state is one graph size and its edge bits; it is pruned with
 interval-arithmetic lower bounds on the acquisition value, read from
 per-training-point range-min/max tables of the count profile. The nodes of
 one size differ only in their edge bits, so a node whose whole subtree fits
-the ``graphs.BLOCK`` element budget computes the distance intervals, the
-edge-dependent quick checks and the kernel boxes of every node of that
-subtree in one batch; the walk over the batch visits, counts, prunes and
-polls the budget exactly as a node-by-node search would. The search keeps
-one numbering of each connected graph, a breadth-first one from node 0
-(``_bfs_order_violated``), and renumbers the graphs that tie its optimum to
-the smallest sort key at the end (``graphs.smallest_relabeling``).
+the ``SUBTREE_ELEMENTS`` budget computes the distance intervals, the
+edge-dependent quick checks, the kernel boxes and the bounds of every node
+of that subtree in one batch; the walk over the batch visits, counts, prunes
+and polls the budget exactly as a node-by-node search would. The search
+keeps one numbering of each connected graph, a breadth-first one from node 0
+(``_bfs_order_violated``). It keeps the labelings that tie its incumbent as
+(adjacency, features) pairs, builds graphs only for the final ties, and
+renumbers those to the smallest sort key (``graphs.smallest_relabeling``).
 Both strategies break objective ties toward the smallest
 ``graph_sort_key``.
 
@@ -37,16 +38,15 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .encode import ConstraintBlock, SizeSpec, _size_bounds, check_acquisition_inputs
 from .errors import MissingVariableError, SpaceTooLargeError
-from .gp import GpModel, lcb as gp_lcb, predict
+from .gp import GpModel, _rowdot, lcb as gp_lcb, predict
 from .graphs import (  # noqa: F401  enumerate_domain is re-exported
-    BLOCK,
     AttributedGraph,
     DomainSpec,
     ProfileTable,
@@ -67,6 +67,13 @@ logger = logging.getLogger("graphbo.solve")
 
 DEFAULT_BUDGET = 600.0
 COUNT_CAP = 1 << 24
+# subtree rows x present-node pairs x training points bounded in one batch.
+# The largest array of a batch, the stacked min/max gather of
+# ``_BoundContext.boxes``, then holds 2 x 8,192 float64: 128 KiB, glibc's
+# default mmap threshold. Twice the budget ran bnp_exact_small's solves about
+# 9% faster but raised their peak RSS by 0.3 MiB (2-vCPU Xeon VM, one BLAS
+# thread).
+SUBTREE_ELEMENTS = 8192
 
 
 class SolveStrategy(str, enum.Enum):
@@ -85,6 +92,9 @@ class SolveResult:
     status: str  # Optimal | FeasibleTimeLimit | Infeasible | BudgetExhausted
     nodes_explored: int
     wall_time: float
+    # work counters: B&P reports nodes, subtrees, structures_scored and
+    # graphs_built; enumerate reports rows, table_s and cache_hit
+    stats: dict = field(default_factory=dict)
 
     @property
     def gap(self) -> float:
@@ -467,22 +477,29 @@ class _BoundContext:
         kxx_hi = _combine(np.minimum(self_lin, 1.0), 1.0, self.variant, self.hyper)
         return k_lo, k_hi, kxx_hi
 
-    def row_bound(self, boxes, row: int) -> float:
-        """The bound of state ``row`` of a ``boxes`` stack: the lowest
+    def row_bounds(self, boxes) -> list[float]:
+        """The bound of every state of a ``boxes`` stack: the lowest
         mu - beta_sqrt * sigma over the state's kernel box.
 
-        The O(t^2) tail runs per state, in 1-D expressions: a batched matmul
-        rounds it differently in the last ulp, which could flip a tie.
+        Each state's O(t^2) tail makes one BLAS call per product: the weight
+        sums and |inner|^2 are ``gp._rowdot`` dot products, and z_lo/z_hi are
+        stacked matrix-vector products, which numpy runs as one ``gemv`` per
+        state, the call a 1-D ``ct_pos @ k_lo`` makes. So each state's bound
+        equals that of a stack of one; a plain ``k_lo @ ct_pos.T`` would run
+        ``gemm``, which rounds differently in the last ulp and could flip a
+        tie.
         """
-        k_lo, k_hi, kxx_hi = (part[row] for part in boxes)
-        mu_lo = float(self.w_pos @ k_lo + self.w_neg @ k_hi)
-        z_lo = self.ct_pos @ k_lo + self.ct_neg @ k_hi
-        z_hi = self.ct_pos @ k_hi + self.ct_neg @ k_lo
+        k_lo, k_hi, kxx_hi = boxes
+        rows = len(k_lo)
+        mu_lo = (_rowdot(np.broadcast_to(self.w_pos, (rows, self.t)), k_lo)
+                 + _rowdot(np.broadcast_to(self.w_neg, (rows, self.t)), k_hi))
+        k_lo, k_hi = k_lo[:, :, None], k_hi[:, :, None]
+        z_lo = (self.ct_pos @ k_lo + self.ct_neg @ k_hi)[:, :, 0]
+        z_hi = (self.ct_pos @ k_hi + self.ct_neg @ k_lo)[:, :, 0]
         inner = np.where((z_lo <= 0.0) & (z_hi >= 0.0), 0.0,
                          np.minimum(np.abs(z_lo), np.abs(z_hi)))
-        q_lo = float(np.dot(inner, inner))
-        sigma_hi = math.sqrt(max(kxx_hi - q_lo, 0.0))
-        return mu_lo - self.beta_sqrt * sigma_hi
+        sigma_hi = np.sqrt(np.maximum(kxx_hi - _rowdot(inner, inner), 0.0))
+        return (mu_lo - self.beta_sqrt * sigma_hi).tolist()
 
     def bound(self, pa: PartialAssignment) -> float:
         """A lower bound on the LCB over every feasible completion of
@@ -491,7 +508,7 @@ class _BoundContext:
         lo, hi = _distance_intervals(pa.adj[None], pa.size)
         if not np.isfinite(lo).all():
             return math.inf
-        return self.row_bound(self.boxes(pa.size, lo, hi), 0)
+        return self.row_bounds(self.boxes(pa.size, lo, hi))[0]
 
 
 def dual_bound(partial: PartialAssignment, gp_model: GpModel,
@@ -513,30 +530,29 @@ class _EdgeSubtree:
     node's size; only edge bits differ.
     """
 
-    ctx: _BoundContext
     end: int
     infeasible: np.ndarray  # per row: connectivity and the other edge checks
     dist: np.ndarray  # per row: lower distance intervals, exact at leaves
-    boxes: tuple | None  # ctx.boxes of the rows; None when row 0 is infeasible
+    bounds: list | None  # ctx.row_bounds of the rows; None when row 0 is infeasible
 
     def bound(self, row: int) -> float:
-        return self.ctx.row_bound(self.boxes, row)
+        return self.bounds[row]
 
 
 def _edge_subtree(ctx: _BoundContext, pa: PartialAssignment, depth: int,
                   bits: list) -> _EdgeSubtree:
     """The node at ``pa``, batched with its whole subtree when the
     subtree's rows x present-node pairs x training points fit the
-    ``BLOCK`` element budget, else alone."""
+    ``SUBTREE_ELEMENTS`` budget, else alone."""
     levels = len(bits) - depth
-    if (2 ** (levels + 1) - 1) * pa.size ** 2 * ctx.t > BLOCK:
+    if (2 ** (levels + 1) - 1) * pa.size ** 2 * ctx.t > SUBTREE_ELEMENTS:
         levels = 0
     states = _subtree_states(pa.adj, bits[depth : depth + levels], pa.domain.directed)
     lo, hi = _distance_intervals(states, pa.size)
     infeasible = ~np.isfinite(lo).all(axis=(1, 2)) | _edges_infeasible(pa, states)
     # below an infeasible node the search reads no row
-    boxes = None if infeasible[0] else ctx.boxes(pa.size, lo, hi)
-    return _EdgeSubtree(ctx, depth + levels, infeasible, lo, boxes)
+    bounds = None if infeasible[0] else ctx.row_bounds(ctx.boxes(pa.size, lo, hi))
+    return _EdgeSubtree(depth + levels, infeasible, lo, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +592,17 @@ def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
                      budget: float, warm: Iterable[AttributedGraph]) -> SolveResult:
     start = time.monotonic()
     table = _profile_tables.get(domain)
-    if table is None:
+    cache_hit = table is not None
+    if not cache_hit:
         table = profile_table(
             domain, out_of_time=lambda: time.monotonic() - start >= budget)
         if table.complete:
             _profile_tables[domain] = table
+    stats = {"rows": len(table), "table_s": time.monotonic() - start,
+             "cache_hit": cache_hit}
     if table.complete and not len(table):
         return SolveResult(None, None, math.inf, "Infeasible", 0,
-                           time.monotonic() - start)
+                           time.monotonic() - start, stats)
     best: tuple = (None, math.inf, None)
     if len(table):
         mu, var = predict(model, table.profiles)
@@ -595,7 +614,7 @@ def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         best = (graph, float(values[row]), graph_sort_key(graph))
     if table.complete:
         return SolveResult(best[0], best[1], best[1], "Optimal", len(table),
-                           time.monotonic() - start)
+                           time.monotonic() - start, stats)
     # a build cut short proves nothing, but a warm start may beat its rows
     warm_best = _best_warm_start(model, domain, beta_sqrt, warm)
     if _improves(warm_best[1], warm_best[2], best[1], best[2]):
@@ -603,9 +622,9 @@ def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
     graph, value, _ = best
     if graph is None:
         return SolveResult(None, None, -math.inf, "BudgetExhausted", len(table),
-                           time.monotonic() - start)
+                           time.monotonic() - start, stats)
     return SolveResult(graph, value, -math.inf, "FeasibleTimeLimit", len(table),
-                       time.monotonic() - start)
+                       time.monotonic() - start, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +637,13 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
     start = time.monotonic()
     ctx = _BoundContext(model, beta_sqrt, domain)
     warm_best, incumbent_obj, _ = _best_warm_start(model, domain, beta_sqrt, warm)
-    # the graphs met so far whose LCB equals the incumbent value; pruning
-    # reads only the value, so the sort keys are compared once, at the end
-    tied = [] if warm_best is None else [warm_best]
+    # the labelings met so far whose LCB equals the incumbent value, as
+    # (adjacency, features) pairs; the warm start stays a graph until an
+    # improvement drops it. Pruning reads only the value, so graphs are
+    # built and their sort keys compared once, at the end
+    tied: list[tuple[np.ndarray, np.ndarray]] = []
 
-    nodes = 0
+    nodes = subtrees = structures = 0
     open_bounds: list[float] = []
     timed_out = False
 
@@ -632,10 +653,11 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
     def score_structure(pa: PartialAssignment, node_bound: float,
                         dist: np.ndarray) -> None:
         """Score every feasible labeling of the structure at ``pa``, one
-        ``predict`` call per block of labelings, and build a graph only for
-        the labelings that improve or tie the incumbent value: ``predict``
-        gives a profile one value in any batch, ``gp.lcb``'s."""
-        nonlocal incumbent_obj, tied, timed_out
+        ``predict`` call per block of labelings, and keep the labelings that
+        improve or tie the incumbent value: ``predict`` gives a profile one
+        value in any batch, ``gp.lcb``'s."""
+        nonlocal incumbent_obj, tied, warm_best, timed_out, structures
+        structures += 1
         adjacency = pa.adj[: pa.size, : pa.size].copy()
         np.fill_diagonal(adjacency, 0)
         for profiles, features in structure_profiles(domain, adjacency,
@@ -652,9 +674,8 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             if low > incumbent_obj:
                 continue
             if low < incumbent_obj:
-                incumbent_obj, tied = low, []
-            tied.extend(build_graph(adjacency, f, domain.directed, domain.num_labels)
-                        for f in features[values == low])
+                incumbent_obj, tied, warm_best = low, [], None
+            tied.extend((adjacency, f) for f in features[values == low])
 
     def search(pa: PartialAssignment, bits: list[tuple[int, int]], depth: int,
                subtree: _EdgeSubtree | None, row: int) -> None:
@@ -662,13 +683,14 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         score its structure once every edge bit is fixed.
 
         The node is row ``row`` of ``subtree``: the batch of the nearest
-        node on its path whose whole subtree fits the ``BLOCK`` budget, or
-        a stack of the node alone (``_edge_subtree``). A ``subtree`` of
-        None starts a new batch at the node.
+        node on its path whose whole subtree fits the ``SUBTREE_ELEMENTS``
+        budget, or a stack of the node alone (``_edge_subtree``). A
+        ``subtree`` of None starts a new batch at the node.
         """
-        nonlocal nodes, timed_out
+        nonlocal nodes, subtrees, timed_out
         if subtree is None:
             subtree, row = _edge_subtree(ctx, pa, depth, bits), 0
+            subtrees += 1
         if subtree.infeasible[row]:
             return
         nodes += 1
@@ -676,7 +698,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         if log_interval and nodes % log_interval == 0:
             logger.info("node=%d depth=%d bound=%g incumbent=%s", nodes, depth,
                         node_bound,
-                        "none" if not tied else f"{incumbent_obj:g}")
+                        "none" if incumbent_obj == math.inf else f"{incumbent_obj:g}")
         # a node whose bound equals the incumbent may still hold a tie with
         # a smaller sort key; with no incumbent only inf bounds prune
         if node_bound > incumbent_obj or node_bound == math.inf:
@@ -712,21 +734,26 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             open_bounds.append(ctx.bound(root))
         else:
             search(root, adjacency_pairs(size, domain.directed), 0, None, 0)
+    graphs = [] if warm_best is None else [warm_best]
+    graphs.extend(build_graph(adjacency, features, domain.directed, domain.num_labels)
+                  for adjacency, features in tied)
+    stats = {"nodes": nodes, "subtrees": subtrees, "structures_scored": structures,
+             "graphs_built": len(tied)}
     elapsed = time.monotonic() - start
 
-    if not tied:
+    if not graphs:
         if timed_out:
             return SolveResult(None, None, min(open_bounds, default=-math.inf),
-                               "BudgetExhausted", nodes, elapsed)
-        return SolveResult(None, None, math.inf, "Infeasible", nodes, elapsed)
+                               "BudgetExhausted", nodes, elapsed, stats)
+        return SolveResult(None, None, math.inf, "Infeasible", nodes, elapsed, stats)
     if timed_out or domain.extra_rows:
-        incumbent = min(tied, key=graph_sort_key)
+        incumbent = min(graphs, key=graph_sort_key)
     else:
         # a completed search met every isomorphism class that reaches the
         # incumbent value in at least one numbering, so the smallest sort
         # key is the smallest over their renumberings; a renumbering keeps
         # the kernel profile, hence the LCB
-        incumbent = smallest_relabeling(tied)
+        incumbent = smallest_relabeling(graphs)
     if timed_out:
         bound = min([incumbent_obj] + open_bounds)
         status = "FeasibleTimeLimit"
@@ -737,7 +764,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         status = "Optimal"
     logger.info("status=%s gap=%g time=%.3fs nodes=%d", status,
                 incumbent_obj - bound, elapsed, nodes)
-    return SolveResult(incumbent, incumbent_obj, bound, status, nodes, elapsed)
+    return SolveResult(incumbent, incumbent_obj, bound, status, nodes, elapsed, stats)
 
 
 def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
@@ -770,16 +797,20 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     labelings are scored by ``gp.predict``, one call per block of labelings.
     ``predict`` gives a profile one value in any batch, equal to
     ``gp.lcb``'s, so the block's values are compared with the incumbent
-    value directly, and only a labeling that improves or ties it is built
-    into a graph; nothing is re-scored. Each subtree that fits the
-    ``graphs.BLOCK`` element budget is bounded in one batch; the nodes
-    bounded, their values, the tie-breaks and the budget polls are those of
-    a node-by-node search. ``nodes_explored`` counts the nodes whose bound
-    was computed: 369 at n=5 with 2 labels and 10 random points, where
-    searching every numbering bounded 1,598. With 10 random points, a
-    search per size bounds 417 nodes at n=2..5 with 2 labels, 6,869 at
-    n=3..6 with 1 label and 49 at n=1..4 with 2 labels, where branching on
-    the existence bits first bounded 506, 7,042–7,058 and 78.
+    value directly, and a labeling that improves or ties it is kept as an
+    (adjacency, features) pair; an improvement drops the pairs kept so far,
+    and graphs are built only for the final ties, after the search. Nothing
+    is re-scored. Each subtree whose rows x present-node pairs x training
+    points fit ``SUBTREE_ELEMENTS`` (8,192) is bounded in one batch, with
+    one BLAS call per row and product, so each row's bound is that of a
+    stack of one; the nodes bounded, their values, the tie-breaks and the
+    budget polls are those of a node-by-node search. ``nodes_explored``
+    counts the nodes whose bound was computed: 369 at n=5 with 2 labels and
+    10 random points, where searching every numbering bounded 1,598. With
+    10 random points, a search per size bounds 417 nodes at n=2..5 with 2
+    labels, 6,869 at n=3..6 with 1 label and 49 at n=1..4 with 2 labels,
+    where branching on the existence bits first bounded 506, 7,042–7,058
+    and 78.
 
     Symmetry: the search keeps only states whose present nodes can
     still be numbered as a breadth-first search from node 0 numbers them.
@@ -819,6 +850,12 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     ``warm_start`` may be any iterable, lazy ones included: it is read only
     by the strategy that needs it, ``branch_and_propagate`` always and
     ``enumerate`` only when its table build is cut short.
+
+    ``SolveResult.stats`` counts each strategy's work: ``enumerate`` reports
+    ``rows`` (profile rows scored), ``table_s`` (seconds to build or fetch
+    the table) and ``cache_hit``; ``branch_and_propagate`` reports ``nodes``
+    (as ``nodes_explored``), ``subtrees`` (batches built),
+    ``structures_scored`` and ``graphs_built``.
 
     Both strategies first check their inputs with
     ``encode.check_acquisition_inputs``, as the encoder does: an unfitted

@@ -29,6 +29,7 @@ from graphbo.graphs import (
     enumerate_domain,
     is_connected,
     sample_feasible,
+    smallest_relabeling,
     structure_profiles,
 )
 from graphbo.kernels import StackedSummaries, cross_gram, k_combined, self_kernel_parts
@@ -116,6 +117,22 @@ def reference_bound(pa, model, beta_sqrt):
                      np.minimum(np.abs(z_lo), np.abs(z_hi)))
     sigma_hi = math.sqrt(max(kxx_hi - float(np.dot(inner, inner)), 0.0))
     return mu_lo - beta_sqrt * sigma_hi
+
+
+def scalar_row_bound(ctx, boxes, row):
+    """The bound of state ``row`` of a ``boxes`` stack in 1-D expressions,
+    one state at a time, as the search computed it before subtrees were
+    bounded in one pass. Returns the bound and whether some z interval
+    straddles 0."""
+    k_lo, k_hi, kxx_hi = (part[row] for part in boxes)
+    mu_lo = float(ctx.w_pos @ k_lo + ctx.w_neg @ k_hi)
+    z_lo = ctx.ct_pos @ k_lo + ctx.ct_neg @ k_hi
+    z_hi = ctx.ct_pos @ k_hi + ctx.ct_neg @ k_lo
+    straddle = (z_lo <= 0.0) & (z_hi >= 0.0)
+    inner = np.where(straddle, 0.0, np.minimum(np.abs(z_lo), np.abs(z_hi)))
+    q_lo = float(np.dot(inner, inner))
+    sigma_hi = math.sqrt(max(kxx_hi - q_lo, 0.0))
+    return mu_lo - ctx.beta_sqrt * sigma_hi, bool(((z_lo < 0.0) & (z_hi > 0.0)).any())
 
 
 def reference_quick_infeasible(pa):
@@ -527,6 +544,115 @@ class TestDualBound:
                 previous = current
                 if current == math.inf:
                     break
+
+
+class TestBatchedBounds:
+    """``_BoundContext.row_bounds`` bounds every state of a subtree stack in
+    one pass; each state's bound must not depend on the stack it sits in."""
+
+    @pytest.mark.parametrize("t", [1, 8, 25])
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    @pytest.mark.parametrize("dom", [DomainSpec(n=5, num_labels=1),
+                                     DomainSpec(n=5, num_labels=2)],
+                             ids=["n5_1label", "n5_2labels"])
+    def test_rows_equal_stacks_of_one_and_the_scalar_formula(self, rng, dom, variant, t):
+        # subtrees from the root, where most z intervals straddle 0, down to
+        # complete structures, whose boxes are points with one label
+        if t == 1:  # below what a fit takes: fixed hyperparameters
+            model = GpModel.build([sample_feasible(dom, rng)], [rng.normal()], variant,
+                                  KernelHyperparams(alpha=2.0, beta=0.5, sigma_k_sq=0.7))
+        else:
+            model = fitted_model(rng, dom, t=t, variant=variant)
+        ctx = solve_module._BoundContext(model, 1.0, dom)
+        bits = adjacency_pairs(dom.n, dom.directed)
+        straddles = checked = 0
+        for fixed in (0, 4, 8):
+            pa = PartialAssignment.root(dom, dom.n)
+            for a, b in bits[:fixed]:
+                pa.set_adj(a, b, int(rng.integers(0, 2)))
+            states = solve_module._subtree_states(pa.adj, bits[fixed : fixed + 6],
+                                                  dom.directed)
+            lo, hi = solve_module._distance_intervals(states, dom.n)
+            boxes = ctx.boxes(dom.n, lo, hi)
+            # the whole subtree, and every third row of it: a stack whose
+            # rows are not contiguous in memory
+            for rows in (slice(None), slice(1, None, 3)):
+                stack = tuple(part[rows] for part in boxes)
+                bounds = ctx.row_bounds(stack)
+                assert len(bounds) == len(stack[0])
+                for row, value in enumerate(bounds):
+                    one = tuple(part[row : row + 1] for part in stack)
+                    reference, straddle = scalar_row_bound(ctx, stack, row)
+                    assert value == ctx.row_bounds(one)[0]
+                    assert value == reference
+                    straddles += straddle
+                    checked += 1
+        assert checked > 300
+        if t > 1:
+            assert straddles
+
+
+class TestFinalTies:
+    """Branch-and-propagate keeps the labelings that improve or tie its
+    incumbent as (adjacency, features) pairs and builds graphs only for
+    the final ties."""
+
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    @pytest.mark.parametrize("dom", [DomainSpec(n=5, num_labels=1),
+                                     DomainSpec(n=4, num_labels=2)],
+                             ids=["n5_1label", "n4_2labels"])
+    def test_builds_only_the_graphs_handed_to_the_tie_break(self, rng, monkeypatch,
+                                                           dom, variant):
+        model = fitted_model(rng, dom, t=8, variant=variant)
+        warm = [sample_feasible(dom, rng) for _ in range(3)]
+        *_, incumbent = reference_search(model, dom, 1.0)
+        built, handed = [], []
+
+        def counting_build(*args):
+            built.append(args)
+            return build_graph(*args)
+
+        def recording_relabeling(graphs):
+            handed.append(list(graphs))
+            return smallest_relabeling(graphs)
+
+        monkeypatch.setattr(solve_module, "build_graph", counting_build)
+        monkeypatch.setattr(solve_module, "smallest_relabeling", recording_relabeling)
+        result = solve(model, dom, 1.0, strategy="branch_and_propagate",
+                       warm_start=warm)
+        assert result.status == "Optimal"
+        assert result.incumbent == incumbent
+        tie_break, = handed
+        searched = [g for g in tie_break if not any(g is w for w in warm)]
+        assert len(built) == len(searched) == result.stats["graphs_built"]
+
+
+class TestSolveStats:
+    def test_branch_and_propagate_counts_its_work(self, rng):
+        dom = DomainSpec(n=4, num_labels=2)
+        model = fitted_model(rng, dom)
+        result = solve(model, dom, 1.0, strategy="branch_and_propagate")
+        stats = result.stats
+        assert set(stats) == {"nodes", "subtrees", "structures_scored", "graphs_built"}
+        assert stats["nodes"] == result.nodes_explored
+        assert 1 <= stats["subtrees"] < stats["nodes"]
+        assert 1 <= stats["structures_scored"] < stats["nodes"]
+        assert stats["graphs_built"] >= 1
+
+    def test_enumerate_reports_rows_build_time_and_cache_hits(self, rng):
+        dom = DomainSpec(n=4, num_labels=2)
+        model = fitted_model(rng, dom)
+        solve_module._profile_tables.clear()
+        cold, warm = (solve(model, dom, 1.0, strategy="enumerate") for _ in range(2))
+        for result, hit in ((cold, False), (warm, True)):
+            assert set(result.stats) == {"rows", "table_s", "cache_hit"}
+            assert result.stats["rows"] == result.nodes_explored
+            assert result.stats["cache_hit"] is hit
+            assert 0.0 <= result.stats["table_s"] <= result.wall_time
+
+    def test_positional_constructor_defaults_to_empty_stats(self):
+        result = solve_module.SolveResult(None, None, math.inf, "Infeasible", 0, 0.0)
+        assert result.stats == {}
 
 
 class TestSolve:
