@@ -11,14 +11,13 @@ profile; the ``enumerate`` solve strategy scores those rows (its
 first graph in ``enumerate_domain`` order with its profile, so ties still
 break toward the lexicographically smallest graph. Undirected domains
 without user rows build the table from one structure per isomorphism class
-of connected graphs (``_connected_classes``: vertex augmentation, exact
-canonical codes), in its smallest numbering, which is that first graph's
-structure; other domains walk every connected structure. Both solve
-strategies read one structure's labelings through ``structure_profiles``:
-the table to deduplicate them, branch-and-propagate to score them.
-``smallest_relabeling`` renumbers graphs to their smallest
-``graph_sort_key``, which branch-and-propagate needs because it searches
-one numbering per isomorphism class.
+of connected graphs (``_connected_classes``: vertex augmentation), in its
+smallest numbering, which is that first graph's structure; other domains
+walk every connected structure. Both solve strategies read one structure's
+labelings through ``structure_profiles``. ``smallest_relabeling``
+renumbers graphs to their smallest ``graph_sort_key``, which
+branch-and-propagate needs as it searches one numbering per class. One
+canonical search, ``_smallest_numberings``, finds those numberings for both.
 """
 
 from __future__ import annotations
@@ -132,7 +131,12 @@ class AttributedGraph:
         n = int(obj["n"])
         directed = bool(obj["directed"])
         adjacency = np.zeros((n, n), dtype=np.int8)
-        for u, v in obj["edges"]:
+        for edge in obj["edges"]:
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and all(
+                    isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+                    for x in edge)):
+                raise ValueError(f"edge {edge!r} is not a pair of node indices in [0, {n})")
+            u, v = edge
             adjacency[u, v] = 1
             if not directed:
                 adjacency[v, u] = 1
@@ -325,6 +329,9 @@ class DomainSpec:
 
     ``degree_caps[l]`` caps the (in-)degree of nodes with label l.
     ``label_count_bounds[l]`` bounds how many nodes carry label l.
+    ``extra_rows`` may name only off-diagonal adjacency pairs and feature
+    entries of the size-n grid (the diagonal is the optimization model's
+    node-existence bit); other entries raise InvalidSizeBoundsError.
     """
 
     n: int
@@ -358,6 +365,17 @@ class DomainSpec:
                 raise InvalidSizeBoundsError("label_count_bounds must cover every label")
             object.__setattr__(self, "label_count_bounds", bounds)
         object.__setattr__(self, "extra_rows", tuple(self.extra_rows))
+        for row in self.extra_rows:
+            for u, v, _ in row.adjacency:
+                if not (0 <= u < self.n and 0 <= v < self.n and u != v):
+                    raise InvalidSizeBoundsError(
+                        f"user row names adjacency pair ({u}, {v}), outside the "
+                        f"off-diagonal pairs of {self.n} nodes")
+            for v, f, _ in row.features:
+                if not (0 <= v < self.n and 0 <= f < m):
+                    raise InvalidSizeBoundsError(
+                        f"user row names feature entry ({v}, {f}), outside "
+                        f"{self.n} nodes x {m} features")
 
     @property
     def fixed_size(self) -> bool:
@@ -608,48 +626,59 @@ def _group_starts(groups: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(groups, prepend=-1))
 
 
-def _canonical_codes(adjacency: np.ndarray) -> np.ndarray:
-    """The smallest adjacency code (see ``_code_adjacency``) over every
-    numbering of each undirected graph in ``adjacency`` (b, n, n).
+def _smallest_numberings(adjacency: np.ndarray, features: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The numberings of smallest ``graph_sort_key`` of each graph in a stack
+    (b, n, n) with features (b, n, M), up to swapping twins: (graph, order),
+    graphs ascending; row p renumbers node p[i] as i.
 
-    The numbering is built one position at a time. A node's signature is
-    its adjacency bits to the nodes already placed, the first placed most
-    significant. The smallest code numbers the unplaced nodes by ascending
-    signature, since swapping two nodes out of that order lowers the first
-    row in which their bits differ. So position k takes a node of smallest
-    signature, and once it is placed, row k of the code (its bits to the
-    later positions) is the low bits of the remaining signatures in
-    ascending order. Per graph only the states with the smallest rows so
-    far go on; every smallest numbering is among them. Graphs are searched
-    in chunks, which bounds the states held at once. Codes are int64, so
-    n <= 11.
+    A canonical search (McKay & Piperno, J. Symb. Comput. 60, 2014). A
+    node's signature is its bits from the placed nodes, the first placed
+    most significant. Position k takes a node of least signature (a swap out
+    of that order lowers the first row where the two differ) and, if
+    directed, of least bits to the placed nodes; those lead row k, and the
+    low bits of the sorted remaining signatures end it. A graph's states
+    share the earlier rows, so those with the smallest row k go on.
+    Symmetric stacks skip the bits to the placed nodes and the forced last
+    position. Of two twin candidates (swapping them is an automorphism)
+    only the one of smaller (feature row, index) goes on. n <= 62.
     """
     b, n = adjacency.shape[:2]
-    codes = np.zeros(b, dtype=np.int64)
+    directed = not np.array_equal(adjacency, adjacency.swapaxes(1, 2))
+    rank = np.argsort(np.lexsort(np.moveaxis(features, -1, 0)[::-1], axis=-1), axis=-1)
     placed = 1 << 62  # the signature of a placed node: above the rest, low bit 0
-    earlier = np.tri(n, k=-1, dtype=bool)  # [u, w]: w < u, which breaks ties
+    found = []
     chunk = 128  # graphs searched at once, which bounds the temporaries
     for lo in range(0, b, chunk):
-        adj = adjacency[lo: lo + chunk].astype(np.int64)
+        adj, r = adjacency[lo: lo + chunk].astype(np.int64), rank[lo: lo + chunk]
+        # twin[g, x, y]: y ranks lower and swapping x, y is an automorphism
+        twin = (adj == adj.swapaxes(1, 2)) & (r[:, None, :] < r[:, :, None])
+        for a in (adj, adj.swapaxes(1, 2)):
+            twin &= (a[:, :, None] == a[:, None]).sum(axis=3) == n - 2 * adj
         graph = np.arange(len(adj))  # ascends: each graph's states are adjacent
-        sig = np.zeros((len(adj), n), dtype=np.int64)
-        code = np.zeros(len(adj), dtype=np.int64)
-        for k in range(n - 1):
-            state, node = np.nonzero(sig == sig.min(axis=1, keepdims=True))
-            graph, code = graph[state], code[state]
-            sig = np.where(sig[state] == placed, placed,
-                           sig[state] << 1 | adj[graph, node])
+        order = np.zeros((len(adj), 0), dtype=np.intp)
+        sig = into = np.zeros((len(adj), n), dtype=np.int64)  # into: bits to the placed nodes
+        for width in range(n - 1, -1 if directed else 0, -1):  # n - 1 - k: row k's later bits
+            candidate = sig == sig.min(axis=1, keepdims=True)
+            if directed:
+                lead = np.where(candidate, into, placed)
+                candidate = lead == lead.min(axis=1, keepdims=True)
+            candidate &= ~(candidate[:, None, :] & twin[graph]).any(axis=2)
+            state, node = np.nonzero(candidate)
+            graph, order = graph[state], np.column_stack([order[state], node])
+            sig = np.where(sig[state] == placed, placed, sig[state] << 1 | adj[graph, node])
             sig[np.arange(len(node)), node] = placed
-            # each node's position in ascending signature order
-            rank = ((sig[:, None, :] < sig[:, :, None])
-                    | (sig[:, None, :] == sig[:, :, None]) & earlier).sum(axis=2)
-            width = n - 1 - k
-            code = code << width | ((sig & 1) << np.maximum(width - 1 - rank, 0)).sum(axis=1)
-            best = np.minimum.reduceat(code, _group_starts(graph))
-            keep = code == best[graph]
-            graph, code, sig = graph[keep], code[keep], sig[keep]
-        codes[lo: lo + len(adj)] = code[_group_starts(graph)]
-    return codes
+            code = (np.sort(sig, axis=1)[:, :width] & 1) @ (1 << np.arange(width - 1, -1, -1))
+            if directed:
+                code |= into[state, node] << width
+            keep = code == np.minimum.reduceat(code, _group_starts(graph))[graph]
+            state, graph, order, sig = state[keep], graph[keep], order[keep], sig[keep]
+            if directed:
+                into = into[state] << 1 | adj[graph, :, order[:, -1]]
+        if not directed:
+            order = np.column_stack([order, sig.argmin(axis=1)])
+        found.append((lo + graph, order))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -660,9 +689,9 @@ def _connected_classes(n: int) -> np.ndarray:
 
     Classes are generated by vertex augmentation (McKay, J. Algorithms 26,
     1998): each (n - 1)-class gets one new node joined to every nonempty
-    subset of its nodes, and the candidates are deduplicated by their
-    canonical code. Removing a leaf of a spanning tree leaves a connected
-    graph, so every class is reached.
+    subset of its nodes, and the candidates are deduplicated in their
+    smallest numbering (``_smallest_numberings``). Removing a leaf of a
+    spanning tree leaves a connected graph, so every class is reached.
     """
     if n == 1:
         classes = np.zeros((1, 1, 1), dtype=np.int8)
@@ -673,8 +702,12 @@ def _connected_classes(n: int) -> np.ndarray:
         candidates[:, :, :-1, :-1] = parents[:, None]
         candidates[:, :, -1, :-1] = subsets
         candidates[:, :, :-1, -1] = subsets
-        codes = sorted(set(_canonical_codes(candidates.reshape(-1, n, n)).tolist()))
-        classes = _code_adjacency(np.array(codes, dtype=np.int64), n, directed=False)
+        candidates = candidates.reshape(-1, n, n)
+        graph, order = _smallest_numberings(candidates, np.zeros_like(candidates[:, :, :1]))
+        smallest = candidates[graph[:, None, None], order[:, :, None], order[:, None, :]]
+        # the byte order of 0/1 matrices is their lexicographic order
+        rows = sorted({matrix.tobytes() for matrix in smallest})
+        classes = np.frombuffer(b"".join(rows), dtype=np.int8).reshape(-1, n, n)
     classes.setflags(write=False)
     return classes
 
@@ -941,38 +974,21 @@ def graph_sort_key(graph: AttributedGraph) -> tuple:
             tuple(graph.features.ravel().tolist()))
 
 
-def _node_orders(n: int) -> Iterator[np.ndarray]:
-    """Every ordering of n nodes, in ``itertools.permutations`` order, as
-    (b, n) blocks of at most BLOCK rows; row p renumbers node p[i] as i."""
-    orders = itertools.permutations(range(n))
-    while block := list(itertools.islice(orders, BLOCK)):
-        yield np.array(block, dtype=np.intp)
-
-
 def smallest_relabeling(graphs: Iterable[AttributedGraph]) -> AttributedGraph:
     """Of every renumbering of every graph in ``graphs`` (one directedness
     and label scheme; features move with their nodes), the one with the
     smallest ``graph_sort_key``.
 
-    The key is size-major, so only the smallest graphs are renumbered, each
-    through all n! orderings of its nodes. The orderings are made once per
-    call, one block at a time, which bounds the memory.
+    The key is size-major: only the smallest go to ``_smallest_numberings``.
     """
     graphs = list(graphs)
     n = min(g.n for g in graphs)
     smallest = [g for g in graphs if g.n == n]
-    best_key, best = None, None
-    for orders in _node_orders(n):
-        for g in smallest:
-            adjacency = g.adjacency[orders[:, :, None], orders[:, None, :]]
-            features = g.features[orders]
-            keys = np.concatenate([adjacency.reshape(len(orders), -1),
-                                   features.reshape(len(orders), -1)], axis=1)
-            i = int(np.lexsort(keys.T[::-1])[0])
-            key = keys[i].tolist()
-            if best_key is None or key < best_key:
-                best_key, best = key, (adjacency[i], features[i])
-    return build_graph(*best, smallest[0].directed, smallest[0].num_labels)
+    graph, order = _smallest_numberings(np.stack([g.adjacency for g in smallest]),
+                                        np.stack([g.features for g in smallest]))
+    return min((build_graph(smallest[g].adjacency[np.ix_(p, p)], smallest[g].features[p],
+                            smallest[g].directed, smallest[g].num_labels)
+                for g, p in zip(graph, order)), key=graph_sort_key)
 
 
 def sample_feasible(domain: DomainSpec, seed, attempts: int = SAMPLING_ATTEMPTS) -> AttributedGraph:

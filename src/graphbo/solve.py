@@ -825,7 +825,7 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
 
     A node is pruned only when its bound exceeds the incumbent value, so
     every class that reaches the optimum is met in some numbering. The
-    graphs met at the optimum are renumbered through all n! node orders
+    graphs met at the optimum are renumbered by a canonical search
     (``graphs.smallest_relabeling``; features move with their nodes, which
     keeps the profile and hence the LCB), so ties break toward the smallest
     ``graph_sort_key`` as in ``enumerate``. Without the rule

@@ -33,6 +33,14 @@ def test_kernel_prints_value(capsys, k2_file):
     assert capsys.readouterr().out.strip() == "0.5"
 
 
+def test_kernel_bad_edge_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"directed": False, "n": 3, "edges": [[0, 1], [1, 5]],
+                                "features": [[1], [1], [1]], "num_labels": 1}) + "\n")
+    assert dispatch(["kernel", "--variant", "ssp", "--a", str(path), "--b", str(path)]) == 2
+    assert "[1, 5]" in capsys.readouterr().err
+
+
 def test_kernel_feature_and_combined(capsys, k2_file, tmp_path):
     assert dispatch(["kernel", "--variant", "ssp", "--a", k2_file, "--b", k2_file,
                      "--combined", "--alpha", "2", "--beta", "0"]) == 0

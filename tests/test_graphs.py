@@ -1,6 +1,7 @@
 """Graph model, shortest paths, enumeration, sampling, and file formats."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,25 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec.from_dict({"n": 3, "color": "blue"})
 
+    @pytest.mark.parametrize("row", [
+        LinearRow(adjacency=((-1, 0, 1.0),)),
+        LinearRow(adjacency=((0, 5, 1.0),)),
+        LinearRow(adjacency=((1, 1, 1.0),)),
+        LinearRow(features=((-1, 0, 1.0),)),
+        LinearRow(features=((3, 0, 1.0),)),
+        LinearRow(features=((0, 2, 1.0),)),
+    ], ids=["negative_node", "node_past_n", "diagonal", "feature_negative_node",
+            "feature_node_past_n", "feature_past_m"])
+    def test_rows_outside_the_grid_rejected(self, row):
+        # the enumerator would wrap -1 to node 2 or read node 5 as zero,
+        # and the encoder has no variable for these entries
+        with pytest.raises(InvalidSizeBoundsError):
+            DomainSpec(n=3, num_labels=2, extra_rows=(row,))
+
+    def test_rows_inside_the_grid_accepted(self):
+        row = LinearRow(adjacency=((2, 0, 1.0),), features=((2, 1, 1.0),))
+        assert DomainSpec(n=3, n_min=2, num_labels=2, extra_rows=(row,)).extra_rows == (row,)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,directed,expected", [
@@ -311,6 +331,14 @@ class TestFiles:
         graphs, y = graphbo.read_dataset(path)
         assert graphs == [g for g, _ in data]
         assert y.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("edge", [[-1, 0], [1, 5], [0, 1.0], [0], [0, 1, 2], [True, 0]])
+    def test_bad_edge_rejected(self, edge):
+        # numpy would read [-1, 0] as edge (0, 2) and raise IndexError on [1, 5]
+        obj = {"directed": False, "n": 3, "edges": [[0, 1], [1, 2], edge],
+               "features": [[1], [1], [1]], "num_labels": 1}
+        with pytest.raises(ValueError, match=re.escape(repr(edge))):
+            graphbo.graphs.AttributedGraph.from_dict(obj)
 
     def test_directed_round_trip(self, tmp_path):
         g = build_graph([[0, 1], [1, 0]], [[1, 0], [0, 1]], True, 2)

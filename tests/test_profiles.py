@@ -350,8 +350,8 @@ def test_class_table_equals_the_walk_over_every_structure(domain, monkeypatch):
 
 
 def test_class_counts_follow_oeis_a001349():
-    counts = [len(graphs_module._connected_classes(n)) for n in range(1, 8)]
-    assert counts == [1, 1, 2, 6, 21, 112, 853]
+    counts = [len(graphs_module._connected_classes(n)) for n in range(1, 9)]
+    assert counts == [1, 1, 2, 6, 21, 112, 853, 11117]
 
 
 @pytest.mark.parametrize("n", range(2, 7))

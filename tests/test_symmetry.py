@@ -12,6 +12,7 @@ from graphbo import DomainSpec, KernelHyperparams, KernelVariant
 from graphbo.gp import GpModel
 from graphbo.graphs import (
     _connected_structures,
+    _smallest_numberings,
     build_graph,
     sample_feasible,
     smallest_relabeling,
@@ -152,10 +153,61 @@ def brute_smallest(graphs):
     ((4,), 2, 4, False),
     ((3,), 2, 3, True),
     ((5, 5), 3, 3, False),
-], ids=["bounded", "extra_features", "directed", "two_of_one_size"])
+    ((5,), 2, 3, True),
+], ids=["bounded", "extra_features", "directed", "two_of_one_size",
+        "directed_extra_feature"])
 def test_smallest_relabeling_matches_brute_force(rng, sizes, num_labels,
                                                  num_features, directed):
     for _ in range(5):
         graphs = [random_graph(rng, n, num_labels, num_features, directed)
                   for n in sizes]
         assert smallest_relabeling(graphs) == brute_smallest(graphs)
+
+
+def families(n, directed):
+    """Complete, star, cycle (one way round when directed) and complete
+    bipartite adjacency on n nodes: the graphs with the most symmetry."""
+    complete = 1 - np.eye(n, dtype=np.int8)
+    star = np.zeros((n, n), dtype=np.int8)
+    star[0, 1:] = star[1:, 0] = 1
+    cycle = np.roll(np.eye(n, dtype=np.int8), 1, axis=1)
+    if not directed:
+        cycle |= cycle.T
+    bipartite = np.zeros((n, n), dtype=np.int8)
+    bipartite[: n // 2, n // 2:] = bipartite[n // 2:, : n // 2] = 1
+    return [complete, star, cycle, bipartite]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("n", [4, 6])
+def test_smallest_relabeling_matches_brute_force_on_symmetric_families(rng, n, directed):
+    # many automorphisms: many numberings tie on adjacency and the labels
+    # decide among them
+    for adjacency in families(n, directed):
+        order = rng.permutation(n)
+        features = np.eye(3, dtype=np.int8)[rng.integers(0, 3, size=n)]
+        graph = build_graph(adjacency[np.ix_(order, order)], features, directed, 3)
+        assert smallest_relabeling([graph]) == brute_smallest([graph])
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_smallest_relabeling_ignores_the_numbering_at_nine_nodes(rng, directed):
+    for _ in range(3):
+        graph = random_graph(rng, 9, 2, 3, directed)
+        order = rng.permutation(9)
+        renumbered = build_graph(graph.adjacency[np.ix_(order, order)],
+                                 graph.features[order], directed, 2)
+        assert smallest_relabeling([graph]) == smallest_relabeling([renumbered])
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_complete_graph_relabels_to_sorted_features(rng, n):
+    # every numbering of K_n has the same adjacency, so the smallest sorts
+    # the nodes by feature row; twin pruning keeps the search at one state
+    features = np.eye(3, dtype=np.int8)[rng.integers(0, 3, size=n)]
+    graph = build_graph(1 - np.eye(n, dtype=np.int8), features, False, 3)
+    _, orders = _smallest_numberings(graph.adjacency[None], graph.features[None])
+    assert len(orders) == 1
+    smallest = smallest_relabeling([graph])
+    assert np.array_equal(smallest.adjacency, graph.adjacency)
+    assert np.array_equal(smallest.features, np.array(sorted(features.tolist())))
