@@ -42,7 +42,6 @@ class BoConfig:
     seed: int = 0
     strategy: SolveStrategy = DEFAULT_STRATEGY
     fit_restarts: int = FIT_RESTARTS
-    log_interval: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "variant", KernelVariant(self.variant))
@@ -258,8 +257,7 @@ def run(oracle: ObjectiveOracle, domain: DomainSpec, config: BoConfig) -> BoHist
             result = solve(model, domain, config.beta_sqrt,
                            budget=config.solver_budget,
                            strategy=config.strategy,
-                           warm_start=warm,
-                           log_interval=config.log_interval)
+                           warm_start=warm)
             if result.incumbent is None:
                 raise GraphBoError(f"solver returned no incumbent ({result.status})")
         except (GraphBoError, ValueError) as exc:

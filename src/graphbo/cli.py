@@ -37,7 +37,7 @@ from .solve import DEFAULT_BUDGET, DEFAULT_STRATEGY, SolveStrategy, count_feasib
 CONFIG_KEYS = {
     "seed", "domain", "variant", "alpha", "beta", "sigma_k_sq", "beta_sqrt",
     "initial_samples", "iterations", "solver_budget", "warm_start_count",
-    "strategy", "log_interval", "oracle", "restarts",
+    "strategy", "oracle", "restarts",
     "breakpoints", "format", "count",
 }
 
@@ -111,7 +111,6 @@ def _bo_config(args, config: dict, seed: int) -> bo_mod.BoConfig:
         "solver_budget": (args.budget, "solver_budget", float),
         "warm_start_count": (args.warm, "warm_start_count", int),
         "strategy": (args.strategy, "strategy", SolveStrategy),
-        "log_interval": (None, "log_interval", int),
     }
     given = {name: kind(value) for name, (flag, key, kind) in fields.items()
              if (value := _pick(flag, config, key, None)) is not None}
@@ -191,7 +190,6 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy")
     p.add_argument("--budget", type=float)
     p.add_argument("--warm", type=int)
-    p.add_argument("--log-interval", dest="log_interval", type=int)
     p.add_argument("--out", help="write the proposed graph here")
 
     p = sub.add_parser("verify-bijection",
@@ -314,9 +312,7 @@ def _run_command(args, config: dict, seed: int) -> int:
         warm_count = int(_pick(args.warm, config, "warm_start_count", 0))
         warm = bo_mod.warm_start(domain, warm_count, seed)
         result = solve(model, domain, beta_sqrt, budget=budget, strategy=strategy,
-                       warm_start=warm,
-                       log_interval=int(_pick(args.log_interval, config,
-                                              "log_interval", 0)))
+                       warm_start=warm)
         print(f"status={result.status} objective="
               f"{'' if result.objective is None else repr(result.objective)}"
               f" bound={result.bound!r} nodes={result.nodes_explored}")

@@ -292,6 +292,15 @@ def summarize(graph: AttributedGraph) -> ShortestPathSummary:
 # search domains
 
 
+def _index(value) -> int:
+    """A user-row index as an int; a fractional one raises ValueError
+    rather than landing on the entry it truncates to."""
+    index = int(value)
+    if index != value:
+        raise ValueError(f"user row index {value!r} is not an integer")
+    return index
+
+
 @dataclass(frozen=True)
 class LinearRow:
     """A user-supplied linear constraint over adjacency/feature bits.
@@ -310,9 +319,9 @@ class LinearRow:
         if self.sense not in ("<=", ">=", "=="):
             raise ValueError(f"unknown sense {self.sense!r}")
         object.__setattr__(self, "adjacency",
-                           tuple((int(u), int(v), float(c)) for u, v, c in self.adjacency))
+                           tuple((_index(u), _index(v), float(c)) for u, v, c in self.adjacency))
         object.__setattr__(self, "features",
-                           tuple((int(v), int(m), float(c)) for v, m, c in self.features))
+                           tuple((_index(v), _index(m), float(c)) for v, m, c in self.features))
 
     def holds(self, value: float, tol: float = 1e-9) -> bool:
         if self.sense == "<=":
@@ -491,8 +500,8 @@ def domain_feasible(domain: DomainSpec, graph: AttributedGraph) -> bool:
 
 def adjacency_pairs(n: int, directed: bool) -> list[tuple[int, int]]:
     """The free adjacency bits of n nodes in row-major order, u < v when
-    undirected: the order in which enumeration, the bijection count and
-    branch-and-propagate range over them."""
+    undirected: the order in which enumeration and the bijection count
+    range over them."""
     return [(u, v) for u in range(n) for v in range(n)
             if u != v and (directed or u < v)]
 

@@ -1,30 +1,20 @@
 """Exact minimization of the acquisition problem.
 
 Two strategies: exhaustive enumeration of the (guarded) domain, and
-branch-and-propagate over the adjacency bits. Enumeration scores one row
-per distinct feasible kernel profile (``graphs.profile_table``), since the
-LCB reads a graph only through its profile. Branch-and-propagate searches
-each graph size on its own, largest first: present nodes are a prefix, so
-a size fixes the node-existence bits, and the search branches on the edge
-bits among the present nodes only. Once a structure is fixed and its bound
-does not prune it, every feasible labeling of it is scored exactly, one
-``gp.predict`` call per block of labelings (``graphs.structure_profiles``,
-which the profile table also reads). Distance/on-path variables are never
-branched: once the structural bits are fixed they are uniquely determined.
-A search state is one graph size and its edge bits; it is pruned with
+branch-and-propagate over the domain's structures. Enumeration scores one
+row per distinct feasible kernel profile (``graphs.profile_table``), since
+the LCB reads a graph only through its profile. Branch-and-propagate takes
+each graph size on its own, largest first, and the same structures the
+profile table reads (``graphs._structures``: one per isomorphism class of
+an undirected domain without user rows). It bounds them in chunks with
 interval-arithmetic lower bounds on the acquisition value, read from
-per-training-point range-min/max tables of the count profile. The nodes of
-one size differ only in their edge bits, so a node whose whole subtree fits
-the ``SUBTREE_ELEMENTS`` budget computes the distance intervals, the
-edge-dependent quick checks, the kernel boxes and the bounds of every node
-of that subtree in one batch; the walk over the batch visits, counts, prunes
-and polls the budget exactly as a node-by-node search would. The search
-keeps one numbering of each connected graph, a breadth-first one from node 0
-(``_bfs_order_violated``). It keeps the labelings that tie its incumbent as
-(adjacency, features) pairs, builds graphs only for the final ties, and
-renumbers those to the smallest sort key (``graphs.smallest_relabeling``).
-Both strategies break objective ties toward the smallest
-``graph_sort_key``.
+per-training-point range-min/max tables of the count profile, and scores
+every feasible labeling of each structure its bound does not prune, one
+``gp.predict`` call per block of labelings (``graphs.structure_profiles``).
+It keeps the labelings that tie its incumbent as (adjacency, features)
+pairs, builds graphs only for the final ties, and renumbers those to the
+smallest sort key (``graphs.smallest_relabeling``). Both strategies break
+objective ties toward the smallest ``graph_sort_key``.
 
 Also hosts the exact feasibility checker and the exhaustive feasible-point
 counter used to verify that the structural constraint system is in bijection
@@ -39,7 +29,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -47,10 +37,12 @@ from .encode import ConstraintBlock, SizeSpec, _size_bounds, check_acquisition_i
 from .errors import MissingVariableError, SpaceTooLargeError
 from .gp import GpModel, _rowdot, lcb as gp_lcb, predict
 from .graphs import (  # noqa: F401  enumerate_domain is re-exported
+    BLOCK,
     AttributedGraph,
     DomainSpec,
     ProfileTable,
     _all_pairs_distances,
+    _structures,
     adjacency_pairs,
     build_graph,
     domain_feasible,
@@ -67,13 +59,6 @@ logger = logging.getLogger("graphbo.solve")
 
 DEFAULT_BUDGET = 600.0
 COUNT_CAP = 1 << 24
-# subtree rows x present-node pairs x training points bounded in one batch.
-# The largest array of a batch, the stacked min/max gather of
-# ``_BoundContext.boxes``, then holds 2 x 8,192 float64: 128 KiB, glibc's
-# default mmap threshold. Twice the budget ran bnp_exact_small's solves about
-# 9% faster but raised their peak RSS by 0.3 MiB (2-vCPU Xeon VM, one BLAS
-# thread).
-SUBTREE_ELEMENTS = 8192
 
 
 class SolveStrategy(str, enum.Enum):
@@ -92,8 +77,8 @@ class SolveResult:
     status: str  # Optimal | FeasibleTimeLimit | Infeasible | BudgetExhausted
     nodes_explored: int
     wall_time: float
-    # work counters: B&P reports nodes, subtrees, structures_scored and
-    # graphs_built; enumerate reports rows, table_s and cache_hit
+    # work counters: B&P reports nodes, structures_scored and graphs_built;
+    # enumerate reports rows, table_s and cache_hit
     stats: dict = field(default_factory=dict)
 
     @property
@@ -267,14 +252,14 @@ def count_feasible(system: ConstraintBlock, size_spec: SizeSpec, directed: bool,
 
 @dataclass
 class PartialAssignment:
-    """A state of the search over graphs of ``size`` nodes: nodes
+    """The graphs of ``size`` nodes that match some edge bits: nodes
     0..size-1 present, the others absent, and each edge bit among the
     present nodes -1 (open), 0 or 1.
 
     ``adj`` covers the domain's full n x n grid: its diagonal holds the
     node-existence bits and every edge bit of an absent node is 0.
     Undirected domains keep ``adj`` symmetric. Feature bits are never
-    fixed: once every edge bit is, all labelings are scored at once.
+    fixed.
     """
 
     domain: DomainSpec
@@ -283,8 +268,8 @@ class PartialAssignment:
 
     @staticmethod
     def root(domain: DomainSpec, size: int) -> "PartialAssignment":
-        """The root of the search over graphs of ``size`` nodes: every
-        edge bit among the present nodes open."""
+        """Every graph of ``size`` nodes: each edge bit among the present
+        nodes open."""
         adj = np.zeros((domain.n, domain.n), dtype=np.int8)
         adj[:size, :size] = -1
         np.fill_diagonal(adj, np.arange(domain.n) < size)
@@ -307,48 +292,40 @@ def _size_infeasible(domain: DomainSpec, size: int) -> bool:
     return bool((lo > hi).any() or not lo.sum() <= size <= hi.sum())
 
 
-def _bfs_order_violated(states: np.ndarray, size: int) -> np.ndarray:
-    """Per adjacency state of the stack ``states``: no completion numbers
-    the present nodes 0..size-1 as a breadth-first search from node 0 does.
+def _bfs_order_violated(adjacency: np.ndarray) -> np.ndarray:
+    """Per structure of the stack ``adjacency`` (b, n, n): its numbering is
+    not one that a breadth-first search from node 0 gives.
 
-    Such a numbering gives every present node v >= 1 a neighbour u < v,
-    and its first one, p(v), does not decrease in v; every connected graph
-    has one. Directed states are read as their underlying undirected
-    graphs. In every completion p(v) lies between p_min(v), the first row
-    u < v whose edge may be present, and p_max(v), the first whose edge
-    surely is, or else the last that may be. A state is cut when a node has
-    no possible parent or p_min(v) > p_max(w) for some v < w.
+    Such a numbering gives every node v >= 1 a neighbour u < v, and its
+    first one does not decrease in v; every connected graph has one.
+    Directed structures are read as their underlying undirected graphs.
     """
-    if size < 2:
-        return np.zeros(len(states), dtype=bool)
-    n = states.shape[-1]
-    cols = np.arange(1, size)
-    below = np.arange(n)[:, None] < cols  # row u < column v
-    down, across = states[:, :, cols], np.swapaxes(states, 1, 2)[:, :, cols]
-    maybe = ((down != 0) | (across != 0)) & below
-    sure = ((down == 1) | (across == 1)) & below
-    p_min = maybe.argmax(axis=1)
-    last = n - 1 - maybe[:, ::-1].argmax(axis=1)
-    p_max = np.where(sure.any(axis=1), sure.argmax(axis=1), last)
-    p_min_before = np.maximum.accumulate(p_min, axis=1)[:, :-1]
-    return (~maybe.any(axis=1)).any(axis=1) | (p_min_before > p_max[:, 1:]).any(axis=1)
+    linked = (adjacency != 0) | (adjacency.swapaxes(1, 2) != 0)
+    below = np.triu(linked, 1)[:, :, 1:]  # [u, v - 1]: an edge u - v, u < v
+    parent = below.argmax(axis=1)
+    return ~below.any(axis=1).all(axis=1) | (np.diff(parent, axis=1) < 0).any(axis=1)
 
 
-def _edges_infeasible(pa: PartialAssignment, states: np.ndarray) -> np.ndarray:
-    """The quick checks that read edge bits, for each adjacency state of the
-    stack ``states`` (which share ``pa``'s size): committed in-edges over
-    the largest degree cap (no label is fixed while edges are branched),
-    and the breadth-first numbering of the present nodes
-    (``_bfs_order_violated``). User rows name nodes, so with any the
-    numbering is left free."""
-    domain = pa.domain
-    bad = np.zeros(len(states), dtype=bool)
-    if not domain.extra_rows:
-        bad |= _bfs_order_violated(states, pa.size)
-    if domain.degree_caps is not None:
-        committed = (states == 1).sum(axis=1) - (np.diag(pa.adj) == 1)
-        bad |= (committed > max(domain.degree_caps)).any(axis=1)
-    return bad
+def _structure_chunks(domain: DomainSpec, size: int
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stacks (b, size, size) of the adjacency and distances of the
+    structures that branch-and-propagate bounds at ``size``: those of
+    ``graphs._structures``, read in chunks of at most BLOCK node pairs,
+    less any whose in-degree exceeds every degree cap. A directed walk
+    without user rows keeps one numbering per class, a breadth-first one
+    (``_bfs_order_violated``); user rows name nodes, so with any the walk
+    keeps every numbering."""
+    structures = _structures(domain, size)
+    rows = max(1, BLOCK // size ** 2)
+    while chunk := list(itertools.islice(structures, rows)):
+        adjacency, dist = (np.stack(part) for part in zip(*chunk))
+        keep = np.ones(len(chunk), dtype=bool)
+        if domain.degree_caps is not None:
+            keep &= (adjacency.sum(axis=1) <= max(domain.degree_caps)).all(axis=1)
+        if domain.directed and not domain.extra_rows:
+            keep &= ~_bfs_order_violated(adjacency)
+        if keep.any():
+            yield adjacency[keep], dist[keep]
 
 
 def _distance_intervals(states: np.ndarray, size: int):
@@ -364,22 +341,6 @@ def _distance_intervals(states: np.ndarray, size: int):
     sub = states[:, :size, :size]
     lo, hi = _all_pairs_distances(np.stack([sub != 0, sub == 1]))
     return lo, np.where(np.isfinite(hi), hi, size - 1.0)
-
-
-def _subtree_states(adj: np.ndarray, bits, directed: bool) -> np.ndarray:
-    """``adj`` and every adjacency state below it when ``bits`` are branched
-    in order, 1 before 0, stacked in the search's preorder."""
-    if not bits:
-        return adj[None].copy()
-    a, b = bits[0]
-    below = _subtree_states(adj, bits[1:], directed)
-    half = len(below)
-    states = np.concatenate([adj[None], below, below])
-    states[1 : 1 + half, a, b] = 1
-    states[1 + half :, a, b] = 0
-    if not directed:
-        states[1:, b, a] = states[1:, a, b]
-    return states
 
 
 def _range_tables(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,14 +363,14 @@ def _range_tables(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _BoundContext:
     """Precomputed tables for interval bounds on the acquisition value over
-    the states of the search.
+    adjacency states: one structure, or a ``PartialAssignment``.
 
     Every kernel entry k_i gets an interval from the state's distance
     intervals: the count of each node pair lies between the min and the max
     of training point i's counts over that pair's length range and, for
-    sp/esp, over every label pair, since no label is fixed while edges are
-    branched. The range tables hold those min/max values for every range,
-    so a state reads them with one index over its pairs. Counts are
+    sp/esp, over every label pair, since no label is fixed. The range
+    tables hold those min/max values for every range, so a state reads
+    them with one index over its pairs. Counts are
     integers, so the sums are exact. The feature box depends only on the
     size: a node's label is known only when the domain has one label, and
     every other feature bit is open. The graph and feature bounds are
@@ -425,6 +386,11 @@ class _BoundContext:
         self.t = model.size
         self.w_pos = np.clip(model.weights, 0.0, None)
         self.w_neg = np.clip(model.weights, None, 0.0)
+        self.w_abs = np.abs(model.weights)
+        # gamma_t = t u / (1 - t u) bounds the rounding of a t-term dot
+        # product relative to |w|'|k| (Higham 2002, 3.1)
+        unit = np.finfo(float).eps / 2
+        self.gamma = self.t * unit / (1 - self.t * unit)
         # factor F of the precision (F'F = Q): z = F k gives k'Qk = |z|^2
         factor = model.inverse_factor
         self.ct_pos = np.clip(factor, 0.0, None)
@@ -481,6 +447,13 @@ class _BoundContext:
         """The bound of every state of a ``boxes`` stack: the lowest
         mu - beta_sqrt * sigma over the state's kernel box.
 
+        The mean's lower end, w+ k_lo + w- k_hi, and ``gp.predict``'s w k
+        each round by up to gamma_t |w|'|k|, so the bound steps down by
+        2 gamma_t |w|'max(|k_lo|, |k_hi|). Without that slack, a
+        structure's bound exceeded the lowest ``predict`` LCB of its
+        labelings by up to 9.5e-6 on 10-point models with |w| up to 2e6,
+        and pruning at bound > incumbent could drop a tie.
+
         Each state's O(t^2) tail makes one BLAS call per product: the weight
         sums and |inner|^2 are ``gp._rowdot`` dot products, and z_lo/z_hi are
         stacked matrix-vector products, which numpy runs as one ``gemv`` per
@@ -493,6 +466,8 @@ class _BoundContext:
         rows = len(k_lo)
         mu_lo = (_rowdot(np.broadcast_to(self.w_pos, (rows, self.t)), k_lo)
                  + _rowdot(np.broadcast_to(self.w_neg, (rows, self.t)), k_hi))
+        k_abs = np.maximum(np.abs(k_lo), np.abs(k_hi))
+        mu_lo -= 2 * self.gamma * _rowdot(np.broadcast_to(self.w_abs, (rows, self.t)), k_abs)
         k_lo, k_hi = k_lo[:, :, None], k_hi[:, :, None]
         z_lo = (self.ct_pos @ k_lo + self.ct_neg @ k_hi)[:, :, 0]
         z_hi = (self.ct_pos @ k_hi + self.ct_neg @ k_lo)[:, :, 0]
@@ -503,8 +478,8 @@ class _BoundContext:
 
     def bound(self, pa: PartialAssignment) -> float:
         """A lower bound on the LCB over every feasible completion of
-        ``pa``: the batched bound applied to a stack of one, or inf when no
-        completion connects the present nodes."""
+        ``pa``: ``row_bounds`` of a stack of one, or inf when no completion
+        connects the present nodes."""
         lo, hi = _distance_intervals(pa.adj[None], pa.size)
         if not np.isfinite(lo).all():
             return math.inf
@@ -513,46 +488,11 @@ class _BoundContext:
 
 def dual_bound(partial: PartialAssignment, gp_model: GpModel,
                beta_sqrt: float) -> float:
-    """Valid lower bound on the LCB over all completions of ``partial``, a
-    state of the search: one graph size and its edge bits."""
+    """Valid lower bound on the LCB over all completions of ``partial``:
+    one graph size and its fixed edge bits."""
     check_acquisition_inputs(gp_model, partial.domain, beta_sqrt)
     ctx = _BoundContext(gp_model, beta_sqrt, partial.domain)
     return ctx.bound(partial)
-
-
-@dataclass(frozen=True)
-class _EdgeSubtree:
-    """A search node and the nodes below it, in the search's preorder,
-    with everything the search reads of them computed in one batch.
-
-    Row 0 is the node itself; a row at depth d < ``end`` has its 1-child at
-    row + 1 and its 0-child at row + 2**(end - d). Every row shares the
-    node's size; only edge bits differ.
-    """
-
-    end: int
-    infeasible: np.ndarray  # per row: connectivity and the other edge checks
-    dist: np.ndarray  # per row: lower distance intervals, exact at leaves
-    bounds: list | None  # ctx.row_bounds of the rows; None when row 0 is infeasible
-
-    def bound(self, row: int) -> float:
-        return self.bounds[row]
-
-
-def _edge_subtree(ctx: _BoundContext, pa: PartialAssignment, depth: int,
-                  bits: list) -> _EdgeSubtree:
-    """The node at ``pa``, batched with its whole subtree when the
-    subtree's rows x present-node pairs x training points fit the
-    ``SUBTREE_ELEMENTS`` budget, else alone."""
-    levels = len(bits) - depth
-    if (2 ** (levels + 1) - 1) * pa.size ** 2 * ctx.t > SUBTREE_ELEMENTS:
-        levels = 0
-    states = _subtree_states(pa.adj, bits[depth : depth + levels], pa.domain.directed)
-    lo, hi = _distance_intervals(states, pa.size)
-    infeasible = ~np.isfinite(lo).all(axis=(1, 2)) | _edges_infeasible(pa, states)
-    # below an infeasible node the search reads no row
-    bounds = None if infeasible[0] else ctx.row_bounds(ctx.boxes(pa.size, lo, hi))
-    return _EdgeSubtree(depth + levels, infeasible, lo, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +572,7 @@ def _solve_enumerate(model: GpModel, domain: DomainSpec, beta_sqrt: float,
 
 
 def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
-                  budget: float, warm: Iterable[AttributedGraph],
-                  log_interval: int) -> SolveResult:
+                  budget: float, warm: Iterable[AttributedGraph]) -> SolveResult:
     start = time.monotonic()
     ctx = _BoundContext(model, beta_sqrt, domain)
     warm_best, incumbent_obj, _ = _best_warm_start(model, domain, beta_sqrt, warm)
@@ -642,30 +581,20 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
     # improvement drops it. Pruning reads only the value, so graphs are
     # built and their sort keys compared once, at the end
     tied: list[tuple[np.ndarray, np.ndarray]] = []
-
-    nodes = subtrees = structures = 0
-    open_bounds: list[float] = []
-    timed_out = False
+    nodes = structures = 0
 
     def out_of_time() -> bool:
         return (time.monotonic() - start) > budget
 
-    def score_structure(pa: PartialAssignment, node_bound: float,
-                        dist: np.ndarray) -> None:
-        """Score every feasible labeling of the structure at ``pa``, one
-        ``predict`` call per block of labelings, and keep the labelings that
-        improve or tie the incumbent value: ``predict`` gives a profile one
-        value in any batch, ``gp.lcb``'s."""
-        nonlocal incumbent_obj, tied, warm_best, timed_out, structures
-        structures += 1
-        adjacency = pa.adj[: pa.size, : pa.size].copy()
-        np.fill_diagonal(adjacency, 0)
-        for profiles, features in structure_profiles(domain, adjacency,
-                                                     dist.astype(np.int64)):
+    def score_structure(adjacency: np.ndarray, dist: np.ndarray) -> bool:
+        """Score every feasible labeling of one structure, one ``predict``
+        call per block of labelings, and keep the labelings that improve or
+        tie the incumbent value: ``predict`` gives a profile one value in
+        any batch, ``gp.lcb``'s. False when the budget ran out first."""
+        nonlocal incumbent_obj, tied, warm_best
+        for profiles, features in structure_profiles(domain, adjacency, dist):
             if out_of_time():
-                timed_out = True
-                open_bounds.append(node_bound)
-                break
+                return False
             if not len(features):
                 continue
             mu, var = predict(model, profiles)
@@ -676,69 +605,40 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             if low < incumbent_obj:
                 incumbent_obj, tied, warm_best = low, [], None
             tied.extend((adjacency, f) for f in features[values == low])
+        return True
 
-    def search(pa: PartialAssignment, bits: list[tuple[int, int]], depth: int,
-               subtree: _EdgeSubtree | None, row: int) -> None:
-        """Bound the node at ``pa`` and branch on its next edge bit, or
-        score its structure once every edge bit is fixed.
+    def search(size: int) -> bool:
+        """Bound the structures of ``size`` chunk by chunk and score those
+        the incumbent does not prune. False when the budget ran out first."""
+        nonlocal nodes, structures
+        for adjacency, dist in _structure_chunks(domain, size):
+            if out_of_time():
+                return False
+            bounds = ctx.row_bounds(ctx.boxes(size, dist, dist))
+            nodes += len(bounds)
+            for adj, d, bound in zip(adjacency, dist, bounds):
+                # a structure whose bound equals the incumbent may still
+                # hold a tie with a smaller sort key
+                if bound > incumbent_obj:
+                    continue
+                structures += 1
+                if not score_structure(adj, d):
+                    return False
+        return True
 
-        The node is row ``row`` of ``subtree``: the batch of the nearest
-        node on its path whose whole subtree fits the ``SUBTREE_ELEMENTS``
-        budget, or a stack of the node alone (``_edge_subtree``). A
-        ``subtree`` of None starts a new batch at the node.
-        """
-        nonlocal nodes, subtrees, timed_out
-        if subtree is None:
-            subtree, row = _edge_subtree(ctx, pa, depth, bits), 0
-            subtrees += 1
-        if subtree.infeasible[row]:
-            return
-        nodes += 1
-        node_bound = subtree.bound(row)
-        if log_interval and nodes % log_interval == 0:
-            logger.info("node=%d depth=%d bound=%g incumbent=%s", nodes, depth,
-                        node_bound,
-                        "none" if incumbent_obj == math.inf else f"{incumbent_obj:g}")
-        # a node whose bound equals the incumbent may still hold a tie with
-        # a smaller sort key; with no incumbent only inf bounds prune
-        if node_bound > incumbent_obj or node_bound == math.inf:
-            return
-        if depth == len(bits):
-            score_structure(pa, node_bound, subtree.dist[row])
-            return
-        if timed_out or out_of_time():
-            timed_out = True
-            open_bounds.append(node_bound)
-            return
-        a, b = bits[depth]
-        for value in (1, 0):
-            pa.set_adj(a, b, value)
-            if depth < subtree.end:
-                search(pa, bits, depth + 1, subtree,
-                       row + 1 if value else row + 2 ** (subtree.end - depth))
-            else:
-                search(pa, bits, depth + 1, None, 0)
-            pa.set_adj(a, b, -1)
-            if timed_out:
-                open_bounds.append(node_bound)
-                return
-
-    # one search per graph size, largest first; each sets and restores its
-    # partial assignment in place
+    timed_out = False
+    open_bounds: list[float] = []
     for size in reversed(domain.sizes):
         if _size_infeasible(domain, size):
             continue
-        root = PartialAssignment.root(domain, size)
-        if timed_out:
-            # a size the budget left unsearched contributes its root bound
-            open_bounds.append(ctx.bound(root))
-        else:
-            search(root, adjacency_pairs(size, domain.directed), 0, None, 0)
+        if timed_out or not search(size):
+            # a size cut short or left unsearched contributes its root bound
+            timed_out = True
+            open_bounds.append(ctx.bound(PartialAssignment.root(domain, size)))
     graphs = [] if warm_best is None else [warm_best]
     graphs.extend(build_graph(adjacency, features, domain.directed, domain.num_labels)
                   for adjacency, features in tied)
-    stats = {"nodes": nodes, "subtrees": subtrees, "structures_scored": structures,
-             "graphs_built": len(tied)}
+    stats = {"nodes": nodes, "structures_scored": structures, "graphs_built": len(tied)}
     elapsed = time.monotonic() - start
 
     if not graphs:
@@ -750,9 +650,9 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         incumbent = min(graphs, key=graph_sort_key)
     else:
         # a completed search met every isomorphism class that reaches the
-        # incumbent value in at least one numbering, so the smallest sort
-        # key is the smallest over their renumberings; a renumbering keeps
-        # the kernel profile, hence the LCB
+        # incumbent value, so the smallest sort key is the smallest over
+        # their renumberings; a renumbering keeps the kernel profile, hence
+        # the LCB
         incumbent = smallest_relabeling(graphs)
     if timed_out:
         bound = min([incumbent_obj] + open_bounds)
@@ -770,8 +670,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
 def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
           budget: float = DEFAULT_BUDGET,
           strategy: SolveStrategy | str = DEFAULT_STRATEGY,
-          warm_start: Iterable[AttributedGraph] = (),
-          log_interval: int = 0) -> SolveResult:
+          warm_start: Iterable[AttributedGraph] = ()) -> SolveResult:
     """Minimize the LCB over the domain.
 
     ``enumerate`` scores one row per distinct feasible kernel profile of the
@@ -788,54 +687,42 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     neither, ends BudgetExhausted. A complete table ignores warm starts.
 
     ``branch_and_propagate`` searches each graph size on its own, largest
-    first, starting from the best domain-feasible warm start. Present nodes
-    form a prefix, so a size fixes every node-existence bit and the edge
-    bits of the absent nodes; a size whose label-count bounds cannot sum to
-    it is skipped. Each size branches on the edge bits among its present
-    nodes only. Feature bits are not branched: once every edge bit is fixed
-    and the node's bound does not prune it, the structure's feasible
-    labelings are scored by ``gp.predict``, one call per block of labelings.
-    ``predict`` gives a profile one value in any batch, equal to
-    ``gp.lcb``'s, so the block's values are compared with the incumbent
-    value directly, and a labeling that improves or ties it is kept as an
-    (adjacency, features) pair; an improvement drops the pairs kept so far,
-    and graphs are built only for the final ties, after the search. Nothing
-    is re-scored. Each subtree whose rows x present-node pairs x training
-    points fit ``SUBTREE_ELEMENTS`` (8,192) is bounded in one batch, with
-    one BLAS call per row and product, so each row's bound is that of a
-    stack of one; the nodes bounded, their values, the tie-breaks and the
-    budget polls are those of a node-by-node search. ``nodes_explored``
-    counts the nodes whose bound was computed: 369 at n=5 with 2 labels and
-    10 random points, where searching every numbering bounded 1,598. With
-    10 random points, a search per size bounds 417 nodes at n=2..5 with 2
-    labels, 6,869 at n=3..6 with 1 label and 49 at n=1..4 with 2 labels,
-    where branching on the existence bits first bounded 506, 7,042–7,058
-    and 78.
+    first, starting from the best domain-feasible warm start; a size whose
+    label-count bounds cannot sum to it is skipped. A size's structures
+    are those the enumerate table reads (``graphs._structures``): one per
+    isomorphism class of an undirected domain without user rows, else the
+    walk over every connected structure. A directed walk without user rows
+    keeps one numbering per class, a breadth-first one from node 0 on the
+    underlying undirected graph; user rows name nodes, so with any the walk
+    keeps every numbering. A structure whose in-degree exceeds every degree
+    cap is dropped. The rest are bounded in chunks of at most BLOCK node
+    pairs, with their exact distances (``_BoundContext.row_bounds``: one
+    BLAS call per structure and product, so a structure's bound does not
+    depend on its chunk). A structure whose bound exceeds the incumbent
+    value is pruned; the feasible labelings of every other one are scored
+    by ``gp.predict``, one call per block of labelings. ``predict`` gives a
+    profile one value in any batch, equal to ``gp.lcb``'s, so the block's
+    values are compared with the incumbent value directly, and a labeling
+    that improves or ties it is kept as an (adjacency, features) pair; an
+    improvement drops the pairs kept so far, and graphs are built only for
+    the final ties, after the search. Nothing is re-scored.
+    ``nodes_explored`` counts the structures bounded: 21 at n=5 with one
+    label or two.
 
-    Symmetry: the search keeps only states whose present nodes can
-    still be numbered as a breadth-first search from node 0 numbers them.
-    Every node v >= 1 then has a neighbour u < v, and the first one does
-    not decrease in v. Every connected graph has such a numbering, so
-    every isomorphism class is searched; at fixed sizes 4, 5 and 6 the rule
-    keeps 17 of 38, 171 of 728 and 3,113 of 26,704 structures. Each size
-    applies the rule to its present nodes; directed domains apply it to the
-    underlying undirected graph.
-    Degree caps and label-count bounds do not depend on the numbering, but
-    user rows name nodes, so with ``extra_rows`` the rule is off.
-
-    A node is pruned only when its bound exceeds the incumbent value, so
-    every class that reaches the optimum is met in some numbering. The
-    graphs met at the optimum are renumbered by a canonical search
+    The bound sits below ``predict``'s value at every labeling of its
+    structure, roundoff included (``_BoundContext.row_bounds``), so every
+    structure that reaches the incumbent value is scored. The graphs met
+    at the optimum are renumbered by a canonical search
     (``graphs.smallest_relabeling``; features move with their nodes, which
     keeps the profile and hence the LCB), so ties break toward the smallest
-    ``graph_sort_key`` as in ``enumerate``. Without the rule
-    (``extra_rows``) and in a search cut short by the budget, the
+    ``graph_sort_key`` as in ``enumerate``. With ``extra_rows`` (every
+    numbering is scored) and in a search cut short by the budget, the
     incumbent is the smallest sort key among the graphs met, unrenumbered.
-    The budget is polled at every branching node and before each block of
-    labelings; a structure cut short keeps its best scored labelings and
-    contributes its bound to the reported bound, and each size left
-    unsearched contributes the bound of its root. The search runs
-    single-threaded, which keeps results bit-for-bit reproducible.
+    The budget is polled before each chunk and each block of labelings; a
+    size cut short keeps its best scored labelings and contributes the
+    bound of its root to the reported bound, as does each size left
+    unsearched. The search runs single-threaded, which keeps results
+    bit-for-bit reproducible.
 
     "Optimal" means the search certified a zero gap in floating point, so
     it holds to the posterior's own roundoff. Against an exact rational
@@ -854,8 +741,7 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     ``SolveResult.stats`` counts each strategy's work: ``enumerate`` reports
     ``rows`` (profile rows scored), ``table_s`` (seconds to build or fetch
     the table) and ``cache_hit``; ``branch_and_propagate`` reports ``nodes``
-    (as ``nodes_explored``), ``subtrees`` (batches built),
-    ``structures_scored`` and ``graphs_built``.
+    (as ``nodes_explored``), ``structures_scored`` and ``graphs_built``.
 
     Both strategies first check their inputs with
     ``encode.check_acquisition_inputs``, as the encoder does: an unfitted
@@ -867,5 +753,4 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     strategy = SolveStrategy(strategy)
     if strategy is SolveStrategy.ENUMERATE:
         return _solve_enumerate(gp_model, domain, beta_sqrt, budget, warm_start)
-    return _solve_branch(gp_model, domain, beta_sqrt, budget, warm_start,
-                         log_interval)
+    return _solve_branch(gp_model, domain, beta_sqrt, budget, warm_start)

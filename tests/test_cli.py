@@ -41,6 +41,15 @@ def test_kernel_bad_edge_is_input_error(capsys, tmp_path):
     assert "[1, 5]" in capsys.readouterr().err
 
 
+def test_fractional_user_row_index_is_input_error(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"domain": {"n": 3, "extra_rows": [{"adjacency": [[0.7, 1.9, 1]]}]}}))
+    assert dispatch(["--config", str(config), "enumerate",
+                     "--out", str(tmp_path / "graphs.jsonl")]) == 2
+    assert "0.7" in capsys.readouterr().err
+
+
 def test_kernel_feature_and_combined(capsys, k2_file, tmp_path):
     assert dispatch(["kernel", "--variant", "ssp", "--a", k2_file, "--b", k2_file,
                      "--combined", "--alpha", "2", "--beta", "0"]) == 0

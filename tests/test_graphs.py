@@ -225,6 +225,20 @@ class TestDomainSpec:
         row = LinearRow(adjacency=((2, 0, 1.0),), features=((2, 1, 1.0),))
         assert DomainSpec(n=3, n_min=2, num_labels=2, extra_rows=(row,)).extra_rows == (row,)
 
+    @pytest.mark.parametrize("entry", [
+        {"adjacency": [[0.7, 1.9, 1]]},
+        {"adjacency": [[0, 1.5, 1]]},
+        {"features": [[1, 0.5, 1]]},
+    ], ids=["both_fractional", "second_fractional", "feature_column"])
+    def test_fractional_row_indices_rejected(self, entry):
+        # int() would truncate [0.7, 1.9] onto pair (0, 1)
+        with pytest.raises(ValueError, match="not an integer"):
+            DomainSpec.from_dict({"n": 3, "num_labels": 2, "extra_rows": [entry]})
+
+    def test_integral_float_row_indices_accepted(self):
+        dom = DomainSpec.from_dict({"n": 3, "extra_rows": [{"adjacency": [[0.0, 1.0, 1]]}]})
+        assert dom.extra_rows[0].adjacency == ((0, 1, 1.0),)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,directed,expected", [

@@ -93,11 +93,11 @@ def test_enumerate_solve_matches_brute_force(case, variant):
     assert result.nodes_explored == len(representatives)
 
 
-@pytest.mark.parametrize("case", sorted(set(CASES) - {"undirected_n4"}))
+@pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("variant", list(KernelVariant))
 def test_branch_and_propagate_matches_enumerate(case, variant):
-    # absent nodes (bounded sizes) and non-label feature columns meet label
-    # propagation here; the constraints meet the pruning checks
+    # absent nodes (bounded sizes) and non-label feature columns meet the
+    # labeling scorer here; the constraints meet the structure filters
     domain = CASES[case][0]
     rng = np.random.default_rng(100 + sorted(CASES).index(case))
     points = [sample_feasible(domain, rng) for _ in range(5)]
@@ -105,7 +105,7 @@ def test_branch_and_propagate_matches_enumerate(case, variant):
     exact = solve(model, domain, 1.0, strategy="enumerate")
     branch = solve(model, domain, 1.0, strategy="branch_and_propagate")
     assert exact.status == branch.status == "Optimal"
-    assert abs(branch.objective - exact.objective) <= 1e-6
+    assert repr(branch.objective) == repr(exact.objective)
     assert branch.incumbent == exact.incumbent
 
 
@@ -121,8 +121,7 @@ def _solve_both(domain, variant, points=10):
 
 def test_branch_and_propagate_breaks_ties_like_enumerate():
     # two stars (centred on node 0 and on node 4) share the optimal profile;
-    # the search meets the larger sort key first, and a node whose bound
-    # equals it must still be searched for the smaller one
+    # the search meets one star and renumbers it to the smaller sort key
     exact, branch = _solve_both(DomainSpec(n=5, n_min=2, num_labels=2),
                                 KernelVariant.ESP)
     assert exact.status == branch.status == "Optimal"
@@ -131,25 +130,37 @@ def test_branch_and_propagate_breaks_ties_like_enumerate():
     assert branch.incumbent.edges() == [(0, 4), (1, 4), (2, 4), (3, 4)]
 
 
-def test_labeled_domain_branches_on_structure_only():
-    # n=5 with 2 labels: 728 connected structures with 32 labelings each;
-    # branching on feature bits bounded 46,734 nodes here, every numbering
-    # of each structure 1,598 and one breadth-first numbering 369
+def test_labeled_domain_bounds_one_structure_per_class():
+    # n=5 with 2 labels: 728 connected structures with 32 labelings each,
+    # in 21 isomorphism classes; the search bounds one structure per class
     exact, branch = _solve_both(DomainSpec(n=5, num_labels=2), KernelVariant.SSP)
     assert exact.status == branch.status == "Optimal"
-    assert branch.nodes_explored <= 400
+    assert branch.nodes_explored == 21
     assert branch.objective == exact.objective
     assert branch.incumbent == exact.incumbent
 
 
 def test_branch_and_propagate_matches_enumerate_at_seven_nodes():
-    # n=7 with 1 label: enumerate scores 79 class-built rows, B&P bounds
-    # 36,782 nodes
+    # n=7 with 1 label: enumerate scores 79 class-built rows; B&P bounds
+    # the classes of in-degree at most 4
     domain = DomainSpec(n=7, num_labels=1, degree_caps=(4,))
     exact, branch = _solve_both(domain, KernelVariant.SSP)
     assert exact.status == branch.status == "Optimal"
     assert exact.nodes_explored == 79
-    assert branch.objective == exact.objective
+    classes = graphs_module._connected_classes(7)
+    assert branch.nodes_explored == (classes.sum(axis=1) <= 4).all(axis=1).sum()
+    assert repr(branch.objective) == repr(exact.objective)
+    assert branch.incumbent == exact.incumbent
+
+
+def test_branch_and_propagate_matches_enumerate_at_seven_nodes_two_labels(monkeypatch):
+    # 28 structural bits, over the enumeration cap; both engines read the
+    # 853 classes of 7 nodes, so the cap is lifted for this test only
+    monkeypatch.setattr(graphs_module, "ENUMERATION_BIT_CAP", 200)
+    domain = DomainSpec(n=7, num_labels=2, degree_caps=(4, 4))
+    exact, branch = _solve_both(domain, KernelVariant.ESSP)
+    assert exact.status == branch.status == "Optimal"
+    assert repr(branch.objective) == repr(exact.objective)
     assert branch.incumbent == exact.incumbent
 
 

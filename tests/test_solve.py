@@ -23,6 +23,7 @@ from graphbo.errors import (
 )
 from graphbo.gp import GpModel, fit, lcb, predict
 from graphbo.graphs import (
+    _structures,
     adjacency_pairs,
     build_graph,
     domain_feasible,
@@ -110,7 +111,11 @@ def reference_bound(pa, model, beta_sqrt):
     self_graph_hi = np.exp(self_lin_hi) / var if variant.exponential else self_lin_hi
     self_feat_hi = min(1.0, float(np.dot(n_hi, n_hi)) / (npx * npx * M))
     kxx_hi = hyper.alpha * self_graph_hi + hyper.beta * self_feat_hi
+    # the rounding slack of both dot products, 2 gamma_t |w|'max|k|
+    unit = np.finfo(float).eps / 2
+    gamma = t * unit / (1 - t * unit)
     mu_lo = float(w_pos @ k_lo + w_neg @ k_hi)
+    mu_lo -= 2 * gamma * float(np.abs(model.weights) @ np.maximum(np.abs(k_lo), np.abs(k_hi)))
     z_lo = ct_pos @ k_lo + ct_neg @ k_hi
     z_hi = ct_pos @ k_hi + ct_neg @ k_lo
     inner = np.where((z_lo <= 0.0) & (z_hi >= 0.0), 0.0,
@@ -121,11 +126,11 @@ def reference_bound(pa, model, beta_sqrt):
 
 def scalar_row_bound(ctx, boxes, row):
     """The bound of state ``row`` of a ``boxes`` stack in 1-D expressions,
-    one state at a time, as the search computed it before subtrees were
-    bounded in one pass. Returns the bound and whether some z interval
+    one state at a time. Returns the bound and whether some z interval
     straddles 0."""
     k_lo, k_hi, kxx_hi = (part[row] for part in boxes)
     mu_lo = float(ctx.w_pos @ k_lo + ctx.w_neg @ k_hi)
+    mu_lo -= 2 * ctx.gamma * float(ctx.w_abs @ np.maximum(np.abs(k_lo), np.abs(k_hi)))
     z_lo = ctx.ct_pos @ k_lo + ctx.ct_neg @ k_hi
     z_hi = ctx.ct_pos @ k_hi + ctx.ct_neg @ k_lo
     straddle = (z_lo <= 0.0) & (z_hi >= 0.0)
@@ -187,15 +192,14 @@ def brute_smallest_renumbering(graph):
 
 
 def reference_search(model, dom, beta_sqrt):
-    """Branch-and-propagate written out node by node, without batching: one
+    """A branch-and-bound over edge bits written out node by node: one
     search per graph size, largest first, each skipped unless some vector
     of label counts within the bounds sums to the size; then the quick
     checks and a fresh ``dual_bound`` per node. Each structure's labelings
     are scored as the solver scores them, and each tie is renumbered by
-    brute force as soon as it is met. Returns the status, nodes bounded,
-    objective, bound and incumbent of a search that runs to completion."""
+    brute force as soon as it is met. Returns the status, objective, bound
+    and incumbent of a search that runs to completion."""
     best = {"graph": None, "value": math.inf, "key": None}
-    nodes = 0
 
     def score(pa, size):
         adjacency = pa.adj[:size, :size].copy()
@@ -225,10 +229,8 @@ def reference_search(model, dom, beta_sqrt):
                 best.update(graph=graph, value=value, key=key)
 
     def visit(pa, size, bits, depth):
-        nonlocal nodes
         if reference_quick_infeasible(pa):
             return
-        nodes += 1
         bound = dual_bound(pa, model, beta_sqrt)
         if bound > best["value"] or bound == math.inf:
             return
@@ -259,8 +261,8 @@ def reference_search(model, dom, beta_sqrt):
         visit(PartialAssignment(dom, size, adj), size,
               adjacency_pairs(size, dom.directed), 0)
     if best["graph"] is None:
-        return "Infeasible", nodes, None, math.inf, None
-    return "Optimal", nodes, best["value"], best["value"], best["graph"]
+        return "Infeasible", None, math.inf, None
+    return "Optimal", best["value"], best["value"], best["graph"]
 
 
 def random_partial(rng, dom, fixed_share):
@@ -428,10 +430,12 @@ class TestDualBound:
         return pa
 
     def test_degenerate_interval_equals_leaf(self, rng):
-        # at a fixed structure the bound is the LCB itself when the domain
-        # has one label, and below every labeling's LCB with two
+        # at a fixed structure the bound is the LCB itself, less the
+        # mean's rounding slack, when the domain has one label, and below
+        # every labeling's LCB with two
         for dom in (DomainSpec(n=4, num_labels=1), DomainSpec(n=3, num_labels=2)):
             model = fitted_model(rng, dom)
+            ctx = solve_module._BoundContext(model, 1.0, dom)
             train_profiles = {(tuple(p.summary.length_counts),
                                tuple(p.summary.feature_sums)) for p in model.points}
             structures = {}
@@ -446,8 +450,11 @@ class TestDualBound:
                     if (tuple(g.summary.length_counts),
                             tuple(g.summary.feature_sums)) in train_profiles:
                         continue  # sigma ~ 0 there; sqrt amplifies float noise
-                    assert bound == pytest.approx(best, abs=1e-9)
-                assert bound <= best + 1e-9
+                    k = cross_gram(StackedSummaries.build([g]), model.profile,
+                                   model.variant, model.hyper)[0]
+                    slack = 2 * ctx.gamma * float(ctx.w_abs @ np.abs(k))
+                    assert bound == pytest.approx(best - slack, abs=1e-9)
+                assert bound <= best
                 checked += 1
             assert checked >= 4
 
@@ -506,9 +513,39 @@ class TestDualBound:
             if not completions:
                 continue
             best = min(lcb(model, g, 1.0) for g in completions)
-            assert bound <= best + 1e-9
+            assert bound <= best
             checked += 1
         assert checked >= 5
+
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    @pytest.mark.parametrize("dom", [
+        DomainSpec(n=5, num_labels=2),
+        DomainSpec(n=5, n_min=2, num_labels=1),
+        DomainSpec(n=4, num_labels=2, num_features=3),
+        DomainSpec(n=4, num_labels=3, degree_caps=(3, 2, 1)),
+        DomainSpec(n=3, num_labels=2, directed=True),
+    ], ids=["n5_2labels", "bounded_2_5", "n4_extra_feature", "n4_3labels_caps",
+            "directed_n3"])
+    def test_structure_bound_below_every_labeling(self, dom, variant):
+        # no tolerance: a structure's bound is at or below predict's LCB at
+        # each of its feasible labelings, roundoff included. Without the
+        # rounding slack it exceeded them by up to 9.5e-6 on such models
+        # (10 points, |w| up to 2e6)
+        checked = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            points = [sample_feasible(dom, rng) for _ in range(10)]
+            model = fit(points, rng.normal(size=10), variant, seed=seed)
+            ctx = solve_module._BoundContext(model, 1.0, dom)
+            for size in dom.sizes:
+                for adjacency, dist in _structures(dom, size):
+                    bound, = ctx.row_bounds(ctx.boxes(size, dist[None], dist[None]))
+                    for profiles, features in structure_profiles(dom, adjacency, dist):
+                        if len(features):
+                            mu, var = predict(model, profiles)
+                            assert bound <= (mu - np.sqrt(var)).min()
+                            checked += 1
+        assert checked >= 18
 
     @pytest.mark.parametrize("variant", list(KernelVariant))
     @pytest.mark.parametrize("dom", [
@@ -547,8 +584,8 @@ class TestDualBound:
 
 
 class TestBatchedBounds:
-    """``_BoundContext.row_bounds`` bounds every state of a subtree stack in
-    one pass; each state's bound must not depend on the stack it sits in."""
+    """``_BoundContext.row_bounds`` bounds every state of a stack in one
+    pass; each state's bound must not depend on the stack it sits in."""
 
     @pytest.mark.parametrize("t", [1, 8, 25])
     @pytest.mark.parametrize("variant", list(KernelVariant))
@@ -556,7 +593,7 @@ class TestBatchedBounds:
                                      DomainSpec(n=5, num_labels=2)],
                              ids=["n5_1label", "n5_2labels"])
     def test_rows_equal_stacks_of_one_and_the_scalar_formula(self, rng, dom, variant, t):
-        # subtrees from the root, where most z intervals straddle 0, down to
+        # states from the root, where most z intervals straddle 0, down to
         # complete structures, whose boxes are points with one label
         if t == 1:  # below what a fit takes: fixed hyperparameters
             model = GpModel.build([sample_feasible(dom, rng)], [rng.normal()], variant,
@@ -564,17 +601,19 @@ class TestBatchedBounds:
         else:
             model = fitted_model(rng, dom, t=t, variant=variant)
         ctx = solve_module._BoundContext(model, 1.0, dom)
-        bits = adjacency_pairs(dom.n, dom.directed)
         straddles = checked = 0
-        for fixed in (0, 4, 8):
-            pa = PartialAssignment.root(dom, dom.n)
-            for a, b in bits[:fixed]:
-                pa.set_adj(a, b, int(rng.integers(0, 2)))
-            states = solve_module._subtree_states(pa.adj, bits[fixed : fixed + 6],
-                                                  dom.directed)
-            lo, hi = solve_module._distance_intervals(states, dom.n)
+        for share in (0.0, 0.4, 1.0):
+            states = []
+            while len(states) < 127:
+                pa = PartialAssignment.root(dom, dom.n)
+                for a, b in adjacency_pairs(dom.n, dom.directed):
+                    if rng.random() < share:
+                        pa.set_adj(a, b, int(rng.integers(0, 2)))
+                if math.isfinite(dual_bound(pa, model, 1.0)):
+                    states.append(pa.adj)
+            lo, hi = solve_module._distance_intervals(np.stack(states), dom.n)
             boxes = ctx.boxes(dom.n, lo, hi)
-            # the whole subtree, and every third row of it: a stack whose
+            # the whole stack, and every third row of it: a stack whose
             # rows are not contiguous in memory
             for rows in (slice(None), slice(1, None, 3)):
                 stack = tuple(part[rows] for part in boxes)
@@ -633,10 +672,9 @@ class TestSolveStats:
         model = fitted_model(rng, dom)
         result = solve(model, dom, 1.0, strategy="branch_and_propagate")
         stats = result.stats
-        assert set(stats) == {"nodes", "subtrees", "structures_scored", "graphs_built"}
-        assert stats["nodes"] == result.nodes_explored
-        assert 1 <= stats["subtrees"] < stats["nodes"]
-        assert 1 <= stats["structures_scored"] < stats["nodes"]
+        assert set(stats) == {"nodes", "structures_scored", "graphs_built"}
+        assert stats["nodes"] == result.nodes_explored == 6  # connected classes
+        assert 1 <= stats["structures_scored"] <= stats["nodes"]
         assert stats["graphs_built"] >= 1
 
     def test_enumerate_reports_rows_build_time_and_cache_hits(self, rng):
@@ -822,23 +860,38 @@ class TestSolve:
     ], ids=["n4_2labels", "n5_1label", "bounded_2_4", "directed_n3",
             "degree_caps", "label_counts", "extra_row", "bounded_1_3",
             "bounded_label_counts", "bounded_directed"])
-    def test_batched_search_matches_reference_search(self, rng, dom, variant):
-        # bounded_label_counts cuts size 2 at its root: no counts within the
-        # bounds sum to 2
+    def test_search_matches_reference_search(self, rng, dom, variant):
+        # bounded_label_counts skips size 2: no counts within the bounds
+        # sum to 2
         model = fitted_model(rng, dom, t=6, variant=variant)
         result = solve(model, dom, 1.0, strategy="branch_and_propagate")
-        status, nodes, objective, bound, incumbent = reference_search(model, dom, 1.0)
-        assert (result.status, result.nodes_explored) == (status, nodes)
+        status, objective, bound, incumbent = reference_search(model, dom, 1.0)
+        assert result.status == status
         assert repr(result.objective) == repr(objective)
         assert repr(result.bound) == repr(bound)
         assert result.incumbent == incumbent
 
-    def test_budget_expires_inside_a_batched_subtree(self, rng, monkeypatch):
-        dom = DomainSpec(n=5, num_labels=1)
-        model = fitted_model(rng, dom)
-        warm = [sample_feasible(dom, s) for s in range(3)]
-        exact = solve(model, dom, 1.0, strategy="enumerate")
+    def test_user_row_ties_break_like_enumerate(self):
+        # |w| near 2e6, so the mean rounds by up to about 1e-5, and user
+        # rows leave every numbering in the search: each numbering that
+        # ties the optimum must be scored for the smallest sort key to win
+        dom = DomainSpec(n=6, num_labels=1,
+                         extra_rows=(LinearRow(adjacency=((0, 1, 1.0),), sense="<=",
+                                               rhs=0.0),))
+        rng = np.random.default_rng(0)
+        points = [sample_feasible(dom, rng) for _ in range(10)]
+        model = fit(points, rng.normal(size=10), KernelVariant.SSP, seed=0)
+        exact, branch = (solve(model, dom, 1.0, strategy=s)
+                         for s in ("enumerate", "branch_and_propagate"))
+        assert exact.status == branch.status == "Optimal"
+        assert repr(branch.objective) == repr(exact.objective)
+        assert branch.incumbent == exact.incumbent
 
+    @staticmethod
+    def _expire_at_structure(monkeypatch, count):
+        """A frozen clock that runs out when the search hands its
+        ``count``-th structure to the labeling scorer; returns the list of
+        structures handed over."""
         class Clock:
             now = 0.0
 
@@ -846,32 +899,39 @@ class TestSolve:
                 return self.now
 
         clock = Clock()
-        subtree = solve_module._EdgeSubtree
-        bound = subtree.bound
-        rows = []
+        scored = []
 
-        def expiring_bound(self, row):
-            # the clock runs out at the third node of the first multi-row
-            # batch, a branching node whose budget poll must end the search
-            assert clock.now == 0.0, "a node was bounded after the budget ran out"
-            if len(self.infeasible) > 1:
-                rows.append(row)
-                if len(rows) == 3:
-                    clock.now = 1e9
-            return bound(self, row)
+        def expiring(domain, adjacency, dist):
+            assert clock.now == 0.0, "a structure was scored after the budget ran out"
+            scored.append(adjacency)
+            if len(scored) == count:
+                clock.now = 1e9
+            return structure_profiles(domain, adjacency, dist)
 
         monkeypatch.setattr(solve_module, "time", clock)
-        monkeypatch.setattr(subtree, "bound", expiring_bound)
+        monkeypatch.setattr(solve_module, "structure_profiles", expiring)
+        return scored
+
+    def test_budget_expires_inside_a_size(self, rng, monkeypatch):
+        # the third structure's labeling poll ends the search: its labelings
+        # go unscored, and the size's root bound keeps the bound valid
+        dom = DomainSpec(n=5, num_labels=1)
+        model = fitted_model(rng, dom)
+        warm = [sample_feasible(dom, s) for s in range(3)]
+        exact = solve(model, dom, 1.0, strategy="enumerate")
+        scored = self._expire_at_structure(monkeypatch, 3)
         result = solve(model, dom, 1.0, budget=10.0, strategy="branch_and_propagate",
                        warm_start=warm)
-        assert rows == [0, 1, 2]
+        assert len(scored) == 3
         assert result.status == "FeasibleTimeLimit"
         assert result.bound <= result.objective
         assert result.bound <= exact.objective
+        assert result.bound == min(result.objective, dual_bound(
+            PartialAssignment.root(dom, 5), model, 1.0))
 
     def test_budget_expires_inside_the_largest_size(self, monkeypatch):
         # targets grow with the graph size, so the optimum has 2 nodes; the
-        # budget runs out inside the search over 4 nodes, the sizes below
+        # budget runs out at the first structure of 4 nodes, the sizes below
         # are never searched, and their root bounds keep the bound valid
         dom = DomainSpec(n=4, n_min=2, num_labels=1)
         rng = np.random.default_rng(0)
@@ -879,67 +939,50 @@ class TestSolve:
         model = fit(points, [float(g.n) for g in points], KernelVariant.SSP, seed=0)
         exact = solve(model, dom, 1.0, strategy="enumerate")
         assert exact.incumbent.n < dom.n
-
-        class Clock:
-            now = 0.0
-
-            def monotonic(self):
-                return self.now
-
-        clock = Clock()
-        subtree = solve_module._EdgeSubtree
-        bound = subtree.bound
-        rows = []
-
-        def expiring_bound(self, row):
-            # the clock runs out at the third node of the first multi-row
-            # batch, which lies in the search over the largest size
-            assert clock.now == 0.0, "a node was bounded after the budget ran out"
-            if len(self.infeasible) > 1:
-                rows.append(row)
-                if len(rows) == 3:
-                    clock.now = 1e9
-            return bound(self, row)
-
-        monkeypatch.setattr(solve_module, "time", clock)
-        monkeypatch.setattr(subtree, "bound", expiring_bound)
+        scored = self._expire_at_structure(monkeypatch, 1)
         result = solve(model, dom, 1.0, budget=10.0, strategy="branch_and_propagate")
-        assert rows == [0, 1, 2]
-        assert result.status in ("FeasibleTimeLimit", "BudgetExhausted")
+        assert [len(adjacency) for adjacency in scored] == [4]
+        assert (result.status, result.incumbent) == ("BudgetExhausted", None)
+        assert result.bound == min(dual_bound(PartialAssignment.root(dom, size), model, 1.0)
+                                   for size in dom.sizes)
         assert result.bound <= exact.objective
-        if result.objective is not None:
-            assert result.bound <= result.objective
 
-    def test_nodes_bound_with_fresh_intervals(self, rng, monkeypatch):
-        # every searched node is bounded from its row of a batched subtree;
-        # that row must be the node's own adjacency state, so every node
-        # bound equals a fresh one of the search's partial assignment
-        subtree = solve_module._EdgeSubtree
-        bound = subtree.bound
-        root = PartialAssignment.root
-        searched = []
+    def test_structures_bound_as_full_assignments(self, rng, monkeypatch):
+        # every bounded structure's bound equals a fresh dual_bound of the
+        # partial assignment that fixes all of its edge bits
+        chunks, bounds = [], []
+        structure_chunks = solve_module._structure_chunks
+        row_bounds = solve_module._BoundContext.row_bounds
+
+        def recorded_chunks(domain, size):
+            for chunk in structure_chunks(domain, size):
+                chunks.append(chunk)
+                yield chunk
+
+        def recorded_bounds(self, boxes):
+            bounds.append(row_bounds(self, boxes))
+            return bounds[-1]
+
+        monkeypatch.setattr(solve_module, "_structure_chunks", recorded_chunks)
+        monkeypatch.setattr(solve_module._BoundContext, "row_bounds", recorded_bounds)
         checked = 0
-        model = None
-
-        def recorded_root(domain, size):
-            pa = root(domain, size)
-            searched.append(pa)
-            return pa
-
-        def fresh_bound(self, row):
-            nonlocal checked
-            value = bound(self, row)
-            assert value == dual_bound(searched[-1], model, 1.0)
-            checked += 1
-            return value
-
-        monkeypatch.setattr(PartialAssignment, "root", staticmethod(recorded_root))
-        monkeypatch.setattr(subtree, "bound", fresh_bound)
-        for dom in (DomainSpec(n=4, num_labels=2), DomainSpec(n=4, n_min=2, num_labels=2),
-                    DomainSpec(n=5, num_labels=1), DomainSpec(n=5, num_labels=2)):
+        for dom in (DomainSpec(n=4, num_labels=2), DomainSpec(n=5, n_min=2, num_labels=2),
+                    DomainSpec(n=4, num_labels=1, directed=True),
+                    DomainSpec(n=4, num_labels=1,
+                               extra_rows=(LinearRow(adjacency=((0, 1, 1.0),)),))):
+            chunks.clear()
+            bounds.clear()
             model = fitted_model(rng, dom)
             solve(model, dom, 1.0, strategy="branch_and_propagate")
-        assert checked > 500
+            assert len(chunks) == len(bounds)
+            for (adjacency, _), chunk_bounds in zip(chunks, bounds):
+                for structure, bound in zip(adjacency, chunk_bounds):
+                    pa = PartialAssignment.root(dom, len(structure))
+                    for u, v in adjacency_pairs(pa.size, dom.directed):
+                        pa.set_adj(u, v, structure[u, v])
+                    assert bound == dual_bound(pa, model, 1.0)
+                    checked += 1
+        assert checked > 100
 
     def test_requires_fitted_model(self):
         empty = GpModel.build([], [], KernelVariant.SSP, KernelHyperparams())
@@ -954,20 +997,14 @@ class TestSolve:
         with pytest.raises(DomainTooLargeError):
             solve(model, huge, 1.0, strategy="enumerate")
 
-    def test_log_line_format(self, rng, caplog):
+    def test_final_log_line(self, rng, caplog):
         dom = DomainSpec(n=3, num_labels=1)
         model = fitted_model(rng, dom)
         with caplog.at_level(logging.INFO, logger="graphbo.solve"):
-            solve(model, dom, 1.0, strategy="branch_and_propagate",
-                  log_interval=1)
-        node_lines = [r.getMessage() for r in caplog.records
-                      if r.getMessage().startswith("node=")]
-        assert node_lines
-        assert all("depth=" in line and "bound=" in line and "incumbent=" in line
-                   for line in node_lines)
-        final = [r.getMessage() for r in caplog.records
-                 if r.getMessage().startswith("status=")]
-        assert len(final) == 1 and "gap=" in final[0] and "time=" in final[0]
+            solve(model, dom, 1.0, strategy="branch_and_propagate")
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 1 and lines[0].startswith("status=Optimal")
+        assert "gap=" in lines[0] and "time=" in lines[0] and "nodes=2" in lines[0]
 
     def test_bounded_domain_solve(self, rng):
         dom = DomainSpec(n=3, n_min=1, num_labels=2)

@@ -1,4 +1,5 @@
-"""The breadth-first numbering rule of branch-and-propagate and the
+"""The breadth-first numbering rule of branch-and-propagate's directed walk,
+the one structure per class it bounds on undirected domains, and the
 renumbering that recovers the smallest sort key, against brute force and
 networkx's graph atlas."""
 
@@ -18,7 +19,7 @@ from graphbo.graphs import (
     smallest_relabeling,
     structure_profiles,
 )
-from graphbo.solve import PartialAssignment, graph_sort_key, solve
+from graphbo.solve import graph_sort_key, solve
 
 from conftest import random_graph
 
@@ -27,16 +28,15 @@ solve_module = importlib.import_module("graphbo.solve")
 
 def structures(n, directed):
     """Every connected n-node structure, with the diagonal set to 1 as in a
-    search state whose nodes all exist."""
+    ``PartialAssignment`` whose nodes all exist."""
     states = np.stack([adjacency for adjacency, _ in _connected_structures(n, directed)])
     states[:, np.arange(n), np.arange(n)] = 1
     return states
 
 
 def kept(states):
-    """The states of full structures that the search's rule keeps."""
-    n = states.shape[-1]
-    return states[~solve_module._bfs_order_violated(states, n)]
+    """The structures that the rule keeps."""
+    return states[~solve_module._bfs_order_violated(states)]
 
 
 def renumberings(adjacency):
@@ -90,35 +90,10 @@ def test_every_directed_class_keeps_a_numbering():
     assert all(members & survivors for members in classes.values())
 
 
-@pytest.mark.parametrize("dom", [DomainSpec(n=4, num_labels=1),
-                                 DomainSpec(n=3, num_labels=1, directed=True),
-                                 DomainSpec(n=4, n_min=2, num_labels=1)],
-                         ids=["n4", "directed_n3", "bounded_2_4"])
-def test_partial_states_keep_every_breadth_first_completion(rng, dom):
-    # a state is cut only when none of its completions is kept
-    n = dom.n
-    full = {size: [s for s in structures(size, dom.directed) if brute_keeps(s)]
-            for size in dom.sizes}
-    cut = 0
-    for _ in range(300):
-        size = int(rng.integers(dom.n_min, n + 1))
-        pa = PartialAssignment.root(dom, size)
-        for u in range(size):
-            for v in range(size):
-                if u != v and rng.random() < 0.6:
-                    pa.set_adj(u, v, int(rng.integers(0, 2)))
-        sub = pa.adj[:size, :size]
-        completions = [s for s in full[size]
-                       if ((sub == -1) | (sub == s)).all()]
-        violated = solve_module._bfs_order_violated(pa.adj[None], size)[0]
-        assert not (violated and completions)
-        cut += bool(violated)
-    assert cut >= 10
-
-
-def test_search_scores_one_numbering_per_kept_structure(monkeypatch):
+def test_search_scores_one_structure_per_class(monkeypatch):
     # zero targets and beta 0: every bound ties the incumbent, so nothing is
-    # pruned and the search scores exactly the structures the rule keeps
+    # pruned and the search scores every structure it reads: one per class
+    nx = pytest.importorskip("networkx")
     dom = DomainSpec(n=5, num_labels=1)
     points = [sample_feasible(dom, s) for s in range(3)]
     model = GpModel.build(points, np.zeros(3), KernelVariant.SSP,
@@ -132,8 +107,10 @@ def test_search_scores_one_numbering_per_kept_structure(monkeypatch):
     monkeypatch.setattr(solve_module, "structure_profiles", recording)
     result = solve(model, dom, 0.0, strategy="branch_and_propagate")
     assert result.status == "Optimal"
-    assert len(scored) == 171
-    assert all(brute_keeps(adjacency) for adjacency in scored)
+    assert len(scored) == 21
+    graphs = [nx.from_numpy_array(adjacency) for adjacency in scored]
+    assert all(nx.is_connected(g) for g in graphs)
+    assert not any(nx.is_isomorphic(g, h) for g, h in itertools.combinations(graphs, 2))
 
 
 def brute_smallest(graphs):
