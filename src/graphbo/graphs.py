@@ -12,12 +12,13 @@ first graph in ``enumerate_domain`` order with its profile, so ties still
 break toward the lexicographically smallest graph. Undirected domains
 without user rows build the table from one structure per isomorphism class
 of connected graphs (``_connected_classes``: vertex augmentation), in its
-smallest numbering, which is that first graph's structure; other domains
-walk every connected structure. Both solve strategies read one structure's
-labelings through ``structure_profiles``. ``smallest_relabeling``
-renumbers graphs to their smallest ``graph_sort_key``, which
-branch-and-propagate needs as it searches one numbering per class. One
-canonical search, ``_smallest_numberings``, finds those numberings for both.
+smallest numbering, which is that first graph's structure, up to
+CLASS_TABLE_MAX_NODES nodes; other domains and sizes walk every connected
+structure. Both solve strategies read one structure's labelings through
+``structure_profiles``. ``smallest_relabeling`` renumbers graphs to their
+smallest ``graph_sort_key``, which branch-and-propagate needs as it may
+search several numberings of a class. One canonical search,
+``_smallest_numberings``, finds those numberings for both.
 """
 
 from __future__ import annotations
@@ -619,15 +620,16 @@ def _code_adjacency(codes: np.ndarray, n: int, directed: bool) -> np.ndarray:
 
 
 def _connected_structures(n: int, directed: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(adjacency, distances) of every connected n-node structure, in
-    ``enumerate_domain`` order. Floyd-Warshall runs on blocks of adjacency
-    patterns at once; a pattern is connected iff all its distances are finite.
+    """(adjacency, distances) stacks of the connected n-node structures, one
+    per block of BLOCK adjacency codes, in ``enumerate_domain`` order; a
+    block with none yields an empty stack. Floyd-Warshall runs on a block at
+    once; a pattern is connected iff all its distances are finite.
     """
     for codes in _code_blocks(1 << len(adjacency_pairs(n, directed))):
         adjacency = _code_adjacency(codes, n, directed)
         dist = _all_pairs_distances(adjacency)
-        for i in np.flatnonzero(np.isfinite(dist).all(axis=(1, 2))):
-            yield adjacency[i], dist[i].astype(np.int64)
+        connected = np.isfinite(dist).all(axis=(1, 2))
+        yield adjacency[connected], dist[connected].astype(np.int64)
 
 
 def _group_starts(groups: np.ndarray) -> np.ndarray:
@@ -690,53 +692,87 @@ def _smallest_numberings(adjacency: np.ndarray, features: np.ndarray
     return tuple(map(np.concatenate, zip(*found)))
 
 
-@functools.lru_cache(maxsize=None)
-def _connected_classes(n: int) -> np.ndarray:
-    """One read-only adjacency (classes, n, n) per isomorphism class of
-    connected undirected n-node graphs: its smallest numbering under
-    ``graph_sort_key``, classes in ascending order.
+# The largest size whose class table is built: 261,080 classes of 9 nodes
+# take 21 MB, those of 10 nodes would take 1.2 GB. Larger sizes walk.
+CLASS_TABLE_MAX_NODES = 9
+_class_tables: dict[int, np.ndarray] = {1: np.zeros((1, 1, 1), dtype=np.int8)}
 
-    Classes are generated by vertex augmentation (McKay, J. Algorithms 26,
-    1998): each (n - 1)-class gets one new node joined to every nonempty
-    subset of its nodes, and the candidates are deduplicated in their
-    smallest numbering (``_smallest_numberings``). Removing a leaf of a
-    spanning tree leaves a connected graph, so every class is reached.
+
+def _class_steps(n: int) -> Iterator[None]:
+    """Build the class tables of up to n nodes, yielding after each block of
+    at most BLOCK candidates so that a caller can stop between blocks; only
+    complete tables enter ``_class_tables``.
+
+    A table holds one read-only adjacency (classes, size, size) per
+    isomorphism class of connected undirected graphs: its smallest
+    numbering under ``graph_sort_key``, classes in ascending order. Classes
+    are generated by vertex augmentation (McKay, J. Algorithms 26, 1998):
+    each (size - 1)-class gets one new node joined to every nonempty subset
+    of its nodes, and the candidates are deduplicated in their smallest
+    numbering (``_smallest_numberings``). Removing a leaf of a spanning tree
+    leaves a connected graph, so every class is reached.
     """
-    if n == 1:
-        classes = np.zeros((1, 1, 1), dtype=np.int8)
-    else:
-        parents = _connected_classes(n - 1)
-        subsets = (np.arange(1, 1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
-        candidates = np.zeros((len(parents), len(subsets), n, n), dtype=np.int8)
-        candidates[:, :, :-1, :-1] = parents[:, None]
-        candidates[:, :, -1, :-1] = subsets
-        candidates[:, :, :-1, -1] = subsets
-        candidates = candidates.reshape(-1, n, n)
-        graph, order = _smallest_numberings(candidates, np.zeros_like(candidates[:, :, :1]))
-        smallest = candidates[graph[:, None, None], order[:, :, None], order[:, None, :]]
+    for size in range(2, n + 1):
+        if size in _class_tables:
+            continue
+        parents = _class_tables[size - 1]
+        subsets = (np.arange(1, 1 << (size - 1))[:, None] >> np.arange(size - 1)) & 1
+        step = max(1, BLOCK // len(subsets))
+        rows: set[bytes] = set()
+        for lo in range(0, len(parents), step):
+            block = parents[lo: lo + step]
+            candidates = np.zeros((len(block), len(subsets), size, size), dtype=np.int8)
+            candidates[:, :, :-1, :-1] = block[:, None]
+            candidates[:, :, -1, :-1] = subsets
+            candidates[:, :, :-1, -1] = subsets
+            candidates = candidates.reshape(-1, size, size)
+            graph, order = _smallest_numberings(candidates, np.zeros_like(candidates[:, :, :1]))
+            smallest = candidates[graph[:, None, None], order[:, :, None], order[:, None, :]]
+            rows.update(matrix.tobytes() for matrix in smallest)
+            yield
         # the byte order of 0/1 matrices is their lexicographic order
-        rows = sorted({matrix.tobytes() for matrix in smallest})
-        classes = np.frombuffer(b"".join(rows), dtype=np.int8).reshape(-1, n, n)
-    classes.setflags(write=False)
-    return classes
+        classes = np.frombuffer(b"".join(sorted(rows)), dtype=np.int8).reshape(-1, size, size)
+        classes.setflags(write=False)
+        _class_tables[size] = classes
+
+
+def _connected_classes(n: int) -> np.ndarray:
+    """The class table of n nodes (``_class_steps``), built if need be."""
+    for _ in _class_steps(n):
+        pass
+    return _class_tables[n]
+
+
+def _walks(domain: DomainSpec, size: int) -> bool:
+    """``_structures`` walks every connected structure of ``size`` instead
+    of reading one per class: on directed domains (removing a node can break
+    strong connectivity, which vertex augmentation relies on), with user
+    rows (they name nodes) and above CLASS_TABLE_MAX_NODES."""
+    return domain.directed or bool(domain.extra_rows) or size > CLASS_TABLE_MAX_NODES
 
 
 def _structures(domain: DomainSpec, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(adjacency, distances) of the structures whose labelings give every
-    feasible profile of ``size`` nodes, in ``enumerate_domain`` order.
+    """(adjacency, distances) stacks of the structures whose labelings give
+    every feasible profile of ``size`` nodes, in ``enumerate_domain`` order.
 
     Profiles and feasibility do not depend on the numbering unless user
     rows name nodes, and the first graph with a profile is then a class's
     smallest numbering; so undirected domains without ``extra_rows`` read
-    one structure per isomorphism class. Directed domains walk every
-    structure: removing a node can break strong connectivity, which
-    vertex augmentation relies on.
+    one structure per isomorphism class, unless ``walks``. Every block
+    yields, empty ones included (a walked block with no connected
+    structure, a step of a class-table build), so a caller can poll a
+    budget between blocks.
     """
-    if domain.directed or domain.extra_rows:
+    if _walks(domain, size):
         yield from _connected_structures(size, domain.directed)
         return
-    classes = _connected_classes(size)
-    yield from zip(classes, _all_pairs_distances(classes).astype(np.int64))
+    empty = np.zeros((0, size, size), dtype=np.int8)
+    for _ in _class_steps(size):
+        yield empty, empty.astype(np.int64)
+    classes = _class_tables[size]
+    for lo in range(0, len(classes), BLOCK):
+        block = classes[lo: lo + BLOCK]
+        yield block, _all_pairs_distances(block).astype(np.int64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -857,9 +893,10 @@ def profile_table(domain: DomainSpec,
     structure. Each structure's feasible labelings give their profiles
     through ``structure_profiles``. Profiles are deduplicated first within
     the structure and then across the domain, keyed by (size, counts,
-    sums). ``out_of_time`` is polled before each structure, so once per
-    class on the class path; once it returns True the build stops and the
-    table is marked incomplete. Raises DomainTooLargeError above the same
+    sums). ``out_of_time`` is polled before each structure and at each
+    empty block (a walked block with no connected structure, a step of a
+    class-table build); once it returns True the build stops and the table
+    is marked incomplete. Raises DomainTooLargeError above the same
     bit cap as ``enumerate_domain``.
     """
     _check_bit_cap(domain)
@@ -868,31 +905,36 @@ def profile_table(domain: DomainSpec,
     keys: list[np.ndarray] = []  # [size, labeled counts..., feature sums...]
     adjacency: list[np.ndarray] = []
     features: list[np.ndarray] = []
+    expired = out_of_time or (lambda: False)
+    # None stands for an empty block, so a run of them is polled too
+    stream = itertools.chain.from_iterable(
+        zip(*block) if len(block[0]) else [None]
+        for size in domain.sizes for block in _structures(domain, size))
     complete = True
-    for size in domain.sizes:
-        for adj, dist in _structures(domain, size):
-            if out_of_time is not None and out_of_time():
-                complete = False
-                break
-            for profiles, feats in structure_profiles(domain, adj, dist):
-                if not len(feats):
-                    continue
-                block = np.concatenate([
-                    profiles.sizes[:, None],
-                    profiles.labeled_counts.reshape(len(feats), -1),
-                    profiles.feature_sums], axis=1)
-                raw = block.view(np.dtype((np.void, block.itemsize * block.shape[1])))
-                first: dict[bytes, int] = {}
-                for i, key in enumerate(raw.ravel().tolist()):
-                    first.setdefault(key, i)
-                for key, i in first.items():
-                    if key not in seen:
-                        seen.add(key)
-                        keys.append(block[i])
-                        adjacency.append(adj)
-                        features.append(feats[i])
-        if not complete:
+    for item in stream:
+        if expired():
+            complete = False
             break
+        if item is None:
+            continue
+        adj, dist = item
+        for profiles, feats in structure_profiles(domain, adj, dist):
+            if not len(feats):
+                continue
+            block = np.concatenate([
+                profiles.sizes[:, None],
+                profiles.labeled_counts.reshape(len(feats), -1),
+                profiles.feature_sums], axis=1)
+            raw = block.view(np.dtype((np.void, block.itemsize * block.shape[1])))
+            first: dict[bytes, int] = {}
+            for i, key in enumerate(raw.ravel().tolist()):
+                first.setdefault(key, i)
+            for key, i in first.items():
+                if key not in seen:
+                    seen.add(key)
+                    keys.append(block[i])
+                    adjacency.append(adj)
+                    features.append(feats[i])
 
     rows = len(keys)
     sizes = np.array([int(key[0]) for key in keys], dtype=np.int64)

@@ -43,6 +43,7 @@ from .graphs import (  # noqa: F401  enumerate_domain is re-exported
     ProfileTable,
     _all_pairs_distances,
     _structures,
+    _walks,
     adjacency_pairs,
     build_graph,
     domain_feasible,
@@ -310,22 +311,23 @@ def _structure_chunks(domain: DomainSpec, size: int
                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stacks (b, size, size) of the adjacency and distances of the
     structures that branch-and-propagate bounds at ``size``: those of
-    ``graphs._structures``, read in chunks of at most BLOCK node pairs,
-    less any whose in-degree exceeds every degree cap. A directed walk
-    without user rows keeps one numbering per class, a breadth-first one
-    (``_bfs_order_violated``); user rows name nodes, so with any the walk
-    keeps every numbering."""
-    structures = _structures(domain, size)
+    ``graphs._structures``, in chunks of at most BLOCK node pairs, less any
+    whose in-degree exceeds every degree cap. A walk without user rows
+    keeps only breadth-first numberings (``_bfs_order_violated``), several
+    per class; user rows name nodes, so with any the walk keeps every
+    numbering. Each block of ``_structures`` yields at least one chunk,
+    empty when none of its structures is kept, so the caller polls its
+    budget between blocks."""
     rows = max(1, BLOCK // size ** 2)
-    while chunk := list(itertools.islice(structures, rows)):
-        adjacency, dist = (np.stack(part) for part in zip(*chunk))
-        keep = np.ones(len(chunk), dtype=bool)
+    for adjacency, dist in _structures(domain, size):
+        keep = np.ones(len(adjacency), dtype=bool)
         if domain.degree_caps is not None:
             keep &= (adjacency.sum(axis=1) <= max(domain.degree_caps)).all(axis=1)
-        if domain.directed and not domain.extra_rows:
+        if _walks(domain, size) and not domain.extra_rows:
             keep &= ~_bfs_order_violated(adjacency)
-        if keep.any():
-            yield adjacency[keep], dist[keep]
+        adjacency, dist = adjacency[keep], dist[keep]
+        for lo in range(0, max(len(adjacency), 1), rows):
+            yield adjacency[lo: lo + rows], dist[lo: lo + rows]
 
 
 def _distance_intervals(states: np.ndarray, size: int):
@@ -452,7 +454,8 @@ class _BoundContext:
         2 gamma_t |w|'max(|k_lo|, |k_hi|). Without that slack, a
         structure's bound exceeded the lowest ``predict`` LCB of its
         labelings by up to 9.5e-6 on 10-point models with |w| up to 2e6,
-        and pruning at bound > incumbent could drop a tie.
+        and pruning at bound > incumbent could drop a tie. The sigma term
+        carries no slack: its rounding is not bounded here.
 
         Each state's O(t^2) tail makes one BLAS call per product: the weight
         sums and |inner|^2 are ``gp._rowdot`` dot products, and z_lo/z_hi are
@@ -614,6 +617,8 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         for adjacency, dist in _structure_chunks(domain, size):
             if out_of_time():
                 return False
+            if not len(adjacency):
+                continue
             bounds = ctx.row_bounds(ctx.boxes(size, dist, dist))
             nodes += len(bounds)
             for adj, d, bound in zip(adjacency, dist, bounds):
@@ -690,12 +695,13 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     first, starting from the best domain-feasible warm start; a size whose
     label-count bounds cannot sum to it is skipped. A size's structures
     are those the enumerate table reads (``graphs._structures``): one per
-    isomorphism class of an undirected domain without user rows, else the
-    walk over every connected structure. A directed walk without user rows
-    keeps one numbering per class, a breadth-first one from node 0 on the
-    underlying undirected graph; user rows name nodes, so with any the walk
-    keeps every numbering. A structure whose in-degree exceeds every degree
-    cap is dropped. The rest are bounded in chunks of at most BLOCK node
+    isomorphism class of an undirected domain without user rows, up to
+    ``graphs.CLASS_TABLE_MAX_NODES`` nodes, else the walk over every
+    connected structure. A walk without user rows keeps only breadth-first
+    numberings from node 0 on the underlying undirected graph, several per
+    class; user rows name nodes, so with any the walk keeps every
+    numbering. A structure whose in-degree exceeds every degree cap is
+    dropped. The rest are bounded in chunks of at most BLOCK node
     pairs, with their exact distances (``_BoundContext.row_bounds``: one
     BLAS call per structure and product, so a structure's bound does not
     depend on its chunk). A structure whose bound exceeds the incumbent
@@ -709,17 +715,23 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     ``nodes_explored`` counts the structures bounded: 21 at n=5 with one
     label or two.
 
-    The bound sits below ``predict``'s value at every labeling of its
-    structure, roundoff included (``_BoundContext.row_bounds``), so every
-    structure that reaches the incumbent value is scored. The graphs met
-    at the optimum are renumbered by a canonical search
+    The bound's mean term steps down by a bound on the rounding of its own
+    sum and of ``predict``'s (``_BoundContext.row_bounds``). Its sigma term
+    has no such slack, and ``predict`` forms sigma another way. So that the
+    bound sits at or below ``predict``'s value at every labeling of its
+    structure, and hence that every structure reaching the incumbent value
+    is scored, is checked with no tolerance on small domains
+    (``test_structure_bound_below_every_labeling``), not proved.
+
+    The graphs met at the optimum are renumbered by a canonical search
     (``graphs.smallest_relabeling``; features move with their nodes, which
     keeps the profile and hence the LCB), so ties break toward the smallest
     ``graph_sort_key`` as in ``enumerate``. With ``extra_rows`` (every
     numbering is scored) and in a search cut short by the budget, the
     incumbent is the smallest sort key among the graphs met, unrenumbered.
-    The budget is polled before each chunk and each block of labelings; a
-    size cut short keeps its best scored labelings and contributes the
+    The budget is polled before each chunk, empty ones included, and each
+    block of labelings; a class-table build yields a chunk after each step.
+    A size cut short keeps its best scored labelings and contributes the
     bound of its root to the reported bound, as does each size left
     unsearched. The search runs single-threaded, which keeps results
     bit-for-bit reproducible.

@@ -306,6 +306,9 @@ def test_interrupted_build_breaks_warm_start_ties_by_sort_key(monkeypatch):
                           KernelHyperparams(alpha=1.0, beta=1.0))
     first = next(enumerate_domain(TWO_LABELS))
     solve_module._profile_tables.clear()
+    # a class table in the making is polled at each step; with it built,
+    # the one poll allowed falls before the first structure
+    graphs_module._connected_classes(TWO_LABELS.n)
     _interrupt_builds(monkeypatch, 1)
     later = [g for g in points if g != first]
     cut = solve(model, TWO_LABELS, 0.0, strategy="enumerate", warm_start=later)

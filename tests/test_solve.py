@@ -47,6 +47,7 @@ from graphbo.solve import (
 from conftest import bfs_distances, complete_graph
 
 solve_module = importlib.import_module("graphbo.solve")
+graphs_module = importlib.import_module("graphbo.graphs")
 
 
 def fitted_model(rng, dom, t=5, variant=KernelVariant.SSP):
@@ -538,13 +539,14 @@ class TestDualBound:
             model = fit(points, rng.normal(size=10), variant, seed=seed)
             ctx = solve_module._BoundContext(model, 1.0, dom)
             for size in dom.sizes:
-                for adjacency, dist in _structures(dom, size):
-                    bound, = ctx.row_bounds(ctx.boxes(size, dist[None], dist[None]))
-                    for profiles, features in structure_profiles(dom, adjacency, dist):
-                        if len(features):
-                            mu, var = predict(model, profiles)
-                            assert bound <= (mu - np.sqrt(var)).min()
-                            checked += 1
+                for block in _structures(dom, size):
+                    for adjacency, dist in zip(*block):
+                        bound, = ctx.row_bounds(ctx.boxes(size, dist[None], dist[None]))
+                        for profiles, features in structure_profiles(dom, adjacency, dist):
+                            if len(features):
+                                mu, var = predict(model, profiles)
+                                assert bound <= (mu - np.sqrt(var)).min()
+                                checked += 1
         assert checked >= 18
 
     @pytest.mark.parametrize("variant", list(KernelVariant))
@@ -888,10 +890,8 @@ class TestSolve:
         assert branch.incumbent == exact.incumbent
 
     @staticmethod
-    def _expire_at_structure(monkeypatch, count):
-        """A frozen clock that runs out when the search hands its
-        ``count``-th structure to the labeling scorer; returns the list of
-        structures handed over."""
+    def _frozen_clock(monkeypatch):
+        """A clock at 0 until the test moves it."""
         class Clock:
             now = 0.0
 
@@ -899,6 +899,15 @@ class TestSolve:
                 return self.now
 
         clock = Clock()
+        monkeypatch.setattr(solve_module, "time", clock)
+        return clock
+
+    @staticmethod
+    def _expire_at_structure(monkeypatch, count):
+        """A frozen clock that runs out when the search hands its
+        ``count``-th structure to the labeling scorer; returns the list of
+        structures handed over."""
+        clock = TestSolve._frozen_clock(monkeypatch)
         scored = []
 
         def expiring(domain, adjacency, dist):
@@ -908,7 +917,6 @@ class TestSolve:
                 clock.now = 1e9
             return structure_profiles(domain, adjacency, dist)
 
-        monkeypatch.setattr(solve_module, "time", clock)
         monkeypatch.setattr(solve_module, "structure_profiles", expiring)
         return scored
 
@@ -946,6 +954,69 @@ class TestSolve:
         assert result.bound == min(dual_bound(PartialAssignment.root(dom, size), model, 1.0)
                                    for size in dom.sizes)
         assert result.bound <= exact.objective
+
+    def test_class_table_build_honours_the_budget(self, monkeypatch):
+        # undirected n=9 without user rows reads the 261,080 classes of 9
+        # nodes, built from 2.8M candidates; the clock runs out at the third
+        # block of the build, no block runs after it, the unfinished table
+        # is not kept, and the warm start is returned with the root bound
+        dom = DomainSpec(n=9, num_labels=1)
+        rng = np.random.default_rng(0)
+        points = [sample_feasible(dom, rng) for _ in range(4)]
+        model = GpModel.build(points, rng.normal(size=4), KernelVariant.SSP,
+                              KernelHyperparams())
+        clock = self._frozen_clock(monkeypatch)
+        smallest = graphs_module._smallest_numberings
+        blocks = []
+
+        def counted(adjacency, features):
+            assert clock.now == 0.0, "a build block ran after the budget ran out"
+            blocks.append(len(adjacency))
+            if len(blocks) == 3:
+                clock.now = 1e9
+            return smallest(adjacency, features)
+
+        monkeypatch.setattr(graphs_module, "_smallest_numberings", counted)
+        result = solve(model, dom, 1.0, budget=10.0, strategy="branch_and_propagate",
+                       warm_start=points[:1])
+        assert len(blocks) == 3 and max(blocks) <= graphs_module.BLOCK
+        assert 9 not in graphs_module._class_tables
+        assert (result.status, result.incumbent) == ("FeasibleTimeLimit", points[0])
+        assert result.nodes_explored == 0
+        assert result.bound == min(result.objective, dual_bound(
+            PartialAssignment.root(dom, 9), model, 1.0))
+
+    @pytest.mark.parametrize("dom", [
+        DomainSpec(n=6, num_labels=1, directed=True),
+        DomainSpec(n=10, num_labels=1),
+    ], ids=["directed_n6", "undirected_n10"])
+    def test_budget_runs_out_in_a_stretch_of_empty_blocks(self, dom, monkeypatch):
+        # both sizes walk every adjacency code, and their first 2**25 and
+        # 2**36 codes give node 0 no out-edge, so no block there holds a
+        # connected structure; each such block is still polled, and the
+        # budget ends the walk after the block it runs out in
+        assert graphs_module._walks(dom, dom.n)
+        rng = np.random.default_rng(0)
+        points = [sample_feasible(dom, rng) for _ in range(3)]
+        model = GpModel.build(points, rng.normal(size=3), KernelVariant.SSP,
+                              KernelHyperparams())
+        clock = self._frozen_clock(monkeypatch)
+        code_adjacency = graphs_module._code_adjacency
+        blocks = []
+
+        def counted(codes, n, directed):
+            assert clock.now == 0.0, "a block was walked after the budget ran out"
+            blocks.append(codes)
+            if len(blocks) == 20:
+                clock.now = 1e9
+            return code_adjacency(codes, n, directed)
+
+        monkeypatch.setattr(graphs_module, "_code_adjacency", counted)
+        monkeypatch.setattr(graphs_module, "_class_steps", None)  # never built
+        result = solve(model, dom, 1.0, budget=10.0, strategy="branch_and_propagate")
+        assert len(blocks) == 20 and blocks[-1][-1] < 1 << 25
+        assert (result.status, result.incumbent, result.nodes_explored) == \
+            ("BudgetExhausted", None, 0)
 
     def test_structures_bound_as_full_assignments(self, rng, monkeypatch):
         # every bounded structure's bound equals a fresh dual_bound of the

@@ -29,7 +29,7 @@ solve_module = importlib.import_module("graphbo.solve")
 def structures(n, directed):
     """Every connected n-node structure, with the diagonal set to 1 as in a
     ``PartialAssignment`` whose nodes all exist."""
-    states = np.stack([adjacency for adjacency, _ in _connected_structures(n, directed)])
+    states = np.concatenate([adjacency for adjacency, _ in _connected_structures(n, directed)])
     states[:, np.arange(n), np.arange(n)] = 1
     return states
 
