@@ -1,35 +1,30 @@
 """Gaussian-process regression over attributed graphs.
 
-Hyperparameters (graph weight, feature weight, and the exponential-variant
-variance) are fitted by maximizing the log marginal likelihood with a
-multi-start bounded quasi-Newton search over log-parameters: an in-house
-projected BFGS (``_minimize_box``) over the 2- or 3-dimensional box. For
-every variant the noisy Gram matrix is K = a G + b Phi Phi^T + noise I: the
-graph part G is fixed for a fit, a is alpha (alpha / sigma_k_sq for
+For every variant the noisy Gram matrix is K = a G + b Phi Phi^T + noise I:
+the graph part G is fixed for a fit, a is alpha (alpha / sigma_k_sq for
 essp/esp), Phi holds each point's feature sums over its size (t x M) and b
-is beta / M. So ``GramBuilder`` decomposes G = Q diag(lambda) Q^T once per
-fit (``_grouped_eigh``: repeated profiles get exact zero eigenvalues), and
-in that basis a likelihood evaluation is diagonal plus a rank-M correction
-(the determinant lemma and the Woodbury identity, Rasmussen & Williams
-2006, A.3). The likelihood and its closed-form gradient (eq. 5.9) then cost
-O(t M) per restart after one product Q^T y per call, with no t x t factor
-or inverse. The restarts search in lockstep, so each step scores every
-running restart as one stack; every sum is a row-wise ``einsum`` reduction
-and the M x M inverse and determinant are one LAPACK call per slice, so
-every restart follows its own trajectory to the bit.
+is beta / M. The likelihood sees alpha and sigma_k_sq only through a, so the
+fit maximizes it over log a and log beta alone, by a multi-start projected
+BFGS (``_minimize_box``), and a fitted essp/esp model reports a as
+``alpha`` with ``sigma_k_sq = 1.0``. ``GramBuilder`` decomposes
+G = Q diag(lambda) Q^T once per fit (``_grouped_eigh``); in that basis a
+likelihood evaluation is diagonal plus a rank-M correction (the
+determinant lemma and the Woodbury identity, Rasmussen & Williams 2006,
+A.3), so it and its closed-form gradient (eq. 5.9) cost O(t M) per
+restart after one product Q^T y per call, with no t x t factor or
+inverse. ``log_marginal_likelihood`` is minus that evaluation. The
+restarts search in lockstep, one stacked evaluation per step, and each
+follows its own trajectory to the bit.
 
-A model at given hyperparameters (``GpModel.build``) is factored with
+A model at given hyperparameters (``GpModel.build``) is factored by
 ``np.linalg.cholesky``, and every solve against the factor runs through
-``numpy.linalg`` on an upper triangular matrix (L^T, or L with rows and
-columns reversed): LU's partial pivoting swaps no row of such a matrix, so
-``solve`` and ``inv`` do a plain back substitution. graphbo therefore needs
-numpy only; SciPy's optimizer, ``linalg`` and ``sparse`` packages would add
-about 50 MiB and 0.5 s to the start of every process. Every prediction
-(``posterior``, ``lcb``, both solvers, the MIP model's exact evaluation) goes
-through ``predict``, which reduces each row along its own axis in a fixed
-order (Higham 2002, section 3.1: a sum rounds the same way only when it is
-taken in the same order). A point therefore gets one mean, one variance and
-one LCB in any batch, at any position, so the solvers can compare batched
+``numpy.linalg`` on an upper triangular matrix (L^T, or L reversed), where
+LU's partial pivoting swaps no row: graphbo needs numpy only, and SciPy's
+optimizer, ``linalg`` and ``sparse`` would add about 50 MiB and 0.5 s to
+every process start. Every prediction (``posterior``, ``lcb``, both
+solvers, the MIP model's exact evaluation) goes through ``predict``, whose
+fixed-order row reductions (Higham 2002, section 3.1) give a point one
+mean, variance and LCB in any batch, so the solvers can compare batched
 values with ``lcb``'s directly.
 """
 
@@ -53,7 +48,6 @@ from .kernels import (
     _count_products,
     _graph_part,
     cross_gram,
-    gram,
     self_kernel_parts,
 )
 
@@ -88,20 +82,6 @@ def factorize(matrix: np.ndarray, noise_var: float) -> np.ndarray:
         raise FactorizationError("Gram factorization failed with jitter") from None
 
 
-def _upper_inverse(upper: np.ndarray) -> np.ndarray:
-    """The inverse of an upper triangular matrix (L^T). ``np.linalg.inv``
-    factors its argument with partial pivoting, which swaps no rows of an
-    upper triangular matrix, so this is a plain back substitution, and the
-    result is exactly upper triangular."""
-    return np.linalg.inv(upper)
-
-
-def _forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^-1 b. It runs on the reversed factor, which is upper triangular, so
-    ``np.linalg.solve`` swaps no row (see ``_upper_inverse``)."""
-    return np.linalg.solve(chol[::-1, ::-1], b[::-1])[::-1]
-
-
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u_i . v_i for each row i of two (B, n) stacks, as a (1 x n) @ (n x 1)
     ``matmul`` per row, which numpy runs as one BLAS ``ddot``, the call a
@@ -117,21 +97,37 @@ def _targets(y) -> np.ndarray:
     return y
 
 
-def _grouped_eigh(graph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors (columns) of a symmetric
-    matrix, with an exact zero eigenvalue for every repeated row.
+def _refined_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh``'s pairs after one step of Ogita & Aishima's (2018) refinement,
+    its products in long double (80-bit on x86-64; where numpy's long double
+    is a double, the step gains little)."""
+    x = np.linalg.eigh(matrix)[1].astype(np.longdouble)
+    a = matrix.astype(np.longdouble)
+    r, s = np.eye(len(a), dtype=a.dtype) - x.T @ x, x.T @ (a @ x)
+    values = s.diagonal() / (1 - r.diagonal())
+    bound = 2 * (np.linalg.norm(s - np.diag(values)) + np.linalg.norm(a) * np.linalg.norm(r))
+    gap = values - values[:, None]  # lambda_j - lambda_i; close pairs keep R / 2
+    e = np.divide(s + r * values, gap, out=r / 2, where=np.abs(gap) > bound)
+    return values.astype(float), (x + x @ e).astype(float)
 
-    Training points that share a kernel profile give equal rows, and a group
-    of m equal rows spans m - 1 directions of the null space. ``eigh`` on the
-    whole matrix returns those eigenvalues as roundoff of about eps * ||G||
-    (up to 1.1e-15 on a 10-point essp Gram), which the graph weight a (up to
-    1e4) sets against the 1e-6 noise on exactly the directions that dominate
-    y^T K^-1 y: there the likelihood came out up to 16 times, and its
-    gradient up to 41 times, further from an exact reference than the
-    Cholesky path's. So the null directions are built exactly, as Helmert
-    contrasts within each group, and ``eigh`` runs on the matrix of distinct
-    rows scaled by sqrt(m_g m_h), whose eigenvectors, spread evenly over each
-    group, span the rest.
+
+def _grouped_eigh(graph: np.ndarray, refine: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of a symmetric
+    matrix, with an exact zero eigenvalue for every repeated row; with
+    ``refine`` (the exponential variants) the rest are ``_refined_eigh``'s.
+
+    A group of m equal rows (points that share a kernel profile) spans m - 1
+    null directions, where ``eigh`` returns roundoff of about eps * ||G||
+    that the graph weight a (up to 1e4) sets against the 1e-6 noise: the
+    likelihood came out up to 16 times, and its gradient 41 times, as far
+    from an exact reference as the Cholesky path's. So those directions are
+    Helmert contrasts within each group, and ``eigh`` runs on the distinct
+    rows scaled by sqrt(m_g m_h), whose eigenvectors, spread evenly over
+    each group, span the rest.
+
+    On an exponential G that roundoff weighs most on the small eigenvalues:
+    at an esp stack row on 10 points it put the likelihood 12.5 times as far
+    from an exact reference as the Cholesky path's, and refined 0.01 times.
     """
     groups: dict[bytes, list[int]] = {}
     for i, row in enumerate(graph):
@@ -139,7 +135,8 @@ def _grouped_eigh(graph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     members = list(groups.values())
     first = [idx[0] for idx in members]
     scale = np.sqrt([float(len(idx)) for idx in members])
-    values, vectors = np.linalg.eigh(graph[np.ix_(first, first)] * np.outer(scale, scale))
+    values, vectors = (_refined_eigh if refine else np.linalg.eigh)(
+        graph[np.ix_(first, first)] * np.outer(scale, scale))
     t, distinct = len(graph), len(members)
     spread = np.zeros((t, distinct))
     basis = np.zeros((t, t))
@@ -160,12 +157,9 @@ class GramBuilder:
     """A training set's hyperparameter-independent Gram components,
     decomposed once per fit: K = a G + b Phi Phi^T + noise I with
     G = Q diag(``eigenvalues``) Q^T (``basis`` is Q) and ``features`` the
-    rotated feature map (Q^T Phi)^T, (M, t). G is ``kernels._graph_part``
-    (the linear graph kernel, or its exponential for ``essp``/``esp``), and
-    Phi holds each point's feature sums over its size, so b Phi Phi^T with
-    b = beta / M is the weighted feature kernel."""
+    rotated feature map (Q^T Phi)^T, (M, t). G is ``kernels._graph_part``,
+    and b Phi Phi^T with b = beta / M is the weighted feature kernel."""
 
-    variant: KernelVariant
     eigenvalues: np.ndarray
     basis: np.ndarray
     features: np.ndarray
@@ -180,35 +174,33 @@ class GramBuilder:
     def from_parts(variant: KernelVariant, graph: np.ndarray,
                    features: np.ndarray) -> "GramBuilder":
         """The builder of a graph part G (t, t) and a feature map Phi (t, M)."""
-        eigenvalues, basis = _grouped_eigh(graph)
-        return GramBuilder(variant, eigenvalues, basis, features.T @ basis)
+        eigenvalues, basis = _grouped_eigh(graph, variant.exponential)
+        return GramBuilder(eigenvalues, basis, features.T @ basis)
 
     def neg_lml(self, thetas: np.ndarray, y: np.ndarray,
                 noise_var: float = NOISE_VAR) -> tuple[np.ndarray, np.ndarray]:
-        """Negative log marginal likelihood at each row of a stack (B, d) of
-        log-hyperparameters (log alpha, log beta[, log sigma_k_sq]) and its
-        gradient in theta: values (B,) and gradients (B, d).
+        """-LML and its gradient at each row of a stack (B, 2) of log weights
+        (log a, log beta), a the graph weight: values (B,), gradients (B, 2).
 
         In the eigenbasis K = D + b P P^T with D = a lambda + noise and
         P = Q^T Phi, so with C = I + b P^T D^-1 P (M x M):
         log|K| = sum(log D) + log|C|, and K^-1 = D^-1 - b D^-1 P C^-1 P^T D^-1
         gives r = Q^T K^-1 y from u = Q^T y. With W = K^-1 y y^T K^-1 - K^-1,
-        d(-LML)/d theta_j is -1/2 sum(W * dK/d theta_j): dK/d log alpha is
-        a G, dK/d log beta is b Phi Phi^T and dK/d log sigma_k_sq is -a G, so
-        the gradient needs r^T a diag(lambda) r, b |P^T r|^2 and the traces
+        d(-LML)/d theta_j is -1/2 sum(W * dK/d theta_j): dK/d log a is a G
+        and dK/d log beta is b Phi Phi^T, so the gradient needs
+        r^T a diag(lambda) r, b |P^T r|^2 and the traces
         tr(K^-1 a G) = sum(a lambda / D) - b tr(C^-1 P^T D^-1 a diag(lambda) D^-1 P)
         and tr(K^-1 b Phi Phi^T) = M - tr(C^-1).
 
         A row whose D has an entry <= 0 takes ``JITTER`` once, as
         ``factorize`` does; if one is still <= 0 the row scores 1e25 with a
-        zero gradient. Every sum is a row-wise ``np.einsum`` reduction and
-        C's inverse and determinant are one LAPACK call per slice, so each
-        row is ``==`` to its stack of one, in any stack.
+        zero gradient. Sums are row-wise ``np.einsum`` reductions and C's
+        inverse and determinant one LAPACK call per slice: a row is ``==``
+        to its stack of one, in any stack.
         """
         weights = np.exp(thetas)
-        graph_w = weights[:, 0] / weights[:, 2] if self.variant.exponential else weights[:, 0]
         num_features, t = self.features.shape
-        feature_w = weights[:, 1] / num_features
+        graph_w, feature_w = weights[:, 0], weights[:, 1] / num_features
         graph = graph_w[:, None] * self.eigenvalues  # a lambda
         diag = graph + noise_var
         failed = None
@@ -238,8 +230,6 @@ class GramBuilder:
         grads[:, 0] = 0.5 * (trace_graph - np.einsum("bt,bt->b", graph * r, r, optimize=False))
         grads[:, 1] = 0.5 * (num_features - np.einsum("bkk->b", c_inv, optimize=False)
                              - feature_w * np.einsum("bk,bk->b", c_v, c_v, optimize=False))
-        if self.variant.exponential:
-            grads[:, 2] = -grads[:, 0]
         log_det = (np.einsum("bt->b", np.log(diag), optimize=False)
                    + np.linalg.slogdet(correction)[1])
         values = 0.5 * (quad + log_det + t * math.log(2.0 * math.pi))
@@ -251,15 +241,20 @@ class GramBuilder:
 def log_marginal_likelihood(points: Sequence[AttributedGraph], y,
                             variant: KernelVariant | str, hyper: KernelHyperparams,
                             noise_var: float = NOISE_VAR) -> float:
-    """Gaussian log evidence of y under the combined kernel."""
+    """Gaussian log evidence of y under the combined kernel: minus the fit's
+    own evaluation, ``GramBuilder.neg_lml`` at (log a, log beta). Raises
+    FactorizationError where that evaluation fails even with ``JITTER``."""
     variant = KernelVariant(variant)
     y = _targets(y)
     if len(points) != len(y) or len(y) < 1:
         raise ValueError("need one target per point and at least one point")
-    chol = factorize(gram(points, variant, hyper), noise_var)
-    z = _forward_solve(chol, y)
-    return float(-0.5 * (z @ z) - np.log(chol.diagonal()).sum()
-                 - 0.5 * len(y) * math.log(2.0 * math.pi))
+    with np.errstate(divide="ignore"):  # a zero weight is log 0 = -inf, and exp(-inf) = 0
+        theta = np.log([[hyper.alpha / hyper.require_variance(variant), hyper.beta]])
+    (value,), _ = GramBuilder.build(StackedSummaries.build(points), variant).neg_lml(
+        theta, y, noise_var)
+    if value == 1e25:
+        raise FactorizationError("Gram factorization failed with jitter")
+    return -float(value)
 
 
 @dataclass(frozen=True)
@@ -296,7 +291,8 @@ class GpModel:
             return GpModel(points, y, variant, hyper, noise_var, None, np.zeros(0), None)
         profile = StackedSummaries.build(points)
         chol = factorize(cross_gram(profile, profile, variant, hyper), noise_var)
-        weights = np.linalg.solve(chol.T, _forward_solve(chol, y))  # L^T is upper triangular
+        # L^-1 y on the reversed factor, then L^-T y: both are upper triangular
+        weights = np.linalg.solve(chol.T, np.linalg.solve(chol[::-1, ::-1], y[::-1])[::-1])
         return GpModel(points, y, variant, hyper, noise_var, chol, weights, profile)
 
     @cached_property
@@ -305,7 +301,7 @@ class GpModel:
         once per model."""
         if self.chol is None:
             raise UnfittedModelError("empty model has no covariance factor")
-        return _upper_inverse(self.chol.T).T
+        return np.linalg.inv(self.chol.T).T  # L^T is upper triangular, and so is its inverse
 
     def precision(self) -> np.ndarray:
         """(K + noise I)^-1 reconstructed from the Cholesky factor."""
@@ -392,12 +388,6 @@ def lcb(model: GpModel, x: AttributedGraph, beta_sqrt: float) -> float:
 # hyperparameter fitting
 
 
-def _hyper_from_theta(theta: np.ndarray, exponential: bool) -> KernelHyperparams:
-    values = np.exp(theta).tolist()
-    return KernelHyperparams(alpha=values[0], beta=values[1],
-                             sigma_k_sq=values[2] if exponential else None)
-
-
 # stopping rules and line search of _minimize_box: L-BFGS-B's defaults
 # (pgtol, factr * machine epsilon, maxfun) and the Armijo constant
 _PGTOL = 1e-5
@@ -406,14 +396,13 @@ _MAX_EVALS = 15_000
 _ARMIJO = 1e-4
 
 
-def _minimize_box(fun, starts: np.ndarray, lo: float, hi: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _minimize_box(fun, starts: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ``fun(thetas) -> (values, gradients)``, which scores a stack
-    of points (B, d), over the box [lo, hi]^d from each row of ``starts``
-    (R, d) by projected BFGS (Nocedal & Wright 2006, sections 6.1 and
-    16.7); returns each start's last point (R, d) and its value (R,).
+    of points (B, d), over the box [lo, hi] (scalars, or (d,) arrays) from
+    each row of ``starts`` (R, d) by projected BFGS (Nocedal & Wright 2006,
+    sections 6.1 and 16.7); returns each start's last point and its value.
 
-    A dense inverse-Hessian estimate (d is 2 or 3) gives the step on the
+    A dense inverse-Hessian estimate (d is small) gives the step on the
     free coordinates; a coordinate on a bound whose gradient points out of
     the box stays fixed. Each step backtracks by halving along the path
     projected onto the box until the Armijo condition holds, the estimate is
@@ -426,14 +415,11 @@ def _minimize_box(fun, starts: np.ndarray, lo: float, hi: float
     zero gradient (a failed factorization) stops after one evaluation.
 
     The searches run in lockstep: each round scores the next trial point of
-    every search still running in one call of ``fun``, and each search's
-    state (point, value, gradient, estimate, step, step length) is a row of
-    an array. Every row's arithmetic is a row-wise ufunc or a stacked
-    ``matmul`` (``_rowdot`` for dot products), which makes a single
-    vector's BLAS call on each row, so each start takes the same trial
-    points to the same end as a search from it alone. Running searches
-    have all made the same number of evaluations, so one count serves
-    ``_MAX_EVALS``.
+    every running search in one call of ``fun``, and each search's state is
+    a row of an array. Every row's arithmetic is a row-wise ufunc or a
+    stacked ``matmul`` (``_rowdot``), a single vector's BLAS call per row, so
+    each start takes the same trial points to the same end as a search from
+    it alone. Running searches share one evaluation count.
     """
     def project(v):  # np.clip's arithmetic without its per-call overhead
         return np.minimum(np.maximum(v, lo), hi)
@@ -544,14 +530,13 @@ def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
         noise_var: float = NOISE_VAR) -> GpModel:
     """Fit hyperparameters by maximizing the log marginal likelihood.
 
-    Multi-start bounded search: the first start is the all-ones point, the
-    rest are log-uniform in the [0.01, 100] box, and one ``_minimize_box``
-    call runs them all in lockstep (projected BFGS with L-BFGS-B's stopping
-    rules, kept in-house so that no graphbo process imports SciPy's
-    optimizer package), each likelihood evaluation scoring the running
-    restarts as one stack. Deterministic for a given seed; ties between
-    restarts resolve to the lowest restart index. ``variant`` may be a
-    KernelVariant or its string value; ``restarts`` must be at least 1.
+    Multi-start bounded search over (log a, log beta), a the graph weight,
+    in ``HYPER_BOX`` (for essp/esp, a = alpha / sigma_k_sq in its quotient
+    box [1e-4, 1e4], reported as ``alpha`` with ``sigma_k_sq = 1.0``): the
+    all-ones start and log-uniform ones run in lockstep in one
+    ``_minimize_box`` call. Deterministic for a seed; ties go to the lowest
+    restart index. ``variant`` may be a KernelVariant or its string value;
+    ``restarts`` must be at least 1.
     """
     variant = KernelVariant(variant)
     y = _targets(y)
@@ -564,12 +549,14 @@ def fit(points: Sequence[AttributedGraph], y, variant: KernelVariant | str,
         raise ValueError("restarts must be at least 1")
 
     builder = GramBuilder.build(StackedSummaries.build(points), variant)
-    dim = 3 if variant.exponential else 2
     lo, hi = math.log(HYPER_BOX[0]), math.log(HYPER_BOX[1])
-
-    rng = np.random.default_rng(seed)
-    starts = np.vstack([np.zeros(dim), rng.uniform(lo, hi, size=(restarts - 1, dim))])
+    lows = np.array([lo - hi if variant.exponential else lo, lo])
+    highs = np.array([hi - lo if variant.exponential else hi, hi])
+    draws = np.random.default_rng(seed).uniform(lows, highs, size=(restarts - 1, 2))
+    starts = np.vstack([np.zeros(2), draws])
     thetas, values = _minimize_box(lambda thetas: builder.neg_lml(thetas, y, noise_var),
-                                   starts, lo, hi)
-    hyper = _hyper_from_theta(thetas[np.argmin(values)], variant.exponential)
+                                   starts, lows, highs)
+    graph_w, beta = np.exp(thetas[np.argmin(values)]).tolist()
+    hyper = KernelHyperparams(alpha=graph_w, beta=beta,
+                              sigma_k_sq=1.0 if variant.exponential else None)
     return GpModel.build(points, y, variant, hyper, noise_var=noise_var)

@@ -1021,8 +1021,13 @@ def _sample_one(domain: DomainSpec, rng: np.random.Generator) -> AttributedGraph
 
 def graph_sort_key(graph: AttributedGraph) -> tuple:
     """Size-major, then flattened adjacency bits, then feature bits."""
-    return (graph.n, tuple(graph.adjacency.ravel().tolist()),
-            tuple(graph.features.ravel().tolist()))
+    return matrices_sort_key(graph.adjacency, graph.features)
+
+
+def matrices_sort_key(adjacency: np.ndarray, features: np.ndarray) -> tuple:
+    """``graph_sort_key`` of the graph of these matrices, without building it."""
+    return (len(adjacency), tuple(adjacency.ravel().tolist()),
+            tuple(features.ravel().tolist()))
 
 
 def smallest_relabeling(graphs: Iterable[AttributedGraph]) -> AttributedGraph:

@@ -61,8 +61,9 @@ class KernelHyperparams:
     """Combined-kernel weights and the exponential-variant variance.
 
     ``alpha`` weights graph similarity, ``beta`` weights feature similarity.
-    GP training constrains all of them to the box [0.01, 100]; direct kernel
-    evaluation only requires nonnegative weights.
+    A GP fit keeps beta, and alpha for ssp/sp, in [0.01, 100]; for essp/esp
+    it reports alpha / sigma_k_sq, in [1e-4, 1e4], as alpha, with unit
+    sigma_k_sq. Direct kernel evaluation only requires nonnegative weights.
     """
 
     alpha: float = 1.0

@@ -49,6 +49,7 @@ from .graphs import (  # noqa: F401  enumerate_domain is re-exported
     domain_feasible,
     enumerate_domain,
     graph_sort_key,
+    matrices_sort_key,
     profile_table,
     smallest_relabeling,
     structure_profiles,
@@ -580,9 +581,8 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
     ctx = _BoundContext(model, beta_sqrt, domain)
     warm_best, incumbent_obj, _ = _best_warm_start(model, domain, beta_sqrt, warm)
     # the labelings met so far whose LCB equals the incumbent value, as
-    # (adjacency, features) pairs; the warm start stays a graph until an
-    # improvement drops it. Pruning reads only the value, so graphs are
-    # built and their sort keys compared once, at the end
+    # (adjacency, features) pairs, built into graphs after the search; the
+    # warm start stays a graph until an improvement drops it
     tied: list[tuple[np.ndarray, np.ndarray]] = []
     nodes = structures = 0
 
@@ -640,6 +640,9 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             # a size cut short or left unsearched contributes its root bound
             timed_out = True
             open_bounds.append(ctx.bound(PartialAssignment.root(domain, size)))
+    if (timed_out or domain.extra_rows) and tied:
+        # no renumbering follows: only the smallest sort key can win
+        tied = [min(tied, key=lambda pair: matrices_sort_key(*pair))]
     graphs = [] if warm_best is None else [warm_best]
     graphs.extend(build_graph(adjacency, features, domain.directed, domain.num_labels)
                   for adjacency, features in tied)
@@ -728,7 +731,8 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     keeps the profile and hence the LCB), so ties break toward the smallest
     ``graph_sort_key`` as in ``enumerate``. With ``extra_rows`` (every
     numbering is scored) and in a search cut short by the budget, the
-    incumbent is the smallest sort key among the graphs met, unrenumbered.
+    incumbent is the smallest sort key among the labelings met,
+    unrenumbered, and only its graph is built.
     The budget is polled before each chunk, empty ones included, and each
     block of labelings; a class-table build yields a chunk after each step.
     A size cut short keeps its best scored labelings and contributes the

@@ -112,6 +112,27 @@ class TestLogMarginalLikelihood:
             assert log_marginal_likelihood(points, y, variant, hyper) == \
                 pytest.approx(dense_lml(points, y, variant, hyper), abs=1e-8)
 
+    @pytest.mark.parametrize("variant", list(KernelVariant), ids=lambda v: v.value)
+    def test_is_the_fit_evaluation(self, rng, variant):
+        # minus neg_lml at (log a, log beta), a = alpha / sigma_k_sq for
+        # essp/esp, to the bit
+        points = distinct_profile_graphs(rng, 6)
+        y = rng.normal(size=6)
+        builder = GramBuilder.build(StackedSummaries.build(points), variant)
+        for hyper in (KernelHyperparams(alpha=1.7, beta=0.4, sigma_k_sq=2.0),
+                      KernelHyperparams(alpha=0.03, beta=60.0, sigma_k_sq=0.5)):
+            a = hyper.alpha / hyper.sigma_k_sq if variant.exponential else hyper.alpha
+            (value,), _ = builder.neg_lml(np.log([[a, hyper.beta]]), y)
+            assert log_marginal_likelihood(points, y, variant, hyper) == -value
+
+    def test_failed_evaluation_raises(self, rng):
+        # two equal points at negative noise: K has an eigenvalue of -1 that
+        # JITTER cannot lift
+        g = random_graph(rng, 4)
+        with pytest.raises(FactorizationError):
+            log_marginal_likelihood([g, g], [1.0, -1.0], KernelVariant.SSP,
+                                    KernelHyperparams(), noise_var=-1.0)
+
 
 class TestPosterior:
     def test_empty_model_prior(self, rng):
@@ -346,19 +367,29 @@ class TestFit:
             fit(points, rng.normal(size=4), KernelVariant.SSP, seed=0, restarts=restarts)
 
     def test_exponential_variant_gets_variance(self, rng):
+        # the likelihood identifies alpha / sigma_k_sq only: the fit reports
+        # that ratio as alpha, on the quotient box, with unit variance
         points = distinct_profile_graphs(rng, 4)
         model = fit(points, rng.normal(size=4), KernelVariant.ESP, seed=0)
-        assert model.hyper.sigma_k_sq is not None
-        assert 0.01 <= model.hyper.sigma_k_sq <= 100
+        assert model.hyper.sigma_k_sq == 1.0
+        assert 1e-4 <= model.hyper.alpha <= 1e4
 
 
 LOG_LO, LOG_HI = math.log(HYPER_BOX[0]), math.log(HYPER_BOX[1])
 
 
+def fit_box(variant):
+    """``fit``'s box in (log a, log beta); for essp/esp, a = alpha /
+    sigma_k_sq spans the quotient box."""
+    lo, hi = (LOG_LO - LOG_HI, LOG_HI - LOG_LO) if variant.exponential else (LOG_LO, LOG_HI)
+    return np.array([lo, LOG_LO]), np.array([hi, LOG_HI])
+
+
 def hyper_at(theta):
-    values = np.exp(theta)
-    return KernelHyperparams(alpha=values[0], beta=values[1],
-                             sigma_k_sq=values[2] if len(theta) == 3 else None)
+    """Hyperparameters at (log alpha, log beta[, log sigma_k_sq]); the
+    variance defaults to 1, so at two coordinates alpha is a."""
+    values = np.exp(theta).tolist() + [1.0]
+    return KernelHyperparams(alpha=values[0], beta=values[1], sigma_k_sq=values[2])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -390,12 +421,11 @@ class GramParts:
 
 
 def scalar_neg_lml(parts, theta, y, noise_var=NOISE):
-    """-LML and its gradient at one theta from one Cholesky factorization of
-    the weighted t x t Gram matrix and its explicit inverse: the reference
-    the eigenbasis evaluation is held to."""
+    """-LML and its gradient at one theta = (log a, log beta) from one
+    Cholesky factorization of the weighted t x t Gram matrix and its
+    explicit inverse: the reference the eigenbasis evaluation is held to."""
     weights = np.exp(theta).tolist()
-    graph = parts.graph / weights[2] if parts.variant.exponential else parts.graph
-    graph, feature = weights[0] * graph, weights[1] * parts.feature
+    graph, feature = weights[0] * parts.graph, weights[1] * parts.feature
     try:
         chol = factorize(graph + feature, noise_var)
     except FactorizationError:
@@ -406,8 +436,6 @@ def scalar_neg_lml(parts, theta, y, noise_var=NOISE):
     a = inv_t.dot(z)
     grad_graph = -0.5 * (a.dot(graph).dot(a) - np.vdot(k_inv, graph))
     grad = [grad_graph, -0.5 * (a.dot(feature).dot(a) - np.vdot(k_inv, feature))]
-    if parts.variant.exponential:
-        grad.append(-grad_graph)
     lml = float(-0.5 * z.dot(z) - np.log(chol.diagonal()).sum()
                 - 0.5 * len(chol) * math.log(2.0 * math.pi))
     return -lml, np.array(grad)
@@ -436,17 +464,16 @@ def _exact_inverse(matrix):
 
 
 def exact_neg_lml(points, variant, theta, y, noise_var=NOISE):
-    """-LML and its gradient in exact rational arithmetic, rounded once at
-    the end. The float graph part, the float weights exp(theta), the
-    targets and the noise are taken as exact, the feature kernel comes
-    exactly from the integer feature sums, and the log is taken of the exact
-    determinant."""
+    """-LML and its gradient at theta = (log a, log beta) in exact rational
+    arithmetic, rounded once at the end. The float graph part, the float
+    weights exp(theta), the targets and the noise are taken as exact, the
+    feature kernel comes exactly from the integer feature sums, and the log
+    is taken of the exact determinant."""
     profile = StackedSummaries.build(points)
     graph = GramParts.of(points, variant).graph
     t, m = profile.feature_sums.shape
     weights = [Fraction(float(w)) for w in np.exp(theta)]
-    a = weights[0] / weights[2] if variant.exponential else weights[0]
-    b = weights[1] / m
+    a, b = weights[0], weights[1] / m
     sums = profile.feature_sums.astype(int).tolist()
     sizes = profile.sizes.astype(int).tolist()
     graph_w = [[a * Fraction(float(graph[i, j])) for j in range(t)] for i in range(t)]
@@ -466,10 +493,7 @@ def exact_neg_lml(points, variant, theta, y, noise_var=NOISE):
     value = (float(sum(a_i * y_i for a_i, y_i in zip(alpha, targets)) / 2)
              + 0.5 * (math.log(det.numerator) - math.log(det.denominator))
              + 0.5 * t * math.log(2.0 * math.pi))
-    grads = [grad(graph_w), grad(feature_w)]
-    if variant.exponential:
-        grads.append(-grads[0])
-    return value, np.array(grads)
+    return value, np.array([grad(graph_w), grad(feature_w)])
 
 
 # The eigenbasis evaluation and the Cholesky reference round differently,
@@ -490,15 +514,18 @@ def assert_close_to_scalar(parts, theta, y, value, grad, noise_var=NOISE):
 
 
 def stack_case(variant, t, rows=6):
-    """Points, targets and a stack of log-hyperparameters: the all-ones
-    point, a corner of the box, then log-uniform draws."""
+    """Points, targets and a stack of log weights (log a, log beta): the
+    all-ones point, a corner of the box, then log-uniform draws; for
+    essp/esp, a is the ratio alpha / sigma_k_sq of two such draws."""
     rng = np.random.default_rng(2100 + t)
     points = distinct_profile_graphs(rng, t)
     y = rng.normal(size=t)
     dim = 3 if variant.exponential else 2
     thetas = rng.uniform(LOG_LO, LOG_HI, size=(rows, dim))
     thetas[0], thetas[1] = 0.0, [LOG_HI, LOG_LO, LOG_HI][:dim]
-    return points, y, thetas
+    weights = np.exp(thetas)
+    return points, y, np.log(np.column_stack([weights[:, 0] / weights[:, 2:].prod(axis=1),
+                                              weights[:, 1]]))
 
 
 class TestStackedLikelihood:
@@ -542,6 +569,7 @@ class TestStackedLikelihood:
         parts = GramParts.of(points, variant)
         values, grads = parts.builder().neg_lml(thetas, y)
         for theta, value, grad in zip(thetas, values, grads):
+            # all three at one float graph weight a
             exact_value, exact_grad = exact_neg_lml(points, variant, theta, y)
             ref_value, ref_grad = scalar_neg_lml(parts, theta, y)
             assert abs(value - exact_value) <= 10 * abs(ref_value - exact_value) + 1e-12
@@ -554,8 +582,7 @@ class TestStackedLikelihood:
         parts, y, _ = stack
         shifted = GramParts.with_graph(parts, parts.graph - 3.0 * np.eye(len(y)))
         builder = shifted.builder()
-        dim = 3 if parts.variant.exponential else 2
-        thetas = np.array([[-4.0, 4.0, 0.0], [4.0, -4.0, 0.0], [-3.0, 3.0, 0.5]])[:, :dim]
+        thetas = np.array([[-4.0, 4.0], [4.0, -4.0], [-3.0, 3.0]])
         values, grads = builder.neg_lml(thetas, y, 1.0)
         assert values[1] == 1e25 and not grads[1].any()
         assert scalar_neg_lml(shifted, thetas[1], y, 1.0)[0] == 1e25
@@ -575,9 +602,8 @@ class TestStackedLikelihood:
         y2, noise = np.concatenate([y, -y]), -1e-9
         values, grads = twice.builder().neg_lml(thetas, y2, noise)
         for theta, value, grad in zip(thetas, values, grads):
-            hyper = hyper_at(theta)
-            graph = twice.graph / (hyper.sigma_k_sq or 1.0)
-            k = hyper.alpha * graph + hyper.beta * twice.feature + noise * np.eye(2 * len(y))
+            a, b = np.exp(theta)
+            k = a * twice.graph + b * twice.feature + noise * np.eye(2 * len(y))
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(k)
             assert value < 1e25
@@ -599,27 +625,23 @@ class TestFitObjective:
     @pytest.mark.parametrize("where", ["interior", "box_edge"])
     def test_gradient_matches_central_differences(self, problem, where):
         variant, points, y, builder = problem
-        dim = 3 if variant.exponential else 2
-        theta = (np.array([0.3, -0.4, 0.2]) if where == "interior"
-                 else np.array([LOG_HI, LOG_LO, LOG_HI]))[:dim]
+        theta = np.array([0.3, -0.4] if where == "interior" else [LOG_HI, LOG_LO])
         k = gram(points, variant, hyper_at(theta)) + NOISE * np.eye(len(points))
         assert np.linalg.cond(k) < 1e5  # central differences are trustworthy here
         step = 1e-5
         # one stack: theta, then theta +- step along each coordinate
-        thetas = np.vstack([theta, theta + step * np.eye(dim), theta - step * np.eye(dim)])
+        thetas = np.vstack([theta, theta + step * np.eye(2), theta - step * np.eye(2)])
         values, grads = builder.neg_lml(thetas, y)
         assert values[0] == pytest.approx(
-            -log_marginal_likelihood(points, y, variant, hyper_at(theta)), abs=1e-12)
-        numeric = (values[1:dim + 1] - values[dim + 1:]) / (2 * step)
-        assert values.shape == (2 * dim + 1,) and grads.shape == (2 * dim + 1, dim)
+            -dense_lml(points, y, variant, hyper_at(theta)), abs=1e-12)
+        numeric = (values[1:3] - values[3:]) / (2 * step)
+        assert values.shape == (5,) and grads.shape == (5, 2)
         assert np.allclose(grads[0], numeric, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("where", ["interior", "box_edge"])
     def test_matches_a_cho_factor_reference(self, problem, where):
         variant, points, y, builder = problem
-        dim = 3 if variant.exponential else 2
-        theta = (np.array([0.3, -0.4, 0.2]) if where == "interior"
-                 else np.array([LOG_HI, LOG_LO, LOG_HI]))[:dim]
+        theta = np.array([0.3, -0.4] if where == "interior" else [LOG_HI, LOG_LO])
         hyper = hyper_at(theta)
         graph = gram(points, variant, dataclasses.replace(hyper, beta=0.0))
         feature = gram(points, variant, dataclasses.replace(hyper, alpha=0.0))
@@ -631,8 +653,6 @@ class TestFitObjective:
         ref_value = (0.5 * y @ a + np.sum(np.log(np.diag(factor[0])))
                      + 0.5 * len(y) * math.log(2 * math.pi))
         ref_grad = [-0.5 * np.sum(w * graph), -0.5 * np.sum(w * feature)]
-        if variant.exponential:
-            ref_grad.append(-ref_grad[0])
         (value,), (grad,) = builder.neg_lml(theta[None], y)
         assert abs(value - ref_value) <= 1e-9 * abs(ref_value)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-9 * np.max(np.abs(ref_grad))
@@ -642,7 +662,7 @@ class TestFitObjective:
         variant, points, y, _ = problem
         parts = GramParts.of(points, variant)
         builder = GramParts.with_graph(parts, -np.eye(len(y))).builder()
-        values, grads = builder.neg_lml(np.zeros((2, 3 if variant.exponential else 2)), y)
+        values, grads = builder.neg_lml(np.zeros((2, 2)), y)
         assert np.all(values == 1e25)
         assert not grads.any()
 
@@ -658,11 +678,11 @@ class TestFitObjective:
         assert domain.directed or len({g.n for g in points}) > 1
         y = rng.normal(size=len(points))
         hyper = fit(points, y, variant, seed=3).hyper
-        theta = np.log([hyper.alpha, hyper.beta, hyper.sigma_k_sq or 1.0])
+        theta = np.log([hyper.alpha, hyper.beta])
         builder = GramBuilder.build(StackedSummaries.build(points), variant)
-        theta = theta[:3 if variant.exponential else 2]
         (value,), _ = builder.neg_lml(theta[None], y)
-        reference = -log_marginal_likelihood(points, y, variant, hyper)
+        assert -log_marginal_likelihood(points, y, variant, hyper) == value
+        reference, _ = scalar_neg_lml(GramParts.of(points, variant), theta, y)
         assert abs(value - reference) <= RTOL * max(1.0, abs(reference))
         exact_value, _ = exact_neg_lml(points, variant, theta, y)
         assert abs(value - exact_value) <= 10 * abs(reference - exact_value) + 1e-12
@@ -678,11 +698,10 @@ class TestFitObjective:
 
 def fit_starts(variant, seed, restarts=gp_module.FIT_RESTARTS):
     """``fit``'s starts: the all-ones point, then log-uniform draws of
-    ``seed``."""
-    dim = 3 if variant.exponential else 2
-    draws = np.random.default_rng(seed)
-    return np.array([np.zeros(dim)] + [draws.uniform(LOG_LO, LOG_HI, size=dim)
-                                       for _ in range(restarts - 1)])
+    ``seed`` in ``fit_box``."""
+    lows, highs = fit_box(variant)
+    draws = np.random.default_rng(seed).uniform(lows, highs, size=(restarts - 1, 2))
+    return np.vstack([np.zeros(2), draws])
 
 
 def search_problem(case):
@@ -702,24 +721,52 @@ def search_problem(case):
     return variant, points, y
 
 
+def cholesky_lml(points, y, variant, theta):
+    """LML at (log a, log beta) by the Cholesky reference, which judges a
+    fit independently of the evaluation it searched: near the optimum of
+    ``search_problem`` case 32 (ssp, t = 25) ``neg_lml`` is 2e-5 relative off
+    an exact reference, and this path 1.5e-10."""
+    return -scalar_neg_lml(GramParts.of(points, variant), theta, y)[0]
+
+
 def lbfgsb_lml(points, y, variant, seed, restarts=gp_module.FIT_RESTARTS):
-    """LML at the best point of a scipy L-BFGS-B multi-start from ``fit``'s
-    starts (the all-ones point, then log-uniform draws of ``seed``): the
-    reference search for ``fit``'s own optimizer."""
+    """``cholesky_lml`` at the best point of a scipy L-BFGS-B multi-start
+    from ``fit``'s starts over ``fit``'s box: the reference search for
+    ``fit``'s own optimizer."""
     builder = GramBuilder.build(StackedSummaries.build(points), variant)
-    dim = 3 if variant.exponential else 2
-    starts = fit_starts(variant, seed, restarts)
+    lows, highs = fit_box(variant)
 
     def fun(theta):
-        (value,), (grad,) = builder.neg_lml(np.clip(theta, LOG_LO, LOG_HI)[None], y)
+        (value,), (grad,) = builder.neg_lml(np.clip(theta, lows, highs)[None], y)
         return value, grad
 
-    results = [optimize.minimize(
-        fun, start,
-        jac=True, method="L-BFGS-B", bounds=[(LOG_LO, LOG_HI)] * dim) for start in starts]
+    results = [optimize.minimize(fun, start, jac=True, method="L-BFGS-B",
+                                 bounds=list(zip(lows, highs)))
+               for start in fit_starts(variant, seed, restarts)]
     best = min(results, key=lambda result: result.fun)
-    return log_marginal_likelihood(points, y, variant,
-                                   hyper_at(np.clip(best.x, LOG_LO, LOG_HI)))
+    return cholesky_lml(points, y, variant, np.clip(best.x, lows, highs))
+
+
+def lbfgsb_3d_lml(points, y, variant, seed, restarts=gp_module.FIT_RESTARTS):
+    """``cholesky_lml`` at the best point of a scipy L-BFGS-B multi-start over
+    (log alpha, log beta, log sigma_k_sq) in ``HYPER_BOX``, from the
+    all-ones point and log-uniform draws of ``seed``: every essp/esp model
+    reachable with a free variance."""
+    builder = GramBuilder.build(StackedSummaries.build(points), variant)
+
+    def fun(theta):
+        theta = np.clip(theta, LOG_LO, LOG_HI)
+        (value,), ((grad_a, grad_b),) = builder.neg_lml(
+            np.array([[theta[0] - theta[2], theta[1]]]), y)
+        return value, np.array([grad_a, grad_b, -grad_a])
+
+    draws = np.random.default_rng(seed).uniform(LOG_LO, LOG_HI, size=(restarts - 1, 3))
+    results = [optimize.minimize(fun, start, jac=True, method="L-BFGS-B",
+                                 bounds=[(LOG_LO, LOG_HI)] * 3)
+               for start in np.vstack([np.zeros(3), draws])]
+    alpha, beta, sigma_k_sq = np.exp(np.clip(min(results, key=lambda r: r.fun).x,
+                                             LOG_LO, LOG_HI))
+    return cholesky_lml(points, y, variant, np.log([alpha / sigma_k_sq, beta]))
 
 
 class TestMinimizeBox:
@@ -734,8 +781,19 @@ class TestMinimizeBox:
         # searches can be compared at this tolerance
         variant, points, y = search_problem(case)
         model = fit(points, y, variant, seed=case)
-        fitted = log_marginal_likelihood(points, y, variant, model.hyper)
+        fitted = cholesky_lml(points, y, variant, np.log([model.hyper.alpha, model.hyper.beta]))
         reference = lbfgsb_lml(points, y, variant, seed=case)
+        assert fitted >= reference - 1e-6 * max(1.0, abs(reference))
+
+    @pytest.mark.parametrize("case", [c for c in range(40) if c % 4 >= 2])
+    def test_exponential_fit_loses_no_model_of_a_free_variance(self, case):
+        # the (alpha, sigma_k_sq) search that the ratio replaced reaches no
+        # higher likelihood than the ratio's two-coordinate search
+        variant, points, y = search_problem(case)
+        assert variant.exponential
+        model = fit(points, y, variant, seed=case)
+        fitted = cholesky_lml(points, y, variant, np.log([model.hyper.alpha, model.hyper.beta]))
+        reference = lbfgsb_3d_lml(points, y, variant, seed=case)
         assert fitted >= reference - 1e-6 * max(1.0, abs(reference))
 
     def test_quadratic_minimum_with_a_coordinate_on_a_bound(self):
@@ -756,6 +814,21 @@ class TestMinimizeBox:
         thetas, values = gp_module._minimize_box(fun, np.zeros((1, 3)), -1.0, 1.0)
         assert np.allclose(thetas[0], expected, rtol=0.0, atol=1e-6)
         assert values[0] == fun(thetas)[0][0]
+        # bounds given per coordinate: the same search when they agree
+        same = gp_module._minimize_box(fun, np.zeros((1, 3)), np.full(3, -1.0), np.full(3, 1.0))
+        assert np.array_equal(same[0], thetas) and np.array_equal(same[1], values)
+
+    def test_per_coordinate_bounds(self):
+        # |x - c|^2 on [lo, hi]: the minimum is c clipped to the box, each
+        # coordinate against its own bounds
+        c = np.array([2.0, -0.5, 0.3])
+        lo, hi = np.array([-1.0, -0.2, -1.0]), np.array([1.0, 1.0, 0.1])
+
+        def fun(xs):
+            return ((xs - c) ** 2).sum(axis=1), 2.0 * (xs - c)
+
+        thetas, _ = gp_module._minimize_box(fun, np.zeros((2, 3)) + [[0.0], [0.5]], lo, hi)
+        assert np.allclose(thetas, np.clip(c, lo, hi), rtol=0.0, atol=1e-6)
 
     def test_failed_start_is_returned_after_one_evaluation(self):
         calls = []
@@ -782,11 +855,11 @@ class TestMinimizeBox:
             return builder.neg_lml(thetas, y)
 
         starts = fit_starts(variant, case)
-        thetas, values = gp_module._minimize_box(fun, starts, LOG_LO, LOG_HI)
+        lows, highs = fit_box(variant)
+        thetas, values = gp_module._minimize_box(fun, starts, lows, highs)
         assert thetas.shape == starts.shape and values.shape == (len(starts),)
         for start, theta, value in zip(starts, thetas, values):
-            (alone,), (alone_value,) = gp_module._minimize_box(fun, start[None], LOG_LO,
-                                                               LOG_HI)
+            (alone,), (alone_value,) = gp_module._minimize_box(fun, start[None], lows, highs)
             assert np.array_equal(theta, alone) and value == alone_value
 
     def test_max_evals_stops_each_row_on_its_own_count(self, monkeypatch):
@@ -800,12 +873,12 @@ class TestMinimizeBox:
             return builder.neg_lml(thetas, y)
 
         starts = fit_starts(variant, 5)
-        thetas, values = gp_module._minimize_box(fun, starts, LOG_LO, LOG_HI)
+        lows, highs = fit_box(variant)
+        thetas, values = gp_module._minimize_box(fun, starts, lows, highs)
         lockstep_rows, counts = sum(seen), []
         for start, theta, value in zip(starts, thetas, values):
             seen.clear()
-            (alone,), (alone_value,) = gp_module._minimize_box(fun, start[None], LOG_LO,
-                                                               LOG_HI)
+            (alone,), (alone_value,) = gp_module._minimize_box(fun, start[None], lows, highs)
             counts.append(len(seen))
             assert np.array_equal(theta, alone) and value == alone_value
         assert max(counts) == 4  # the cap ends some searches ...

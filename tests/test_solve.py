@@ -876,7 +876,8 @@ class TestSolve:
     def test_user_row_ties_break_like_enumerate(self):
         # |w| near 2e6, so the mean rounds by up to about 1e-5, and user
         # rows leave every numbering in the search: each numbering that
-        # ties the optimum must be scored for the smallest sort key to win
+        # ties the optimum must be scored for the smallest sort key to win,
+        # and only the winner is built
         dom = DomainSpec(n=6, num_labels=1,
                          extra_rows=(LinearRow(adjacency=((0, 1, 1.0),), sense="<=",
                                                rhs=0.0),))
@@ -888,6 +889,7 @@ class TestSolve:
         assert exact.status == branch.status == "Optimal"
         assert repr(branch.objective) == repr(exact.objective)
         assert branch.incumbent == exact.incumbent
+        assert branch.stats["graphs_built"] == 1
 
     @staticmethod
     def _frozen_clock(monkeypatch):
