@@ -40,12 +40,10 @@ from .encode import (
 )
 from .modelio import export_model, read_lp, read_mps
 from .solve import (
-    PartialAssignment,
     SolveResult,
     SolveStrategy,
     check_feasible,
     count_feasible,
-    dual_bound,
     solve,
 )
 from .bo import (

@@ -600,8 +600,8 @@ def check_acquisition_inputs(model: GpModel, domain: DomainSpec,
                              beta_sqrt: float) -> None:
     """Raise unless the model and domain form a valid acquisition problem:
     a fitted model, the training set's label/feature scheme and
-    directedness, and a nonnegative ``beta_sqrt``. The encoder, the solver
-    and ``solve.dual_bound`` all check their inputs here."""
+    directedness, and a nonnegative ``beta_sqrt``. The encoder and both
+    solve strategies check their inputs here."""
     if model.size == 0 or model.chol is None:
         raise UnfittedModelError("the acquisition problem needs a fitted model")
     ref = model.points[0]

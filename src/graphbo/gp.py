@@ -335,7 +335,7 @@ class GpModel:
         model = GpModel.build(points, y, KernelVariant(obj["variant"]), hyper,
                               noise_var=float(obj["noise_var"]))
         stored = np.asarray(obj["weights"], dtype=float)
-        if stored.shape == model.weights.shape and not np.allclose(
+        if stored.shape != model.weights.shape or not np.allclose(
                 stored, model.weights, atol=1e-8):
             raise ValueError("stored weights disagree with the rebuilt factorization")
         return model

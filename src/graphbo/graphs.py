@@ -33,7 +33,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-import numpy.random  # numpy 2 loads it on first use; every sample and fit draws from it
+# loaded up front: numpy 2 loads it on first use, and every sample and fit draws from it
+import numpy.random  # noqa: F401
 
 from .errors import (
     AsymmetricUndirectedError,

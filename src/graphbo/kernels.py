@@ -63,7 +63,8 @@ class KernelHyperparams:
     ``alpha`` weights graph similarity, ``beta`` weights feature similarity.
     A GP fit keeps beta, and alpha for ssp/sp, in [0.01, 100]; for essp/esp
     it reports alpha / sigma_k_sq, in [1e-4, 1e4], as alpha, with unit
-    sigma_k_sq. Direct kernel evaluation only requires nonnegative weights.
+    sigma_k_sq. Direct kernel evaluation only requires finite nonnegative
+    weights and, when given, a finite positive ``sigma_k_sq``.
     """
 
     alpha: float = 1.0
@@ -71,10 +72,10 @@ class KernelHyperparams:
     sigma_k_sq: float | None = None
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-        if self.sigma_k_sq is not None and self.sigma_k_sq <= 0:
-            raise ValueError("sigma_k_sq must be positive")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and nonnegative")
+        if self.sigma_k_sq is not None and not 0 < self.sigma_k_sq < math.inf:
+            raise ValueError("sigma_k_sq must be finite and positive")
 
     def require_variance(self, variant: KernelVariant) -> float:
         if not variant.exponential:

@@ -36,18 +36,17 @@ import numpy as np
 from .encode import ConstraintBlock, SizeSpec, _size_bounds, check_acquisition_inputs
 from .errors import MissingVariableError, SpaceTooLargeError
 from .gp import GpModel, _rowdot, lcb as gp_lcb, predict
-from .graphs import (  # noqa: F401  enumerate_domain is re-exported
+from .graphs import enumerate_domain  # noqa: F401  re-exported from graphbo.solve
+from .graphs import (
     BLOCK,
     AttributedGraph,
     DomainSpec,
     ProfileTable,
-    _all_pairs_distances,
     _structures,
     _walks,
     adjacency_pairs,
     build_graph,
     domain_feasible,
-    enumerate_domain,
     graph_sort_key,
     matrices_sort_key,
     profile_table,
@@ -249,38 +248,7 @@ def count_feasible(system: ConstraintBlock, size_spec: SizeSpec, directed: bool,
 
 
 # ---------------------------------------------------------------------------
-# partial assignments and bounds
-
-
-@dataclass
-class PartialAssignment:
-    """The graphs of ``size`` nodes that match some edge bits: nodes
-    0..size-1 present, the others absent, and each edge bit among the
-    present nodes -1 (open), 0 or 1.
-
-    ``adj`` covers the domain's full n x n grid: its diagonal holds the
-    node-existence bits and every edge bit of an absent node is 0.
-    Undirected domains keep ``adj`` symmetric. Feature bits are never
-    fixed.
-    """
-
-    domain: DomainSpec
-    size: int
-    adj: np.ndarray
-
-    @staticmethod
-    def root(domain: DomainSpec, size: int) -> "PartialAssignment":
-        """Every graph of ``size`` nodes: each edge bit among the present
-        nodes open."""
-        adj = np.zeros((domain.n, domain.n), dtype=np.int8)
-        adj[:size, :size] = -1
-        np.fill_diagonal(adj, np.arange(domain.n) < size)
-        return PartialAssignment(domain, size, adj)
-
-    def set_adj(self, u: int, v: int, value: int) -> None:
-        self.adj[u, v] = value
-        if not self.domain.directed:
-            self.adj[v, u] = value
+# structures and bounds
 
 
 def _size_infeasible(domain: DomainSpec, size: int) -> bool:
@@ -331,21 +299,6 @@ def _structure_chunks(domain: DomainSpec, size: int
             yield adjacency[lo: lo + rows], dist[lo: lo + rows]
 
 
-def _distance_intervals(states: np.ndarray, size: int):
-    """Per adjacency state of the stack ``states`` and per ordered pair of
-    its ``size`` present nodes: the distance [lo, hi] over all completions,
-    each (states, size, size).
-
-    ``lo`` counts unknown edges as present and is +inf where no completion
-    joins the pair; ``hi`` counts only fixed edges and caps pairs no fixed
-    path joins at (number of nodes - 1). Both come from one batched
-    distance pass.
-    """
-    sub = states[:, :size, :size]
-    lo, hi = _all_pairs_distances(np.stack([sub != 0, sub == 1]))
-    return lo, np.where(np.isfinite(hi), hi, size - 1.0)
-
-
 def _range_tables(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min and max of ``counts[:, s]`` over every length range lo <= s <= hi
     and every label pair.
@@ -366,19 +319,21 @@ def _range_tables(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _BoundContext:
     """Precomputed tables for interval bounds on the acquisition value over
-    adjacency states: one structure, or a ``PartialAssignment``.
+    every graph of a given size whose node-pair distances lie in given
+    intervals: a structure's exact distances, or a size's root intervals
+    (every pair at 1 to size - 1), which hold every graph of that size.
 
-    Every kernel entry k_i gets an interval from the state's distance
-    intervals: the count of each node pair lies between the min and the max
-    of training point i's counts over that pair's length range and, for
+    Every kernel entry k_i gets an interval from the distance intervals:
+    the count of each node pair lies between the min and the max of
+    training point i's counts over that pair's length range and, for
     sp/esp, over every label pair, since no label is fixed. The range
-    tables hold those min/max values for every range, so a state reads
-    them with one index over its pairs. Counts are
-    integers, so the sums are exact. The feature box depends only on the
-    size: a node's label is known only when the domain has one label, and
-    every other feature bit is open. The graph and feature bounds are
-    combined by ``kernels._combine``, the GP's own combine, so a box
-    rounds as the kernel it bounds does.
+    tables hold those min/max values for every range, so a row reads them
+    with one index over its pairs. Counts are integers, so the sums are
+    exact. The feature box depends only on the size: a node's label is
+    known only when the domain has one label, and every other feature bit
+    is open. The graph and feature bounds are combined by
+    ``kernels._combine``, the GP's own combine, so a box rounds as the
+    kernel it bounds does.
     """
 
     def __init__(self, model: GpModel, beta_sqrt: float, domain: DomainSpec):
@@ -415,13 +370,12 @@ class _BoundContext:
         self.feature_per_node = np.stack([sure, np.ones(M)]) @ profile.feature_sums.T
 
     def boxes(self, size: int, lo: np.ndarray, hi: np.ndarray):
-        """Kernel boxes of a stack of adjacency states of ``size`` present
-        nodes, from their distance intervals ``lo``/``hi``
-        (``_distance_intervals``).
+        """Kernel boxes of a stack of ``size``-node distance intervals
+        ``lo``/``hi``, each (rows, size, size).
 
-        Returns k_lo and k_hi, (states, t), and the self-kernel upper bound
-        per state, each from ``kernels._combine``. Every step is an integer
-        sum or elementwise, so each state's values equal those of a stack
+        Returns k_lo and k_hi, (rows, t), and the self-kernel upper bound
+        per row, each from ``kernels._combine``. Every step is an integer
+        sum or elementwise, so each row's values equal those of a stack
         of one.
         """
         rows = len(lo)
@@ -447,8 +401,8 @@ class _BoundContext:
         return k_lo, k_hi, kxx_hi
 
     def row_bounds(self, boxes) -> list[float]:
-        """The bound of every state of a ``boxes`` stack: the lowest
-        mu - beta_sqrt * sigma over the state's kernel box.
+        """The bound of every row of a ``boxes`` stack: the lowest
+        mu - beta_sqrt * sigma over the row's kernel box.
 
         The mean's lower end, w+ k_lo + w- k_hi, and ``gp.predict``'s w k
         each round by up to gamma_t |w|'|k|, so the bound steps down by
@@ -458,10 +412,10 @@ class _BoundContext:
         and pruning at bound > incumbent could drop a tie. The sigma term
         carries no slack: its rounding is not bounded here.
 
-        Each state's O(t^2) tail makes one BLAS call per product: the weight
+        Each row's O(t^2) tail makes one BLAS call per product: the weight
         sums and |inner|^2 are ``gp._rowdot`` dot products, and z_lo/z_hi are
         stacked matrix-vector products, which numpy runs as one ``gemv`` per
-        state, the call a 1-D ``ct_pos @ k_lo`` makes. So each state's bound
+        row, the call a 1-D ``ct_pos @ k_lo`` makes. So each row's bound
         equals that of a stack of one; a plain ``k_lo @ ct_pos.T`` would run
         ``gemm``, which rounds differently in the last ulp and could flip a
         tie.
@@ -479,24 +433,6 @@ class _BoundContext:
                          np.minimum(np.abs(z_lo), np.abs(z_hi)))
         sigma_hi = np.sqrt(np.maximum(kxx_hi - _rowdot(inner, inner), 0.0))
         return (mu_lo - self.beta_sqrt * sigma_hi).tolist()
-
-    def bound(self, pa: PartialAssignment) -> float:
-        """A lower bound on the LCB over every feasible completion of
-        ``pa``: ``row_bounds`` of a stack of one, or inf when no completion
-        connects the present nodes."""
-        lo, hi = _distance_intervals(pa.adj[None], pa.size)
-        if not np.isfinite(lo).all():
-            return math.inf
-        return self.row_bounds(self.boxes(pa.size, lo, hi))[0]
-
-
-def dual_bound(partial: PartialAssignment, gp_model: GpModel,
-               beta_sqrt: float) -> float:
-    """Valid lower bound on the LCB over all completions of ``partial``:
-    one graph size and its fixed edge bits."""
-    check_acquisition_inputs(gp_model, partial.domain, beta_sqrt)
-    ctx = _BoundContext(gp_model, beta_sqrt, partial.domain)
-    return ctx.bound(partial)
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +573,11 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
         if _size_infeasible(domain, size):
             continue
         if timed_out or not search(size):
-            # a size cut short or left unsearched contributes its root bound
+            # a size cut short or left unsearched contributes the bound of
+            # its root intervals: every node pair at distance 1 to size - 1
             timed_out = True
-            open_bounds.append(ctx.bound(PartialAssignment.root(domain, size)))
+            apart = 1.0 - np.eye(size)[None]
+            open_bounds.append(ctx.row_bounds(ctx.boxes(size, apart, (size - 1) * apart))[0])
     if (timed_out or domain.extra_rows) and tied:
         # no renumbering follows: only the smallest sort key can win
         tied = [min(tied, key=lambda pair: matrices_sort_key(*pair))]
@@ -736,9 +674,10 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     The budget is polled before each chunk, empty ones included, and each
     block of labelings; a class-table build yields a chunk after each step.
     A size cut short keeps its best scored labelings and contributes the
-    bound of its root to the reported bound, as does each size left
-    unsearched. The search runs single-threaded, which keeps results
-    bit-for-bit reproducible.
+    bound of its root intervals (every node pair at distance 1 to
+    size - 1, so every graph of that size) to the reported bound, as does
+    each size left unsearched. The search runs single-threaded, which keeps
+    results bit-for-bit reproducible.
 
     "Optimal" means the search certified a zero gap in floating point, so
     it holds to the posterior's own roundoff. Against an exact rational

@@ -56,6 +56,14 @@ def test_kernel_feature_and_combined(capsys, k2_file, tmp_path):
     assert float(capsys.readouterr().out) == 1.0
 
 
+@pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "inf"),
+                                        ("--alpha", "-1")])
+def test_kernel_non_finite_weight_is_input_error(capsys, k2_file, flag, value):
+    assert dispatch(["kernel", "--variant", "ssp", "--a", k2_file, "--b", k2_file,
+                     "--combined", flag, value]) == 2
+    assert "finite and nonnegative" in capsys.readouterr().err
+
+
 def test_enumerate_counts(capsys, tmp_path):
     out = tmp_path / "graphs.jsonl"
     assert dispatch(["enumerate", "--n", "4", "--out", str(out)]) == 0

@@ -1010,14 +1010,19 @@ class TestSerialization:
         assert np.allclose(loaded.weights, model.weights)
         assert loaded.points == model.points
 
-    def test_corrupted_weights_rejected(self, tmp_path, rng):
+    @pytest.mark.parametrize("corrupt", [
+        lambda weights: [w + 1.0 for w in weights],
+        lambda weights: weights[:-1],
+        lambda weights: [],
+    ], ids=["shifted", "one_missing", "empty"])
+    def test_corrupted_weights_rejected(self, tmp_path, rng, corrupt):
         import json
 
         points = distinct_profile_graphs(rng, 3)
         model = GpModel.build(points, rng.normal(size=3), KernelVariant.SSP,
                               KernelHyperparams())
         payload = model.to_dict()
-        payload["weights"] = [w + 1.0 for w in payload["weights"]]
+        payload["weights"] = corrupt(payload["weights"])
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):

@@ -143,6 +143,12 @@ class TestBruteForceOracle:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("field", ["alpha", "beta", "sigma_k_sq"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    def test_hyperparams_reject_negative_and_non_finite_values(self, field, value):
+        with pytest.raises(ValueError):
+            KernelHyperparams(**{field: value})
+
     def test_missing_variance(self):
         s = complete_graph(2).summary
         with pytest.raises(MissingVarianceError):

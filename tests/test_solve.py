@@ -23,8 +23,8 @@ from graphbo.errors import (
 )
 from graphbo.gp import GpModel, fit, lcb, predict
 from graphbo.graphs import (
+    _connected_structures,
     _structures,
-    adjacency_pairs,
     build_graph,
     domain_feasible,
     enumerate_domain,
@@ -35,11 +35,9 @@ from graphbo.graphs import (
 )
 from graphbo.kernels import StackedSummaries, cross_gram, k_combined, self_kernel_parts
 from graphbo.solve import (
-    PartialAssignment,
     SolveStrategy,
     check_feasible,
     count_feasible,
-    dual_bound,
     graph_sort_key,
     solve,
 )
@@ -55,12 +53,25 @@ def fitted_model(rng, dom, t=5, variant=KernelVariant.SSP):
     return fit(points, rng.normal(size=t), variant, seed=int(rng.integers(1000)))
 
 
-def reference_bound(pa, model, beta_sqrt):
-    """The per-pair interval bound written out loop by loop: each node pair
-    takes the min/max of every training point's counts over its distance
-    range and every label pair, with per-source BFS distances. A node's
-    label is known only when the domain has one label."""
-    dom = pa.domain
+def root_intervals(size):
+    """The distance intervals of every graph of ``size`` nodes: each pair of
+    distinct nodes at 1 to size - 1."""
+    apart = 1.0 - np.eye(size)
+    return apart, (size - 1) * apart
+
+
+def solver_bound(ctx, size, lo, hi):
+    """``_BoundContext``'s bound of one set of distance intervals, as the
+    search reads a structure or a size's root."""
+    return ctx.row_bounds(ctx.boxes(size, lo[None], hi[None]))[0]
+
+
+def reference_bound(model, dom, size, lo, hi):
+    """The per-pair interval bound at beta_sqrt 1 written out loop by loop
+    over the ``size`` x ``size`` distance intervals ``lo``/``hi``: each
+    node pair takes the min/max of every training point's counts over its
+    distance range and every label pair. A node's label is known only when
+    the domain has one label."""
     n, L, M = dom.n, dom.num_labels, dom.num_features
     hyper, variant = model.hyper, model.variant
     var = hyper.require_variance(variant)
@@ -71,20 +82,12 @@ def reference_bound(pa, model, beta_sqrt):
     w_neg = np.clip(model.weights, None, 0.0)
     factor = model.inverse_factor
     ct_pos, ct_neg = np.clip(factor, 0.0, None), np.clip(factor, None, 0.0)
-    npx = pa.size
-    sub = pa.adj[:npx, :npx]
-    lo = bfs_distances(sub != 0, dom.directed)
-    if (lo < 0).any():
-        return math.inf
-    hi = bfs_distances(sub == 1, dom.directed)
-    hi = np.where(hi < 0, npx - 1, hi)
     g_lo, g_hi = np.zeros(t), np.zeros(t)
     hi_counts = np.zeros((n, L, L)) if variant.labeled else np.zeros(n)
-    for a in range(npx):
-        for b in range(npx):
-            s_lo = 0 if a == b else int(lo[a, b])
-            s_hi = min(0 if a == b else int(hi[a, b]), n - 1)
-            s_lo = min(s_lo, s_hi)
+    for a in range(size):
+        for b in range(size):
+            s_hi = min(int(hi[a, b]), n - 1)
+            s_lo = min(int(lo[a, b]), s_hi)
             if variant.labeled:
                 block = profile.labeled_counts[:, s_lo:s_hi + 1]
                 g_lo += block.min(axis=(1, 2, 3))
@@ -94,23 +97,23 @@ def reference_bound(pa, model, beta_sqrt):
                 g_lo += block.min(axis=1)
                 g_hi += block.max(axis=1)
             hi_counts[s_lo:s_hi + 1] += 1
-    norm = (npx * npx) * (sizes.astype(float) ** 2)
+    norm = (size * size) * (sizes.astype(float) ** 2)
     g_lo, g_hi = g_lo / norm, g_hi / norm
     # every feature bit of every node may be 1; a 1-label domain's label bit is
-    n_lo, n_hi = np.zeros(M), np.full(M, float(npx))
+    n_lo, n_hi = np.zeros(M), np.full(M, float(size))
     if L == 1:
-        n_lo[0] = npx
-    f_lo = (profile.feature_sums @ n_lo) / (npx * sizes * M)
-    f_hi = (profile.feature_sums @ n_hi) / (npx * sizes * M)
+        n_lo[0] = size
+    f_lo = (profile.feature_sums @ n_lo) / (size * sizes * M)
+    f_hi = (profile.feature_sums @ n_hi) / (size * sizes * M)
     if variant.exponential:
         k_lo = hyper.alpha * (np.exp(g_lo) / var) + hyper.beta * f_lo
         k_hi = hyper.alpha * (np.exp(g_hi) / var) + hyper.beta * f_hi
     else:
         k_lo = hyper.alpha * g_lo + hyper.beta * f_lo
         k_hi = hyper.alpha * g_hi + hyper.beta * f_hi
-    self_lin_hi = min(1.0, float(np.sum(hi_counts ** 2)) / npx ** 4)
+    self_lin_hi = min(1.0, float(np.sum(hi_counts ** 2)) / size ** 4)
     self_graph_hi = np.exp(self_lin_hi) / var if variant.exponential else self_lin_hi
-    self_feat_hi = min(1.0, float(np.dot(n_hi, n_hi)) / (npx * npx * M))
+    self_feat_hi = min(1.0, float(np.dot(n_hi, n_hi)) / (size * size * M))
     kxx_hi = hyper.alpha * self_graph_hi + hyper.beta * self_feat_hi
     # the rounding slack of both dot products, 2 gamma_t |w|'max|k|
     unit = np.finfo(float).eps / 2
@@ -122,12 +125,12 @@ def reference_bound(pa, model, beta_sqrt):
     inner = np.where((z_lo <= 0.0) & (z_hi >= 0.0), 0.0,
                      np.minimum(np.abs(z_lo), np.abs(z_hi)))
     sigma_hi = math.sqrt(max(kxx_hi - float(np.dot(inner, inner)), 0.0))
-    return mu_lo - beta_sqrt * sigma_hi
+    return mu_lo - sigma_hi
 
 
 def scalar_row_bound(ctx, boxes, row):
-    """The bound of state ``row`` of a ``boxes`` stack in 1-D expressions,
-    one state at a time. Returns the bound and whether some z interval
+    """The bound of row ``row`` of a ``boxes`` stack in 1-D expressions,
+    one row at a time. Returns the bound and whether some z interval
     straddles 0."""
     k_lo, k_hi, kxx_hi = (part[row] for part in boxes)
     mu_lo = float(ctx.w_pos @ k_lo + ctx.w_neg @ k_hi)
@@ -141,139 +144,39 @@ def scalar_row_bound(ctx, boxes, row):
     return mu_lo - ctx.beta_sqrt * sigma_hi, bool(((z_lo < 0.0) & (z_hi > 0.0)).any())
 
 
-def reference_quick_infeasible(pa):
-    """The search's cheap pruning checks written out check by check."""
-    dom = pa.domain
-    size = pa.size
-    # connectivity with every open edge present
-    reach = bfs_distances(pa.adj[:size, :size] != 0, dom.directed)
-    if (reach < 0).any():
-        return True
-    if dom.degree_caps is not None:
-        # no label is fixed, so a node may take the label with the largest cap
-        for v in range(size):
-            committed = sum(pa.adj[u, v] == 1 for u in range(size) if u != v)
-            if committed > max(dom.degree_caps):
-                return True
-    if not dom.extra_rows:
-        # a breadth-first numbering of the present nodes, on the underlying
-        # undirected graph: every node v >= 1 has a parent u < v, and the
-        # first parent never decreases in v
-        def edge(u, v):
-            pair = (pa.adj[u, v], pa.adj[v, u])
-            return 1 if 1 in pair else (-1 if -1 in pair else 0)
-
-        parent_ranges = []
-        for v in range(1, size):
-            possible = [u for u in range(v) if edge(u, v) != 0]
-            if not possible:
-                return True
-            sure = [u for u in possible if edge(u, v) == 1]
-            parent_ranges.append((possible[0], sure[0] if sure else possible[-1]))
-        for i, (first_possible, _) in enumerate(parent_ranges):
-            for _, latest in parent_ranges[i + 1:]:
-                if first_possible > latest:
-                    return True
-    return False
-
-
-def brute_smallest_renumbering(graph):
-    """The renumbering of ``graph`` with the smallest ``graph_sort_key``,
-    over every ``itertools.permutations`` order of its nodes."""
-    best = None
-    for order in itertools.permutations(range(graph.n)):
-        order = list(order)
-        adjacency = graph.adjacency[np.ix_(order, order)]
-        features = graph.features[order]
-        key = (graph.n, tuple(adjacency.ravel().tolist()),
-               tuple(features.ravel().tolist()))
-        if best is None or key < best[0]:
-            best = (key, adjacency, features)
-    return build_graph(best[1], best[2], graph.directed, graph.num_labels)
-
-
 def reference_search(model, dom, beta_sqrt):
-    """A branch-and-bound over edge bits written out node by node: one
-    search per graph size, largest first, each skipped unless some vector
-    of label counts within the bounds sums to the size; then the quick
-    checks and a fresh ``dual_bound`` per node. Each structure's labelings
-    are scored as the solver scores them, and each tie is renumbered by
-    brute force as soon as it is met. Returns the status, objective, bound
-    and incumbent of a search that runs to completion."""
-    best = {"graph": None, "value": math.inf, "key": None}
-
-    def score(pa, size):
-        adjacency = pa.adj[:size, :size].copy()
-        np.fill_diagonal(adjacency, 0)
-        dist = bfs_distances(adjacency, dom.directed).astype(np.int64)
-        values, labelings = [], []
-        for profiles, features in structure_profiles(dom, adjacency, dist):
-            if not len(features):
+    """Exhaustive search, with no bound: every connected structure of every
+    size, from ``itertools.product`` over its edge bits, and every labeling
+    of it that ``domain_feasible`` admits, each scored by ``gp.lcb``. Every
+    numbering of a graph is scored, so the smallest sort key among the ties
+    is already the smallest renumbering of each. Returns the status,
+    objective, bound and incumbent of a completed search."""
+    L, M = dom.num_labels, dom.num_features
+    rows = [np.concatenate([np.eye(L, dtype=int)[label], bits])
+            for label in range(L)
+            for bits in itertools.product((0, 1), repeat=M - L)]
+    best = None  # (value, sort key, graph)
+    for size in dom.sizes:
+        pairs = list((itertools.permutations if dom.directed
+                      else itertools.combinations)(range(size), 2))
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            adjacency = np.zeros((size, size), dtype=int)
+            for (u, v), bit in zip(pairs, bits):
+                adjacency[u, v] = bit
+                if not dom.directed:
+                    adjacency[v, u] = bit
+            if (bfs_distances(adjacency, dom.directed) < 0).any():
                 continue
-            mu, var = predict(model, profiles)
-            values += (mu - beta_sqrt * np.sqrt(var)).tolist()
-            labelings += list(features)
-        # every labeling that ties the structure's minimum, each offered as
-        # its smallest renumbering unless user rows pin the numbering
-        for value, features in zip(values, labelings):
-            if value != min(values):
-                continue
-            graph = build_graph(adjacency, features, dom.directed, dom.num_labels)
-            if not domain_feasible(dom, graph):
-                continue
-            value = lcb(model, graph, beta_sqrt)
-            if not dom.extra_rows:
-                graph = brute_smallest_renumbering(graph)
-            key = graph_sort_key(graph)
-            if value < best["value"] or (value == best["value"]
-                                         and (best["key"] is None or key < best["key"])):
-                best.update(graph=graph, value=value, key=key)
-
-    def visit(pa, size, bits, depth):
-        if reference_quick_infeasible(pa):
-            return
-        bound = dual_bound(pa, model, beta_sqrt)
-        if bound > best["value"] or bound == math.inf:
-            return
-        if depth == len(bits):
-            score(pa, size)
-            return
-        a, b = bits[depth]
-        for value in (1, 0):
-            pa.set_adj(a, b, value)
-            visit(pa, size, bits, depth + 1)
-            pa.set_adj(a, b, -1)
-
-    for size in reversed(dom.sizes):
-        bounds = dom.label_count_bounds
-        if bounds is not None and not any(
-                sum(counts) == size
-                and all(lo <= c <= hi for c, (lo, hi) in zip(counts, bounds))
-                for counts in itertools.product(range(size + 1),
-                                                repeat=dom.num_labels)):
-            continue
-        adj = np.full((dom.n, dom.n), -1, dtype=np.int8)
-        for u in range(dom.n):
-            for v in range(dom.n):
-                if u >= size or v >= size:
-                    adj[u, v] = 0
-                elif u == v:
-                    adj[u, v] = 1
-        visit(PartialAssignment(dom, size, adj), size,
-              adjacency_pairs(size, dom.directed), 0)
-    if best["graph"] is None:
+            for labeling in itertools.product(rows, repeat=size):
+                graph = build_graph(adjacency, np.array(labeling), dom.directed, L)
+                if not domain_feasible(dom, graph):
+                    continue
+                value, key = lcb(model, graph, beta_sqrt), graph_sort_key(graph)
+                if best is None or (value, key) < best[:2]:
+                    best = (value, key, graph)
+    if best is None:
         return "Infeasible", None, math.inf, None
-    return "Optimal", best["value"], best["value"], best["graph"]
-
-
-def random_partial(rng, dom, fixed_share):
-    """A random size of the domain, then each edge bit among its nodes
-    fixed to a random value with probability ``fixed_share``."""
-    pa = PartialAssignment.root(dom, int(rng.choice(dom.sizes)))
-    for a, b in adjacency_pairs(pa.size, dom.directed):
-        if rng.random() < fixed_share:
-            pa.set_adj(a, b, int(rng.integers(0, 2)))
-    return pa
+    return "Optimal", best[0], best[0], best[2]
 
 
 class TestCheckFeasible:
@@ -423,13 +326,26 @@ class TestPropagateLeaf:
         assert result.incumbent.adjacency[0, 1] == 0
 
 
-class TestDualBound:
-    def _full_assignment(self, g, dom):
-        pa = PartialAssignment.root(dom, g.n)
-        for u, v in adjacency_pairs(g.n, dom.directed):
-            pa.set_adj(u, v, g.adjacency[u, v])
-        return pa
+LABELING_DOMAINS = pytest.mark.parametrize("dom", [
+    DomainSpec(n=5, num_labels=2),
+    DomainSpec(n=5, n_min=2, num_labels=1),
+    DomainSpec(n=4, num_labels=2, num_features=3),
+    DomainSpec(n=4, num_labels=3, degree_caps=(3, 2, 1)),
+    DomainSpec(n=3, num_labels=2, directed=True),
+], ids=["n5_2labels", "bounded_2_5", "n4_extra_feature", "n4_3labels_caps",
+        "directed_n3"])
 
+
+def seeded_models(dom, variant):
+    """Models of 10 points and targets from ``default_rng(seed)``, fit
+    seed ``seed``, for seeds 0-2."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        points = [sample_feasible(dom, rng) for _ in range(10)]
+        yield fit(points, rng.normal(size=10), variant, seed=seed)
+
+
+class TestIntervalBound:
     def test_degenerate_interval_equals_leaf(self, rng):
         # at a fixed structure the bound is the LCB itself, less the
         # mean's rounding slack, when the domain has one label, and below
@@ -444,7 +360,8 @@ class TestDualBound:
                 structures.setdefault(g.adjacency.tobytes(), []).append(g)
             checked = 0
             for labelings in structures.values():
-                bound = dual_bound(self._full_assignment(labelings[0], dom), model, 1.0)
+                dist = bfs_distances(labelings[0].adjacency, dom.directed)
+                bound = solver_bound(ctx, labelings[0].n, dist, dist)
                 best = min(lcb(model, g, 1.0) for g in labelings)
                 if dom.num_labels == 1:
                     g, = labelings
@@ -470,13 +387,12 @@ class TestDualBound:
         profiles = StackedSummaries.build(graphs)
         kx = cross_gram(profiles, model.profile, variant, model.hyper)
         kxx = self_kernel_parts(profiles, variant, model.hyper)
-        states = np.stack([g.adjacency + np.eye(n, dtype=np.int8) for g in graphs])
-        lo, hi = solve_module._distance_intervals(states, n)
+        dist = np.stack([bfs_distances(g.adjacency, False) for g in graphs])
         ctx = solve_module._BoundContext(model, 1.0, dom)
-        # every structure in one stack, as a batched subtree reads them, and
-        # each in a stack of its own, as dual_bound reads it
+        # every structure in one stack, as a chunk reads them, and each in a
+        # stack of its own
         for rows in [slice(None)] + [slice(i, i + 1) for i in range(len(graphs))]:
-            k_lo, k_hi, kxx_hi = ctx.boxes(n, lo[rows], hi[rows])
+            k_lo, k_hi, kxx_hi = ctx.boxes(n, dist[rows], dist[rows])
             assert (k_lo == kx[rows]).all() and (k_hi == kx[rows]).all()
             assert (kxx_hi == kxx[rows]).all()
 
@@ -484,69 +400,48 @@ class TestDualBound:
     def test_root_bound_below_enumeration_minimum(self, rng, variant):
         dom = DomainSpec(n=4, num_labels=2)
         model = fitted_model(rng, dom, variant=variant)
-        root = dual_bound(PartialAssignment.root(dom, dom.n), model, 1.0)
+        ctx = solve_module._BoundContext(model, 1.0, dom)
+        root = solver_bound(ctx, dom.n, *root_intervals(dom.n))
         best = min(lcb(model, g, 1.0) for g in enumerate_domain(dom))
         assert root <= best + 1e-9
 
     @pytest.mark.parametrize("variant", list(KernelVariant))
-    @pytest.mark.parametrize("dom", [DomainSpec(n=4, num_labels=2),
-                                     DomainSpec(n=4, n_min=2, num_labels=2)],
-                             ids=["n4_2labels", "bounded_2_4"])
-    def test_sound_on_random_partial_assignments(self, rng, dom, variant):
-        # the bound never exceeds the best completion of the fixed bits
-        model = fitted_model(rng, dom, variant=variant)
-        candidates = list(enumerate_domain(dom))
-        checked = 0
-        for _ in range(15):
-            pa = PartialAssignment.root(dom, int(rng.choice(dom.sizes)))
-            bits = adjacency_pairs(pa.size, dom.directed)
-            for idx in rng.permutation(len(bits))[: int(rng.integers(1, 8))]:
-                a, b = bits[idx]
-                pa.set_adj(a, b, int(rng.integers(0, 2)))
-            sub = pa.adj[: pa.size, : pa.size]
-            completions = [
-                g for g in candidates
-                if g.n == pa.size
-                and all((sub[u, v] == -1 or sub[u, v] == g.adjacency[u, v])
-                        for u, v in adjacency_pairs(pa.size, True))
-            ]
-            bound = dual_bound(pa, model, 1.0)
-            if not completions:
-                continue
-            best = min(lcb(model, g, 1.0) for g in completions)
-            assert bound <= best
-            checked += 1
-        assert checked >= 5
-
-    @pytest.mark.parametrize("variant", list(KernelVariant))
-    @pytest.mark.parametrize("dom", [
-        DomainSpec(n=5, num_labels=2),
-        DomainSpec(n=5, n_min=2, num_labels=1),
-        DomainSpec(n=4, num_labels=2, num_features=3),
-        DomainSpec(n=4, num_labels=3, degree_caps=(3, 2, 1)),
-        DomainSpec(n=3, num_labels=2, directed=True),
-    ], ids=["n5_2labels", "bounded_2_5", "n4_extra_feature", "n4_3labels_caps",
-            "directed_n3"])
+    @LABELING_DOMAINS
     def test_structure_bound_below_every_labeling(self, dom, variant):
         # no tolerance: a structure's bound is at or below predict's LCB at
         # each of its feasible labelings, roundoff included. Without the
         # rounding slack it exceeded them by up to 9.5e-6 on such models
         # (10 points, |w| up to 2e6)
         checked = 0
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            points = [sample_feasible(dom, rng) for _ in range(10)]
-            model = fit(points, rng.normal(size=10), variant, seed=seed)
+        for model in seeded_models(dom, variant):
             ctx = solve_module._BoundContext(model, 1.0, dom)
             for size in dom.sizes:
                 for block in _structures(dom, size):
                     for adjacency, dist in zip(*block):
-                        bound, = ctx.row_bounds(ctx.boxes(size, dist[None], dist[None]))
+                        bound = solver_bound(ctx, size, dist, dist)
                         for profiles, features in structure_profiles(dom, adjacency, dist):
                             if len(features):
                                 mu, var = predict(model, profiles)
                                 assert bound <= (mu - np.sqrt(var)).min()
                                 checked += 1
+        assert checked >= 18
+
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    @LABELING_DOMAINS
+    def test_root_bound_below_every_structure(self, dom, variant):
+        # no tolerance: the bound a size's root intervals give, which a
+        # search cut short reports for that size, is at or below the bound
+        # of every structure of the size, so with the test above it is at or
+        # below every labeling's LCB
+        checked = 0
+        for model in seeded_models(dom, variant):
+            ctx = solve_module._BoundContext(model, 1.0, dom)
+            for size in dom.sizes:
+                root = solver_bound(ctx, size, *root_intervals(size))
+                for _, dist in _structures(dom, size):
+                    bounds = ctx.row_bounds(ctx.boxes(size, dist, dist))
+                    assert all(root <= bound for bound in bounds)
+                    checked += len(bounds)
         assert checked >= 18
 
     @pytest.mark.parametrize("variant", list(KernelVariant))
@@ -559,35 +454,26 @@ class TestDualBound:
     ], ids=["n4_2labels", "n5_1label", "n4_extra_feature", "bounded_2_4",
             "directed_n3"])
     def test_matches_reference_bound(self, rng, dom, variant):
+        # every numbering of every connected structure of each size, at the
+        # reference's own BFS distances, and each size's root intervals
         model = fitted_model(rng, dom, t=6, variant=variant)
-        finite = 0
-        for trial in range(120):
-            pa = random_partial(rng, dom, fixed_share=(trial % 6 + 1) / 6)
-            bound = dual_bound(pa, model, 1.0)
-            assert bound == reference_bound(pa, model, 1.0)
-            finite += math.isfinite(bound)
-        assert finite >= 20
-
-    def test_monotone_along_random_paths(self, rng):
-        dom = DomainSpec(n=4, n_min=2, num_labels=2)
-        model = fitted_model(rng, dom)
-        for _ in range(10):
-            pa = PartialAssignment.root(dom, int(rng.choice(dom.sizes)))
-            previous = dual_bound(pa, model, 1.0)
-            bits = adjacency_pairs(pa.size, dom.directed)
-            for idx in rng.permutation(len(bits)):
-                a, b = bits[idx]
-                pa.set_adj(a, b, int(rng.integers(0, 2)))
-                current = dual_bound(pa, model, 1.0)
-                assert current >= previous - 1e-9
-                previous = current
-                if current == math.inf:
-                    break
+        ctx = solve_module._BoundContext(model, 1.0, dom)
+        checked = 0
+        for size in dom.sizes:
+            lo, hi = root_intervals(size)
+            assert solver_bound(ctx, size, lo, hi) == reference_bound(model, dom, size, lo, hi)
+            for adjacency, dist in _connected_structures(size, dom.directed):
+                bounds = ctx.row_bounds(ctx.boxes(size, dist, dist))
+                for structure, bound in zip(adjacency, bounds):
+                    exact = bfs_distances(structure, dom.directed)
+                    assert bound == reference_bound(model, dom, size, exact, exact)
+                    checked += 1
+        assert checked >= 18
 
 
 class TestBatchedBounds:
-    """``_BoundContext.row_bounds`` bounds every state of a stack in one
-    pass; each state's bound must not depend on the stack it sits in."""
+    """``_BoundContext.row_bounds`` bounds every row of a stack in one
+    pass; each row's bound must not depend on the stack it sits in."""
 
     @pytest.mark.parametrize("t", [1, 8, 25])
     @pytest.mark.parametrize("variant", list(KernelVariant))
@@ -595,39 +481,34 @@ class TestBatchedBounds:
                                      DomainSpec(n=5, num_labels=2)],
                              ids=["n5_1label", "n5_2labels"])
     def test_rows_equal_stacks_of_one_and_the_scalar_formula(self, rng, dom, variant, t):
-        # states from the root, where most z intervals straddle 0, down to
-        # complete structures, whose boxes are points with one label
+        # the 728 connected 5-node structures, whose boxes are points with
+        # one label, and the root intervals, where most z intervals
+        # straddle 0
         if t == 1:  # below what a fit takes: fixed hyperparameters
             model = GpModel.build([sample_feasible(dom, rng)], [rng.normal()], variant,
                                   KernelHyperparams(alpha=2.0, beta=0.5, sigma_k_sq=0.7))
         else:
             model = fitted_model(rng, dom, t=t, variant=variant)
         ctx = solve_module._BoundContext(model, 1.0, dom)
+        dist = np.concatenate([d for _, d in _connected_structures(dom.n, dom.directed)])
+        assert len(dist) == 728
+        lo, hi = root_intervals(dom.n)
+        boxes = ctx.boxes(dom.n, np.concatenate([dist, lo[None]]),
+                          np.concatenate([dist, hi[None]]))
         straddles = checked = 0
-        for share in (0.0, 0.4, 1.0):
-            states = []
-            while len(states) < 127:
-                pa = PartialAssignment.root(dom, dom.n)
-                for a, b in adjacency_pairs(dom.n, dom.directed):
-                    if rng.random() < share:
-                        pa.set_adj(a, b, int(rng.integers(0, 2)))
-                if math.isfinite(dual_bound(pa, model, 1.0)):
-                    states.append(pa.adj)
-            lo, hi = solve_module._distance_intervals(np.stack(states), dom.n)
-            boxes = ctx.boxes(dom.n, lo, hi)
-            # the whole stack, and every third row of it: a stack whose
-            # rows are not contiguous in memory
-            for rows in (slice(None), slice(1, None, 3)):
-                stack = tuple(part[rows] for part in boxes)
-                bounds = ctx.row_bounds(stack)
-                assert len(bounds) == len(stack[0])
-                for row, value in enumerate(bounds):
-                    one = tuple(part[row : row + 1] for part in stack)
-                    reference, straddle = scalar_row_bound(ctx, stack, row)
-                    assert value == ctx.row_bounds(one)[0]
-                    assert value == reference
-                    straddles += straddle
-                    checked += 1
+        # the whole stack, and every third row of it: a stack whose rows are
+        # not contiguous in memory
+        for rows in (slice(None), slice(1, None, 3)):
+            stack = tuple(part[rows] for part in boxes)
+            bounds = ctx.row_bounds(stack)
+            assert len(bounds) == len(stack[0])
+            for row, value in enumerate(bounds):
+                one = tuple(part[row : row + 1] for part in stack)
+                reference, straddle = scalar_row_bound(ctx, stack, row)
+                assert value == ctx.row_bounds(one)[0]
+                assert value == reference
+                straddles += straddle
+                checked += 1
         assert checked > 300
         if t > 1:
             assert straddles
@@ -833,8 +714,6 @@ class TestSolve:
         directed = DomainSpec(n=3, directed=True, num_labels=1)
         with pytest.raises(IncompatibleDomainError):
             solve(model, directed, 1.0, strategy=strategy)
-        with pytest.raises(IncompatibleDomainError):
-            dual_bound(PartialAssignment.root(directed, 3), model, 1.0)
 
     @pytest.mark.parametrize("strategy", list(SolveStrategy))
     def test_negative_beta_sqrt_raises_before_table_build(self, rng, strategy):
@@ -936,8 +815,8 @@ class TestSolve:
         assert result.status == "FeasibleTimeLimit"
         assert result.bound <= result.objective
         assert result.bound <= exact.objective
-        assert result.bound == min(result.objective, dual_bound(
-            PartialAssignment.root(dom, 5), model, 1.0))
+        assert result.bound == min(result.objective,
+                                   reference_bound(model, dom, 5, *root_intervals(5)))
 
     def test_budget_expires_inside_the_largest_size(self, monkeypatch):
         # targets grow with the graph size, so the optimum has 2 nodes; the
@@ -953,7 +832,7 @@ class TestSolve:
         result = solve(model, dom, 1.0, budget=10.0, strategy="branch_and_propagate")
         assert [len(adjacency) for adjacency in scored] == [4]
         assert (result.status, result.incumbent) == ("BudgetExhausted", None)
-        assert result.bound == min(dual_bound(PartialAssignment.root(dom, size), model, 1.0)
+        assert result.bound == min(reference_bound(model, dom, size, *root_intervals(size))
                                    for size in dom.sizes)
         assert result.bound <= exact.objective
 
@@ -985,8 +864,8 @@ class TestSolve:
         assert 9 not in graphs_module._class_tables
         assert (result.status, result.incumbent) == ("FeasibleTimeLimit", points[0])
         assert result.nodes_explored == 0
-        assert result.bound == min(result.objective, dual_bound(
-            PartialAssignment.root(dom, 9), model, 1.0))
+        assert result.bound == min(result.objective,
+                                   reference_bound(model, dom, 9, *root_intervals(9)))
 
     @pytest.mark.parametrize("dom", [
         DomainSpec(n=6, num_labels=1, directed=True),
@@ -1020,9 +899,9 @@ class TestSolve:
         assert (result.status, result.incumbent, result.nodes_explored) == \
             ("BudgetExhausted", None, 0)
 
-    def test_structures_bound_as_full_assignments(self, rng, monkeypatch):
-        # every bounded structure's bound equals a fresh dual_bound of the
-        # partial assignment that fixes all of its edge bits
+    def test_structures_bound_as_the_reference_bound(self, rng, monkeypatch):
+        # every bounded structure's bound equals the reference bound at the
+        # structure's own BFS distances
         chunks, bounds = [], []
         structure_chunks = solve_module._structure_chunks
         row_bounds = solve_module._BoundContext.row_bounds
@@ -1050,10 +929,8 @@ class TestSolve:
             assert len(chunks) == len(bounds)
             for (adjacency, _), chunk_bounds in zip(chunks, bounds):
                 for structure, bound in zip(adjacency, chunk_bounds):
-                    pa = PartialAssignment.root(dom, len(structure))
-                    for u, v in adjacency_pairs(pa.size, dom.directed):
-                        pa.set_adj(u, v, structure[u, v])
-                    assert bound == dual_bound(pa, model, 1.0)
+                    exact = bfs_distances(structure, dom.directed)
+                    assert bound == reference_bound(model, dom, len(structure), exact, exact)
                     checked += 1
         assert checked > 100
 
