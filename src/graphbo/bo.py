@@ -46,7 +46,8 @@ class BoConfig:
     def __post_init__(self):
         object.__setattr__(self, "variant", KernelVariant(self.variant))
         object.__setattr__(self, "strategy", SolveStrategy(self.strategy))
-        if self.initial_samples < 1 or self.solver_budget <= 0 or self.fit_restarts < 1:
+        # ``not budget > 0`` also refuses nan, which compares false both ways
+        if self.initial_samples < 1 or not self.solver_budget > 0 or self.fit_restarts < 1:
             raise ValueError("counts and budgets must be positive")
         if self.iterations < 0 or self.warm_start_count < 0 or self.beta_sqrt < 0:
             raise ValueError("iterations, warm-start count, and beta_sqrt must be nonnegative")

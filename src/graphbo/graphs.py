@@ -15,10 +15,10 @@ of connected graphs (``_connected_classes``: vertex augmentation), in its
 smallest numbering, which is that first graph's structure, up to
 CLASS_TABLE_MAX_NODES nodes; other domains and sizes walk every connected
 structure. Both solve strategies read one structure's labelings through
-``structure_profiles``. ``smallest_relabeling`` renumbers graphs to their
-smallest ``graph_sort_key``, which branch-and-propagate needs as it may
-search several numberings of a class. One canonical search,
-``_smallest_numberings``, finds those numberings for both.
+``structure_profiles``, in ``enumerate_domain`` order, so the first
+labeling at the lowest value is the smallest ``graph_sort_key`` among the
+ties. A canonical search, ``_smallest_numberings``, finds each candidate's
+smallest numbering while the class tables are built.
 """
 
 from __future__ import annotations
@@ -1017,7 +1017,7 @@ def _sample_one(domain: DomainSpec, rng: np.random.Generator) -> AttributedGraph
 
 
 # ---------------------------------------------------------------------------
-# sort keys and relabeling
+# sort keys
 
 
 def graph_sort_key(graph: AttributedGraph) -> tuple:
@@ -1029,23 +1029,6 @@ def matrices_sort_key(adjacency: np.ndarray, features: np.ndarray) -> tuple:
     """``graph_sort_key`` of the graph of these matrices, without building it."""
     return (len(adjacency), tuple(adjacency.ravel().tolist()),
             tuple(features.ravel().tolist()))
-
-
-def smallest_relabeling(graphs: Iterable[AttributedGraph]) -> AttributedGraph:
-    """Of every renumbering of every graph in ``graphs`` (one directedness
-    and label scheme; features move with their nodes), the one with the
-    smallest ``graph_sort_key``.
-
-    The key is size-major: only the smallest go to ``_smallest_numberings``.
-    """
-    graphs = list(graphs)
-    n = min(g.n for g in graphs)
-    smallest = [g for g in graphs if g.n == n]
-    graph, order = _smallest_numberings(np.stack([g.adjacency for g in smallest]),
-                                        np.stack([g.features for g in smallest]))
-    return min((build_graph(smallest[g].adjacency[np.ix_(p, p)], smallest[g].features[p],
-                            smallest[g].directed, smallest[g].num_labels)
-                for g, p in zip(graph, order)), key=graph_sort_key)
 
 
 def sample_feasible(domain: DomainSpec, seed, attempts: int = SAMPLING_ATTEMPTS) -> AttributedGraph:

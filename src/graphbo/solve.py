@@ -4,17 +4,17 @@ Two strategies: exhaustive enumeration of the (guarded) domain, and
 branch-and-propagate over the domain's structures. Enumeration scores one
 row per distinct feasible kernel profile (``graphs.profile_table``), since
 the LCB reads a graph only through its profile. Branch-and-propagate takes
-each graph size on its own, largest first, and the same structures the
-profile table reads (``graphs._structures``: one per isomorphism class of
-an undirected domain without user rows). It bounds them in chunks with
-interval-arithmetic lower bounds on the acquisition value, read from
-per-training-point range-min/max tables of the count profile, and scores
-every feasible labeling of each structure its bound does not prune, one
-``gp.predict`` call per block of labelings (``graphs.structure_profiles``).
-It keeps the labelings that tie its incumbent as (adjacency, features)
-pairs, builds graphs only for the final ties, and renumbers those to the
-smallest sort key (``graphs.smallest_relabeling``). Both strategies break
-objective ties toward the smallest ``graph_sort_key``.
+each graph size on its own, smallest first, and the same structures the
+profile table reads, in its order (``graphs._structures``: one per
+isomorphism class of an undirected domain without user rows). It bounds
+them in chunks with interval-arithmetic lower bounds on the acquisition
+value, read from per-training-point range-min/max tables of the count
+profile, and scores every feasible labeling of each structure its bound
+does not prune, one ``gp.predict`` call per block of labelings
+(``graphs.structure_profiles``). It keeps the first labeling in that
+order at the lowest value, as an (adjacency, features) pair, and builds
+its graph once, after the search. Both strategies thus break objective
+ties toward the smallest ``graph_sort_key``.
 
 Also hosts the exact feasibility checker and the exhaustive feasible-point
 counter used to verify that the structural constraint system is in bijection
@@ -50,7 +50,6 @@ from .graphs import (
     graph_sort_key,
     matrices_sort_key,
     profile_table,
-    smallest_relabeling,
     structure_profiles,
 )
 from .kernels import _combine, _normalize
@@ -78,8 +77,8 @@ class SolveResult:
     status: str  # Optimal | FeasibleTimeLimit | Infeasible | BudgetExhausted
     nodes_explored: int
     wall_time: float
-    # work counters: B&P reports nodes, structures_scored and graphs_built;
-    # enumerate reports rows, table_s and cache_hit
+    # work counters: B&P reports nodes and structures_scored; enumerate
+    # reports rows, table_s and cache_hit
     stats: dict = field(default_factory=dict)
 
     @property
@@ -262,38 +261,44 @@ def _size_infeasible(domain: DomainSpec, size: int) -> bool:
     return bool((lo > hi).any() or not lo.sum() <= size <= hi.sum())
 
 
-def _bfs_order_violated(adjacency: np.ndarray) -> np.ndarray:
-    """Per structure of the stack ``adjacency`` (b, n, n): its numbering is
-    not one that a breadth-first search from node 0 gives.
+def _first_row_can_be_smallest(adjacency: np.ndarray) -> np.ndarray:
+    """Per structure of the stack ``adjacency`` (b, n, n): node 0 has the
+    least out-degree d, and its out-neighbours are nodes n - d to n - 1.
 
-    Such a numbering gives every node v >= 1 a neighbour u < v, and its
-    first one does not decrease in v; every connected graph has one.
-    Directed structures are read as their underlying undirected graphs.
+    ``graph_sort_key`` reads the adjacency row by row, so the smallest
+    numbering of a class has the smallest first row that any numbering
+    gives (orderly generation: Read, Ann. Discrete Math. 2, 1978; McKay,
+    J. Algorithms 26, 1998): a node of least out-degree first, its
+    out-neighbours last. Every class's smallest numbering passes. The
+    diagonal is not read.
     """
-    linked = (adjacency != 0) | (adjacency.swapaxes(1, 2) != 0)
-    below = np.triu(linked, 1)[:, :, 1:]  # [u, v - 1]: an edge u - v, u < v
-    parent = below.argmax(axis=1)
-    return ~below.any(axis=1).all(axis=1) | (np.diff(parent, axis=1) < 0).any(axis=1)
+    n = adjacency.shape[1]
+    out = (adjacency != 0) & ~np.eye(n, dtype=bool)
+    degree = out.sum(axis=2)
+    first = degree[:, 0]
+    return (first == degree.min(axis=1)) & (
+        out[:, 0] == (np.arange(n) >= n - first[:, None])).all(axis=1)
 
 
 def _structure_chunks(domain: DomainSpec, size: int
                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stacks (b, size, size) of the adjacency and distances of the
     structures that branch-and-propagate bounds at ``size``: those of
-    ``graphs._structures``, in chunks of at most BLOCK node pairs, less any
-    whose in-degree exceeds every degree cap. A walk without user rows
-    keeps only breadth-first numberings (``_bfs_order_violated``), several
-    per class; user rows name nodes, so with any the walk keeps every
-    numbering. Each block of ``_structures`` yields at least one chunk,
-    empty when none of its structures is kept, so the caller polls its
-    budget between blocks."""
+    ``graphs._structures``, in its order and in chunks of at most BLOCK
+    node pairs, less any whose in-degree exceeds every degree cap. A walk
+    without user rows keeps only numberings whose first row can be the
+    smallest (``_first_row_can_be_smallest``), which every class's smallest
+    numbering passes; user rows name nodes, so with any the walk keeps
+    every numbering. Each block of ``_structures`` yields at least one
+    chunk, empty when none of its structures is kept, so the caller polls
+    its budget between blocks."""
     rows = max(1, BLOCK // size ** 2)
     for adjacency, dist in _structures(domain, size):
         keep = np.ones(len(adjacency), dtype=bool)
         if domain.degree_caps is not None:
             keep &= (adjacency.sum(axis=1) <= max(domain.degree_caps)).all(axis=1)
         if _walks(domain, size) and not domain.extra_rows:
-            keep &= ~_bfs_order_violated(adjacency)
+            keep &= _first_row_can_be_smallest(adjacency)
         adjacency, dist = adjacency[keep], dist[keep]
         for lo in range(0, max(len(adjacency), 1), rows):
             yield adjacency[lo: lo + rows], dist[lo: lo + rows]
@@ -515,11 +520,12 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
                   budget: float, warm: Iterable[AttributedGraph]) -> SolveResult:
     start = time.monotonic()
     ctx = _BoundContext(model, beta_sqrt, domain)
-    warm_best, incumbent_obj, _ = _best_warm_start(model, domain, beta_sqrt, warm)
-    # the labelings met so far whose LCB equals the incumbent value, as
-    # (adjacency, features) pairs, built into graphs after the search; the
-    # warm start stays a graph until an improvement drops it
-    tied: list[tuple[np.ndarray, np.ndarray]] = []
+    warm_graph, warm_obj, warm_key = _best_warm_start(model, domain, beta_sqrt, warm)
+    # the first labeling in enumerate order at the lowest value met, as an
+    # (adjacency, features) pair; a labeling that ties the warm start
+    # replaces it, so a completed search ends at enumerate's incumbent
+    found: tuple[np.ndarray, np.ndarray] | None = None
+    found_obj = math.inf
     nodes = structures = 0
 
     def out_of_time() -> bool:
@@ -527,10 +533,11 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
 
     def score_structure(adjacency: np.ndarray, dist: np.ndarray) -> bool:
         """Score every feasible labeling of one structure, one ``predict``
-        call per block of labelings, and keep the labelings that improve or
-        tie the incumbent value: ``predict`` gives a profile one value in
-        any batch, ``gp.lcb``'s. False when the budget ran out first."""
-        nonlocal incumbent_obj, tied, warm_best
+        call per block of labelings, and keep the block's first minimum if
+        it is lower than the labeling kept and no higher than the warm
+        start: ``predict`` gives a profile one value in any batch,
+        ``gp.lcb``'s. False when the budget ran out first."""
+        nonlocal found, found_obj
         for profiles, features in structure_profiles(domain, adjacency, dist):
             if out_of_time():
                 return False
@@ -538,17 +545,15 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
                 continue
             mu, var = predict(model, profiles)
             values = mu - beta_sqrt * np.sqrt(var)
-            low = float(values.min())
-            if low > incumbent_obj:
-                continue
-            if low < incumbent_obj:
-                incumbent_obj, tied, warm_best = low, [], None
-            tied.extend((adjacency, f) for f in features[values == low])
+            row = int(np.argmin(values))
+            if values[row] < found_obj and values[row] <= warm_obj:
+                found, found_obj = (adjacency, features[row]), float(values[row])
         return True
 
     def search(size: int) -> bool:
         """Bound the structures of ``size`` chunk by chunk and score those
-        the incumbent does not prune. False when the budget ran out first."""
+        that may hold a labeling the search keeps. False when the budget ran
+        out first."""
         nonlocal nodes, structures
         for adjacency, dist in _structure_chunks(domain, size):
             if out_of_time():
@@ -558,9 +563,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             bounds = ctx.row_bounds(ctx.boxes(size, dist, dist))
             nodes += len(bounds)
             for adj, d, bound in zip(adjacency, dist, bounds):
-                # a structure whose bound equals the incumbent may still
-                # hold a tie with a smaller sort key
-                if bound > incumbent_obj:
+                if bound >= found_obj or bound > warm_obj:
                     continue
                 structures += 1
                 if not score_structure(adj, d):
@@ -569,7 +572,7 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
 
     timed_out = False
     open_bounds: list[float] = []
-    for size in reversed(domain.sizes):
+    for size in domain.sizes:
         if _size_infeasible(domain, size):
             continue
         if timed_out or not search(size):
@@ -578,39 +581,32 @@ def _solve_branch(model: GpModel, domain: DomainSpec, beta_sqrt: float,
             timed_out = True
             apart = 1.0 - np.eye(size)[None]
             open_bounds.append(ctx.row_bounds(ctx.boxes(size, apart, (size - 1) * apart))[0])
-    if (timed_out or domain.extra_rows) and tied:
-        # no renumbering follows: only the smallest sort key can win
-        tied = [min(tied, key=lambda pair: matrices_sort_key(*pair))]
-    graphs = [] if warm_best is None else [warm_best]
-    graphs.extend(build_graph(adjacency, features, domain.directed, domain.num_labels)
-                  for adjacency, features in tied)
-    stats = {"nodes": nodes, "structures_scored": structures, "graphs_built": len(tied)}
+    incumbent, objective = warm_graph, warm_obj
+    # a completed search keeps its labeling, which is no worse than the warm
+    # start; one cut short keeps the better of the two, as enumerate does
+    if found is not None and (not timed_out or _improves(
+            found_obj, matrices_sort_key(*found), warm_obj, warm_key)):
+        incumbent = build_graph(*found, domain.directed, domain.num_labels)
+        objective = found_obj
+    stats = {"nodes": nodes, "structures_scored": structures}
     elapsed = time.monotonic() - start
 
-    if not graphs:
+    if incumbent is None:
         if timed_out:
             return SolveResult(None, None, min(open_bounds, default=-math.inf),
                                "BudgetExhausted", nodes, elapsed, stats)
         return SolveResult(None, None, math.inf, "Infeasible", nodes, elapsed, stats)
-    if timed_out or domain.extra_rows:
-        incumbent = min(graphs, key=graph_sort_key)
-    else:
-        # a completed search met every isomorphism class that reaches the
-        # incumbent value, so the smallest sort key is the smallest over
-        # their renumberings; a renumbering keeps the kernel profile, hence
-        # the LCB
-        incumbent = smallest_relabeling(graphs)
     if timed_out:
-        bound = min([incumbent_obj] + open_bounds)
+        bound = min([objective] + open_bounds)
         status = "FeasibleTimeLimit"
     else:
-        # the search prunes only at bound > incumbent, so completion
-        # certifies a zero gap
-        bound = incumbent_obj
+        # every structure pruned has no labeling below the incumbent value,
+        # so completion certifies a zero gap
+        bound = objective
         status = "Optimal"
     logger.info("status=%s gap=%g time=%.3fs nodes=%d", status,
-                incumbent_obj - bound, elapsed, nodes)
-    return SolveResult(incumbent, incumbent_obj, bound, status, nodes, elapsed, stats)
+                objective - bound, elapsed, nodes)
+    return SolveResult(incumbent, objective, bound, status, nodes, elapsed, stats)
 
 
 def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
@@ -632,52 +628,52 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     starts, and keeps the better (FeasibleTimeLimit, bound -inf) or, with
     neither, ends BudgetExhausted. A complete table ignores warm starts.
 
-    ``branch_and_propagate`` searches each graph size on its own, largest
+    ``branch_and_propagate`` searches each graph size on its own, smallest
     first, starting from the best domain-feasible warm start; a size whose
     label-count bounds cannot sum to it is skipped. A size's structures
-    are those the enumerate table reads (``graphs._structures``): one per
-    isomorphism class of an undirected domain without user rows, up to
-    ``graphs.CLASS_TABLE_MAX_NODES`` nodes, else the walk over every
-    connected structure. A walk without user rows keeps only breadth-first
-    numberings from node 0 on the underlying undirected graph, several per
-    class; user rows name nodes, so with any the walk keeps every
-    numbering. A structure whose in-degree exceeds every degree cap is
-    dropped. The rest are bounded in chunks of at most BLOCK node
-    pairs, with their exact distances (``_BoundContext.row_bounds``: one
-    BLAS call per structure and product, so a structure's bound does not
-    depend on its chunk). A structure whose bound exceeds the incumbent
-    value is pruned; the feasible labelings of every other one are scored
-    by ``gp.predict``, one call per block of labelings. ``predict`` gives a
-    profile one value in any batch, equal to ``gp.lcb``'s, so the block's
-    values are compared with the incumbent value directly, and a labeling
-    that improves or ties it is kept as an (adjacency, features) pair; an
-    improvement drops the pairs kept so far, and graphs are built only for
-    the final ties, after the search. Nothing is re-scored.
-    ``nodes_explored`` counts the structures bounded: 21 at n=5 with one
-    label or two.
+    are those the enumerate table reads, in its order
+    (``graphs._structures``): one per isomorphism class of an undirected
+    domain without user rows, up to ``graphs.CLASS_TABLE_MAX_NODES``
+    nodes, else the walk over every connected structure. A walk without
+    user rows keeps only numberings in which node 0 has the least
+    out-degree d and its out-neighbours are nodes n - d to n - 1: the
+    first row of every class's smallest numbering. User rows name nodes,
+    so with any the walk keeps every numbering. A structure whose
+    in-degree exceeds every degree cap is dropped. The rest are bounded in
+    chunks of at most BLOCK node pairs, with their exact distances
+    (``_BoundContext.row_bounds``: one BLAS call per structure and
+    product, so a structure's bound does not depend on its chunk). The
+    feasible labelings of a structure are scored by ``gp.predict``, one
+    call per block of labelings, in enumeration order. ``predict`` gives a
+    profile one value in any batch, equal to ``gp.lcb``'s, so the search
+    keeps the first labeling at the lowest value as an (adjacency,
+    features) pair: a later one must be strictly lower, except that one
+    tying the warm start replaces it. A structure is pruned when its bound
+    is at or above the kept labeling's value, or above the warm start's.
+    The kept labeling's graph is built once, after the search, and nothing
+    is re-scored. ``nodes_explored`` counts the structures bounded: 21 at
+    n=5 with one label or two.
 
     The bound's mean term steps down by a bound on the rounding of its own
     sum and of ``predict``'s (``_BoundContext.row_bounds``). Its sigma term
     has no such slack, and ``predict`` forms sigma another way. So that the
     bound sits at or below ``predict``'s value at every labeling of its
-    structure, and hence that every structure reaching the incumbent value
-    is scored, is checked with no tolerance on small domains
-    (``test_structure_bound_below_every_labeling``), not proved.
+    structure, and hence that every structure holding a labeling below the
+    incumbent value is scored, is checked with no tolerance on small
+    domains (``test_structure_bound_below_every_labeling``), not proved.
 
-    The graphs met at the optimum are renumbered by a canonical search
-    (``graphs.smallest_relabeling``; features move with their nodes, which
-    keeps the profile and hence the LCB), so ties break toward the smallest
-    ``graph_sort_key`` as in ``enumerate``. With ``extra_rows`` (every
-    numbering is scored) and in a search cut short by the budget, the
-    incumbent is the smallest sort key among the labelings met,
-    unrenumbered, and only its graph is built.
+    Sizes, structures and labelings are all read in ``enumerate_domain``
+    order, and the smallest numbering of a class comes first among its
+    numberings, so a completed search returns ``enumerate``'s incumbent:
+    objective ties break toward the smallest ``graph_sort_key``. A search
+    cut short keeps the better of its labeling and the warm start, ties
+    going to the smaller sort key, as ``enumerate``'s cut-short build does.
     The budget is polled before each chunk, empty ones included, and each
     block of labelings; a class-table build yields a chunk after each step.
-    A size cut short keeps its best scored labelings and contributes the
-    bound of its root intervals (every node pair at distance 1 to
-    size - 1, so every graph of that size) to the reported bound, as does
-    each size left unsearched. The search runs single-threaded, which keeps
-    results bit-for-bit reproducible.
+    A size cut short contributes the bound of its root intervals (every
+    node pair at distance 1 to size - 1, so every graph of that size) to
+    the reported bound, as does each size left unsearched. The search runs
+    single-threaded, which keeps results bit-for-bit reproducible.
 
     "Optimal" means the search certified a zero gap in floating point, so
     it holds to the posterior's own roundoff. Against an exact rational
@@ -696,15 +692,18 @@ def solve(gp_model: GpModel, domain: DomainSpec, beta_sqrt: float,
     ``SolveResult.stats`` counts each strategy's work: ``enumerate`` reports
     ``rows`` (profile rows scored), ``table_s`` (seconds to build or fetch
     the table) and ``cache_hit``; ``branch_and_propagate`` reports ``nodes``
-    (as ``nodes_explored``), ``structures_scored`` and ``graphs_built``.
+    (as ``nodes_explored``) and ``structures_scored``.
 
     Both strategies first check their inputs with
     ``encode.check_acquisition_inputs``, as the encoder does: an unfitted
     model raises UnfittedModelError, a domain whose label/feature scheme or
     directedness differs from the training set's IncompatibleDomainError,
-    and a negative ``beta_sqrt`` ValueError.
+    and a negative ``beta_sqrt`` ValueError. A NaN ``budget`` raises
+    ValueError, since no elapsed time compares above it; 0 and inf work.
     """
     check_acquisition_inputs(gp_model, domain, beta_sqrt)
+    if math.isnan(budget):
+        raise ValueError("budget must be a number, got nan")
     strategy = SolveStrategy(strategy)
     if strategy is SolveStrategy.ENUMERATE:
         return _solve_enumerate(gp_model, domain, beta_sqrt, budget, warm_start)

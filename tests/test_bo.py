@@ -1,5 +1,7 @@
 """Optimization loop, warm start, baseline, and synthetic objectives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,14 @@ class TestBoConfig:
             BoConfig(iterations=-1)
         with pytest.raises(ValueError):
             BoConfig(beta_sqrt=-0.5)
+
+    def test_solver_budget_must_be_a_positive_number(self):
+        # nan compares false with everything, so it would pass a <= 0 check
+        # and turn every budget check of the solver off
+        for budget in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                BoConfig(solver_budget=budget)
+        assert BoConfig(solver_budget=math.inf).solver_budget == math.inf
 
     def test_defaults_mirror_reference_protocol(self):
         config = BoConfig()

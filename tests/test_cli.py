@@ -213,6 +213,24 @@ def test_fit_predict_encode_solve_pipeline(tmp_path, capsys, rng):
     assert "status=Optimal" in capsys.readouterr().out
 
 
+def test_solve_nan_budget_is_input_error(tmp_path, capsys):
+    dom = graphbo.DomainSpec(n=3, num_labels=1)
+    graphs = [graphbo.sample_feasible(dom, s) for s in range(4)]
+    model_path = tmp_path / "model.json"
+    graphbo.dump_model(graphbo.fit(graphs, [0.0, 1.0, 2.0, 3.0], "ssp", seed=0), model_path)
+    solve_args = ["solve", "--model", str(model_path), "--n", "3"]
+    assert dispatch(solve_args + ["--budget", "nan"]) == 2
+    assert "budget" in capsys.readouterr().err
+    # a budget of 0 is spent at once: no incumbent exits 2, one exits 0
+    dispatch(solve_args + ["--budget", "0"])
+    assert capsys.readouterr().out.startswith(("status=FeasibleTimeLimit",
+                                               "status=BudgetExhausted"))
+    assert dispatch(solve_args + ["--budget", "inf"]) == 0
+    assert capsys.readouterr().out.startswith("status=Optimal")
+    assert dispatch(["bo", "--n", "3", "--oracle", "path_profile", "--target", "3,4,2",
+                     "--budget", "nan"]) == 2
+
+
 def test_bo_and_baseline_write_parseable_history(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

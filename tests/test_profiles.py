@@ -121,7 +121,8 @@ def _solve_both(domain, variant, points=10):
 
 def test_branch_and_propagate_breaks_ties_like_enumerate():
     # two stars (centred on node 0 and on node 4) share the optimal profile;
-    # the search meets one star and renumbers it to the smaller sort key
+    # the search reads the class's smallest numbering, the star centred on
+    # node 4, as enumerate does
     exact, branch = _solve_both(DomainSpec(n=5, n_min=2, num_labels=2),
                                 KernelVariant.ESP)
     assert exact.status == branch.status == "Optimal"

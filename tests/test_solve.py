@@ -30,7 +30,6 @@ from graphbo.graphs import (
     enumerate_domain,
     is_connected,
     sample_feasible,
-    smallest_relabeling,
     structure_profiles,
 )
 from graphbo.kernels import StackedSummaries, cross_gram, k_combined, self_kernel_parts
@@ -514,39 +513,31 @@ class TestBatchedBounds:
             assert straddles
 
 
-class TestFinalTies:
-    """Branch-and-propagate keeps the labelings that improve or tie its
-    incumbent as (adjacency, features) pairs and builds graphs only for
-    the final ties."""
+class TestOneGraphBuilt:
+    """Branch-and-propagate keeps the first labeling at the lowest value as
+    an (adjacency, features) pair and builds its graph once, after the
+    search."""
 
     @pytest.mark.parametrize("variant", list(KernelVariant))
     @pytest.mark.parametrize("dom", [DomainSpec(n=5, num_labels=1),
                                      DomainSpec(n=4, num_labels=2)],
                              ids=["n5_1label", "n4_2labels"])
-    def test_builds_only_the_graphs_handed_to_the_tie_break(self, rng, monkeypatch,
-                                                           dom, variant):
+    def test_builds_only_the_incumbent(self, rng, monkeypatch, dom, variant):
         model = fitted_model(rng, dom, t=8, variant=variant)
         warm = [sample_feasible(dom, rng) for _ in range(3)]
         *_, incumbent = reference_search(model, dom, 1.0)
-        built, handed = [], []
+        built = []
 
         def counting_build(*args):
-            built.append(args)
-            return build_graph(*args)
-
-        def recording_relabeling(graphs):
-            handed.append(list(graphs))
-            return smallest_relabeling(graphs)
+            built.append(build_graph(*args))
+            return built[-1]
 
         monkeypatch.setattr(solve_module, "build_graph", counting_build)
-        monkeypatch.setattr(solve_module, "smallest_relabeling", recording_relabeling)
         result = solve(model, dom, 1.0, strategy="branch_and_propagate",
                        warm_start=warm)
         assert result.status == "Optimal"
         assert result.incumbent == incumbent
-        tie_break, = handed
-        searched = [g for g in tie_break if not any(g is w for w in warm)]
-        assert len(built) == len(searched) == result.stats["graphs_built"]
+        assert len(built) == 1 and built[0] is result.incumbent
 
 
 class TestSolveStats:
@@ -555,10 +546,9 @@ class TestSolveStats:
         model = fitted_model(rng, dom)
         result = solve(model, dom, 1.0, strategy="branch_and_propagate")
         stats = result.stats
-        assert set(stats) == {"nodes", "structures_scored", "graphs_built"}
+        assert set(stats) == {"nodes", "structures_scored"}
         assert stats["nodes"] == result.nodes_explored == 6  # connected classes
         assert 1 <= stats["structures_scored"] <= stats["nodes"]
-        assert stats["graphs_built"] >= 1
 
     def test_enumerate_reports_rows_build_time_and_cache_hits(self, rng):
         dom = DomainSpec(n=4, num_labels=2)
@@ -642,10 +632,9 @@ class TestSolve:
                                      DomainSpec(n=4, n_min=2, num_labels=2)],
                              ids=["n3", "bounded_2_4_labels"])
     def test_branch_and_propagate_lexicographic_tie_break(self, dom):
-        # zero targets and beta 0: every graph and every node bound is
-        # exactly 0, so the first incumbent found (the complete graph) ties
-        # every node, and the smallest graph lies in a later structure and
-        # labeling
+        # zero targets and beta 0: every graph and every structure bound is
+        # exactly 0, so every labeling ties the first one met, which must
+        # be the smallest graph
         points = [sample_feasible(dom, s) for s in range(3)]
         model = GpModel.build(points, np.zeros(3), KernelVariant.SSP,
                               KernelHyperparams(alpha=1.0, beta=1.0))
@@ -663,6 +652,19 @@ class TestSolve:
         assert result.bound <= exact.objective + 1e-9
         if result.objective is not None:
             assert result.objective >= exact.objective - 1e-9
+
+    @pytest.mark.parametrize("strategy", list(SolveStrategy))
+    def test_nan_budget_raises(self, rng, strategy):
+        # no elapsed time compares above nan, so it would turn every budget
+        # check off; 0 and inf keep their meaning
+        dom = DomainSpec(n=3, num_labels=2)
+        model = fitted_model(rng, dom)
+        solve_module._profile_tables.clear()
+        with pytest.raises(ValueError, match="budget"):
+            solve(model, dom, 1.0, budget=math.nan, strategy=strategy)
+        cut = solve(model, dom, 1.0, budget=0.0, strategy=strategy)
+        assert cut.status in ("FeasibleTimeLimit", "BudgetExhausted")
+        assert solve(model, dom, 1.0, budget=math.inf, strategy=strategy).status == "Optimal"
 
     def test_wide_feature_domain_honours_the_budget(self, rng):
         # 2**87 labelings per structure: the search polls its budget between
@@ -752,23 +754,59 @@ class TestSolve:
         assert repr(result.bound) == repr(bound)
         assert result.incumbent == incumbent
 
-    def test_user_row_ties_break_like_enumerate(self):
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    def test_search_scores_a_near_optimum_before_the_optimum(self, monkeypatch, variant):
+        # 6 points and targets from default_rng(7), fit seed 7: at one label
+        # the bound is tight, and a structure scored before the optimum's
+        # holds a labeling within 1.0 of the optimum, so a bound raised by
+        # 1.0 would prune the optimum's structure and this test would fail
+        dom = DomainSpec(n=5, num_labels=1)
+        rng = np.random.default_rng(7)
+        points = [sample_feasible(dom, rng) for _ in range(6)]
+        model = fit(points, rng.normal(size=6), variant, seed=7)
+        scored = []
+
+        def recording(domain, adjacency, dist):
+            blocks = list(structure_profiles(domain, adjacency, dist))
+            mu, var = predict(model, blocks[0][0])
+            scored.append((adjacency, float((mu - np.sqrt(var)).min())))
+            return iter(blocks)
+
+        monkeypatch.setattr(solve_module, "structure_profiles", recording)
+        result = solve(model, dom, 1.0, strategy="branch_and_propagate")
+        status, objective, bound, incumbent = reference_search(model, dom, 1.0)
+        assert result.status == status
+        assert repr(result.objective) == repr(objective)
+        assert repr(result.bound) == repr(bound)
+        assert result.incumbent == incumbent
+        optimum = [np.array_equal(adjacency, incumbent.adjacency)
+                   for adjacency, _ in scored].index(True)
+        assert any(value - objective < 1.0 for _, value in scored[:optimum])
+
+    def test_user_row_ties_break_like_enumerate(self, monkeypatch):
         # |w| near 2e6, so the mean rounds by up to about 1e-5, and user
-        # rows leave every numbering in the search: each numbering that
-        # ties the optimum must be scored for the smallest sort key to win,
-        # and only the winner is built
+        # rows leave every numbering in the search: the first numbering in
+        # enumeration order that reaches the optimum must be the one kept,
+        # and only it is built
         dom = DomainSpec(n=6, num_labels=1,
                          extra_rows=(LinearRow(adjacency=((0, 1, 1.0),), sense="<=",
                                                rhs=0.0),))
         rng = np.random.default_rng(0)
         points = [sample_feasible(dom, rng) for _ in range(10)]
         model = fit(points, rng.normal(size=10), KernelVariant.SSP, seed=0)
+        built = []
+
+        def counting_build(*args):
+            built.append(args)
+            return build_graph(*args)
+
+        monkeypatch.setattr(solve_module, "build_graph", counting_build)
         exact, branch = (solve(model, dom, 1.0, strategy=s)
                          for s in ("enumerate", "branch_and_propagate"))
         assert exact.status == branch.status == "Optimal"
         assert repr(branch.objective) == repr(exact.objective)
         assert branch.incumbent == exact.incumbent
-        assert branch.stats["graphs_built"] == 1
+        assert len(built) == 1
 
     @staticmethod
     def _frozen_clock(monkeypatch):
@@ -818,23 +856,48 @@ class TestSolve:
         assert result.bound == min(result.objective,
                                    reference_bound(model, dom, 5, *root_intervals(5)))
 
-    def test_budget_expires_inside_the_largest_size(self, monkeypatch):
-        # targets grow with the graph size, so the optimum has 2 nodes; the
-        # budget runs out at the first structure of 4 nodes, the sizes below
-        # are never searched, and their root bounds keep the bound valid
+    def test_budget_expires_inside_the_smallest_size(self, monkeypatch):
+        # sizes are searched smallest first: the budget runs out at the
+        # first structure, of 2 nodes, before any labeling is scored; the
+        # sizes above are never searched, and the root bounds of all three
+        # keep the bound valid
         dom = DomainSpec(n=4, n_min=2, num_labels=1)
         rng = np.random.default_rng(0)
         points = [sample_feasible(dom, rng) for _ in range(6)]
         model = fit(points, [float(g.n) for g in points], KernelVariant.SSP, seed=0)
         exact = solve(model, dom, 1.0, strategy="enumerate")
-        assert exact.incumbent.n < dom.n
         scored = self._expire_at_structure(monkeypatch, 1)
         result = solve(model, dom, 1.0, budget=10.0, strategy="branch_and_propagate")
-        assert [len(adjacency) for adjacency in scored] == [4]
+        assert [len(adjacency) for adjacency in scored] == [2]
         assert (result.status, result.incumbent) == ("BudgetExhausted", None)
         assert result.bound == min(reference_bound(model, dom, size, *root_intervals(size))
                                    for size in dom.sizes)
         assert result.bound <= exact.objective
+
+    @pytest.mark.parametrize("optimal_warm", [False, True], ids=["sampled", "optimal"])
+    def test_budget_expires_after_the_smallest_size(self, rng, monkeypatch, optimal_warm):
+        # the one structure of 2 nodes is scored in full and the budget runs
+        # out at the next structure handed over, of 3 nodes: the search
+        # keeps the better of its best labeling and the warm start, by value
+        # and then sort key, and reports the root bounds of 3 and 4 nodes.
+        # The sampled warm starts lose to that labeling; the optimum, of 4
+        # nodes, beats it
+        dom = DomainSpec(n=4, n_min=2, num_labels=2)
+        model = fitted_model(rng, dom)
+        exact = solve(model, dom, 1.0, strategy="enumerate")
+        warm = ([exact.incumbent] if optimal_warm
+                else [sample_feasible(dom, s) for s in range(3)])
+        scored = self._expire_at_structure(monkeypatch, 2)
+        result = solve(model, dom, 1.0, budget=10.0, strategy="branch_and_propagate",
+                       warm_start=warm)
+        assert [len(adjacency) for adjacency in scored] == [2, 3]
+        assert result.status == "FeasibleTimeLimit"
+        candidates = [g for g in enumerate_domain(dom) if g.n == 2] + warm
+        best = min(candidates, key=lambda g: (lcb(model, g, 1.0), graph_sort_key(g)))
+        assert (result.incumbent, result.objective) == (best, lcb(model, best, 1.0))
+        assert (best.n == 4) == optimal_warm
+        assert result.bound == min([result.objective] + [
+            reference_bound(model, dom, size, *root_intervals(size)) for size in (3, 4)])
 
     def test_class_table_build_honours_the_budget(self, monkeypatch):
         # undirected n=9 without user rows reads the 261,080 classes of 9
@@ -957,12 +1020,15 @@ class TestSolve:
         assert "gap=" in lines[0] and "time=" in lines[0] and "nodes=2" in lines[0]
 
     def test_bounded_domain_solve(self, rng):
+        # sizes are searched smallest first, so a tie between sizes goes to
+        # the smaller one, as in enumerate
         dom = DomainSpec(n=3, n_min=1, num_labels=2)
         model = fitted_model(rng, dom, t=5)
         r1 = solve(model, dom, 1.0, strategy="enumerate")
         r2 = solve(model, dom, 1.0, strategy="branch_and_propagate")
         assert r1.status == r2.status == "Optimal"
-        assert abs(r1.objective - r2.objective) <= 1e-6
+        assert repr(r1.objective) == repr(r2.objective)
+        assert r1.incumbent == r2.incumbent
 
     def test_sort_key_matches_enumeration_order(self):
         dom = DomainSpec(n=3, num_labels=2)
